@@ -19,6 +19,7 @@ from pathlib import Path
 from .errors import (
     CollGraphError,
     DeadlockError,
+    SpecError,
     StuckError,
 )
 from .expander import Binding, expand
@@ -26,7 +27,7 @@ from .generators import AlgoSpec, Algorithm, generate
 from .msccl import convert_to_trace, parse_msccl_xml
 from .simulator import CostModel, Topology, TopologyKind, simulate, sweep
 from .trace import CollKind, CollectiveTrace, WorkloadTrace, load_trace, save_trace
-from .validator import FAIL, check_semantics
+from .validator import FAIL, Verdict, check_semantics
 
 log = logging.getLogger("collgraph")
 
@@ -51,7 +52,7 @@ def parse_size_list(text: str) -> list[int]:
                 f"invalid sweep {text!r}; expected lo:hi:xK, e.g. 1KiB:64MiB:x4")
         lo, hi = parse_size(match.group(1)), parse_size(match.group(2))
         factor = int(match.group(3))
-        if factor < 2 or lo > hi:
+        if factor < 2 or lo < 1 or lo > hi:
             raise argparse.ArgumentTypeError(f"invalid sweep bounds in {text!r}")
         sizes = []
         size = lo
@@ -62,35 +63,48 @@ def parse_size_list(text: str) -> list[int]:
     return [parse_size(part) for part in text.split(",")]
 
 
-_TOPO_ALIASES = {
+_TOPO_KINDS = {
     "ring": TopologyKind.RING,
     "fc": TopologyKind.FULLY_CONNECTED,
     "fully_connected": TopologyKind.FULLY_CONNECTED,
     "switch": TopologyKind.SWITCH,
+    "mesh2d": TopologyKind.MESH2D,
+    "torus2d": TopologyKind.TORUS2D,
 }
+_GRID_KINDS = (TopologyKind.MESH2D, TopologyKind.TORUS2D)
+
+
+def _topology(spec: dict) -> Topology:
+    """A topology object {kind, n} or {kind, rows, cols}, the form both the
+    net config and the CLI token syntax describe."""
+    kind = _TOPO_KINDS.get(spec["kind"])
+    if kind is None:
+        raise SpecError(f"unknown topology kind {spec['kind']!r}")
+    if kind in _GRID_KINDS:
+        rows, cols = int(spec["rows"]), int(spec["cols"])
+        return Topology(kind, rows * cols, rows, cols)
+    return Topology(kind, int(spec["n"]))
 
 
 def parse_topology_token(token: str, num_ranks: int) -> Topology:
     """CLI topology syntax: ring | fc | switch | mesh2d:RxC | torus2d:RxC."""
-    if token in _TOPO_ALIASES:
-        return Topology(_TOPO_ALIASES[token], num_ranks)
-    match = re.fullmatch(r"(mesh2d|torus2d):(\d+)x(\d+)", token)
-    if not match:
-        raise argparse.ArgumentTypeError(f"unknown topology {token!r}")
-    rows, cols = int(match.group(2)), int(match.group(3))
-    maker = Topology.mesh2d if match.group(1) == "mesh2d" else Topology.torus2d
-    return maker(rows, cols)
+    match = re.fullmatch(r"(\w+)(?::(\d+)x(\d+))?", token)
+    grid = match is not None and _TOPO_KINDS.get(match.group(1)) in _GRID_KINDS
+    if match is None or grid != (match.group(2) is not None):
+        raise SpecError(f"unknown topology {token!r}")
+    kind, rows, cols = match.groups()
+    return _topology({"kind": kind, "n": num_ranks, "rows": rows, "cols": cols})
 
 
 def load_net_config(path) -> tuple[Topology | None, CostModel]:
     """Network config JSON: alpha_s, bandwidth_Bps, reduce_bandwidth_Bps
     (null = infinite), optional fixed_comp_overhead_s, optional topology
     {kind, n | rows+cols}."""
-    with open(path, encoding="utf-8") as handle:
-        doc = json.load(handle)
-    if not isinstance(doc, dict):
-        raise CollGraphError(f"{path}: net config must be a JSON object")
     try:
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        if not isinstance(doc, dict):
+            raise CollGraphError(f"{path}: net config must be a JSON object")
         cost = CostModel(
             alpha=float(doc["alpha_s"]),
             bandwidth=float(doc["bandwidth_Bps"]),
@@ -100,24 +114,16 @@ def load_net_config(path) -> tuple[Topology | None, CostModel]:
             ),
             fixed_comp_overhead=float(doc.get("fixed_comp_overhead_s", 0.0)),
         )
+        topo_obj = doc.get("topology")
+        if topo_obj is None:
+            return None, cost
+        if not isinstance(topo_obj, dict):
+            raise CollGraphError(f"{path}: topology must be a JSON object")
+        return _topology(topo_obj), cost
     except KeyError as exc:
         raise CollGraphError(f"{path}: missing net config key {exc}") from None
-    topo_obj = doc.get("topology")
-    if topo_obj is None:
-        return None, cost
-    kind_name = topo_obj.get("kind")
-    if kind_name in _TOPO_ALIASES:
-        kind = _TOPO_ALIASES[kind_name]
-    elif kind_name in ("mesh2d", "torus2d"):
-        kind = TopologyKind(kind_name)
-    else:
-        raise CollGraphError(f"{path}: unknown topology kind {kind_name!r}")
-    if kind in (TopologyKind.MESH2D, TopologyKind.TORUS2D):
-        rows, cols = int(topo_obj["rows"]), int(topo_obj["cols"])
-        topology = Topology(kind, rows * cols, rows, cols)
-    else:
-        topology = Topology(kind, int(topo_obj["n"]))
-    return topology, cost
+    except (TypeError, ValueError) as exc:
+        raise CollGraphError(f"{path}: malformed net config: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +151,9 @@ def cmd_validate(args) -> int:
     try:
         verdict = check_semantics(trace)
     except StuckError as exc:
-        print(json.dumps({
-            "verdict": "STUCK",
-            "violations": [],
-            "stuck_nodes": [list(pair) for pair in exc.frontier],
-            "warnings": [],
-        }, indent=2))
-        return 4
+        verdict = Verdict("STUCK", stuck_nodes=[list(pair) for pair in exc.frontier])
     print(json.dumps(verdict.to_json(), indent=2))
-    return 3 if verdict.status == FAIL else 0
+    return {"STUCK": 4, FAIL: 3}.get(verdict.status, 0)
 
 
 def cmd_simulate(args) -> int:

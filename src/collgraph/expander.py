@@ -9,6 +9,7 @@ repeated collectives can never cross-match.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Union
 
 from .errors import BindingError
@@ -143,20 +144,12 @@ def expand(workload: WorkloadTrace, bindings: dict[CollKind, Binding]) -> Collec
                 if sub.id in root_set:
                     deps.extend(entry_deps)
                 attrs = sub.attrs
-                if isinstance(attrs, SendAttrs):
+                if isinstance(attrs, (SendAttrs, RecvAttrs)):
                     if attrs.tag >= TAG_STRIDE:
                         raise OverflowError(
                             f"binding tag {attrs.tag} exceeds the per-instance "
                             f"namespace of {TAG_STRIDE}")
-                    attrs = SendAttrs(attrs.dst_rank, attrs.comm_size,
-                                      ordinal * TAG_STRIDE + attrs.tag, attrs.chunks)
-                elif isinstance(attrs, RecvAttrs):
-                    if attrs.tag >= TAG_STRIDE:
-                        raise OverflowError(
-                            f"binding tag {attrs.tag} exceeds the per-instance "
-                            f"namespace of {TAG_STRIDE}")
-                    attrs = RecvAttrs(attrs.src_rank, attrs.comm_size,
-                                      ordinal * TAG_STRIDE + attrs.tag, attrs.chunks)
+                    attrs = replace(attrs, tag=ordinal * TAG_STRIDE + attrs.tag)
                 out.append(TraceNode(sub_ids[sub.id], f"coll{ordinal}_{sub.name}",
                                      sub.kind, tuple(sorted(deps)), attrs))
         out_ranks.append(out)

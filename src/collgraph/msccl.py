@@ -52,7 +52,6 @@ class MscclStep:
     dst_off: Optional[int]
     cnt: int
     depend: Optional[tuple[int, int]]  # (tb id, step index) in the same gpu
-    has_dep: bool
 
 
 @dataclass(frozen=True)
@@ -218,9 +217,9 @@ def _parse_step(elem: _Elem, tb: "_TbDraft") -> MscclStep:
     if (depid is None) != (deps is None):
         raise SchemaError(f"depid/deps at line {elem.line} must be given together")
     depend = None if depid is None else (depid, deps)
-    has_dep = bool(_int_attr(elem, "hasdep")) if "hasdep" in elem.attrs else False
-    return MscclStep(index, step_type, src_buf, src_off, dst_buf, dst_off,
-                     cnt, depend, has_dep)
+    if "hasdep" in elem.attrs:
+        _int_attr(elem, "hasdep")  # rejects malformed input; nothing reads the value
+    return MscclStep(index, step_type, src_buf, src_off, dst_buf, dst_off, cnt, depend)
 
 
 class _TbDraft:

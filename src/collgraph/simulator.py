@@ -17,6 +17,7 @@ approach, without reaching, the hop-count ratio as messages grow.
 from __future__ import annotations
 
 import heapq
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -28,9 +29,9 @@ from .trace import (
     OP_NOP,
     CollectiveTrace,
     NodeKind,
+    Readiness,
     Trace,
     WorkloadTrace,
-    node_map,
 )
 
 
@@ -270,19 +271,9 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
         raise SpecError(
             f"trace has {trace.num_ranks} ranks but topology only {topology.n} endpoints")
 
-    nodes = [node_map(trace, r) for r in range(trace.num_ranks)]
+    readiness = [Readiness(rank_nodes) for rank_nodes in trace.per_rank_nodes]
+    nodes = [r.nodes for r in readiness]
     total_nodes = sum(len(r) for r in nodes)
-    dependents: list[dict[int, list[int]]] = [
-        {nid: [] for nid in rank_nodes} for rank_nodes in nodes
-    ]
-    remaining: list[dict[int, int]] = []
-    for rank, rank_nodes in enumerate(nodes):
-        counts = {}
-        for node in rank_nodes.values():
-            counts[node.id] = len(node.deps)
-            for dep in node.deps:
-                dependents[rank][dep].append(node.id)
-        remaining.append(counts)
 
     issue_t: dict[tuple[int, int], float] = {}
     start_t: dict[tuple[int, int], float] = {}
@@ -329,9 +320,8 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
                 recv_wait[key] = (rank, nid)
 
     for rank in range(trace.num_ranks):
-        for nid in sorted(remaining[rank]):
-            if remaining[rank][nid] == 0:
-                issue(rank, nid, 0.0)
+        for nid in readiness[rank].roots():
+            issue(rank, nid, 0.0)
 
     while events:
         event = heapq.heappop(events)
@@ -340,13 +330,9 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
         if event[1] == _FINISH:
             _, _, rank, nid = event
             finish_t[(rank, nid)] = t
-            for succ in dependents[rank][nid]:
-                remaining[rank][succ] -= 1
-                if remaining[rank][succ] == 0:
-                    # issue time = latest dep finish
-                    node = nodes[rank][succ]
-                    at = max((finish_t[(rank, d)] for d in node.deps), default=0.0)
-                    issue(rank, succ, at)
+            for succ in readiness[rank].finish(nid):
+                # events pop in time order, so the dep finishing last finishes now
+                issue(rank, succ, t)
         else:
             _, _, src, dst, tag, hop = event
             key = (src, dst, tag)
@@ -424,7 +410,8 @@ def sweep(
     """Simulate `algorithm` for every (topology, size) cell and report each
     duration plus its slowdown against the baseline topology (a ring of the
     same rank count unless given). Rows keep the given topology order with
-    sizes ascending; the result is independent of `jobs`."""
+    sizes ascending; the result is independent of `jobs`, which is capped at
+    the number of cells and of CPUs."""
     if baseline is None:
         baseline = Topology.ring(num_ranks)
     sizes = sorted(sizes)
@@ -434,8 +421,9 @@ def sweep(
         if label != baseline.label():
             tasks += [(label, topo, size) for size in sizes]
     args = [(algorithm.value, num_ranks, size, topo, cost) for _, topo, size in tasks]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(args), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             durations = list(pool.map(_sweep_cell, args))
     else:
         durations = [_sweep_cell(a) for a in args]

@@ -5,6 +5,11 @@ compute operations (collective placeholders in workload traces); edges are
 intra-rank dependencies only. Cross-rank ordering is expressed exclusively
 through send/recv tag matching, so each rank's graph stays independently
 analyzable.
+
+`Readiness` is the one dependency-readiness engine: it counts each node's
+unfinished deps and releases dependents as nodes finish. `ordered` walks a
+rank with it in heap order; the validator and the simulator drive it from
+their own cross-rank event loops.
 """
 
 from __future__ import annotations
@@ -173,43 +178,76 @@ def node_map(trace: Trace, rank: int) -> dict[int, TraceNode]:
     return {n.id: n for n in trace.per_rank_nodes[rank]}
 
 
+class Readiness:
+    """Dependency readiness of one rank's graph: id -> node, per-node counts
+    of unfinished deps, and the dependents of each node. Every walk over a
+    rank in dependency order (toposort, canonical form, symbolic execution,
+    simulation) drives one of these."""
+
+    def __init__(self, nodes):
+        self.nodes = by_id = {node.id: node for node in nodes}
+        self.pending = pending = {}
+        self.dependents = dependents = {nid: [] for nid in by_id}
+        for nid, node in by_id.items():
+            pending[nid] = len(node.deps)
+            for dep in node.deps:
+                dependents[dep].append(nid)
+
+    def roots(self) -> list[int]:
+        """Ids with no deps, ascending."""
+        return sorted(nid for nid, count in self.pending.items() if count == 0)
+
+    def finish(self, nid: int) -> list[int]:
+        """Mark `nid` finished; return the dependents it made ready."""
+        pending = self.pending
+        released = []
+        for succ in self.dependents[nid]:
+            left = pending[succ] - 1
+            pending[succ] = left
+            if not left:
+                released.append(succ)
+        return released
+
+
+def ordered(trace: Trace, rank: int, key=None):
+    """Walk one rank in dependency order, always taking the smallest ready
+    entry: yields ids, or `(key(node), id)` pairs when `key` is given. The
+    key is evaluated when a node becomes ready, i.e. after every dep was
+    yielded. After the last yield, raises CycleError carrying the ids of one
+    dependency cycle if nodes were left over."""
+    ready = Readiness(trace.per_rank_nodes[rank])
+    nodes, finish, push, pop = ready.nodes, ready.finish, heapq.heappush, heapq.heappop
+    heap = ready.roots()  # ascending, hence already a heap
+    if key is not None:
+        heap = [(key(nodes[nid]), nid) for nid in heap]
+        heapq.heapify(heap)
+    while heap:
+        entry = pop(heap)
+        yield entry
+        for succ in finish(entry if key is None else entry[1]):
+            push(heap, succ if key is None else (key(nodes[succ]), succ))
+    if any(ready.pending.values()):
+        raise CycleError(f"dependency cycle on rank {rank}", _find_cycle(ready))
+
+
 def toposort_rank(trace: Trace, rank: int) -> list[int]:
     """Topological order of one rank's nodes, ties broken by ascending id.
 
     Raises CycleError carrying the ids of one dependency cycle.
     """
-    nodes = node_map(trace, rank)
-    dependents: dict[int, list[int]] = {nid: [] for nid in nodes}
-    pending = {}
-    ready = []
-    for node in nodes.values():
-        pending[node.id] = len(node.deps)
-        for dep in node.deps:
-            dependents[dep].append(node.id)
-        if not node.deps:
-            heapq.heappush(ready, node.id)
-    order = []
-    while ready:
-        nid = heapq.heappop(ready)
-        order.append(nid)
-        for succ in dependents[nid]:
-            pending[succ] -= 1
-            if pending[succ] == 0:
-                heapq.heappush(ready, succ)
-    if len(order) < len(nodes):
-        raise CycleError(f"dependency cycle on rank {rank}", _find_cycle(nodes, set(order)))
-    return order
+    return list(ordered(trace, rank))
 
 
-def _find_cycle(nodes: dict[int, TraceNode], done: set[int]) -> list[int]:
+def _find_cycle(ready: Readiness) -> list[int]:
     # Walk unfinished deps until a node repeats; the repeated tail is a cycle.
-    start = min(nid for nid in nodes if nid not in done)
+    pending = ready.pending
+    start = min(nid for nid, count in pending.items() if count)
     path, seen = [], {}
     nid = start
     while nid not in seen:
         seen[nid] = len(path)
         path.append(nid)
-        nid = next(d for d in nodes[nid].deps if d not in done)
+        nid = next(d for d in ready.nodes[nid].deps if pending[d])
     return path[seen[nid]:]
 
 

@@ -10,6 +10,13 @@ dependencies correctly order writers before readers.
 The chunk identities come from the optional "chunks" / "src_chunks" node
 metadata. Traces without that metadata still get the executability
 (deadlock) check; the semantic comparison is then reported as SKIPPED.
+
+Execution is driven by the readiness engine of `trace` (`Readiness`): a
+node runs once its deps finished and, for a recv, once its message was
+sent. A second, untracked run under rendezvous semantics, where a send also
+waits until its recv is posted, decides the rendezvous-deadlock warning.
+The canonical form for isomorphism is an `ordered` walk with a structural
+key.
 """
 
 from __future__ import annotations
@@ -18,16 +25,17 @@ import heapq
 import random
 from dataclasses import dataclass, field
 
-from .errors import CycleError, InvariantError, StuckError
+from .errors import InvariantError, StuckError
 from .trace import (
     OP_COPY,
     OP_REDUCE,
     CollKind,
     CollectiveTrace,
     NodeKind,
+    Readiness,
     check_trace,
     message_index,
-    node_map,
+    ordered,
 )
 
 PASS = "PASS"
@@ -40,12 +48,13 @@ class Verdict:
     status: str
     violations: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
+    stuck_nodes: list = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
             "verdict": self.status,
             "violations": self.violations,
-            "stuck_nodes": [],
+            "stuck_nodes": self.stuck_nodes,
             "warnings": self.warnings,
         }
 
@@ -55,13 +64,18 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 class _Exec:
-    """One symbolic run over all ranks to quiescence (eager sends)."""
+    """One symbolic run over all ranks to quiescence. Sends are eager unless
+    `rendezvous` is set; then a send also waits until its recv is posted
+    (every dep of the recv finished)."""
 
-    def __init__(self, trace: CollectiveTrace, track_state: bool, order: random.Random | None):
+    def __init__(self, trace: CollectiveTrace, track_state: bool, order: random.Random | None,
+                 rendezvous: bool = False):
         self.trace = trace
         self.track = track_state
         self.order = order
-        self.nodes = [node_map(trace, r) for r in range(trace.num_ranks)]
+        self.rendezvous = rendezvous
+        self.readiness = [Readiness(nodes) for nodes in trace.per_rank_nodes]
+        self.nodes = [r.nodes for r in self.readiness]
         sends, recvs = message_index(trace, require_complete=False)
         self.send_owner = {key: nid for key, (nid, _) in sends.items()}
         self.recv_owner = {key: nid for key, (nid, _) in recvs.items()}
@@ -170,35 +184,37 @@ class _Exec:
 
     def run(self) -> None:
         """Execute to quiescence; StuckError if any node can never run."""
-        pending = [
-            {nid: len(node.deps) for nid, node in rank_nodes.items()}
-            for rank_nodes in self.nodes
-        ]
-        dependents = [
-            {nid: [] for nid in rank_nodes} for rank_nodes in self.nodes
-        ]
-        for rank, rank_nodes in enumerate(self.nodes):
-            for node in rank_nodes.values():
-                for dep in node.deps:
-                    dependents[rank][dep].append(node.id)
         ready: list[tuple[int, int]] = []
-        parked: set[tuple[int, int]] = set()  # dep-ready recvs missing their message
+        # dep-ready nodes waiting for their peer: recvs missing their message
+        # and, under rendezvous, sends whose recv is not posted yet
+        parked: set[tuple[int, int]] = set()
         executed = 0
         total = sum(len(r) for r in self.nodes)
+
+        def unpark(rank: int, nid: int | None) -> None:
+            if (rank, nid) in parked:
+                parked.discard((rank, nid))
+                heapq.heappush(ready, (rank, nid))
 
         def on_dep_ready(rank: int, nid: int) -> None:
             node = self.nodes[rank][nid]
             if node.kind is NodeKind.COMM_RECV:
                 key = (node.attrs.src_rank, rank, node.attrs.tag)
+                unpark(key[0], self.send_owner.get(key))  # the recv is posted now
                 if key not in self.delivered:
+                    parked.add((rank, nid))
+                    return
+            elif node.kind is NodeKind.COMM_SEND and self.rendezvous:
+                key = (rank, node.attrs.dst_rank, node.attrs.tag)
+                peer = self.recv_owner.get(key)
+                if peer is None or self.readiness[key[1]].pending[peer]:
                     parked.add((rank, nid))
                     return
             heapq.heappush(ready, (rank, nid))
 
-        for rank, counts in enumerate(pending):
-            for nid, count in counts.items():
-                if count == 0:
-                    on_dep_ready(rank, nid)
+        for rank, readiness in enumerate(self.readiness):
+            for nid in readiness.roots():
+                on_dep_ready(rank, nid)
 
         while ready:
             if self.order is None:
@@ -212,57 +228,19 @@ class _Exec:
             if node.kind is NodeKind.COMM_SEND:
                 self._run_send(rank, node)
                 key = (rank, node.attrs.dst_rank, node.attrs.tag)
-                peer = self.recv_owner.get(key)
-                if peer is not None and (key[1], peer) in parked:
-                    parked.discard((key[1], peer))
-                    heapq.heappush(ready, (key[1], peer))
+                unpark(key[1], self.recv_owner.get(key))
             elif node.kind is NodeKind.COMM_RECV:
                 self._run_recv(rank, node)
             else:
                 self._run_comp(rank, node)
             executed += 1
-            for succ in dependents[rank][nid]:
-                pending[rank][succ] -= 1
-                if pending[rank][succ] == 0:
-                    on_dep_ready(rank, succ)
+            for succ in self.readiness[rank].finish(nid):
+                on_dep_ready(rank, succ)
 
         if executed < total:
             frontier = sorted(parked)
             raise StuckError(
                 f"execution stuck with {total - executed} node(s) unrun", frontier)
-
-
-def _rendezvous_reachable(trace: CollectiveTrace) -> bool:
-    """Fixpoint reachability where a send additionally waits for the
-    matching recv to be posted (its deps done). True if everything runs."""
-    sends, recvs = message_index(trace, require_complete=False)
-    recv_owner = {key: nid for key, (nid, _) in recvs.items()}
-    done: list[set[int]] = [set() for _ in range(trace.num_ranks)]
-    nodes = [node_map(trace, r) for r in range(trace.num_ranks)]
-    total = sum(len(r) for r in nodes)
-    progress = True
-    while progress:
-        progress = False
-        for rank, rank_nodes in enumerate(nodes):
-            for nid, node in rank_nodes.items():
-                if nid in done[rank] or not all(d in done[rank] for d in node.deps):
-                    continue
-                if node.kind is NodeKind.COMM_SEND:
-                    key = (rank, node.attrs.dst_rank, node.attrs.tag)
-                    peer = recv_owner.get(key)
-                    if peer is None:
-                        continue
-                    peer_node = nodes[key[1]][peer]
-                    if not all(d in done[key[1]] for d in peer_node.deps):
-                        continue
-                elif node.kind is NodeKind.COMM_RECV:
-                    key = (node.attrs.src_rank, rank, node.attrs.tag)
-                    send_nid = sends.get(key, (None, None))[0]
-                    if send_nid is None or send_nid not in done[key[0]]:
-                        continue
-                done[rank].add(nid)
-                progress = True
-    return sum(len(d) for d in done) == total
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +311,9 @@ def check_semantics(trace: CollectiveTrace, *, order_seed: int | None = None) ->
         num_chunks = _infer_num_chunks(trace)
         ex.seed_initial_state(trace.claimed_collective, num_chunks)
     ex.run()
-    if not _rendezvous_reachable(trace):
+    try:
+        _Exec(trace, False, None, rendezvous=True).run()
+    except StuckError:
         warnings.append("trace deadlocks under rendezvous send semantics")
     if not track:
         return Verdict(SKIPPED, warnings=warnings)
@@ -390,12 +370,6 @@ def canonical_form(trace: CollectiveTrace):
     ordinals = _tag_ordinals(trace)
     form = []
     for rank in range(trace.num_ranks):
-        nodes = node_map(trace, rank)
-        dependents: dict[int, list[int]] = {nid: [] for nid in nodes}
-        pending = {nid: len(node.deps) for nid, node in nodes.items()}
-        for node in nodes.values():
-            for dep in node.deps:
-                dependents[dep].append(node.id)
         label: dict[int, int] = {}
 
         def key_of(node):
@@ -411,23 +385,10 @@ def canonical_form(trace: CollectiveTrace):
             deps = tuple(sorted(label[d] for d in node.deps))
             return (_KIND_ORDER[node.kind], peer, size, tag_ord, op, deps)
 
-        heap = []
-        for nid, count in pending.items():
-            if count == 0:
-                heapq.heappush(heap, (key_of(nodes[nid]), nid))
         records = []
-        while heap:
-            key, nid = heapq.heappop(heap)
+        for key, nid in ordered(trace, rank, key_of):
             label[nid] = len(records)
             records.append(key)
-            for succ in dependents[nid]:
-                pending[succ] -= 1
-                if pending[succ] == 0:
-                    heapq.heappush(heap, (key_of(nodes[succ]), succ))
-        if len(records) < len(nodes):
-            from .trace import _find_cycle
-            raise CycleError(f"dependency cycle on rank {rank}",
-                             _find_cycle(nodes, set(label)))
         form.append(tuple(records))
     return tuple(form)
 

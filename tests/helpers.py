@@ -1,5 +1,6 @@
-"""Shared test utilities: an independent concrete executor used as the
-oracle for the symbolic validator, and structural mutation helpers."""
+"""Shared test utilities: an independent concrete executor and rendezvous
+reachability check used as oracles for the symbolic validator, and
+structural mutation helpers."""
 
 from __future__ import annotations
 
@@ -79,6 +80,46 @@ def concrete_execute(trace: CollectiveTrace, num_chunks: int) -> list[dict[int, 
                 progress = True
     assert all(len(done[r]) == len(nodes[r]) for r in range(n)), "oracle run stuck"
     return [{j: s[j] for j in range(num_chunks) if j in s} for s in state]
+
+
+def rendezvous_completes(trace: CollectiveTrace) -> bool:
+    """True if every node runs when a send also waits for its recv to be
+    posted (every dep of the recv done), and a recv for its send to be done.
+
+    Reference for the validator's rendezvous-deadlock warning; like
+    `concrete_execute`, a dumb rescanning fixpoint that shares no machinery
+    with the validator.
+    """
+    nodes = [{nd.id: nd for nd in rank_nodes} for rank_nodes in trace.per_rank_nodes]
+    done: list[set[int]] = [set() for _ in nodes]
+
+    def find(rank: int, kind: NodeKind, peer_field: str, peer: int, tag: int):
+        for nd in nodes[rank].values():
+            if nd.kind is kind and getattr(nd.attrs, peer_field) == peer \
+                    and nd.attrs.tag == tag:
+                return nd
+        return None
+
+    progress = True
+    while progress:
+        progress = False
+        for rank, rank_nodes in enumerate(nodes):
+            for node in rank_nodes.values():
+                if node.id in done[rank] or any(d not in done[rank] for d in node.deps):
+                    continue
+                if node.kind is NodeKind.COMM_SEND:
+                    dst = node.attrs.dst_rank
+                    recv = find(dst, NodeKind.COMM_RECV, "src_rank", rank, node.attrs.tag)
+                    if recv is None or any(d not in done[dst] for d in recv.deps):
+                        continue
+                elif node.kind is NodeKind.COMM_RECV:
+                    src = node.attrs.src_rank
+                    send = find(src, NodeKind.COMM_SEND, "dst_rank", rank, node.attrs.tag)
+                    if send is None or send.id not in done[src]:
+                        continue
+                done[rank].add(node.id)
+                progress = True
+    return all(len(d) == len(r) for d, r in zip(done, nodes))
 
 
 def full_mask(n: int, num_chunks: int, chunk: int) -> int:

@@ -1,10 +1,12 @@
 """End-to-end CLI behaviour: exit codes, file outputs, determinism."""
 
+import argparse
 import json
 
 import pytest
 
 from collgraph.cli import main, parse_size, parse_size_list, parse_topology_token
+from collgraph.errors import CollGraphError
 from collgraph.generators import AlgoSpec, Algorithm, generate
 from collgraph.trace import (
     CollKind,
@@ -42,13 +44,21 @@ def test_parse_size_list_geometric():
     assert parse_size_list("1KiB,3KiB") == [1024, 3072]
 
 
+def test_parse_size_list_rejects_a_zero_lower_bound():
+    # 0 * factor stays 0, so the geometric list would never end
+    with pytest.raises(argparse.ArgumentTypeError, match="bounds"):
+        parse_size_list("0:1KiB:x2")
+
+
 def test_parse_topology_tokens():
     assert parse_topology_token("ring", 8).label() == "ring"
     assert parse_topology_token("fc", 8).n == 8
     assert parse_topology_token("mesh2d:2x4", 8).label() == "mesh2d:2x4"
     assert parse_topology_token("switch", 8).label() == "switch"
-    with pytest.raises(Exception):
-        parse_topology_token("hypercube", 8)
+    assert parse_topology_token("fully_connected", 8).label() == "fc"
+    for bad in ("hypercube", "mesh2d", "ring:2x4", "torus2d:2x"):
+        with pytest.raises(CollGraphError):
+            parse_topology_token(bad, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +188,25 @@ def test_simulate_workload_exits_2(tmp_path, net_config, capsys):
     save_trace(b.build_workload(), path)
     assert run("simulate", path, "--net", net_config) == 2
     assert "expanded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("net", [
+    '{"alpha_s": "x", "bandwidth_Bps": 1e9}',
+    '{"alpha_s": 1e-06, "bandwidth_Bps": 1e9, "topology": "ring"}',
+    '{"alpha_s": 1e-06, "bandwidth_Bps": 1e9, "topology": {"kind": "ring"}}',
+    '{"alpha_s": 1e-06, "bandwidth_Bps": 1e9, '
+    '"topology": {"kind": "mesh2d", "rows": "a", "cols": 2}}',
+    '{"alpha_s": 1e-06, "bandwidth_Bps": 1e9, "topology": {"kind": "hypercube", "n": 4}}',
+    '{"alpha_s": 1e-06,',
+], ids=["alpha-not-a-number", "topology-not-an-object", "ring-without-n",
+        "rows-not-an-integer", "unknown-kind", "truncated-json"])
+def test_simulate_malformed_net_config_exits_2(tmp_path, net, capsys):
+    path = tmp_path / "ar.json"
+    save_trace(generate(AlgoSpec(Algorithm.RING_ALL_REDUCE, 4, 4096)), path)
+    config = tmp_path / "bad_net.json"
+    config.write_text(net)
+    assert run("simulate", path, "--net", config) == 2
+    assert capsys.readouterr().err.startswith("collgraph: ")
 
 
 def test_simulate_circular_wait_exits_4(tmp_path, fixtures_dir, capsys):

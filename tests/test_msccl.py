@@ -79,6 +79,13 @@ def test_unknown_attribute_rejected(tmp_path):
         parse_msccl_xml(write(tmp_path, bad))
 
 
+def test_non_integer_hasdep_rejected(tmp_path):
+    bad = NOP_ONLY.replace('<step s="0" type="nop"/>',
+                           '<step s="0" type="nop" hasdep="yes"/>')
+    with pytest.raises(SchemaError, match="hasdep"):
+        parse_msccl_xml(write(tmp_path, bad))
+
+
 def test_dangling_depend_raises_ref_error(tmp_path):
     bad = NOP_ONLY.replace('<step s="0" type="nop"/>',
                            '<step s="0" type="nop" depid="3" deps="0"/>')

@@ -267,3 +267,38 @@ def test_sweep_parallel_jobs_match_sequential():
     sequential = sweep(Algorithm.RING_ALL_GATHER, 4, sizes, topologies, COST, jobs=1)
     parallel = sweep(Algorithm.RING_ALL_GATHER, 4, sizes, topologies, COST, jobs=2)
     assert sequential == parallel
+
+
+@pytest.mark.parametrize("jobs, cpus, topologies, expected", [
+    (64, 8, 1, [2]),   # capped by the 2 cells
+    (3, 2, 2, [2]),    # capped by the CPUs
+    (4, 8, 2, [4]),    # as asked
+    (64, 1, 2, []),    # one CPU: sequential, no pool
+    (1, 8, 2, []),     # one job: sequential, no pool
+])
+def test_sweep_caps_workers_at_cells_and_cpus(monkeypatch, jobs, cpus, topologies, expected):
+    import collgraph.simulator as simulator
+
+    pools = []
+
+    class RecordingPool:
+        """In-process stand-in for ProcessPoolExecutor; starts no process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: cpus)
+    topos = [Topology.ring(4), Topology.switch(4)][:topologies]
+    rows = sweep(Algorithm.RING_ALL_GATHER, 4, [16384, 65536], topos, COST, jobs=jobs)
+    assert pools == expected
+    assert rows == sweep(Algorithm.RING_ALL_GATHER, 4, [16384, 65536], topos, COST)

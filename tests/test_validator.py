@@ -2,7 +2,13 @@
 deadlock detection and canonical-form isomorphism."""
 
 import pytest
-from helpers import concrete_execute, delete_node, full_mask, rewrite_peer
+from helpers import (
+    concrete_execute,
+    delete_node,
+    full_mask,
+    rendezvous_completes,
+    rewrite_peer,
+)
 
 from collgraph.errors import CollGraphError, CycleError, StuckError
 from collgraph.generators import AlgoSpec, Algorithm, generate
@@ -17,6 +23,7 @@ from collgraph.trace import (
     TraceBuilder,
     TraceNode,
     load_trace,
+    toposort_rank,
 )
 from collgraph.validator import (
     FAIL,
@@ -195,15 +202,18 @@ def test_circular_wait_raises_stuck_with_both_recvs(fixtures_dir):
     assert exc.value.frontier == [(0, 0), (1, 0)]
 
 
-def test_eager_pass_with_rendezvous_warning():
+def send_before_recv_pair():
     # Both ranks send before receiving: fine eagerly, deadlock in rendezvous
     # because neither recv is posted until the local send completed.
     b = TraceBuilder(2)
     for rank, peer in ((0, 1), (1, 0)):
         s = b.add_send(rank, peer, 64)
         b.add_recv(rank, peer, 64, deps=[s])
-    trace = b.build_collective(None)
-    verdict = check_semantics(trace)
+    return b.build_collective(None)
+
+
+def test_eager_pass_with_rendezvous_warning():
+    verdict = check_semantics(send_before_recv_pair())
     assert verdict.status == SKIPPED  # no chunk metadata, but it ran
     assert any("rendezvous" in w for w in verdict.warnings)
 
@@ -211,6 +221,53 @@ def test_eager_pass_with_rendezvous_warning():
 def test_sendrecv_pairs_have_no_rendezvous_warning():
     trace = gen(Algorithm.RING_ALL_REDUCE, 4, 4096)
     assert check_semantics(trace).warnings == []
+
+
+def rendezvous_runs(trace) -> bool:
+    """The validator's answer to "does every node run under rendezvous
+    sends": no warning, or, when eager execution is already stuck and
+    there is no verdict, the rendezvous run itself."""
+    try:
+        warnings = check_semantics(trace).warnings
+    except StuckError:
+        try:
+            _Exec(trace, False, None, rendezvous=True).run()
+        except StuckError:
+            return False
+        return True
+    return not any("rendezvous" in w for w in warnings)
+
+
+def test_rendezvous_warning_matches_oracle_on_generator_traces():
+    for algo in Algorithm:
+        ranks = [1, 2, 4, 8] if algo is Algorithm.RECURSIVE_DOUBLING_ALL_GATHER \
+            else range(1, 9)
+        for n in ranks:
+            trace = gen(algo, n)
+            assert rendezvous_runs(trace) == rendezvous_completes(trace), (algo, n)
+
+
+def test_rendezvous_warning_matches_oracle_on_single_node_deletions():
+    # the deletion set of acceptance criterion 3
+    checked = 0
+    for algo in Algorithm:
+        ranks = [2, 4] if algo is Algorithm.RECURSIVE_DOUBLING_ALL_GATHER else range(2, 6)
+        for n in ranks:
+            trace = gen(algo, n)
+            for rank in range(n):
+                for node in trace.per_rank_nodes[rank]:
+                    mutated = delete_node(trace, rank, node.id)
+                    assert rendezvous_runs(mutated) == rendezvous_completes(mutated), \
+                        (algo, n, rank, node.id)
+                    checked += 1
+    assert checked > 100
+
+
+def test_rendezvous_warning_matches_oracle_on_deadlocks(fixtures_dir):
+    circular = load_trace(fixtures_dir / "circular_wait.json")
+    assert not rendezvous_runs(circular) and not rendezvous_completes(circular)
+    pair = send_before_recv_pair()
+    assert not rendezvous_runs(pair) and not rendezvous_completes(pair)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +298,9 @@ def test_verdict_json_shape():
     verdict = Verdict(PASS)
     assert verdict.to_json() == {
         "verdict": "PASS", "violations": [], "stuck_nodes": [], "warnings": []}
+    stuck = Verdict("STUCK", stuck_nodes=[[0, 3]])
+    assert stuck.to_json() == {
+        "verdict": "STUCK", "violations": [], "stuck_nodes": [[0, 3]], "warnings": []}
 
 
 # ---------------------------------------------------------------------------
@@ -304,3 +364,19 @@ def test_canonical_form_raises_on_cycles():
     ]])
     with pytest.raises(CycleError):
         canonical_form(cyclic)
+
+
+def test_toposort_and_canonical_form_report_the_same_cycle():
+    from collgraph.trace import CompAttrs
+
+    # 0 is a root; 1 -> 3 -> 2 -> 1 is the cycle; 4 hangs off it
+    deps = {0: (), 1: (0, 3), 2: (1,), 3: (2,), 4: (3,)}
+    cyclic = CollectiveTrace(1, None, [[
+        TraceNode(nid, f"n{nid}", NodeKind.COMP, d, CompAttrs("NOP", 0))
+        for nid, d in deps.items()]])
+    with pytest.raises(CycleError) as topo:
+        toposort_rank(cyclic, 0)
+    with pytest.raises(CycleError) as canon:
+        canonical_form(cyclic)
+    assert topo.value.cycle == canon.value.cycle == [1, 3, 2]
+    assert str(topo.value) == str(canon.value)
