@@ -122,7 +122,7 @@ def load_net_config(path) -> tuple[Topology | None, CostModel]:
         return _topology(topo_obj), cost
     except KeyError as exc:
         raise CollGraphError(f"{path}: missing net config key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise CollGraphError(f"{path}: malformed net config: {exc}") from None
 
 

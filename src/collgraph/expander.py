@@ -24,8 +24,9 @@ from .trace import (
     SendAttrs,
     TraceNode,
     WorkloadTrace,
-    check_trace,
+    check_trace,  # noqa: F401 -- kept importable: perfbench/tracer.py rebinds it
     coll_sequence,
+    message_index,
     node_map,
 )
 
@@ -78,7 +79,6 @@ def expand(workload: WorkloadTrace, bindings: dict[CollKind, Binding]) -> Collec
     Raises BindingError for missing or mismatched bindings, OverflowError if
     a binding uses tags at or above the per-instance stride (2^20).
     """
-    check_trace(workload)
     cache: dict = {}
     out_ranks: list[list[TraceNode]] = []
     for rank in range(workload.num_ranks):
@@ -155,5 +155,5 @@ def expand(workload: WorkloadTrace, bindings: dict[CollKind, Binding]) -> Collec
         out_ranks.append(out)
 
     unified = CollectiveTrace(workload.num_ranks, None, out_ranks)
-    check_trace(unified)
+    message_index(unified)
     return unified

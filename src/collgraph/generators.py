@@ -23,7 +23,7 @@ from .trace import (
     RecvAttrs,
     SendAttrs,
     TraceNode,
-    check_trace,
+    check_trace,  # noqa: F401 -- kept importable: perfbench/tracer.py rebinds it
 )
 
 
@@ -53,16 +53,14 @@ class AlgoSpec:
 
 
 def generate(spec: AlgoSpec) -> CollectiveTrace:
-    """Build a validated CollectiveTrace for the requested algorithm."""
+    """Build the CollectiveTrace of the requested algorithm (checked, like
+    every trace, when it is built)."""
     spec.validate()
     if spec.algorithm is Algorithm.RING_ALL_REDUCE:
-        trace = _ring_all_reduce(spec.num_ranks, spec.comm_size)
-    elif spec.algorithm is Algorithm.RING_ALL_GATHER:
-        trace = _ring_all_gather(spec.num_ranks, spec.comm_size)
-    else:
-        trace = _recursive_doubling_all_gather(spec.num_ranks, spec.comm_size)
-    check_trace(trace)
-    return trace
+        return _ring_all_reduce(spec.num_ranks, spec.comm_size)
+    if spec.algorithm is Algorithm.RING_ALL_GATHER:
+        return _ring_all_gather(spec.num_ranks, spec.comm_size)
+    return _recursive_doubling_all_gather(spec.num_ranks, spec.comm_size)
 
 
 def _send(nid, dst, size, tag, deps, chunk_list, name):
@@ -84,8 +82,6 @@ def _ring_all_reduce(n: int, s: int) -> CollectiveTrace:
     """Unidirectional ring: N-1 reduce-scatter steps, then N-1 all-gather
     steps; every message is one chunk of s/n bytes sent to rank+1."""
     claimed = CollDescriptor(CollKind.ALL_REDUCE, s)
-    if n == 1:
-        return CollectiveTrace(1, claimed, [[]])
     c = s // n
     steps = n - 1
     ranks = []
@@ -126,8 +122,6 @@ def _ring_all_gather(n: int, s: int) -> CollectiveTrace:
     """Unidirectional ring all-gather: N-1 steps forwarding whole per-rank
     inputs of s bytes; chunk index = originating rank."""
     claimed = CollDescriptor(CollKind.ALL_GATHER, s)
-    if n == 1:
-        return CollectiveTrace(1, claimed, [[]])
     steps = n - 1
     ranks = []
     for r in range(n):
@@ -150,8 +144,6 @@ def _recursive_doubling_all_gather(n: int, s: int) -> CollectiveTrace:
     block with the partner at XOR distance 2^j."""
     claimed = CollDescriptor(CollKind.ALL_GATHER, s)
     rounds = n.bit_length() - 1  # n is a power of two
-    if rounds == 0:
-        return CollectiveTrace(1, claimed, [[]])
     ranks = []
     for r in range(n):
         nodes = []

@@ -26,7 +26,7 @@ from .trace import (
     RecvAttrs,
     SendAttrs,
     TraceNode,
-    check_trace,
+    check_trace,  # noqa: F401 -- kept importable: perfbench/tracer.py rebinds it
 )
 
 STEP_TYPES = ("s", "r", "rrc", "rcs", "re", "cpy", "nop")
@@ -230,7 +230,11 @@ class _TbDraft:
 
 def parse_msccl_xml(path) -> MscclProgram:
     """Parse and fully validate an MSCCL-IR style XML file."""
-    root = _parse_xml(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise XmlError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    root = _parse_xml(text)
     _check_elem(root, "algo", {"name", "ngpus", "nchunks", "coll"})
     ngpus = _int_attr(root, "ngpus")
     nchunks = _int_attr(root, "nchunks")
@@ -422,6 +426,4 @@ def convert_to_trace(program: MscclProgram, comm_size: int) -> CollectiveTrace:
         per_rank.append(nodes)
 
     claimed = CollDescriptor(_COLL_NAMES[program.collective], comm_size)
-    trace = CollectiveTrace(program.num_gpus, claimed, per_rank)
-    check_trace(trace)
-    return trace
+    return CollectiveTrace(program.num_gpus, claimed, per_rank)

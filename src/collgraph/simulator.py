@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import DeadlockError, MatchError, SpecError, UnexpandedCollectiveError, UnreachableError
+from .errors import DeadlockError, SpecError, UnexpandedCollectiveError, UnreachableError
 from .generators import AlgoSpec, Algorithm, generate
 from .trace import (
     OP_NOP,
@@ -32,6 +32,7 @@ from .trace import (
     Readiness,
     Trace,
     WorkloadTrace,
+    message_index,
 )
 
 
@@ -259,7 +260,8 @@ _FINISH, _ENQUEUE = 0, 1
 
 def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
     """Event-driven replay. Raises UnexpandedCollectiveError on COMM_COLL
-    nodes and DeadlockError (naming the pending receives) if the event pool
+    nodes, InvariantError (from `message_index`) on an unmatched send or
+    recv, and DeadlockError (naming the pending receives) if the event pool
     drains with nodes unfinished."""
     for rank, nodes in enumerate(trace.per_rank_nodes):
         for node in nodes:
@@ -270,6 +272,7 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
     if trace.num_ranks > topology.n:
         raise SpecError(
             f"trace has {trace.num_ranks} ranks but topology only {topology.n} endpoints")
+    message_index(trace)
 
     readiness = [Readiness(rank_nodes) for rank_nodes in trace.per_rank_nodes]
     nodes = [r.nodes for r in readiness]
@@ -282,14 +285,6 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
     msg_info: dict[tuple[int, int, int], tuple[int, int, list[tuple[int, int]]]] = {}
     arrival: dict[tuple[int, int, int], float] = {}
     recv_wait: dict[tuple[int, int, int], tuple[int, int]] = {}
-    recv_of: dict[tuple[int, int, int], tuple[int, int]] = {}
-    for rank, rank_nodes in enumerate(nodes):
-        for node in rank_nodes.values():
-            if node.kind is NodeKind.COMM_RECV:
-                key = (node.attrs.src_rank, rank, node.attrs.tag)
-                if key in recv_of:
-                    raise MatchError(f"two receives for message {key}")
-                recv_of[key] = (rank, node.id)
 
     link_free: dict[tuple[int, int], float] = {}
     link_busy: dict[tuple[int, int], float] = {}
@@ -306,8 +301,6 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
             heapq.heappush(events, (t + dur, _FINISH, rank, nid))
         elif node.kind is NodeKind.COMM_SEND:
             key = (rank, node.attrs.dst_rank, node.attrs.tag)
-            if key in msg_info:
-                raise MatchError(f"two sends for message {key}")
             path = route(topology, topology.place(rank), topology.place(key[1]))
             msg_info[key] = (nid, node.attrs.comm_size, path)
             heapq.heappush(events, (t, _ENQUEUE, key[0], key[1], key[2], 0))

@@ -6,6 +6,10 @@ intra-rank dependencies only. Cross-rank ordering is expressed exclusively
 through send/recv tag matching, so each rank's graph stays independently
 analyzable.
 
+A trace is checked once, when it is built: `CollectiveTrace` and
+`WorkloadTrace` run `check_trace(matching=False)` on construction and are
+frozen. Consumers that need each send paired with its recv ask `message_index`.
+
 `Readiness` is the one dependency-readiness engine: it counts each node's
 unfinished deps and releases dependents as nodes finish. `ordered` walks a
 rank with it in heap order; the validator and the simulator drive it from
@@ -154,6 +158,7 @@ class CollectiveTrace:
 
     def __post_init__(self):
         object.__setattr__(self, "per_rank_nodes", _freeze_ranks(self.per_rank_nodes))
+        check_trace(self, matching=False)
 
 
 @dataclass(frozen=True)
@@ -165,6 +170,7 @@ class WorkloadTrace:
 
     def __post_init__(self):
         object.__setattr__(self, "per_rank_nodes", _freeze_ranks(self.per_rank_nodes))
+        check_trace(self, matching=False)
 
 
 Trace = Union[CollectiveTrace, WorkloadTrace]
@@ -267,11 +273,11 @@ def coll_sequence(workload: WorkloadTrace, rank: int) -> list[TraceNode]:
 
 def check_trace(trace: Trace, *, matching: bool = True) -> None:
     """Verify every structural invariant; raise InvariantError on the first
-    violation (with rank and node id).
+    violation (with rank and node id). Every trace runs this when it is built.
 
     `matching=False` skips send/recv completeness (tag uniqueness is still
-    enforced); the semantic validator uses this to execute deliberately
-    broken traces instead of rejecting them up front.
+    enforced), which `message_index(trace)` checks on its own; built traces
+    skip it so the semantic validator can execute deliberately broken ones.
     """
     if trace.num_ranks < 1:
         raise InvariantError(f"num_ranks must be positive, got {trace.num_ranks}")
@@ -438,13 +444,11 @@ class TraceBuilder:
 
     def build_collective(self, claimed: Optional[CollDescriptor]) -> CollectiveTrace:
         trace = CollectiveTrace(self.num_ranks, claimed, self._nodes)
-        check_trace(trace)
+        message_index(trace)
         return trace
 
     def build_workload(self) -> WorkloadTrace:
-        trace = WorkloadTrace(self.num_ranks, self._nodes)
-        check_trace(trace)
-        return trace
+        return WorkloadTrace(self.num_ranks, self._nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +513,13 @@ def trace_to_json(trace: Trace) -> dict:
 
 
 def dumps_trace(trace: Trace) -> str:
-    check_trace(trace)
+    message_index(trace)
     return json.dumps(trace_to_json(trace), indent=2, ensure_ascii=False) + "\n"
 
 
 def save_trace(trace: Trace, path) -> None:
     """Write the canonical form; identical traces produce identical bytes.
-    Refuses (before writing anything) if the trace violates an invariant."""
+    Refuses (before writing anything) if a send or recv is unmatched."""
     text = dumps_trace(trace)
     Path(path).write_bytes(text.encode("utf-8"))
 
@@ -610,6 +614,8 @@ def loads_trace(text: str, *, matching: bool = True) -> Trace:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg} at line {exc.lineno}, column {exc.colno}") from exc
+    except (RecursionError, ValueError) as exc:  # nesting or integer-length limits
+        raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
     unknown = set(doc) - _TOP_KEYS
@@ -650,14 +656,20 @@ def loads_trace(text: str, *, matching: bool = True) -> Trace:
         trace: Trace = WorkloadTrace(num_ranks, per_rank)
     else:
         trace = CollectiveTrace(num_ranks, claimed, per_rank)
-    check_trace(trace, matching=matching)
+    if matching:
+        message_index(trace)
     return trace
 
 
 def load_trace(path, *, matching: bool = True) -> Trace:
-    """Load, schema-check and invariant-check a trace file.
+    """Load and schema-check a trace file; building the trace checks its
+    invariants, and `message_index` requires matched send/recv pairs.
 
     `matching=False` admits traces with unmatched sends/receives so the
     semantic validator can diagnose them instead.
     """
-    return loads_trace(Path(path).read_text(encoding="utf-8"), matching=matching)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return loads_trace(text, matching=matching)

@@ -209,6 +209,25 @@ def test_simulate_malformed_net_config_exits_2(tmp_path, net, capsys):
     assert capsys.readouterr().err.startswith("collgraph: ")
 
 
+@pytest.mark.parametrize("command, name, content", [
+    ("validate", "trace.json", b'{"format_version": "\xff"}'),
+    ("validate", "trace.json", b"[" * 200_000),
+    ("sweep", "net.json", b"[" * 200_000),
+    ("convert", "algo.xml", b"<algo name='\xff'/>"),
+], ids=["trace-not-utf8", "trace-nested", "net-nested", "xml-not-utf8"])
+def test_undecodable_or_deeply_nested_input_exits_2(tmp_path, capsys, command, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    argv = {
+        "validate": ["validate", path],
+        "sweep": ["sweep", "--algo", "ring-allgather", "--ranks", 4, "--sizes", 1024,
+                  "--topologies", "ring", "--net", path],
+        "convert": ["convert", "--msccl-xml", path, "--size", 1024, "-o", tmp_path / "o.json"],
+    }[command]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith("collgraph: ")
+
+
 def test_simulate_circular_wait_exits_4(tmp_path, fixtures_dir, capsys):
     net = tmp_path / "net2.json"
     net.write_text('{"topology": {"kind": "ring", "n": 2}, "alpha_s": 1e-06, '

@@ -1,0 +1,176 @@
+"""Property tests: every hand-built trace is rejected when it is built, or
+by `simulate` as unmatched, or deadlocks, or replays with well-ordered
+timestamps; and the trace loader raises only collgraph errors on corrupted
+input.
+
+Runs are derandomized and keep no example database, so the suite stays
+deterministic; Hypothesis' own cache goes to a temporary directory removed
+at exit, not into the working tree.
+"""
+
+import json
+import tempfile
+from dataclasses import replace
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from collgraph.errors import CollGraphError, DeadlockError, InvariantError
+from collgraph.generators import AlgoSpec, Algorithm, generate
+from collgraph.simulator import CostModel, Topology, simulate
+from collgraph.trace import (
+    CollAttrs,
+    CollKind,
+    CollectiveTrace,
+    CompAttrs,
+    NodeKind,
+    RecvAttrs,
+    SendAttrs,
+    TraceNode,
+    dumps_trace,
+    loads_trace,
+)
+
+# set on import: the Hypothesis plugin writes its cache while collecting
+_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HOME.name)
+
+DETERMINISTIC = settings(database=None, derandomize=True, deadline=None)
+COST = CostModel(alpha=1e-6, bandwidth=1e9, reduce_bandwidth=1e9, fixed_comp_overhead=1e-7)
+
+
+@st.composite
+def valid_ranks(draw):
+    """1-4 ranks of matched messages and compute, each rank's deps acyclic
+    (following a random order of its nodes, so ranks may deadlock)."""
+    n = draw(st.integers(1, 4))
+    ranks = [[] for _ in range(n)]
+    next_tag = {}
+    for _ in range(draw(st.integers(0, 8))):
+        src = draw(st.integers(0, n - 1))
+        if n > 1 and draw(st.booleans()):
+            dst = (src + draw(st.integers(1, n - 1))) % n
+            size = draw(st.sampled_from([64, 4096]))
+            tag = next_tag[src, dst] = next_tag.get((src, dst), -1) + 1
+            ranks[src].append((NodeKind.COMM_SEND, SendAttrs(dst, size, tag)))
+            ranks[dst].append((NodeKind.COMM_RECV, RecvAttrs(src, size, tag)))
+        else:
+            ranks[src].append((NodeKind.COMP, CompAttrs(
+                draw(st.sampled_from(["NOP", "REDUCE"])), draw(st.sampled_from([0, 100])))))
+    out = []
+    for specs in ranks:
+        order = draw(st.permutations(range(len(specs))))
+        deps = {nid: [order[j] for j in draw(st.lists(st.integers(0, pos - 1), max_size=2))]
+                if pos else [] for pos, nid in enumerate(order)}
+        out.append([TraceNode(nid, f"n{nid}", kind, tuple(deps[nid]), a)
+                    for nid, (kind, a) in enumerate(specs)])
+    return out
+
+
+def _fault(draw, ranks, what):
+    """Break one node of `ranks` in place in the way named by `what`."""
+    rank = draw(st.integers(0, len(ranks) - 1))
+    if not ranks[rank]:
+        return
+    i = draw(st.integers(0, len(ranks[rank]) - 1))
+    node, a = ranks[rank][i], ranks[rank][i].attrs
+    messaging = isinstance(a, (SendAttrs, RecvAttrs))
+    if what == "drop":
+        ranks[rank] = [replace(m, deps=tuple(d for d in m.deps if d != node.id))
+                       for m in ranks[rank] if m is not node]
+        return
+    if what == "dep":  # dangling, self or back edge (a cycle)
+        node = replace(node, deps=node.deps + (draw(st.integers(-1, 9)),))
+    elif what == "peer" and messaging:
+        peer = draw(st.sampled_from([rank, len(ranks), -1, 5]))
+        node = replace(node, attrs=replace(a, **{
+            "dst_rank" if isinstance(a, SendAttrs) else "src_rank": peer}))
+    elif what == "size":
+        size = draw(st.sampled_from([0, -1, -64, 128]))
+        node = replace(node, attrs=replace(a, **{
+            "comp_size" if isinstance(a, CompAttrs) else "comm_size": size}))
+    elif what == "tag" and messaging:
+        node = replace(node, attrs=replace(a, tag=draw(st.integers(-1, 2))))
+    elif what == "kind":
+        node = replace(node, kind=draw(st.sampled_from(list(NodeKind))))
+    elif what == "id":
+        node = replace(node, id=draw(st.integers(-1, len(ranks[rank]))))
+    elif what == "coll":
+        node = replace(node, kind=NodeKind.COMM_COLL,
+                       attrs=CollAttrs(draw(st.sampled_from(list(CollKind))), 64))
+    ranks[rank][i] = node
+
+
+FAULTS = ["drop", "dep", "peer", "size", "tag", "kind", "id", "coll"]
+
+
+@st.composite
+def node_lists(draw):
+    """Valid rank node lists with none, one or two faults."""
+    ranks = draw(valid_ranks())
+    for what in draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
+        _fault(draw, ranks, what)
+    return ranks
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(node_lists())
+def test_built_trace_replays_with_ordered_times_or_is_rejected(ranks):
+    try:
+        trace = CollectiveTrace(len(ranks), None, ranks)
+    except InvariantError:
+        return
+    try:
+        report = simulate(trace, Topology.fully_connected(trace.num_ranks), COST)
+    except (InvariantError, DeadlockError):
+        return
+    finishes = []
+    for rank_times in report.node_times:
+        for _, t in rank_times:
+            assert t.issue <= t.start <= t.finish
+            finishes.append(t.finish)
+    assert report.total_duration == max(finishes, default=0.0)
+
+
+VALID = dumps_trace(generate(AlgoSpec(Algorithm.RING_ALL_GATHER, 3, 96)))
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**6) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def _replace_at(doc, path, value):
+    """Replace the value reached by following `path` (indices taken modulo
+    each container's size) inside a copy of `doc`."""
+    if not path or not isinstance(doc, (dict, list)) or not doc:
+        return value
+    keys = sorted(doc) if isinstance(doc, dict) else range(len(doc))
+    key = list(keys)[path[0] % len(keys)]
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[key] = _replace_at(doc[key], path[1:], value)
+    return out
+
+
+@st.composite
+def corrupted(draw):
+    if draw(st.booleans()):  # splice random text into the bytes
+        start = draw(st.integers(0, len(VALID)))
+        end = draw(st.integers(start, min(len(VALID), start + 40)))
+        return VALID[:start] + draw(st.text(max_size=20)) + VALID[end:]
+    path = draw(st.lists(st.integers(0, 50), max_size=6))
+    return json.dumps(_replace_at(json.loads(VALID), path, draw(json_values)))
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(corrupted())
+@example('{"format_version": ' + "1" * 5000 + "}")
+@example("[" * 100_000)
+def test_loads_trace_raises_only_collgraph_errors(text):
+    try:
+        loads_trace(text)
+    except CollGraphError:
+        pass

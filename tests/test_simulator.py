@@ -7,13 +7,23 @@ import pytest
 
 from collgraph.errors import (
     DeadlockError,
+    InvariantError,
     SpecError,
     UnexpandedCollectiveError,
     UnreachableError,
 )
 from collgraph.generators import AlgoSpec, Algorithm, generate
 from collgraph.simulator import CostModel, Topology, TopologyKind, route, simulate, sweep
-from collgraph.trace import CollKind, CollectiveTrace, TraceBuilder, load_trace
+from collgraph.trace import (
+    CollKind,
+    CollectiveTrace,
+    CompAttrs,
+    NodeKind,
+    SendAttrs,
+    TraceBuilder,
+    TraceNode,
+    load_trace,
+)
 from collgraph.validator import PASS
 
 MIB = 1024 * 1024
@@ -142,6 +152,31 @@ def test_empty_trace_simulates_to_zero():
     report = simulate(trace, Topology.ring(1), COST)
     assert report.total_duration == 0.0
     assert report.event_count == 0
+
+
+def _send(nid, dst, size=64):
+    return TraceNode(nid, "s", NodeKind.COMM_SEND, (), SendAttrs(dst, size, 0))
+
+
+def _comp(nid, deps):
+    return TraceNode(nid, "c", NodeKind.COMP, deps, CompAttrs("NOP", 0))
+
+
+@pytest.mark.parametrize("ranks, match", [
+    ([[_comp(0, (7,))], []], "does not exist"),
+    ([[_send(0, 5)], []], "out of range"),
+    ([[_send(0, 1, size=-64)], []], "comm_size"),
+    ([[_comp(0, (1,)), _comp(1, (0,))], []], "cycle"),
+], ids=["dangling-dep", "peer-out-of-range", "negative-size", "cycle"])
+def test_malformed_trace_is_rejected_when_built(ranks, match):
+    with pytest.raises(InvariantError, match=match):
+        CollectiveTrace(2, None, ranks)
+
+
+def test_simulate_rejects_unmatched_send():
+    trace = CollectiveTrace(2, None, [[_send(0, 1)], []])
+    with pytest.raises(InvariantError, match="unmatched send"):
+        simulate(trace, Topology.ring(2), COST)
 
 
 def test_compute_costs_follow_reduce_bandwidth():

@@ -190,25 +190,21 @@ def test_deleting_any_message_node_breaks_the_load_invariant():
 
 
 def test_self_and_out_of_range_peers_rejected():
-    own = CollectiveTrace(2, None, [
-        [TraceNode(0, "s", NodeKind.COMM_SEND, (), SendAttrs(0, 64, 0))], []])
     with pytest.raises(InvariantError, match="differ from the owning rank"):
-        check_trace(own)
-    out = CollectiveTrace(2, None, [
-        [TraceNode(0, "s", NodeKind.COMM_SEND, (), SendAttrs(5, 64, 0))], []])
+        CollectiveTrace(2, None, [
+            [TraceNode(0, "s", NodeKind.COMM_SEND, (), SendAttrs(0, 64, 0))], []])
     with pytest.raises(InvariantError, match="out of range"):
-        check_trace(out)
+        CollectiveTrace(2, None, [
+            [TraceNode(0, "s", NodeKind.COMM_SEND, (), SendAttrs(5, 64, 0))], []])
 
 
 def test_nonpositive_sizes_rejected():
-    bad_send = CollectiveTrace(2, None, [
-        [TraceNode(0, "s", NodeKind.COMM_SEND, (), SendAttrs(1, 0, 0))],
-        [TraceNode(0, "r", NodeKind.COMM_RECV, (), RecvAttrs(0, 0, 0))]])
     with pytest.raises(InvariantError, match="comm_size"):
-        check_trace(bad_send)
-    bad_comp = CollectiveTrace(1, None, [[comp(0, (), size=-1)]])
+        CollectiveTrace(2, None, [
+            [TraceNode(0, "s", NodeKind.COMM_SEND, (), SendAttrs(1, 0, 0))],
+            [TraceNode(0, "r", NodeKind.COMM_RECV, (), RecvAttrs(0, 0, 0))]])
     with pytest.raises(InvariantError, match="comp_size"):
-        check_trace(bad_comp)
+        CollectiveTrace(1, None, [[comp(0, (), size=-1)]])
 
 
 def test_coll_node_forbidden_in_collective_trace():
@@ -239,10 +235,9 @@ def test_dangling_dep_rejected():
 
 
 def test_cycle_rejected_at_save(tmp_path):
-    cyclic = CollectiveTrace(1, None, [[comp(0, (1,)), comp(1, (0,))]])
     path = tmp_path / "never.json"
     with pytest.raises(InvariantError, match="cycle"):
-        save_trace(cyclic, path)
+        save_trace(CollectiveTrace(1, None, [[comp(0, (1,)), comp(1, (0,))]]), path)
     assert not path.exists()
 
 
@@ -261,10 +256,11 @@ def test_toposort_ties_break_by_ascending_id():
 
 
 def test_toposort_cycle_reports_members():
-    trace = CollectiveTrace(1, None, [[comp(0, (1,)), comp(1, (0,)), comp(2, ())]])
-    with pytest.raises(CycleError) as exc:
-        toposort_rank(trace, 0)
-    assert sorted(exc.value.cycle) == [0, 1]
+    # a cyclic trace cannot be built; its construction reports the cycle
+    with pytest.raises(InvariantError) as exc:
+        CollectiveTrace(1, None, [[comp(0, (1,)), comp(1, (0,)), comp(2, ())]])
+    assert isinstance(exc.value.__cause__, CycleError)
+    assert sorted(exc.value.__cause__.cycle) == [0, 1]
 
 
 def test_toposort_never_fails_on_generator_output():
