@@ -23,6 +23,7 @@ from collgraph.trace import (
     TraceBuilder,
     TraceNode,
     load_trace,
+    toposort_rank,
 )
 from collgraph.validator import (
     FAIL,
@@ -30,6 +31,7 @@ from collgraph.validator import (
     SKIPPED,
     Verdict,
     _Exec,
+    canonical_form,
     check_semantics,
     isomorphic,
 )
@@ -356,16 +358,43 @@ def test_converted_fixture_matches_generator(fixtures_dir):
     assert isomorphic(converted, gen(Algorithm.RING_ALL_REDUCE, 4, 4 * MIB))
 
 
-def test_cyclic_trace_is_rejected_at_construction():
-    # canonical_form and toposort_rank walk only built traces, so no cycle
-    # reaches them; construction reports the cycle instead
+def _unchecked(num_ranks, ranks):
+    # A trace that skipped construction's check, as an unpickled one does;
+    # canonical_form and toposort_rank must still report its cycle.
+    trace = object.__new__(CollectiveTrace)
+    object.__setattr__(trace, "num_ranks", num_ranks)
+    object.__setattr__(trace, "claimed_collective", None)
+    object.__setattr__(trace, "per_rank_nodes", tuple(map(tuple, ranks)))
+    return trace
+
+
+def test_canonical_form_raises_on_cycles():
+    from collgraph.trace import CompAttrs
+
+    nodes = [
+        TraceNode(0, "a", NodeKind.COMP, (1,), CompAttrs("NOP", 0)),
+        TraceNode(1, "b", NodeKind.COMP, (0,), CompAttrs("NOP", 0)),
+    ]
+    with pytest.raises(InvariantError, match="dependency cycle") as built:
+        CollectiveTrace(1, None, [nodes])
+    assert isinstance(built.value.__cause__, CycleError)
+    with pytest.raises(CycleError):
+        canonical_form(_unchecked(1, [nodes]))
+
+
+def test_toposort_and_canonical_form_report_the_same_cycle():
     from collgraph.trace import CompAttrs
 
     # 0 is a root; 1 -> 3 -> 2 -> 1 is the cycle; 4 hangs off it
     deps = {0: (), 1: (0, 3), 2: (1,), 3: (2,), 4: (3,)}
-    with pytest.raises(InvariantError, match="dependency cycle") as exc:
-        CollectiveTrace(1, None, [[
-            TraceNode(nid, f"n{nid}", NodeKind.COMP, d, CompAttrs("NOP", 0))
-            for nid, d in deps.items()]])
-    assert isinstance(exc.value.__cause__, CycleError)
-    assert exc.value.__cause__.cycle == [1, 3, 2]
+    nodes = [TraceNode(nid, f"n{nid}", NodeKind.COMP, d, CompAttrs("NOP", 0))
+             for nid, d in deps.items()]
+    with pytest.raises(InvariantError, match="dependency cycle") as built:
+        CollectiveTrace(1, None, [nodes])
+    cyclic = _unchecked(1, [nodes])
+    with pytest.raises(CycleError) as topo:
+        toposort_rank(cyclic, 0)
+    with pytest.raises(CycleError) as canon:
+        canonical_form(cyclic)
+    assert built.value.__cause__.cycle == topo.value.cycle == canon.value.cycle == [1, 3, 2]
+    assert str(topo.value) == str(canon.value)
