@@ -4,6 +4,8 @@ sweep, wired as one pipeline from algorithm producers to the network replay.
 Exit codes: 0 success, 2 bad input (usage, spec, parse, schema, size,
 binding), 3 semantic validation FAIL, 4 deadlock (validator stuck or
 simulator stall). All outputs are byte-deterministic for identical inputs.
+Traces and reports are strict RFC 8259 JSON: a cost that is NaN or infinite,
+or a simulated time that overflows, is rejected (exit 2), never written.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ def cmd_simulate(args) -> int:
     if topology is None:
         raise CollGraphError(f"{args.net}: simulate needs a topology entry")
     report = simulate(trace, topology, cost)
-    text = json.dumps(report.to_json(), indent=2) + "\n"
+    text = report.dumps()
     if args.output:
         Path(args.output).write_bytes(text.encode("utf-8"))
     else:

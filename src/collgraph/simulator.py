@@ -17,6 +17,7 @@ approach, without reaching, the hop-count ratio as messages grow.
 from __future__ import annotations
 
 import heapq
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from .trace import (
     Readiness,
     Trace,
     WorkloadTrace,
+    json_array,
     message_index,
 )
 
@@ -112,6 +114,10 @@ class CostModel:
     fixed_comp_overhead: float = 0.0
 
     def __post_init__(self):
+        for field in ("alpha", "bandwidth", "reduce_bandwidth", "fixed_comp_overhead"):
+            value = getattr(self, field)
+            if value is not None and not math.isfinite(value):
+                raise SpecError(f"{field} must be finite, got {value}")
         if self.alpha < 0:
             raise SpecError(f"alpha must be non-negative, got {self.alpha}")
         if self.bandwidth <= 0:
@@ -228,31 +234,24 @@ class SimReport:
                 return t
         raise KeyError(f"no node {node_id} on rank {rank}")
 
-    def to_json(self) -> dict:
-        return {
-            "total_duration_s": self.total_duration,
-            "event_count": self.event_count,
-            "num_ranks": self.num_ranks,
-            "ranks": [
-                [
-                    {"id": nid, "issue_s": t.issue, "start_s": t.start,
-                     "finish_s": t.finish}
-                    for nid, t in rank_times
-                ]
-                for rank_times in self.node_times
-            ],
-            "links": [
-                {
-                    "src": ls.src,
-                    "dst": ls.dst,
-                    "messages": ls.messages,
-                    "busy_s": ls.busy_time,
-                    "utilization": ls.busy_time / self.total_duration
-                    if self.total_duration > 0 else 0.0,
-                }
-                for ls in self.link_stats
-            ],
-        }
+    def dumps(self) -> str:
+        """The report as indent-2 JSON text, byte for byte what `json.dumps`
+        writes; `simulate` keeps every time finite, so the text is strict JSON."""
+        num = float.__repr__  # json's own float format
+        ranks = json_array(
+            [json_array([f'{{\n        "id": {nid},\n        "issue_s": {num(t.issue)},\n'
+                         f'        "start_s": {num(t.start)},\n'
+                         f'        "finish_s": {num(t.finish)}\n      }}'
+                         for nid, t in rank_times], 4)
+             for rank_times in self.node_times], 2)
+        total = self.total_duration
+        links = json_array(
+            [f'{{\n      "src": {ls.src},\n      "dst": {ls.dst},\n'
+             f'      "messages": {ls.messages},\n      "busy_s": {num(ls.busy_time)},\n'
+             f'      "utilization": {num(ls.busy_time / total if total > 0 else 0.0)}\n    }}'
+             for ls in self.link_stats], 2)
+        return (f'{{\n  "total_duration_s": {num(total)},\n  "event_count": {self.event_count},\n'
+                f'  "num_ranks": {self.num_ranks},\n  "ranks": {ranks},\n  "links": {links}\n}}\n')
 
 
 _FINISH, _ENQUEUE = 0, 1
@@ -261,8 +260,8 @@ _FINISH, _ENQUEUE = 0, 1
 def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
     """Event-driven replay. Raises UnexpandedCollectiveError on COMM_COLL
     nodes, InvariantError (from `message_index`) on an unmatched send or
-    recv, and DeadlockError (naming the pending receives) if the event pool
-    drains with nodes unfinished."""
+    recv, DeadlockError (naming the pending receives) if the event pool
+    drains with nodes unfinished, and SpecError if a time overflows to inf."""
     for rank, nodes in enumerate(trace.per_rank_nodes):
         for node in nodes:
             if node.kind is NodeKind.COMM_COLL:
@@ -366,6 +365,8 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
         for rank in range(trace.num_ranks)
     )
     total = max(finish_t.values(), default=0.0)
+    if not math.isfinite(total):  # every other time is at most the total
+        raise SpecError("simulated time overflows a float; scale the costs down")
     stats = tuple(
         LinkStats(link[0], link[1], link_msgs[link], link_busy[link])
         for link in sorted(link_busy)

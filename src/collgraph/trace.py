@@ -14,14 +14,23 @@ frozen. Consumers that need each send paired with its recv ask `message_index`.
 unfinished deps and releases dependents as nodes finish. `ordered` walks a
 rank with it in heap order; the validator and the simulator drive it from
 their own cross-rank event loops.
+
+A saved trace is UTF-8 text, byte for byte what `json.dumps(doc, indent=2,
+ensure_ascii=False)` plus a newline gives for its canonical dict: fixed key
+order, nodes by ascending id. `dumps_trace` writes that text directly (the
+pure-Python indent encoder is several times slower); a test pins it to the
+`json.dumps` oracle. Built traces hold only exact ints and UTF-8 text, so
+every trace that can be saved loads back.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Optional, Union
 
@@ -279,13 +288,19 @@ def check_trace(trace: Trace, *, matching: bool = True) -> None:
     enforced), which `message_index(trace)` checks on its own; built traces
     skip it so the semantic validator can execute deliberately broken ones.
     """
-    if trace.num_ranks < 1:
-        raise InvariantError(f"num_ranks must be positive, got {trace.num_ranks}")
+    if type(trace.num_ranks) is not int or trace.num_ranks < 1:
+        raise InvariantError(f"num_ranks must be a positive int, got {trace.num_ranks!r}")
     if len(trace.per_rank_nodes) != trace.num_ranks:
         raise InvariantError(
             f"expected {trace.num_ranks} rank node lists, got {len(trace.per_rank_nodes)}"
         )
     is_workload = isinstance(trace, WorkloadTrace)
+    claimed = None if is_workload else trace.claimed_collective
+    if claimed is not None and not (
+            isinstance(claimed, CollDescriptor) and type(claimed.kind) is CollKind
+            and type(claimed.comm_size) is int and claimed.comm_size > 0):
+        raise InvariantError(
+            f"claimed_collective must be a CollKind and a positive int, got {claimed!r}")
     for rank, nodes in enumerate(trace.per_rank_nodes):
         ids = set()
         for node in nodes:
@@ -309,9 +324,20 @@ def check_trace(trace: Trace, *, matching: bool = True) -> None:
         message_index(trace, require_complete=matching)
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _is_text(value) -> bool:
+    """A str that UTF-8 can encode, i.e. one without lone surrogates."""
+    return type(value) is str and (value.isascii() or not _SURROGATE.search(value))
+
+
 def _check_node(trace: Trace, rank: int, node: TraceNode, is_workload: bool) -> None:
-    if node.id < 0:
-        raise InvariantError("node id must be non-negative", rank, node.id)
+    # Exact ints and UTF-8 text: what the writer writes, the loader reads back.
+    if type(node.id) is not int or node.id < 0:
+        raise InvariantError(f"node id must be a non-negative int, got {node.id!r}", rank)
+    if not _is_text(node.name):
+        raise InvariantError(f"name must be UTF-8 text, got {node.name!r}", rank, node.id)
     expected_kind = _KIND_FOR_ATTRS.get(type(node.attrs))
     if expected_kind is None or node.kind is not expected_kind:
         raise InvariantError(
@@ -325,6 +351,9 @@ def _check_node(trace: Trace, rank: int, node: TraceNode, is_workload: bool) -> 
                                  rank, node.id)
         peer = a.dst_rank if isinstance(a, SendAttrs) else a.src_rank
         role = "dst_rank" if isinstance(a, SendAttrs) else "src_rank"
+        if not (type(peer) is type(a.comm_size) is type(a.tag) is int):
+            raise InvariantError(f"{role}, comm_size and tag must be ints, got "
+                                 f"{peer!r}, {a.comm_size!r}, {a.tag!r}", rank, node.id)
         if not 0 <= peer < trace.num_ranks:
             raise InvariantError(f"{role} {peer} out of range", rank, node.id)
         if peer == rank:
@@ -334,14 +363,20 @@ def _check_node(trace: Trace, rank: int, node: TraceNode, is_workload: bool) -> 
         if a.tag < 0:
             raise InvariantError(f"tag must be non-negative, got {a.tag}", rank, node.id)
     elif isinstance(a, CompAttrs):
-        if a.comp_size < 0:
-            raise InvariantError(f"comp_size must be non-negative, got {a.comp_size}",
+        if not _is_text(a.op):
+            raise InvariantError(f"op must be UTF-8 text, got {a.op!r}", rank, node.id)
+        if type(a.comp_size) is not int or a.comp_size < 0:
+            raise InvariantError(f"comp_size must be a non-negative int, got {a.comp_size!r}",
                                  rank, node.id)
     elif isinstance(a, CollAttrs):
         if not is_workload:
             raise InvariantError("COMM_COLL may appear only in workload traces", rank, node.id)
-        if a.comm_size <= 0:
-            raise InvariantError(f"comm_size must be positive, got {a.comm_size}", rank, node.id)
+        if type(a.coll_kind) is not CollKind:
+            raise InvariantError(f"coll_kind must be a CollKind, got {a.coll_kind!r}",
+                                 rank, node.id)
+        if type(a.comm_size) is not int or a.comm_size <= 0:
+            raise InvariantError(f"comm_size must be a positive int, got {a.comm_size!r}",
+                                 rank, node.id)
 
 
 def message_index(trace: CollectiveTrace, *, require_complete: bool = True):
@@ -455,71 +490,68 @@ class TraceBuilder:
 # Serialization (canonical JSON, schema version 1)
 # ---------------------------------------------------------------------------
 
-def _attrs_to_json(attrs: Attrs) -> dict:
-    if isinstance(attrs, SendAttrs):
-        out = {"dst_rank": attrs.dst_rank, "comm_size": attrs.comm_size, "tag": attrs.tag}
-        if attrs.chunks is not None:
-            out["chunks"] = list(attrs.chunks)
-    elif isinstance(attrs, RecvAttrs):
-        out = {"src_rank": attrs.src_rank, "comm_size": attrs.comm_size, "tag": attrs.tag}
-        if attrs.chunks is not None:
-            out["chunks"] = list(attrs.chunks)
-    elif isinstance(attrs, CompAttrs):
-        out = {"op": attrs.op, "comp_size": attrs.comp_size}
-        if attrs.chunks is not None:
-            out["chunks"] = list(attrs.chunks)
-        if attrs.src_chunks is not None:
-            out["src_chunks"] = list(attrs.src_chunks)
-    else:
-        out = {"coll_kind": attrs.coll_kind.value, "comm_size": attrs.comm_size}
-    return out
+def json_array(elements, indent: int) -> str:
+    """A JSON array of already-encoded `elements` laid out as
+    `json.dumps(indent=2)` lays it out at column `indent`: one element per
+    line, and `[]` when there are none."""
+    inner = "\n" + " " * (indent + 2)
+    body = ("," + inner).join(elements)
+    return f"[{inner}{body}\n{' ' * indent}]" if body else "[]"
 
 
-def trace_to_json(trace: Trace) -> dict:
-    """Canonical dict form: nodes in ascending id order, fixed key order."""
-    if isinstance(trace, WorkloadTrace):
-        trace_class, claimed = "workload", None
+_ATTR_SEP = ",\n" + " " * 10
+
+
+def _node_text(node: TraceNode) -> str:
+    """One node as indent-2 JSON, at column 6 inside its rank's array."""
+    a = node.attrs
+    if type(a) is SendAttrs:
+        body = (f'"dst_rank": {a.dst_rank}{_ATTR_SEP}"comm_size": {a.comm_size}'
+                f'{_ATTR_SEP}"tag": {a.tag}')
+    elif type(a) is RecvAttrs:
+        body = (f'"src_rank": {a.src_rank}{_ATTR_SEP}"comm_size": {a.comm_size}'
+                f'{_ATTR_SEP}"tag": {a.tag}')
+    elif type(a) is CompAttrs:
+        body = f'"op": {encode_basestring(a.op)}{_ATTR_SEP}"comp_size": {a.comp_size}'
     else:
-        trace_class = "collective"
-        claimed = (
-            None
-            if trace.claimed_collective is None
-            else {
-                "kind": trace.claimed_collective.kind.value,
-                "comm_size": trace.claimed_collective.comm_size,
-            }
-        )
-    ranks = []
-    for nodes in trace.per_rank_nodes:
-        ranks.append(
-            [
-                {
-                    "id": n.id,
-                    "name": n.name,
-                    "kind": n.kind.value,
-                    "deps": list(n.deps),
-                    "attrs": _attrs_to_json(n.attrs),
-                }
-                for n in sorted(nodes, key=lambda n: n.id)
-            ]
-        )
-    return {
-        "format_version": FORMAT_VERSION,
-        "trace_class": trace_class,
-        "num_ranks": trace.num_ranks,
-        "claimed_collective": claimed,
-        "ranks": ranks,
-    }
+        body = f'"coll_kind": "{a.coll_kind.value}"{_ATTR_SEP}"comm_size": {a.comm_size}'
+    for key in ("chunks", "src_chunks"):
+        chunks = getattr(a, key, None)
+        if chunks is not None:
+            body += f'{_ATTR_SEP}"{key}": {json_array(map(str, chunks), 10)}'
+    return (f'{{\n        "id": {node.id},\n        "name": {encode_basestring(node.name)},\n'
+            f'        "kind": "{node.kind.value}",\n'
+            f'        "deps": {json_array(map(str, node.deps), 8)},\n'
+            f'        "attrs": {{\n          {body}\n        }}\n      }}')
 
 
 def dumps_trace(trace: Trace) -> str:
+    """The canonical text of a trace (see `save_trace`)."""
     message_index(trace)
-    return json.dumps(trace_to_json(trace), indent=2, ensure_ascii=False) + "\n"
+    if isinstance(trace, WorkloadTrace):
+        trace_class, claimed = "workload", None
+    else:
+        trace_class, claimed = "collective", trace.claimed_collective
+    claimed_text = "null" if claimed is None else (
+        f'{{\n    "kind": "{claimed.kind.value}",\n    "comm_size": {claimed.comm_size}\n  }}')
+    ranks = json_array(
+        [json_array([_node_text(n) for n in sorted(nodes, key=lambda n: n.id)], 4)
+         for nodes in trace.per_rank_nodes], 2)
+    return (f'{{\n  "format_version": "{FORMAT_VERSION}",\n'
+            f'  "trace_class": "{trace_class}",\n'
+            f'  "num_ranks": {trace.num_ranks},\n  "claimed_collective": {claimed_text},\n'
+            f'  "ranks": {ranks}\n}}\n')
 
 
 def save_trace(trace: Trace, path) -> None:
     """Write the canonical form; identical traces produce identical bytes.
-    Refuses (before writing anything) if a send or recv is unmatched."""
+    Refuses (before writing anything) if a send or recv is unmatched.
+
+    The bytes are `json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"` in
+    UTF-8, where `doc` has the keys format_version, trace_class, num_ranks,
+    claimed_collective {kind, comm_size}, ranks; each node id, name, kind,
+    deps, attrs; attrs as `dumps_trace` orders them, `chunks`/`src_chunks`
+    only when set. `tests/helpers.py::trace_json_oracle` pins this."""
     text = dumps_trace(trace)
     Path(path).write_bytes(text.encode("utf-8"))
 

@@ -1,19 +1,91 @@
 """Shared test utilities: an independent concrete executor and rendezvous
-reachability check used as oracles for the symbolic validator, and
-structural mutation helpers."""
+reachability check used as oracles for the symbolic validator, `json.dumps`
+oracles for the trace and report writers, and structural mutation helpers."""
 
 from __future__ import annotations
+
+import json
 
 from collgraph.trace import (
     OP_COPY,
     OP_NOP,
     OP_REDUCE,
     CollectiveTrace,
+    CompAttrs,
     NodeKind,
     RecvAttrs,
     SendAttrs,
     TraceNode,
+    WorkloadTrace,
 )
+
+
+def _indented_json(doc) -> str:
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def _attrs_doc(attrs) -> dict:
+    if isinstance(attrs, SendAttrs):
+        out = {"dst_rank": attrs.dst_rank, "comm_size": attrs.comm_size, "tag": attrs.tag}
+        if attrs.chunks is not None:
+            out["chunks"] = list(attrs.chunks)
+    elif isinstance(attrs, RecvAttrs):
+        out = {"src_rank": attrs.src_rank, "comm_size": attrs.comm_size, "tag": attrs.tag}
+        if attrs.chunks is not None:
+            out["chunks"] = list(attrs.chunks)
+    elif isinstance(attrs, CompAttrs):
+        out = {"op": attrs.op, "comp_size": attrs.comp_size}
+        if attrs.chunks is not None:
+            out["chunks"] = list(attrs.chunks)
+        if attrs.src_chunks is not None:
+            out["src_chunks"] = list(attrs.src_chunks)
+    else:
+        out = {"coll_kind": attrs.coll_kind.value, "comm_size": attrs.comm_size}
+    return out
+
+
+def trace_json_oracle(trace) -> str:
+    """The canonical trace text through `json.dumps`: nodes in ascending id
+    order, fixed key order. Reference for `dumps_trace`."""
+    if isinstance(trace, WorkloadTrace):
+        trace_class, claimed = "workload", None
+    else:
+        trace_class, c = "collective", trace.claimed_collective
+        claimed = None if c is None else {"kind": c.kind.value, "comm_size": c.comm_size}
+    ranks = [
+        [{"id": n.id, "name": n.name, "kind": n.kind.value, "deps": list(n.deps),
+          "attrs": _attrs_doc(n.attrs)}
+         for n in sorted(nodes, key=lambda n: n.id)]
+        for nodes in trace.per_rank_nodes
+    ]
+    return _indented_json({
+        "format_version": "1",
+        "trace_class": trace_class,
+        "num_ranks": trace.num_ranks,
+        "claimed_collective": claimed,
+        "ranks": ranks,
+    })
+
+
+def report_json_oracle(report) -> str:
+    """The simulation report through `json.dumps`. Reference for
+    `SimReport.dumps`."""
+    total = report.total_duration
+    return _indented_json({
+        "total_duration_s": total,
+        "event_count": report.event_count,
+        "num_ranks": report.num_ranks,
+        "ranks": [
+            [{"id": nid, "issue_s": t.issue, "start_s": t.start, "finish_s": t.finish}
+             for nid, t in rank_times]
+            for rank_times in report.node_times
+        ],
+        "links": [
+            {"src": ls.src, "dst": ls.dst, "messages": ls.messages, "busy_s": ls.busy_time,
+             "utilization": ls.busy_time / total if total > 0 else 0.0}
+            for ls in report.link_stats
+        ],
+    })
 
 
 def concrete_execute(trace: CollectiveTrace, num_chunks: int) -> list[dict[int, int]]:

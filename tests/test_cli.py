@@ -198,8 +198,12 @@ def test_simulate_workload_exits_2(tmp_path, net_config, capsys):
     '"topology": {"kind": "mesh2d", "rows": "a", "cols": 2}}',
     '{"alpha_s": 1e-06, "bandwidth_Bps": 1e9, "topology": {"kind": "hypercube", "n": 4}}',
     '{"alpha_s": 1e-06,',
+    '{"alpha_s": NaN, "bandwidth_Bps": 1e9, "topology": {"kind": "ring", "n": 4}}',
+    '{"alpha_s": 1e-06, "bandwidth_Bps": Infinity, "topology": {"kind": "ring", "n": 4}}',
+    '{"alpha_s": 1e308, "bandwidth_Bps": 1e9, "topology": {"kind": "ring", "n": 4}}',
 ], ids=["alpha-not-a-number", "topology-not-an-object", "ring-without-n",
-        "rows-not-an-integer", "unknown-kind", "truncated-json"])
+        "rows-not-an-integer", "unknown-kind", "truncated-json", "alpha-nan",
+        "bandwidth-infinity", "time-overflows"])
 def test_simulate_malformed_net_config_exits_2(tmp_path, net, capsys):
     path = tmp_path / "ar.json"
     save_trace(generate(AlgoSpec(Algorithm.RING_ALL_REDUCE, 4, 4096)), path)
@@ -319,6 +323,18 @@ def test_expand_of_coll_free_workload_is_byte_identical(tmp_path):
     out = tmp_path / "same.json"
     assert run("expand", workload, "-o", out) == 0
     assert out.read_bytes() == workload.read_bytes()
+
+
+def test_expand_of_a_name_with_a_lone_surrogate_exits_2(tmp_path, capsys):
+    workload = tmp_path / "wl.json"
+    write_chain_workload(workload)
+    text = workload.read_text(encoding="utf-8").replace('"fwd"', '"\\ud800"', 1)
+    workload.write_text(text, encoding="utf-8")
+    out = tmp_path / "u.json"
+    assert run("expand", workload, "--bind", "ALL_REDUCE=ring-allreduce",
+               "--bind", "ALL_GATHER=ring-allgather", "-o", out) == 2
+    assert "UTF-8" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_help_on_every_subcommand():

@@ -1,7 +1,8 @@
 """Property tests: every hand-built trace is rejected when it is built, or
 by `simulate` as unmatched, or deadlocks, or replays with well-ordered
-timestamps; and the trace loader raises only collgraph errors on corrupted
-input.
+timestamps; every valid trace is written as `json.dumps` would write it and
+loads back to the same bytes; and the trace loader raises only collgraph
+errors on corrupted input.
 
 Runs are derandomized and keep no example database, so the suite stays
 deterministic; Hypothesis' own cache goes to a temporary directory removed
@@ -12,6 +13,7 @@ import json
 import tempfile
 from dataclasses import replace
 
+from helpers import trace_json_oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -21,6 +23,7 @@ from collgraph.generators import AlgoSpec, Algorithm, generate
 from collgraph.simulator import CostModel, Topology, simulate
 from collgraph.trace import (
     CollAttrs,
+    CollDescriptor,
     CollKind,
     CollectiveTrace,
     CompAttrs,
@@ -131,6 +134,33 @@ def test_built_trace_replays_with_ordered_times_or_is_rejected(ranks):
             assert t.issue <= t.start <= t.finish
             finishes.append(t.finish)
     assert report.total_duration == max(finishes, default=0.0)
+
+
+utf8_text = st.text(st.characters(blacklist_categories=["Cs"]), max_size=6)  # no lone surrogates
+chunk_lists = st.none() | st.lists(st.integers(0, 2**40), max_size=3).map(tuple)
+
+
+@st.composite
+def valid_traces(draw):
+    """Valid collective traces with arbitrary names, ops and chunk lists."""
+    ranks = draw(valid_ranks())
+    for nodes in ranks:
+        for i, node in enumerate(nodes):
+            attrs = replace(node.attrs, chunks=draw(chunk_lists))
+            if isinstance(attrs, CompAttrs):
+                attrs = replace(attrs, op=draw(utf8_text), src_chunks=draw(chunk_lists))
+            nodes[i] = replace(node, name=draw(utf8_text), attrs=attrs)
+    claimed = draw(st.none() | st.builds(CollDescriptor, st.sampled_from(list(CollKind)),
+                                         st.integers(1, 2**40)))
+    return CollectiveTrace(len(ranks), claimed, ranks)
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(valid_traces())
+def test_dumps_trace_equals_the_oracle_and_round_trips(trace):
+    written = dumps_trace(trace)
+    assert written == trace_json_oracle(trace)
+    assert dumps_trace(loads_trace(written)) == written
 
 
 VALID = dumps_trace(generate(AlgoSpec(Algorithm.RING_ALL_GATHER, 3, 96)))

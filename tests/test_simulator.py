@@ -4,6 +4,7 @@ monotonicity and sweeps."""
 import random
 
 import pytest
+from helpers import report_json_oracle
 
 from collgraph.errors import (
     DeadlockError,
@@ -13,7 +14,17 @@ from collgraph.errors import (
     UnreachableError,
 )
 from collgraph.generators import AlgoSpec, Algorithm, generate
-from collgraph.simulator import CostModel, Topology, TopologyKind, route, simulate, sweep
+from collgraph.simulator import (
+    CostModel,
+    LinkStats,
+    NodeTiming,
+    SimReport,
+    Topology,
+    TopologyKind,
+    route,
+    simulate,
+    sweep,
+)
 from collgraph.trace import (
     CollKind,
     CollectiveTrace,
@@ -271,6 +282,49 @@ def test_invalid_cost_model_rejected():
         CostModel(-1.0, 1e9)
     with pytest.raises(SpecError):
         CostModel(0.0, 0.0)
+
+
+@pytest.mark.parametrize("fields", [
+    {"alpha": float("nan")},
+    {"alpha": float("inf")},
+    {"bandwidth": float("inf")},
+    {"bandwidth": float("nan")},
+    {"reduce_bandwidth": float("inf")},
+    {"fixed_comp_overhead": float("nan")},
+], ids=["nan-alpha", "inf-alpha", "inf-bandwidth", "nan-bandwidth", "inf-reduce",
+        "nan-overhead"])
+def test_non_finite_cost_model_rejected(fields):
+    with pytest.raises(SpecError, match="finite"):
+        CostModel(**{"alpha": 1e-6, "bandwidth": 1e9, **fields})
+
+
+def test_time_overflowing_to_inf_is_rejected():
+    with pytest.raises(SpecError, match="overflow"):
+        simulate(ring_ag(4, 4096), Topology.ring(4), CostModel(1e308, 1e9))
+
+
+# ---------------------------------------------------------------------------
+# Report text
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("topology", [Topology.ring(8), Topology.switch(8)],
+                         ids=["ring", "switch"])
+@pytest.mark.parametrize("trace", [ring_ar(8, 3 * MIB), ring_ag(8, 1000)],
+                         ids=["allreduce", "allgather"])
+def test_report_dumps_equals_the_json_dumps_oracle(trace, topology):
+    cost = CostModel(1e-6, 1e9, reduce_bandwidth=3e9, fixed_comp_overhead=1e-7)
+    report = simulate(trace, topology, cost)
+    assert report.dumps() == report_json_oracle(report)
+
+
+def test_zero_duration_reports_equal_the_oracle():
+    empty = simulate(CollectiveTrace(2, None, [[], []]), Topology.ring(2), COST)
+    assert empty.dumps() == report_json_oracle(empty)
+    # a link with no busy time in a zero-length run has utilization 0.0
+    idle = SimReport(2, (((0, NodeTiming(0.0, 0.0, 0.0)),), ()), 0.0, 1,
+                     (LinkStats(0, 1, 1, 0.0),))
+    assert '"utilization": 0.0' in idle.dumps()
+    assert idle.dumps() == report_json_oracle(idle)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,17 @@
 topological ordering."""
 
 import json
+from pathlib import Path
 
 import pytest
+from helpers import trace_json_oracle
 
 from collgraph.errors import CycleError, InvariantError, ParseError, SchemaError
+from collgraph.expander import expand
 from collgraph.generators import AlgoSpec, Algorithm, generate
+from collgraph.msccl import convert_to_trace, parse_msccl_xml
 from collgraph.trace import (
+    CollAttrs,
     CollDescriptor,
     CollKind,
     CollectiveTrace,
@@ -27,6 +32,7 @@ from collgraph.trace import (
 )
 
 MIB = 1024 * 1024
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def ring_ar(n=4, size=4 * MIB):
@@ -100,6 +106,50 @@ def test_workload_round_trip(tmp_path):
     loaded = load_trace(path)
     assert isinstance(loaded, WorkloadTrace)
     assert loaded == workload
+
+
+def _chain_workload(n=4):
+    b = TraceBuilder(n)
+    for r in range(n):
+        c1 = b.add_comp(r, "fwd_gemm", 8 * MIB, name="fwd")
+        ar = b.add_coll(r, CollKind.ALL_REDUCE, 4 * MIB, deps=[c1], name="sync")
+        c2 = b.add_comp(r, "opt_step", 2 * MIB, deps=[ar], name="opt")
+        b.add_coll(r, CollKind.ALL_GATHER, 4 * MIB, deps=[c2], name="gather")
+    return b.build_workload()
+
+
+def _odd_names():
+    names = ["é ü 中文 😀", 'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", ""]
+    return CollectiveTrace(2, CollDescriptor(CollKind.BROADCAST, 64), [
+        [TraceNode(0, names[0], NodeKind.COMM_SEND, (1,), SendAttrs(1, 64, 0, (3, 1))),
+         TraceNode(1, names[1], NodeKind.COMP, (), CompAttrs(names[2], 8, (), (0,)))],
+        [TraceNode(2, names[3], NodeKind.COMM_RECV, (), RecvAttrs(0, 64, 0)),
+         TraceNode(0, names[4], NodeKind.COMP, (2,), CompAttrs("NOP", 0, None, ()))],
+    ])
+
+
+ORACLE_CASES = {
+    **{f"{algo.value}-n{n}": (lambda a=algo, n=n: generate(AlgoSpec(a, n, 840 * 1024)))
+       for algo in Algorithm for n in range(1, 9)
+       if algo is not Algorithm.RECURSIVE_DOUBLING_ALL_GATHER or n & (n - 1) == 0},
+    "msccl-fixture": lambda: convert_to_trace(
+        parse_msccl_xml(FIXTURES / "ring_allreduce_n4.xml"), 4 * MIB),
+    "chain-workload": _chain_workload,
+    "expanded-chain": lambda: expand(_chain_workload(), {
+        CollKind.ALL_REDUCE: Algorithm.RING_ALL_REDUCE,
+        CollKind.ALL_GATHER: Algorithm.RING_ALL_GATHER}),
+    "empty-rank-workload": lambda: WorkloadTrace(3, [[comp(0, ())], [], [comp(4, ())]]),
+    "empty-rank-collective": lambda: CollectiveTrace(2, None, [[], [comp(1, ()), comp(0, (1,))]]),
+    "names-and-chunks": _odd_names,
+}
+
+
+@pytest.mark.parametrize("build", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_dumps_trace_equals_the_json_dumps_oracle(build):
+    trace = build()
+    text = dumps_trace(trace)
+    assert text == trace_json_oracle(trace)
+    assert dumps_trace(loads_trace(text)) == text
 
 
 def test_parse_error_carries_position(tmp_path):
@@ -205,6 +255,63 @@ def test_nonpositive_sizes_rejected():
             [TraceNode(0, "r", NodeKind.COMM_RECV, (), RecvAttrs(0, 0, 0))]])
     with pytest.raises(InvariantError, match="comp_size"):
         CollectiveTrace(1, None, [[comp(0, (), size=-1)]])
+
+
+def _send_pair(send=SendAttrs(1, 64, 0), recv=RecvAttrs(0, 64, 0), name="s", nid=0):
+    return [[TraceNode(nid, name, NodeKind.COMM_SEND, (), send)],
+            [TraceNode(0, "r", NodeKind.COMM_RECV, (), recv)]]
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: _send_pair(SendAttrs(1, 4.0, 0), RecvAttrs(0, 4, 0)), "must be ints"),
+    (lambda: _send_pair(SendAttrs(1, 64, True)), "must be ints"),
+    (lambda: _send_pair(SendAttrs(1, 64, 0.0)), "must be ints"),
+    (lambda: _send_pair(SendAttrs(True, 64, 0)), "must be ints"),
+    (lambda: _send_pair(recv=RecvAttrs(False, 64, 0)), "must be ints"),
+    (lambda: _send_pair(nid=True), "node id"),
+    (lambda: _send_pair(nid=0.0), "node id"),
+    (lambda: _send_pair(name=b"s"), "name"),
+    (lambda: _send_pair(name=None), "name"),
+    (lambda: [[TraceNode(0, "c", NodeKind.COMP, (), CompAttrs("NOP", True))]], "comp_size"),
+    (lambda: [[TraceNode(0, "c", NodeKind.COMP, (), CompAttrs("NOP", 1.5))]], "comp_size"),
+    (lambda: [[TraceNode(0, "c", NodeKind.COMP, (), CompAttrs(3, 0))]], "op"),
+], ids=["float-size", "bool-tag", "float-tag", "bool-peer", "bool-src", "bool-id",
+        "float-id", "bytes-name", "none-name", "bool-comp-size", "float-comp-size",
+        "int-op"])
+def test_fields_that_would_not_load_back_are_rejected(build, match):
+    ranks = build()
+    with pytest.raises(InvariantError, match=match):
+        CollectiveTrace(len(ranks), None, ranks)
+
+
+@pytest.mark.parametrize("claimed", [
+    CollDescriptor("ALL_REDUCE", 64),
+    CollDescriptor(CollKind.ALL_REDUCE, 0),
+    CollDescriptor(CollKind.ALL_REDUCE, True),
+    CollDescriptor(CollKind.ALL_REDUCE, 64.0),
+    (CollKind.ALL_REDUCE, 64),
+], ids=["str-kind", "zero-size", "bool-size", "float-size", "tuple"])
+def test_bad_claimed_collective_rejected(claimed):
+    with pytest.raises(InvariantError, match="claimed_collective"):
+        CollectiveTrace(1, claimed, [[]])
+
+
+def test_bad_workload_fields_rejected():
+    def coll(attrs):
+        return WorkloadTrace(1, [[TraceNode(0, "c", NodeKind.COMM_COLL, (), attrs)]])
+    with pytest.raises(InvariantError, match="coll_kind"):
+        coll(CollAttrs("ALL_REDUCE", 64))
+    with pytest.raises(InvariantError, match="comm_size"):
+        coll(CollAttrs(CollKind.ALL_REDUCE, 64.0))
+    with pytest.raises(InvariantError, match="num_ranks"):
+        WorkloadTrace(True, [[]])
+
+
+@pytest.mark.parametrize("field", ["name", "op"])
+def test_lone_surrogates_rejected(field):
+    name, op = ("\ud800x", "NOP") if field == "name" else ("c", "RE\udfffDUCE")
+    with pytest.raises(InvariantError, match=field):
+        CollectiveTrace(1, None, [[TraceNode(0, name, NodeKind.COMP, (), CompAttrs(op, 0))]])
 
 
 def test_coll_node_forbidden_in_collective_trace():
