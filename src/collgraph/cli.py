@@ -28,7 +28,7 @@ from .expander import Binding, expand
 from .generators import AlgoSpec, Algorithm, generate
 from .msccl import convert_to_trace, parse_msccl_xml
 from .simulator import CostModel, Topology, TopologyKind, simulate, sweep
-from .trace import CollKind, CollectiveTrace, WorkloadTrace, load_trace, save_trace
+from .trace import MAX_SIZE, CollKind, CollectiveTrace, WorkloadTrace, load_trace, save_trace
 from .validator import FAIL, Verdict, check_semantics
 
 log = logging.getLogger("collgraph")
@@ -42,7 +42,10 @@ def parse_size(text: str) -> int:
     if not match:
         raise argparse.ArgumentTypeError(
             f"invalid size {text!r}; expected e.g. 4096 or 4MiB")
-    return int(match.group(1)) * _SIZE_SUFFIX.get(match.group(2), 1)
+    size = int(match.group(1)) * _SIZE_SUFFIX.get(match.group(2), 1)
+    if size > MAX_SIZE:
+        raise argparse.ArgumentTypeError(f"size exceeds {MAX_SIZE} bytes")
+    return size
 
 
 def parse_size_list(text: str) -> list[int]:

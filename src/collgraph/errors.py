@@ -61,22 +61,32 @@ class BindingError(CollGraphError):
     """Missing or mismatched collective binding during expansion."""
 
 
-class StuckError(CollGraphError):
-    """Symbolic execution cannot reach quiescence; carries the blocked
-    frontier as (rank, node_id) pairs."""
+def _name_frontier(nodes) -> str:
+    """The first 8 of `nodes`, (rank, id, name) triples, as `(rank, id) 'name'`."""
+    shown = [f"({rank}, {nid}) {name!r}" for rank, nid, name in nodes[:8]]
+    if len(nodes) > 8:
+        shown.append(f"and {len(nodes) - 8} more")
+    return ", ".join(shown) or "none"
 
-    def __init__(self, message: str, frontier: list[tuple[int, int]]):
-        super().__init__(f"{message}; frontier: {frontier}")
-        self.frontier = frontier
+
+class StuckError(CollGraphError):
+    """Symbolic execution cannot reach quiescence. Built from the blocked
+    frontier as (rank, node_id, name) triples; the message names the first
+    8, and `frontier` holds every (rank, node_id) pair."""
+
+    def __init__(self, message: str, nodes: list[tuple[int, int, str]]):
+        super().__init__(f"{message}; frontier: {_name_frontier(nodes)}")
+        self.frontier = [(rank, nid) for rank, nid, _ in nodes]
 
 
 class DeadlockError(CollGraphError):
-    """Simulation ran out of events with nodes still pending; carries the
-    pending frontier as (rank, node_id) pairs."""
+    """Simulation ran out of events with nodes still pending. Built from the
+    pending frontier as (rank, node_id, name) triples; the message names the
+    first 8, and `frontier` holds every (rank, node_id) pair."""
 
-    def __init__(self, message: str, frontier: list[tuple[int, int]]):
-        super().__init__(f"{message}; pending: {frontier}")
-        self.frontier = frontier
+    def __init__(self, message: str, nodes: list[tuple[int, int, str]]):
+        super().__init__(f"{message}; pending: {_name_frontier(nodes)}")
+        self.frontier = [(rank, nid) for rank, nid, _ in nodes]
 
 
 class UnexpandedCollectiveError(CollGraphError):

@@ -12,6 +12,14 @@ receiver. The only contended resources are links.
 Charging alpha once per message (rather than per hop) keeps a single-hop
 route at the classic alpha + size/B cost while making multi-hop slowdowns
 approach, without reaching, the hop-count ratio as messages grow.
+
+Event order, which fixes every reported time: events run by time; at equal
+times node finishes run before link enqueues; finishes run by (rank, node
+id) and enqueues by the message's (src, dst, tag), then hop. The replay
+works on integers that keep this order: a node is its rank and its
+position in `Readiness` (ascending id), and a message is its number in one
+table sorted by (src, dst, tag), so events are (t, 0, rank, position) and
+(t, 1, message, hop).
 """
 
 from __future__ import annotations
@@ -271,105 +279,117 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
     if trace.num_ranks > topology.n:
         raise SpecError(
             f"trace has {trace.num_ranks} ranks but topology only {topology.n} endpoints")
-    message_index(trace)
+    sends, recvs = message_index(trace)
 
     readiness = [Readiness(rank_nodes) for rank_nodes in trace.per_rank_nodes]
     nodes = [r.nodes for r in readiness]
-    total_nodes = sum(len(r) for r in nodes)
+    finish = [r.finish for r in readiness]
+    # Per rank, by position: the message a send or recv belongs to (-1 for
+    # compute), and issue/start/finish times (None until set).
+    msg_at = [[-1] * len(r.ids) for r in readiness]
+    issue_t = [[None] * len(r.ids) for r in readiness]
+    start_t = [[None] * len(r.ids) for r in readiness]
+    finish_t = [[None] * len(r.ids) for r in readiness]
+    # The message table, numbered in (src, dst, tag) order: (src, send
+    # position, dst, recv position, link hold time), plus each message's
+    # route as link ids (set when its send is issued) and delivery time.
+    msgs = []
+    for m, key in enumerate(sorted(sends)):
+        (src, dst, _), (send_id, size) = key, sends[key]
+        send_pos, recv_pos = readiness[src].pos[send_id], readiness[dst].pos[recvs[key][0]]
+        msg_at[src][send_pos] = msg_at[dst][recv_pos] = m
+        msgs.append((src, send_pos, dst, recv_pos, cost.link_occupancy(size)))
+    msg_path = [None] * len(msgs)
+    arrival = [None] * len(msgs)
 
-    issue_t: dict[tuple[int, int], float] = {}
-    start_t: dict[tuple[int, int], float] = {}
-    finish_t: dict[tuple[int, int], float] = {}
-    # message bookkeeping, keyed (src, dst, tag)
-    msg_info: dict[tuple[int, int, int], tuple[int, int, list[tuple[int, int]]]] = {}
-    arrival: dict[tuple[int, int, int], float] = {}
-    recv_wait: dict[tuple[int, int, int], tuple[int, int]] = {}
-
-    link_free: dict[tuple[int, int], float] = {}
-    link_busy: dict[tuple[int, int], float] = {}
-    link_msgs: dict[tuple[int, int], int] = {}
+    link_ids: dict[tuple[int, int], int] = {}
+    link_free: list[float] = []
+    link_busy: list[float] = []
+    link_msgs: list[int] = []
     events: list[tuple] = []
-    event_count = 0
+    push, pop = heapq.heappush, heapq.heappop
+    place, alpha = topology.place, cost.alpha
+    event_count = finished = 0
 
-    def issue(rank: int, nid: int, t: float) -> None:
-        node = nodes[rank][nid]
-        issue_t[(rank, nid)] = t
-        if node.kind is NodeKind.COMP:
-            dur = cost.comp_duration(node.attrs.op, node.attrs.comp_size)
-            start_t[(rank, nid)] = t
-            heapq.heappush(events, (t + dur, _FINISH, rank, nid))
-        elif node.kind is NodeKind.COMM_SEND:
-            key = (rank, node.attrs.dst_rank, node.attrs.tag)
-            path = route(topology, topology.place(rank), topology.place(key[1]))
-            msg_info[key] = (nid, node.attrs.comm_size, path)
-            heapq.heappush(events, (t, _ENQUEUE, key[0], key[1], key[2], 0))
-        else:  # COMM_RECV
-            key = (node.attrs.src_rank, rank, node.attrs.tag)
-            start_t[(rank, nid)] = t
-            if key in arrival:
-                heapq.heappush(events, (max(t, arrival[key]), _FINISH, rank, nid))
-            else:
-                recv_wait[key] = (rank, nid)
+    def issue(rank: int, p: int, t: float) -> None:
+        issue_t[rank][p] = t
+        m = msg_at[rank][p]
+        if m < 0:  # compute
+            node = nodes[rank][p]
+            start_t[rank][p] = t
+            push(events, (t + cost.comp_duration(node.attrs.op, node.attrs.comp_size),
+                          _FINISH, rank, p))
+        elif msgs[m][0] == rank:  # send
+            path = []
+            for link in route(topology, place(rank), place(msgs[m][2])):
+                lid = link_ids.get(link)
+                if lid is None:
+                    lid = link_ids[link] = len(link_free)
+                    link_free.append(0.0)
+                    link_busy.append(0.0)
+                    link_msgs.append(0)
+                path.append(lid)
+            msg_path[m] = path
+            push(events, (t, _ENQUEUE, m, 0))
+        else:  # recv; it waits for its message unless that was delivered
+            start_t[rank][p] = t
+            if arrival[m] is not None:
+                push(events, (max(t, arrival[m]), _FINISH, rank, p))
 
-    for rank in range(trace.num_ranks):
-        for nid in readiness[rank].roots():
-            issue(rank, nid, 0.0)
+    for rank, r in enumerate(readiness):
+        for p in r.roots():
+            issue(rank, p, 0.0)
 
+    # Events are (t, _FINISH, rank, position) and (t, _ENQUEUE, message, hop).
     while events:
-        event = heapq.heappop(events)
+        t, what, a, b = pop(events)
         event_count += 1
-        t = event[0]
-        if event[1] == _FINISH:
-            _, _, rank, nid = event
-            finish_t[(rank, nid)] = t
-            for succ in readiness[rank].finish(nid):
+        if what == _FINISH:
+            finish_t[a][b] = t
+            finished += 1
+            for succ in finish[a](b):
                 # events pop in time order, so the dep finishing last finishes now
-                issue(rank, succ, t)
+                issue(a, succ, t)
+            continue
+        src, send_pos, dst, recv_pos, hold = msgs[a]
+        path = msg_path[a]
+        link = path[b]
+        begin = link_free[link]
+        if begin < t:
+            begin = t
+        departed = link_free[link] = begin + hold
+        link_busy[link] += hold
+        link_msgs[link] += 1
+        if b == 0:
+            start_t[src][send_pos] = begin
+            push(events, (departed, _FINISH, src, send_pos))
+        if b + 1 < len(path):
+            push(events, (departed, _ENQUEUE, a, b + 1))
         else:
-            _, _, src, dst, tag, hop = event
-            key = (src, dst, tag)
-            send_nid, size, path = msg_info[key]
-            link = path[hop]
-            begin = max(link_free.get(link, 0.0), t)
-            hold = cost.link_occupancy(size)
-            link_free[link] = begin + hold
-            link_busy[link] = link_busy.get(link, 0.0) + hold
-            link_msgs[link] = link_msgs.get(link, 0) + 1
-            departed = begin + hold
-            if hop == 0:
-                start_t[(src, send_nid)] = begin
-                heapq.heappush(events, (departed, _FINISH, src, send_nid))
-            if hop + 1 < len(path):
-                heapq.heappush(events, (departed, _ENQUEUE, src, dst, tag, hop + 1))
-            else:
-                delivered = departed + cost.alpha
-                arrival[key] = delivered
-                waiter = recv_wait.pop(key, None)
-                if waiter is not None:
-                    r, nid = waiter
-                    heapq.heappush(events,
-                                   (max(issue_t[(r, nid)], delivered), _FINISH, r, nid))
+            delivered = arrival[a] = departed + alpha
+            issued = issue_t[dst][recv_pos]
+            if issued is not None:  # the recv was waiting
+                push(events, (max(issued, delivered), _FINISH, dst, recv_pos))
 
-    if len(finish_t) < total_nodes:
-        frontier = sorted(recv_wait.values())
+    total_nodes = sum(map(len, nodes))
+    if finished < total_nodes:
+        waiting = sorted((dst, p) for (_, _, dst, p, _), delivered in zip(msgs, arrival)
+                         if delivered is None and issue_t[dst][p] is not None)
         raise DeadlockError(
-            f"simulation stalled with {total_nodes - len(finish_t)} node(s) unfinished",
-            frontier)
+            f"simulation stalled with {total_nodes - finished} node(s) unfinished",
+            [(rank, nodes[rank][p].id, nodes[rank][p].name) for rank, p in waiting])
 
     node_times = tuple(
-        tuple(
-            (nid, NodeTiming(issue_t[(rank, nid)], start_t[(rank, nid)],
-                             finish_t[(rank, nid)]))
-            for nid in sorted(nodes[rank])
-        )
-        for rank in range(trace.num_ranks)
+        tuple((nid, NodeTiming(i, s, f))
+              for nid, i, s, f in zip(r.ids, issue_t[rank], start_t[rank], finish_t[rank]))
+        for rank, r in enumerate(readiness)
     )
-    total = max(finish_t.values(), default=0.0)
+    total = max((max(f) for f in finish_t if f), default=0.0)
     if not math.isfinite(total):  # every other time is at most the total
         raise SpecError("simulated time overflows a float; scale the costs down")
     stats = tuple(
-        LinkStats(link[0], link[1], link_msgs[link], link_busy[link])
-        for link in sorted(link_busy)
+        LinkStats(link[0], link[1], link_msgs[lid], link_busy[lid])
+        for link, lid in sorted(link_ids.items())
     )
     return SimReport(trace.num_ranks, node_times, total, event_count, stats)
 

@@ -10,10 +10,11 @@ A trace is checked once, when it is built: `CollectiveTrace` and
 `WorkloadTrace` run `check_trace(matching=False)` on construction and are
 frozen. Consumers that need each send paired with its recv ask `message_index`.
 
-`Readiness` is the one dependency-readiness engine: it counts each node's
-unfinished deps and releases dependents as nodes finish. `ordered` walks a
-rank with it in heap order; the validator and the simulator drive it from
-their own cross-rank event loops.
+`Readiness` is the one dependency-readiness engine: it numbers a rank's
+nodes by position (ascending id), counts each node's unfinished deps and
+releases dependents as nodes finish. `ordered` walks a rank with it in heap
+order; the validator and the simulator drive it from their own cross-rank
+event loops.
 
 A saved trace is UTF-8 text, byte for byte what `json.dumps(doc, indent=2,
 ensure_ascii=False)` plus a newline gives for its canonical dict: fixed key
@@ -31,6 +32,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Union
 
@@ -59,8 +61,17 @@ class CollKind(Enum):
     BROADCAST = "BROADCAST"
 
 
+# Largest byte size: Chakra stores comm_size as an int64.
+MAX_SIZE = 2**63 - 1
+
+
 def _freeze_chunks(value):
-    return None if value is None else tuple(int(c) for c in value)
+    if value is None:
+        return None
+    chunks = tuple(map(int, value))
+    if chunks and min(chunks) < 0:
+        raise InvariantError(f"chunk indices must be non-negative, got {min(chunks)}")
+    return chunks
 
 
 @dataclass(frozen=True)
@@ -194,29 +205,35 @@ def node_map(trace: Trace, rank: int) -> dict[int, TraceNode]:
 
 
 class Readiness:
-    """Dependency readiness of one rank's graph: id -> node, per-node counts
-    of unfinished deps, and the dependents of each node. Every walk over a
-    rank in dependency order (toposort, canonical form, symbolic execution,
-    simulation) drives one of these."""
+    """Dependency readiness of one rank's graph, indexed by position.
+
+    A node's position is its index in ascending-id order: `ids[pos]` is its
+    id, `nodes[pos]` the node, `pos[nid]` the position of an id. `pending`
+    holds each node's count of unfinished deps and `dependents` the
+    positions that depend on it, both indexed by position. Since positions
+    follow ids, a heap of positions pops in the same order as a heap of ids.
+    Every walk over a rank in dependency order (toposort, canonical form,
+    symbolic execution, simulation) drives one of these."""
 
     def __init__(self, nodes):
-        self.nodes = by_id = {node.id: node for node in nodes}
-        self.pending = pending = {}
-        self.dependents = dependents = {nid: [] for nid in by_id}
-        for nid, node in by_id.items():
-            pending[nid] = len(node.deps)
+        self.nodes = by_pos = sorted(nodes, key=attrgetter("id"))
+        self.ids = ids = [node.id for node in by_pos]
+        self.pos = pos = {nid: p for p, nid in enumerate(ids)}
+        self.pending = [len(node.deps) for node in by_pos]
+        self.dependents = dependents = [[] for _ in ids]
+        for p, node in enumerate(by_pos):
             for dep in node.deps:
-                dependents[dep].append(nid)
+                dependents[pos[dep]].append(p)
 
     def roots(self) -> list[int]:
-        """Ids with no deps, ascending."""
-        return sorted(nid for nid, count in self.pending.items() if count == 0)
+        """Positions with no deps, ascending."""
+        return [p for p, count in enumerate(self.pending) if not count]
 
-    def finish(self, nid: int) -> list[int]:
-        """Mark `nid` finished; return the dependents it made ready."""
+    def finish(self, p: int) -> list[int]:
+        """Mark position `p` finished; return the positions it made ready."""
         pending = self.pending
         released = []
-        for succ in self.dependents[nid]:
+        for succ in self.dependents[p]:
             left = pending[succ] - 1
             pending[succ] = left
             if not left:
@@ -231,17 +248,19 @@ def ordered(trace: Trace, rank: int, key=None):
     yielded. After the last yield, raises CycleError carrying the ids of one
     dependency cycle if nodes were left over."""
     ready = Readiness(trace.per_rank_nodes[rank])
-    nodes, finish, push, pop = ready.nodes, ready.finish, heapq.heappush, heapq.heappop
+    ids, nodes, finish = ready.ids, ready.nodes, ready.finish
+    push, pop = heapq.heappush, heapq.heappop
     heap = ready.roots()  # ascending, hence already a heap
     if key is not None:
-        heap = [(key(nodes[nid]), nid) for nid in heap]
+        heap = [(key(nodes[p]), p) for p in heap]
         heapq.heapify(heap)
     while heap:
         entry = pop(heap)
-        yield entry
-        for succ in finish(entry if key is None else entry[1]):
+        p = entry if key is None else entry[1]
+        yield ids[p] if key is None else (entry[0], ids[p])
+        for succ in finish(p):
             push(heap, succ if key is None else (key(nodes[succ]), succ))
-    if any(ready.pending.values()):
+    if any(ready.pending):
         raise CycleError(f"dependency cycle on rank {rank}", _find_cycle(ready))
 
 
@@ -255,15 +274,14 @@ def toposort_rank(trace: Trace, rank: int) -> list[int]:
 
 def _find_cycle(ready: Readiness) -> list[int]:
     # Walk unfinished deps until a node repeats; the repeated tail is a cycle.
-    pending = ready.pending
-    start = min(nid for nid, count in pending.items() if count)
+    pending, pos = ready.pending, ready.pos
+    p = next(p for p, count in enumerate(pending) if count)
     path, seen = [], {}
-    nid = start
-    while nid not in seen:
-        seen[nid] = len(path)
-        path.append(nid)
-        nid = next(d for d in ready.nodes[nid].deps if pending[d])
-    return path[seen[nid]:]
+    while p not in seen:
+        seen[p] = len(path)
+        path.append(p)
+        p = next(pos[d] for d in ready.nodes[p].deps if pending[pos[d]])
+    return [ready.ids[q] for q in path[seen[p]:]]
 
 
 def coll_sequence(workload: WorkloadTrace, rank: int) -> list[TraceNode]:
@@ -298,9 +316,10 @@ def check_trace(trace: Trace, *, matching: bool = True) -> None:
     claimed = None if is_workload else trace.claimed_collective
     if claimed is not None and not (
             isinstance(claimed, CollDescriptor) and type(claimed.kind) is CollKind
-            and type(claimed.comm_size) is int and claimed.comm_size > 0):
+            and type(claimed.comm_size) is int and 0 < claimed.comm_size <= MAX_SIZE):
         raise InvariantError(
-            f"claimed_collective must be a CollKind and a positive int, got {claimed!r}")
+            f"claimed_collective must be a CollKind and a size in 1..{MAX_SIZE}, "
+            f"got {claimed!r}")
     for rank, nodes in enumerate(trace.per_rank_nodes):
         ids = set()
         for node in nodes:
@@ -358,25 +377,26 @@ def _check_node(trace: Trace, rank: int, node: TraceNode, is_workload: bool) -> 
             raise InvariantError(f"{role} {peer} out of range", rank, node.id)
         if peer == rank:
             raise InvariantError(f"{role} must differ from the owning rank", rank, node.id)
-        if a.comm_size <= 0:
-            raise InvariantError(f"comm_size must be positive, got {a.comm_size}", rank, node.id)
+        if not 0 < a.comm_size <= MAX_SIZE:
+            raise InvariantError(f"comm_size must be in 1..{MAX_SIZE}, got {a.comm_size}",
+                                 rank, node.id)
         if a.tag < 0:
             raise InvariantError(f"tag must be non-negative, got {a.tag}", rank, node.id)
     elif isinstance(a, CompAttrs):
         if not _is_text(a.op):
             raise InvariantError(f"op must be UTF-8 text, got {a.op!r}", rank, node.id)
-        if type(a.comp_size) is not int or a.comp_size < 0:
-            raise InvariantError(f"comp_size must be a non-negative int, got {a.comp_size!r}",
-                                 rank, node.id)
+        if type(a.comp_size) is not int or not 0 <= a.comp_size <= MAX_SIZE:
+            raise InvariantError(f"comp_size must be an int in 0..{MAX_SIZE}, "
+                                 f"got {a.comp_size!r}", rank, node.id)
     elif isinstance(a, CollAttrs):
         if not is_workload:
             raise InvariantError("COMM_COLL may appear only in workload traces", rank, node.id)
         if type(a.coll_kind) is not CollKind:
             raise InvariantError(f"coll_kind must be a CollKind, got {a.coll_kind!r}",
                                  rank, node.id)
-        if type(a.comm_size) is not int or a.comm_size <= 0:
-            raise InvariantError(f"comm_size must be a positive int, got {a.comm_size!r}",
-                                 rank, node.id)
+        if type(a.comm_size) is not int or not 0 < a.comm_size <= MAX_SIZE:
+            raise InvariantError(f"comm_size must be an int in 1..{MAX_SIZE}, "
+                                 f"got {a.comm_size!r}", rank, node.id)
 
 
 def message_index(trace: CollectiveTrace, *, require_complete: bool = True):

@@ -75,10 +75,12 @@ class _Exec:
         self.order = order
         self.rendezvous = rendezvous
         self.readiness = [Readiness(nodes) for nodes in trace.per_rank_nodes]
-        self.nodes = [r.nodes for r in self.readiness]
+        self.nodes = [r.nodes for r in self.readiness]  # by position
+        pos = [r.pos for r in self.readiness]
         sends, recvs = message_index(trace, require_complete=False)
-        self.send_owner = {key: nid for key, (nid, _) in sends.items()}
-        self.recv_owner = {key: nid for key, (nid, _) in recvs.items()}
+        # (src, dst, tag) -> position of the send on src / of the recv on dst
+        self.send_owner = {key: pos[key[0]][nid] for key, (nid, _) in sends.items()}
+        self.recv_owner = {key: pos[key[1]][nid] for key, (nid, _) in recvs.items()}
         # chunk state per rank; staged payloads per (rank, recv_id)
         self.state: list[dict[int, frozenset]] = [dict() for _ in range(trace.num_ranks)]
         self.staged: dict[tuple[int, int], dict[int, frozenset]] = {}
@@ -90,14 +92,14 @@ class _Exec:
             {} for _ in range(trace.num_ranks)
         ]
         for rank in range(trace.num_ranks):
-            for node in self.nodes[rank].values():
+            for node in self.nodes[rank]:
                 if node.kind is not NodeKind.COMP or node.attrs.op != OP_REDUCE:
                     continue
                 if node.attrs.chunks is None:
                     continue
                 targets = set(node.attrs.chunks)
                 for dep in node.deps:
-                    dep_node = self.nodes[rank][dep]
+                    dep_node = self.nodes[rank][pos[rank][dep]]
                     if dep_node.kind is NodeKind.COMM_RECV and dep_node.attrs.chunks:
                         hit = targets & set(dep_node.attrs.chunks)
                         if hit:
@@ -183,7 +185,8 @@ class _Exec:
     # -- scheduling ---------------------------------------------------------
 
     def run(self) -> None:
-        """Execute to quiescence; StuckError if any node can never run."""
+        """Execute to quiescence; StuckError if any node can never run.
+        Nodes are scheduled as (rank, position) pairs."""
         ready: list[tuple[int, int]] = []
         # dep-ready nodes waiting for their peer: recvs missing their message
         # and, under rendezvous, sends whose recv is not posted yet
@@ -191,40 +194,40 @@ class _Exec:
         executed = 0
         total = sum(len(r) for r in self.nodes)
 
-        def unpark(rank: int, nid: int | None) -> None:
-            if (rank, nid) in parked:
-                parked.discard((rank, nid))
-                heapq.heappush(ready, (rank, nid))
+        def unpark(rank: int, p: int | None) -> None:
+            if (rank, p) in parked:
+                parked.discard((rank, p))
+                heapq.heappush(ready, (rank, p))
 
-        def on_dep_ready(rank: int, nid: int) -> None:
-            node = self.nodes[rank][nid]
+        def on_dep_ready(rank: int, p: int) -> None:
+            node = self.nodes[rank][p]
             if node.kind is NodeKind.COMM_RECV:
                 key = (node.attrs.src_rank, rank, node.attrs.tag)
                 unpark(key[0], self.send_owner.get(key))  # the recv is posted now
                 if key not in self.delivered:
-                    parked.add((rank, nid))
+                    parked.add((rank, p))
                     return
             elif node.kind is NodeKind.COMM_SEND and self.rendezvous:
                 key = (rank, node.attrs.dst_rank, node.attrs.tag)
                 peer = self.recv_owner.get(key)
                 if peer is None or self.readiness[key[1]].pending[peer]:
-                    parked.add((rank, nid))
+                    parked.add((rank, p))
                     return
-            heapq.heappush(ready, (rank, nid))
+            heapq.heappush(ready, (rank, p))
 
         for rank, readiness in enumerate(self.readiness):
-            for nid in readiness.roots():
-                on_dep_ready(rank, nid)
+            for p in readiness.roots():
+                on_dep_ready(rank, p)
 
         while ready:
             if self.order is None:
-                rank, nid = heapq.heappop(ready)
+                rank, p = heapq.heappop(ready)
             else:
                 idx = self.order.randrange(len(ready))
                 ready[idx], ready[-1] = ready[-1], ready[idx]
-                rank, nid = ready.pop()
+                rank, p = ready.pop()
                 heapq.heapify(ready)
-            node = self.nodes[rank][nid]
+            node = self.nodes[rank][p]
             if node.kind is NodeKind.COMM_SEND:
                 self._run_send(rank, node)
                 key = (rank, node.attrs.dst_rank, node.attrs.tag)
@@ -234,13 +237,13 @@ class _Exec:
             else:
                 self._run_comp(rank, node)
             executed += 1
-            for succ in self.readiness[rank].finish(nid):
+            for succ in self.readiness[rank].finish(p):
                 on_dep_ready(rank, succ)
 
         if executed < total:
-            frontier = sorted(parked)
-            raise StuckError(
-                f"execution stuck with {total - executed} node(s) unrun", frontier)
+            frontier = [(rank, self.nodes[rank][p]) for rank, p in sorted(parked)]
+            raise StuckError(f"execution stuck with {total - executed} node(s) unrun",
+                             [(rank, node.id, node.name) for rank, node in frontier])
 
 
 # ---------------------------------------------------------------------------

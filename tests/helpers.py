@@ -1,11 +1,16 @@
 """Shared test utilities: an independent concrete executor and rendezvous
 reachability check used as oracles for the symbolic validator, `json.dumps`
-oracles for the trace and report writers, and structural mutation helpers."""
+oracles for the trace and report writers, a dict-keyed simulator as the
+oracle for `simulate`, and structural mutation helpers."""
 
 from __future__ import annotations
 
+import heapq
 import json
+import math
 
+from collgraph.errors import DeadlockError, SpecError, UnexpandedCollectiveError
+from collgraph.simulator import LinkStats, NodeTiming, SimReport, route
 from collgraph.trace import (
     OP_COPY,
     OP_NOP,
@@ -17,6 +22,7 @@ from collgraph.trace import (
     SendAttrs,
     TraceNode,
     WorkloadTrace,
+    message_index,
 )
 
 
@@ -86,6 +92,113 @@ def report_json_oracle(report) -> str:
             for ls in report.link_stats
         ],
     })
+
+
+def simulate_oracle(trace, topology, cost) -> SimReport:
+    """The simulator as it was written with dicts keyed by (rank, id) and
+    (src, dst, tag), with its own dependency counting. Reference for
+    `simulate`: equal reports, or the same exception and frontier."""
+    for rank, nodes in enumerate(trace.per_rank_nodes):
+        for node in nodes:
+            if node.kind is NodeKind.COMM_COLL:
+                raise UnexpandedCollectiveError(
+                    f"COMM_COLL node {node.id} on rank {rank} must be expanded "
+                    f"before simulation")
+    if trace.num_ranks > topology.n:
+        raise SpecError(
+            f"trace has {trace.num_ranks} ranks but topology only {topology.n} endpoints")
+    message_index(trace)
+
+    nodes = [{node.id: node for node in rank_nodes} for rank_nodes in trace.per_rank_nodes]
+    pending = [{nid: len(node.deps) for nid, node in by_id.items()} for by_id in nodes]
+    dependents = [{nid: [] for nid in by_id} for by_id in nodes]
+    for rank, by_id in enumerate(nodes):
+        for nid, node in by_id.items():
+            for dep in node.deps:
+                dependents[rank][dep].append(nid)
+    total_nodes = sum(len(r) for r in nodes)
+
+    issue_t, start_t, finish_t = {}, {}, {}
+    msg_info, arrival, recv_wait = {}, {}, {}
+    link_free, link_busy, link_msgs = {}, {}, {}
+    events = []
+    event_count = 0
+
+    def issue(rank, nid, t):
+        node = nodes[rank][nid]
+        issue_t[(rank, nid)] = t
+        if node.kind is NodeKind.COMP:
+            dur = cost.comp_duration(node.attrs.op, node.attrs.comp_size)
+            start_t[(rank, nid)] = t
+            heapq.heappush(events, (t + dur, 0, rank, nid))
+        elif node.kind is NodeKind.COMM_SEND:
+            key = (rank, node.attrs.dst_rank, node.attrs.tag)
+            path = route(topology, topology.place(rank), topology.place(key[1]))
+            msg_info[key] = (nid, node.attrs.comm_size, path)
+            heapq.heappush(events, (t, 1, key[0], key[1], key[2], 0))
+        else:
+            key = (node.attrs.src_rank, rank, node.attrs.tag)
+            start_t[(rank, nid)] = t
+            if key in arrival:
+                heapq.heappush(events, (max(t, arrival[key]), 0, rank, nid))
+            else:
+                recv_wait[key] = (rank, nid)
+
+    for rank in range(trace.num_ranks):
+        for nid in sorted(nid for nid, count in pending[rank].items() if count == 0):
+            issue(rank, nid, 0.0)
+
+    while events:
+        event = heapq.heappop(events)
+        event_count += 1
+        t = event[0]
+        if event[1] == 0:
+            _, _, rank, nid = event
+            finish_t[(rank, nid)] = t
+            for succ in dependents[rank][nid]:
+                pending[rank][succ] -= 1
+                if not pending[rank][succ]:
+                    issue(rank, succ, t)
+        else:
+            _, _, src, dst, tag, hop = event
+            key = (src, dst, tag)
+            send_nid, size, path = msg_info[key]
+            link = path[hop]
+            begin = max(link_free.get(link, 0.0), t)
+            hold = cost.link_occupancy(size)
+            link_free[link] = begin + hold
+            link_busy[link] = link_busy.get(link, 0.0) + hold
+            link_msgs[link] = link_msgs.get(link, 0) + 1
+            departed = begin + hold
+            if hop == 0:
+                start_t[(src, send_nid)] = begin
+                heapq.heappush(events, (departed, 0, src, send_nid))
+            if hop + 1 < len(path):
+                heapq.heappush(events, (departed, 1, src, dst, tag, hop + 1))
+            else:
+                delivered = departed + cost.alpha
+                arrival[key] = delivered
+                waiter = recv_wait.pop(key, None)
+                if waiter is not None:
+                    r, nid = waiter
+                    heapq.heappush(events, (max(issue_t[(r, nid)], delivered), 0, r, nid))
+
+    if len(finish_t) < total_nodes:
+        raise DeadlockError(
+            f"simulation stalled with {total_nodes - len(finish_t)} node(s) unfinished",
+            [(r, nid, nodes[r][nid].name) for r, nid in sorted(recv_wait.values())])
+
+    node_times = tuple(
+        tuple((nid, NodeTiming(issue_t[(rank, nid)], start_t[(rank, nid)],
+                               finish_t[(rank, nid)]))
+              for nid in sorted(nodes[rank]))
+        for rank in range(trace.num_ranks))
+    total = max(finish_t.values(), default=0.0)
+    if not math.isfinite(total):
+        raise SpecError("simulated time overflows a float; scale the costs down")
+    stats = tuple(LinkStats(link[0], link[1], link_msgs[link], link_busy[link])
+                  for link in sorted(link_busy))
+    return SimReport(trace.num_ranks, node_times, total, event_count, stats)
 
 
 def concrete_execute(trace: CollectiveTrace, num_chunks: int) -> list[dict[int, int]]:

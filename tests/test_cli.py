@@ -39,6 +39,13 @@ def test_parse_size_suffixes():
         parse_size("4MB")
 
 
+def test_parse_size_rejects_sizes_beyond_int64():
+    assert parse_size(str(2**63 - 1)) == 2**63 - 1
+    for text in (str(2**63), "8589934592GiB", "9" * 4296 + "GiB"):
+        with pytest.raises(argparse.ArgumentTypeError, match="exceeds"):
+            parse_size(text)
+
+
 def test_parse_size_list_geometric():
     assert parse_size_list("1KiB:64KiB:x4") == [1024, 4096, 16384, 65536]
     assert parse_size_list("1KiB,3KiB") == [1024, 3072]
@@ -86,6 +93,15 @@ def test_gen_rejects_non_power_of_two_recursive_doubling(tmp_path, capsys):
                "--size", "1MiB", "-o", tmp_path / "t.json")
     assert code == 2
     assert "power-of-two" in capsys.readouterr().err
+
+
+def test_gen_of_a_size_beyond_int64_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("gen", "--algo", "ring-allgather", "--ranks", 2,
+            "--size", "9" * 4296 + "GiB", "-o", tmp_path / "t.json")
+    assert exc.value.code == 2
+    assert "exceeds" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_unknown_flag_exits_2(tmp_path):

@@ -1,8 +1,9 @@
 """Property tests: every hand-built trace is rejected when it is built, or
 by `simulate` as unmatched, or deadlocks, or replays with well-ordered
-timestamps; every valid trace is written as `json.dumps` would write it and
-loads back to the same bytes; and the trace loader raises only collgraph
-errors on corrupted input.
+timestamps, each exactly as the dict-keyed oracle simulator does; every
+valid trace is written as `json.dumps` would write it and loads back to the
+same bytes; and the trace loader raises only collgraph errors on corrupted
+input.
 
 Runs are derandomized and keep no example database, so the suite stays
 deterministic; Hypothesis' own cache goes to a temporary directory removed
@@ -13,7 +14,8 @@ import json
 import tempfile
 from dataclasses import replace
 
-from helpers import trace_json_oracle
+import pytest
+from helpers import simulate_oracle, trace_json_oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -44,9 +46,11 @@ COST = CostModel(alpha=1e-6, bandwidth=1e9, reduce_bandwidth=1e9, fixed_comp_ove
 
 
 @st.composite
-def valid_ranks(draw):
+def valid_ranks(draw, chained=False):
     """1-4 ranks of matched messages and compute, each rank's deps acyclic
-    (following a random order of its nodes, so ranks may deadlock)."""
+    (following a random order of its nodes, so ranks may deadlock). When
+    `chained`, each rank runs its nodes one after another in that order,
+    which makes circular waits between ranks common."""
     n = draw(st.integers(1, 4))
     ranks = [[] for _ in range(n)]
     next_tag = {}
@@ -64,8 +68,12 @@ def valid_ranks(draw):
     out = []
     for specs in ranks:
         order = draw(st.permutations(range(len(specs))))
-        deps = {nid: [order[j] for j in draw(st.lists(st.integers(0, pos - 1), max_size=2))]
-                if pos else [] for pos, nid in enumerate(order)}
+        if chained:
+            deps = {nid: [order[pos - 1]] if pos else [] for pos, nid in enumerate(order)}
+        else:
+            deps = {nid: [order[j] for j in draw(st.lists(st.integers(0, pos - 1),
+                                                          max_size=2))]
+                    if pos else [] for pos, nid in enumerate(order)}
         out.append([TraceNode(nid, f"n{nid}", kind, tuple(deps[nid]), a)
                     for nid, (kind, a) in enumerate(specs)])
     return out
@@ -117,6 +125,23 @@ def node_lists(draw):
     return ranks
 
 
+def simulate_as_the_oracle_does(trace, topology):
+    """`simulate`'s report, after checking that the oracle gives the same
+    report, or raises the same error with the same message and frontier;
+    None if both raised."""
+    try:
+        expected = simulate_oracle(trace, topology, COST)
+    except (InvariantError, DeadlockError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            simulate(trace, topology, COST)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        assert getattr(raised.value, "frontier", None) == getattr(exc, "frontier", None)
+        return None
+    report = simulate(trace, topology, COST)
+    assert report == expected and report.dumps() == expected.dumps()
+    return report
+
+
 @settings(DETERMINISTIC, max_examples=200)
 @given(node_lists())
 def test_built_trace_replays_with_ordered_times_or_is_rejected(ranks):
@@ -124,9 +149,8 @@ def test_built_trace_replays_with_ordered_times_or_is_rejected(ranks):
         trace = CollectiveTrace(len(ranks), None, ranks)
     except InvariantError:
         return
-    try:
-        report = simulate(trace, Topology.fully_connected(trace.num_ranks), COST)
-    except (InvariantError, DeadlockError):
+    report = simulate_as_the_oracle_does(trace, Topology.fully_connected(trace.num_ranks))
+    if report is None:
         return
     finishes = []
     for rank_times in report.node_times:
@@ -134,6 +158,13 @@ def test_built_trace_replays_with_ordered_times_or_is_rejected(ranks):
             assert t.issue <= t.start <= t.finish
             finishes.append(t.finish)
     assert report.total_duration == max(finishes, default=0.0)
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(valid_ranks(chained=True), st.sampled_from(["ring", "switch"]))
+def test_serialized_ranks_deadlock_or_replay_as_the_oracle_does(ranks, kind):
+    topology = getattr(Topology, kind)(len(ranks))
+    simulate_as_the_oracle_does(CollectiveTrace(len(ranks), None, ranks), topology)
 
 
 utf8_text = st.text(st.characters(blacklist_categories=["Cs"]), max_size=6)  # no lone surrogates

@@ -4,7 +4,7 @@ monotonicity and sweeps."""
 import random
 
 import pytest
-from helpers import report_json_oracle
+from helpers import report_json_oracle, simulate_oracle
 
 from collgraph.errors import (
     DeadlockError,
@@ -275,6 +275,21 @@ def test_circular_wait_deadlocks_with_both_recvs(fixtures_dir):
     with pytest.raises(DeadlockError) as exc:
         simulate(trace, Topology.ring(2), COST)
     assert exc.value.frontier == [(0, 0), (1, 0)]
+    assert str(exc.value).endswith(
+        "pending: (0, 0) 'recv_first', (1, 0) 'recv_first'")
+
+
+def test_deadlock_message_names_the_first_8_pending_nodes():
+    b = TraceBuilder(2)
+    for rank in (0, 1):
+        recvs = [b.add_recv(rank, 1 - rank, 64, name=f"wait{rank}.{i}") for i in range(10)]
+        for _ in range(10):
+            b.add_send(rank, 1 - rank, 64, deps=recvs)
+    with pytest.raises(DeadlockError) as exc:
+        simulate(b.build_collective(None), Topology.ring(2), COST)
+    assert exc.value.frontier == [(r, i) for r in (0, 1) for i in range(10)]
+    named = ", ".join(f"(0, {i}) 'wait0.{i}'" for i in range(8))
+    assert str(exc.value).endswith(f"pending: {named}, and 12 more")
 
 
 def test_invalid_cost_model_rejected():
@@ -325,6 +340,54 @@ def test_zero_duration_reports_equal_the_oracle():
                      (LinkStats(0, 1, 1, 0.0),))
     assert '"utilization": 0.0' in idle.dumps()
     assert idle.dumps() == report_json_oracle(idle)
+
+
+# ---------------------------------------------------------------------------
+# Dict-keyed oracle
+# ---------------------------------------------------------------------------
+
+def all_topologies(n):
+    rows = max(r for r in range(1, int(n ** 0.5) + 1) if n % r == 0)
+    return [Topology.ring(n), Topology.fully_connected(n), Topology.mesh2d(rows, n // rows),
+            Topology.torus2d(rows, n // rows), Topology.switch(n)]
+
+
+def assert_matches_oracle(trace, topology, cost):
+    report, oracle = simulate(trace, topology, cost), simulate_oracle(trace, topology, cost)
+    assert report == oracle
+    assert report.dumps() == oracle.dumps()
+
+
+GENERATED = [(algo, n) for algo in Algorithm for n in range(1, 9)
+             if algo is not Algorithm.RECURSIVE_DOUBLING_ALL_GATHER or n & (n - 1) == 0]
+
+
+@pytest.mark.parametrize("algo,n", GENERATED, ids=[f"{a.value}-{n}" for a, n in GENERATED])
+def test_simulate_equals_the_dict_keyed_oracle(algo, n):
+    trace = generate(AlgoSpec(algo, n, 840 * 64))
+    for topology in all_topologies(n):
+        assert_matches_oracle(trace, topology, COST)
+
+
+def test_simulate_equals_the_oracle_with_placement_and_compute_costs():
+    placed = Topology(TopologyKind.TORUS2D, 8, 2, 4, placement=(3, 0, 7, 5, 1, 6, 2, 4))
+    assert_matches_oracle(ring_ar(8, 3 * MIB), placed, COST)
+    compute = CostModel(1e-6, 1e9, reduce_bandwidth=3e9, fixed_comp_overhead=1e-7)
+    for topology in all_topologies(6):
+        assert_matches_oracle(ring_ar(6, 6 * MIB), topology, compute)
+
+
+def test_simulate_equals_the_oracle_when_ids_are_not_in_list_order():
+    """Positions follow ids, not the order nodes are listed in."""
+    def scramble(node):  # a permutation of the 15 ids, kept in list order
+        return TraceNode(7 * node.id % 16, node.name, node.kind,
+                         tuple(7 * d % 16 for d in node.deps), node.attrs)
+    trace = ring_ar(4, 4 * MIB)
+    scrambled = CollectiveTrace(4, trace.claimed_collective,
+                                [[scramble(node) for node in nodes]
+                                 for nodes in trace.per_rank_nodes])
+    for topology in all_topologies(4):
+        assert_matches_oracle(scrambled, topology, COST)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from collgraph.trace import (
     CollAttrs,
     CollDescriptor,
     CollKind,
+    MAX_SIZE,
     CollectiveTrace,
     CompAttrs,
     NodeKind,
@@ -255,6 +256,35 @@ def test_nonpositive_sizes_rejected():
             [TraceNode(0, "r", NodeKind.COMM_RECV, (), RecvAttrs(0, 0, 0))]])
     with pytest.raises(InvariantError, match="comp_size"):
         CollectiveTrace(1, None, [[comp(0, (), size=-1)]])
+
+
+@pytest.mark.parametrize("attrs", [
+    lambda c: SendAttrs(1, 64, 0, chunks=c),
+    lambda c: RecvAttrs(0, 64, 0, chunks=c),
+    lambda c: CompAttrs("COPY", 64, chunks=c),
+    lambda c: CompAttrs("COPY", 64, chunks=(0,), src_chunks=c),
+], ids=["send-chunks", "recv-chunks", "comp-chunks", "comp-src-chunks"])
+def test_negative_chunk_indices_rejected(attrs):
+    assert attrs([0, 3]) is not None
+    for chunks in ((-1,), (2, -5, 0)):
+        with pytest.raises(InvariantError, match="chunk indices must be non-negative"):
+            attrs(chunks)
+
+
+def test_sizes_beyond_int64_rejected():
+    big = MAX_SIZE + 1
+    assert MAX_SIZE == 2**63 - 1
+    CollectiveTrace(2, CollDescriptor(CollKind.ALL_GATHER, MAX_SIZE), _send_pair(
+        SendAttrs(1, MAX_SIZE, 0), RecvAttrs(0, MAX_SIZE, 0)))
+    with pytest.raises(InvariantError, match="comm_size"):
+        CollectiveTrace(2, None, _send_pair(SendAttrs(1, big, 0), RecvAttrs(0, big, 0)))
+    with pytest.raises(InvariantError, match="comp_size"):
+        CollectiveTrace(1, None, [[comp(0, (), size=big)]])
+    with pytest.raises(InvariantError, match="claimed_collective"):
+        CollectiveTrace(1, CollDescriptor(CollKind.ALL_GATHER, big), [[]])
+    with pytest.raises(InvariantError, match="comm_size"):
+        WorkloadTrace(1, [[TraceNode(0, "c", NodeKind.COMM_COLL, (),
+                                     CollAttrs(CollKind.ALL_REDUCE, big))]])
 
 
 def _send_pair(send=SendAttrs(1, 64, 0), recv=RecvAttrs(0, 64, 0), name="s", nid=0):

@@ -203,6 +203,7 @@ def test_circular_wait_raises_stuck_with_both_recvs(fixtures_dir):
     with pytest.raises(StuckError) as exc:
         check_semantics(trace)
     assert exc.value.frontier == [(0, 0), (1, 0)]
+    assert str(exc.value).endswith("frontier: (0, 0) 'recv_first', (1, 0) 'recv_first'")
 
 
 def send_before_recv_pair():
