@@ -98,7 +98,10 @@ def parse_topology_token(token: str, num_ranks: int) -> Topology:
     if match is None or grid != (match.group(2) is not None):
         raise SpecError(f"unknown topology {token!r}")
     kind, rows, cols = match.groups()
-    return _topology({"kind": kind, "n": num_ranks, "rows": rows, "cols": cols})
+    try:
+        return _topology({"kind": kind, "n": num_ranks, "rows": rows, "cols": cols})
+    except ValueError:  # a dimension past int()'s digit limit
+        raise SpecError(f"{kind} dimensions are too long to read as integers") from None
 
 
 def load_net_config(path) -> tuple[Topology | None, CostModel]:
@@ -127,7 +130,7 @@ def load_net_config(path) -> tuple[Topology | None, CostModel]:
         return _topology(topo_obj), cost
     except KeyError as exc:
         raise CollGraphError(f"{path}: missing net config key {exc}") from None
-    except (TypeError, ValueError, RecursionError) as exc:
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise CollGraphError(f"{path}: malformed net config: {exc}") from None
 
 
@@ -309,7 +312,7 @@ def main(argv=None) -> int:
     except (StuckError, DeadlockError) as exc:
         print(f"collgraph: {exc}", file=sys.stderr)
         return 4
-    except (CollGraphError, OverflowError, OSError) as exc:
+    except (CollGraphError, OSError) as exc:
         print(f"collgraph: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,6 @@ repeated collectives can never cross-match.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Union
 
 from .errors import BindingError
@@ -18,16 +17,19 @@ from .trace import (
     OP_NOP,
     CollKind,
     CollectiveTrace,
-    CompAttrs,
     NodeKind,
     RecvAttrs,
     SendAttrs,
     TraceNode,
     WorkloadTrace,
+    _comp,
+    _node,
+    _recv,
+    _send,
     check_trace,  # noqa: F401 -- kept importable: perfbench/tracer.py rebinds it
     coll_sequence,
-    message_index,
     node_map,
+    require_matched,
 )
 
 TAG_STRIDE = 1 << 20
@@ -76,8 +78,8 @@ def expand(workload: WorkloadTrace, bindings: dict[CollKind, Binding]) -> Collec
     """Replace every COMM_COLL node with its bound algorithm subgraph and
     return the unified trace (claimed_collective is None).
 
-    Raises BindingError for missing or mismatched bindings, OverflowError if
-    a binding uses tags at or above the per-instance stride (2^20).
+    Raises BindingError for missing or mismatched bindings, and for a
+    binding that uses tags at or above the per-instance stride (2^20).
     """
     cache: dict = {}
     out_ranks: list[list[TraceNode]] = []
@@ -126,16 +128,16 @@ def expand(workload: WorkloadTrace, bindings: dict[CollKind, Binding]) -> Collec
             node = nodes[nid]
             if node.kind is not NodeKind.COMM_COLL:
                 deps = sorted({d for dep in node.deps for d in map_dep(dep)})
-                out.append(TraceNode(new_id[nid], node.name, node.kind, tuple(deps),
-                                     node.attrs))
+                out.append(_node(new_id[nid], node.name, node.kind, tuple(deps),
+                                 node.attrs))
                 continue
             ordinal = ordinal_of[nid]
             subnodes, base, roots, sinks = resolved[nid]
             entry_deps = sorted({d for dep in node.deps for d in map_dep(dep)})
             if not subnodes:
                 # Degenerate splice: keep the graph connected with a free anchor.
-                out.append(TraceNode(base, f"coll{ordinal}_anchor", NodeKind.COMP,
-                                     tuple(entry_deps), CompAttrs(OP_NOP, 0)))
+                out.append(_node(base, f"coll{ordinal}_anchor", NodeKind.COMP,
+                                 tuple(entry_deps), _comp(OP_NOP, 0, None, None)))
                 continue
             sub_ids = {n.id: base + i for i, n in enumerate(subnodes)}
             root_set = set(roots)
@@ -144,16 +146,19 @@ def expand(workload: WorkloadTrace, bindings: dict[CollKind, Binding]) -> Collec
                 if sub.id in root_set:
                     deps.extend(entry_deps)
                 attrs = sub.attrs
-                if isinstance(attrs, (SendAttrs, RecvAttrs)):
+                if type(attrs) is SendAttrs or type(attrs) is RecvAttrs:
                     if attrs.tag >= TAG_STRIDE:
-                        raise OverflowError(
+                        raise BindingError(
                             f"binding tag {attrs.tag} exceeds the per-instance "
                             f"namespace of {TAG_STRIDE}")
-                    attrs = replace(attrs, tag=ordinal * TAG_STRIDE + attrs.tag)
-                out.append(TraceNode(sub_ids[sub.id], f"coll{ordinal}_{sub.name}",
-                                     sub.kind, tuple(sorted(deps)), attrs))
+                    tag = ordinal * TAG_STRIDE + attrs.tag
+                    attrs = (_send(attrs.dst_rank, attrs.comm_size, tag, attrs.chunks)
+                             if type(attrs) is SendAttrs else
+                             _recv(attrs.src_rank, attrs.comm_size, tag, attrs.chunks))
+                out.append(_node(sub_ids[sub.id], f"coll{ordinal}_{sub.name}",
+                                 sub.kind, tuple(sorted(deps)), attrs))
         out_ranks.append(out)
 
     unified = CollectiveTrace(workload.num_ranks, None, out_ranks)
-    message_index(unified)
+    require_matched(unified)
     return unified

@@ -18,11 +18,11 @@ from .trace import (
     CollDescriptor,
     CollKind,
     CollectiveTrace,
-    CompAttrs,
     NodeKind,
-    RecvAttrs,
-    SendAttrs,
-    TraceNode,
+    _comp,
+    _node,
+    _recv as _recv_attrs,
+    _send as _send_attrs,
     check_trace,  # noqa: F401 -- kept importable: perfbench/tracer.py rebinds it
 )
 
@@ -63,19 +63,21 @@ def generate(spec: AlgoSpec) -> CollectiveTrace:
     return _recursive_doubling_all_gather(spec.num_ranks, spec.comm_size)
 
 
+# Nodes go through the private constructors: every `deps` list below is
+# written in ascending order.
 def _send(nid, dst, size, tag, deps, chunk_list, name):
-    return TraceNode(nid, name, NodeKind.COMM_SEND, deps,
-                     SendAttrs(dst, size, tag, tuple(chunk_list)))
+    return _node(nid, name, NodeKind.COMM_SEND, tuple(deps),
+                 _send_attrs(dst, size, tag, tuple(chunk_list)))
 
 
 def _recv(nid, src, size, tag, deps, chunk_list, name):
-    return TraceNode(nid, name, NodeKind.COMM_RECV, deps,
-                     RecvAttrs(src, size, tag, tuple(chunk_list)))
+    return _node(nid, name, NodeKind.COMM_RECV, tuple(deps),
+                 _recv_attrs(src, size, tag, tuple(chunk_list)))
 
 
 def _reduce(nid, size, deps, chunk_list, name):
-    return TraceNode(nid, name, NodeKind.COMP, deps,
-                     CompAttrs(OP_REDUCE, size, tuple(chunk_list)))
+    return _node(nid, name, NodeKind.COMP, tuple(deps),
+                 _comp(OP_REDUCE, size, tuple(chunk_list), None))
 
 
 def _ring_all_reduce(n: int, s: int) -> CollectiveTrace:

@@ -21,11 +21,12 @@ from .trace import (
     CollDescriptor,
     CollKind,
     CollectiveTrace,
-    CompAttrs,
     NodeKind,
-    RecvAttrs,
-    SendAttrs,
     TraceNode,
+    _comp,
+    _node,
+    _recv,
+    _send,
     check_trace,  # noqa: F401 -- kept importable: perfbench/tracer.py rebinds it
 )
 
@@ -381,9 +382,8 @@ def convert_to_trace(program: MscclProgram, comm_size: int) -> CollectiveTrace:
         nodes: list[TraceNode] = []
 
         def emit(name, kind, deps, attrs):
-            node = TraceNode(len(nodes), name, kind, tuple(deps), attrs)
-            nodes.append(node)
-            return node.id
+            nodes.append(_node(len(nodes), name, kind, tuple(sorted(deps)), attrs))
+            return len(nodes) - 1
 
         for tb in sorted(gpu.threadblocks, key=lambda t: t.id):
             prev_last = None
@@ -400,27 +400,27 @@ def convert_to_trace(program: MscclProgram, comm_size: int) -> CollectiveTrace:
                 if step.type == "s":
                     tag = send_tags[(gpu.id, tb.id, step.index)]
                     first = last = emit(name, NodeKind.COMM_SEND, deps,
-                                        SendAttrs(tb.send_peer, size, tag, src))
+                                        _send(tb.send_peer, size, tag, src))
                 elif step.type in ("r", "rrc", "rcs"):
                     tag = recv_tags[(gpu.id, tb.id, step.index)]
                     first = emit(name, NodeKind.COMM_RECV, deps,
-                                 RecvAttrs(tb.recv_peer, size, tag, dst))
+                                 _recv(tb.recv_peer, size, tag, dst))
                     last = first
                     if step.type == "rrc":
                         last = emit(name + "_red", NodeKind.COMP, [first],
-                                    CompAttrs(OP_REDUCE, size, dst))
+                                    _comp(OP_REDUCE, size, dst, None))
                     elif step.type == "rcs":
                         tag = send_tags[(gpu.id, tb.id, step.index)]
                         last = emit(name + "_fwd", NodeKind.COMM_SEND, [first],
-                                    SendAttrs(tb.send_peer, size, tag, dst))
+                                    _send(tb.send_peer, size, tag, dst))
                 elif step.type == "re":
                     first = last = emit(name, NodeKind.COMP, deps,
-                                        CompAttrs(OP_REDUCE, size, dst, src))
+                                        _comp(OP_REDUCE, size, dst, src))
                 elif step.type == "cpy":
                     first = last = emit(name, NodeKind.COMP, deps,
-                                        CompAttrs(OP_COPY, size, dst, src))
+                                        _comp(OP_COPY, size, dst, src))
                 else:  # nop: zero-cost dependency anchor
-                    first = last = emit(name, NodeKind.COMP, deps, CompAttrs(OP_NOP, 0))
+                    first = last = emit(name, NodeKind.COMP, deps, _comp(OP_NOP, 0, None, None))
                 assert (first, last) == span[(tb.id, step.index)]
                 prev_last = last
         per_rank.append(nodes)

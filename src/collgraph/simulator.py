@@ -43,6 +43,7 @@ from .trace import (
     WorkloadTrace,
     json_array,
     message_index,
+    require_matched,
 )
 
 
@@ -267,8 +268,8 @@ _FINISH, _ENQUEUE = 0, 1
 
 def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
     """Event-driven replay. Raises UnexpandedCollectiveError on COMM_COLL
-    nodes, InvariantError (from `message_index`) on an unmatched send or
-    recv, DeadlockError (naming the pending receives) if the event pool
+    nodes, InvariantError (recorded by `check_trace`) on an unmatched send
+    or recv, DeadlockError (naming the pending receives) if the event pool
     drains with nodes unfinished, and SpecError if a time overflows to inf."""
     for rank, nodes in enumerate(trace.per_rank_nodes):
         for node in nodes:
@@ -279,6 +280,7 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
     if trace.num_ranks > topology.n:
         raise SpecError(
             f"trace has {trace.num_ranks} ranks but topology only {topology.n} endpoints")
+    require_matched(trace)
     sends, recvs = message_index(trace)
 
     readiness = [Readiness(rank_nodes) for rank_nodes in trace.per_rank_nodes]

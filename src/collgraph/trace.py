@@ -8,7 +8,16 @@ analyzable.
 
 A trace is checked once, when it is built: `CollectiveTrace` and
 `WorkloadTrace` run `check_trace(matching=False)` on construction and are
-frozen. Consumers that need each send paired with its recv ask `message_index`.
+frozen. That check records the first unmatched send/recv pair in
+`mismatch`, which `require_matched` raises. Consumers that need each send
+paired with its recv ask `message_index`.
+
+Construction contract. The public constructors normalize `deps` to a sorted
+tuple of ints and chunk lists to tuples of ints. The private constructors
+`_node`, `_send`, `_recv` and `_comp`, used by `loads_trace`, the
+generators, `convert_to_trace` and `expand`, store what they are given and
+only reject negative chunks: callers pass `deps` as a sorted tuple of ints
+and chunk lists as tuples of ints or None. The trace checks the rest.
 
 `Readiness` is the one dependency-readiness engine: it numbers a rank's
 nodes by position (ascending id), counts each node's unfinished deps and
@@ -29,12 +38,13 @@ from __future__ import annotations
 import heapq
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
-from typing import Optional, Union
+from typing import NoReturn, Optional, Union
 
 from .errors import CycleError, InvariantError, ParseError, SchemaError
 
@@ -65,16 +75,17 @@ class CollKind(Enum):
 MAX_SIZE = 2**63 - 1
 
 
-def _freeze_chunks(value):
-    if value is None:
-        return None
-    chunks = tuple(map(int, value))
+def _check_chunks(chunks):
     if chunks and min(chunks) < 0:
         raise InvariantError(f"chunk indices must be non-negative, got {min(chunks)}")
     return chunks
 
 
-@dataclass(frozen=True)
+def _freeze_chunks(value):
+    return None if value is None else _check_chunks(tuple(map(int, value)))
+
+
+@dataclass(frozen=True, slots=True)
 class SendAttrs:
     """Point-to-point message emission. `chunks` is optional validation
     metadata naming the chunk indices read by this send."""
@@ -88,7 +99,7 @@ class SendAttrs:
         object.__setattr__(self, "chunks", _freeze_chunks(self.chunks))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecvAttrs:
     """Wait for a matching message. `chunks` names the chunk indices the
     payload is delivered into."""
@@ -102,7 +113,7 @@ class RecvAttrs:
         object.__setattr__(self, "chunks", _freeze_chunks(self.chunks))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompAttrs:
     """Local compute. `chunks` is the written chunk range, `src_chunks` an
     optional local read range (for buffer-to-buffer reduce/copy)."""
@@ -117,7 +128,7 @@ class CompAttrs:
         object.__setattr__(self, "src_chunks", _freeze_chunks(self.src_chunks))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollAttrs:
     """Workload-side placeholder for a collective of a given kind/size."""
 
@@ -135,7 +146,7 @@ _KIND_FOR_ATTRS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceNode:
     """One operation on one rank. `deps` lists same-rank node ids that must
     finish first; it is normalized to a sorted tuple."""
@@ -147,7 +158,49 @@ class TraceNode:
     attrs: Attrs
 
     def __post_init__(self):
-        object.__setattr__(self, "deps", tuple(sorted(int(d) for d in self.deps)))
+        object.__setattr__(self, "deps", tuple(sorted(map(int, self.deps))))
+
+
+# Private constructors (see the module docstring). Each writes its values
+# through the slot descriptors, which a frozen class leaves open, instead of
+# running the normalizing `__init__`.
+_new = object.__new__
+
+
+def _slot_setters(cls):
+    return [cls.__dict__[name].__set__ for name in cls.__slots__]
+
+
+def _node(nid, name, kind, deps, attrs, _set=_slot_setters(TraceNode)) -> TraceNode:
+    node = _new(TraceNode)
+    _set[0](node, nid)
+    _set[1](node, name)
+    _set[2](node, kind)
+    _set[3](node, deps)
+    _set[4](node, attrs)
+    return node
+
+
+def _message(cls, setters, peer, comm_size, tag, chunks):
+    attrs = _new(cls)
+    setters[0](attrs, peer)
+    setters[1](attrs, comm_size)
+    setters[2](attrs, tag)
+    setters[3](attrs, _check_chunks(chunks))
+    return attrs
+
+
+_send = partial(_message, SendAttrs, _slot_setters(SendAttrs))
+_recv = partial(_message, RecvAttrs, _slot_setters(RecvAttrs))
+
+
+def _comp(op, comp_size, chunks, src_chunks, _set=_slot_setters(CompAttrs)) -> CompAttrs:
+    attrs = _new(CompAttrs)
+    _set[0](attrs, op)
+    _set[1](attrs, comp_size)
+    _set[2](attrs, _check_chunks(chunks))
+    _set[3](attrs, _check_chunks(src_chunks))
+    return attrs
 
 
 @dataclass(frozen=True)
@@ -158,10 +211,6 @@ class CollDescriptor:
 
     kind: CollKind
     comm_size: int
-
-
-def _freeze_ranks(per_rank_nodes):
-    return tuple(tuple(nodes) for nodes in per_rank_nodes)
 
 
 @dataclass(frozen=True)
@@ -175,9 +224,11 @@ class CollectiveTrace:
     num_ranks: int
     claimed_collective: Optional[CollDescriptor]
     per_rank_nodes: tuple[tuple[TraceNode, ...], ...]
+    # (message, rank, node id) of the first unmatched send/recv, set by check_trace
+    mismatch: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "per_rank_nodes", _freeze_ranks(self.per_rank_nodes))
+        object.__setattr__(self, "per_rank_nodes", tuple(map(tuple, self.per_rank_nodes)))
         check_trace(self, matching=False)
 
 
@@ -187,9 +238,10 @@ class WorkloadTrace:
 
     num_ranks: int
     per_rank_nodes: tuple[tuple[TraceNode, ...], ...]
+    mismatch: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "per_rank_nodes", _freeze_ranks(self.per_rank_nodes))
+        object.__setattr__(self, "per_rank_nodes", tuple(map(tuple, self.per_rank_nodes)))
         check_trace(self, matching=False)
 
 
@@ -303,8 +355,10 @@ def check_trace(trace: Trace, *, matching: bool = True) -> None:
     violation (with rank and node id). Every trace runs this when it is built.
 
     `matching=False` skips send/recv completeness (tag uniqueness is still
-    enforced), which `message_index(trace)` checks on its own; built traces
-    skip it so the semantic validator can execute deliberately broken ones.
+    enforced); built traces skip it so the semantic validator can execute
+    deliberately broken ones. Either way the first unmatched or
+    size-mismatched pair is recorded in `trace.mismatch` for
+    `require_matched`.
     """
     if type(trace.num_ranks) is not int or trace.num_ranks < 1:
         raise InvariantError(f"num_ranks must be a positive int, got {trace.num_ranks!r}")
@@ -333,14 +387,28 @@ def check_trace(trace: Trace, *, matching: bool = True) -> None:
                     raise InvariantError(f"dep {dep} does not exist on this rank", rank, node.id)
                 if dep == node.id:
                     raise InvariantError("node depends on itself", rank, node.id)
-        try:
-            toposort_rank(trace, rank)
-        except CycleError as exc:
+        ready = Readiness(nodes)  # drained in any order: only what is left matters
+        stack = ready.roots()
+        while stack:
+            stack += ready.finish(stack.pop())
+        if any(ready.pending):
+            exc = CycleError(f"dependency cycle on rank {rank}", _find_cycle(ready))
             raise InvariantError(f"dependency cycle {exc.cycle}", rank, exc.cycle[0]) from exc
+    mismatch = None
     if is_workload:
         _check_spmd(trace)
     else:
-        message_index(trace, require_complete=matching)
+        mismatch = _first_mismatch(*message_index(trace))
+    object.__setattr__(trace, "mismatch", mismatch)
+    if matching:
+        require_matched(trace)
+
+
+def require_matched(trace: Trace) -> None:
+    """Raise the InvariantError for the first unmatched or size-mismatched
+    send/recv pair that `check_trace` recorded, if there is one."""
+    if trace.mismatch is not None:
+        raise InvariantError(*trace.mismatch)
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -399,12 +467,12 @@ def _check_node(trace: Trace, rank: int, node: TraceNode, is_workload: bool) -> 
                                  f"got {a.comm_size!r}", rank, node.id)
 
 
-def message_index(trace: CollectiveTrace, *, require_complete: bool = True):
+def message_index(trace: CollectiveTrace):
     """Index SEND and RECV nodes by (src, dst, tag).
 
     Returns (sends, recvs) mapping the key to (node_id, comm_size). Raises
-    InvariantError on duplicate tags always, and on unmatched or
-    size-mismatched pairs when `require_complete` is set.
+    InvariantError on duplicate tags; unmatched or size-mismatched pairs are
+    `check_trace`'s to report (see `require_matched`).
     """
     sends: dict[tuple[int, int, int], tuple[int, int]] = {}
     recvs: dict[tuple[int, int, int], tuple[int, int]] = {}
@@ -424,19 +492,23 @@ def message_index(trace: CollectiveTrace, *, require_complete: bool = True):
                         f"duplicate tag {node.attrs.tag} for recvs {key[0]}->{rank}",
                         rank, node.id)
                 recvs[key] = (node.id, node.attrs.comm_size)
-    if require_complete:
-        for (src, dst, tag), (nid, size) in sends.items():
-            match = recvs.get((src, dst, tag))
-            if match is None:
-                raise InvariantError(f"unmatched send {src}->{dst} tag {tag}", src, nid)
-            if match[1] != size:
-                raise InvariantError(
-                    f"send {src}->{dst} tag {tag} has size {size} but recv expects {match[1]}",
-                    src, nid)
-        for (src, dst, tag), (nid, _) in recvs.items():
-            if (src, dst, tag) not in sends:
-                raise InvariantError(f"unmatched recv from {src} tag {tag}", dst, nid)
     return sends, recvs
+
+
+def _first_mismatch(sends, recvs) -> Optional[tuple]:
+    """The first unmatched or size-mismatched pair of a `message_index` as
+    InvariantError arguments (message, rank, node id); None if all match."""
+    for (src, dst, tag), (nid, size) in sends.items():
+        match = recvs.get((src, dst, tag))
+        if match is None:
+            return f"unmatched send {src}->{dst} tag {tag}", src, nid
+        if match[1] != size:
+            return (f"send {src}->{dst} tag {tag} has size {size} but recv expects "
+                    f"{match[1]}", src, nid)
+    for (src, dst, tag), (nid, _) in recvs.items():
+        if (src, dst, tag) not in sends:
+            return f"unmatched recv from {src} tag {tag}", dst, nid
+    return None
 
 
 def _check_spmd(trace: WorkloadTrace) -> None:
@@ -499,7 +571,7 @@ class TraceBuilder:
 
     def build_collective(self, claimed: Optional[CollDescriptor]) -> CollectiveTrace:
         trace = CollectiveTrace(self.num_ranks, claimed, self._nodes)
-        message_index(trace)
+        require_matched(trace)
         return trace
 
     def build_workload(self) -> WorkloadTrace:
@@ -547,7 +619,7 @@ def _node_text(node: TraceNode) -> str:
 
 def dumps_trace(trace: Trace) -> str:
     """The canonical text of a trace (see `save_trace`)."""
-    message_index(trace)
+    require_matched(trace)
     if isinstance(trace, WorkloadTrace):
         trace_class, claimed = "workload", None
     else:
@@ -576,89 +648,119 @@ def save_trace(trace: Trace, path) -> None:
     Path(path).write_bytes(text.encode("utf-8"))
 
 
-def _expect(obj: dict, key: str, types, where: str):
-    if key not in obj:
-        raise SchemaError(f"missing key '{key}' in {where}")
-    value = obj[key]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise SchemaError(f"key '{key}' in {where} has wrong type {type(value).__name__}")
-    return value
-
-
 _TOP_KEYS = {"format_version", "trace_class", "num_ranks", "claimed_collective", "ranks"}
 _NODE_KEYS = {"id", "name", "kind", "deps", "attrs"}
-_ATTR_KEYS = {
-    NodeKind.COMM_SEND: ({"dst_rank", "comm_size", "tag"}, {"chunks"}),
-    NodeKind.COMM_RECV: ({"src_rank", "comm_size", "tag"}, {"chunks"}),
-    NodeKind.COMP: ({"op", "comp_size"}, {"chunks", "src_chunks"}),
-    NodeKind.COMM_COLL: ({"coll_kind", "comm_size"}, set()),
+_KINDS = {kind.value: kind for kind in NodeKind}
+_COLL_KINDS = {kind.value: kind for kind in CollKind}
+_INT = {int}
+# Each kind's attrs in schema order with their JSON types; lists are the
+# optional chunk lists, and CollKind stands for its name.
+_ATTR_SCHEMA = {
+    NodeKind.COMM_SEND: {"dst_rank": int, "comm_size": int, "tag": int, "chunks": list},
+    NodeKind.COMM_RECV: {"src_rank": int, "comm_size": int, "tag": int, "chunks": list},
+    NodeKind.COMP: {"op": str, "comp_size": int, "chunks": list, "src_chunks": list},
+    NodeKind.COMM_COLL: {"coll_kind": CollKind, "comm_size": int},
 }
 
 
-def _chunks_from_json(attrs: dict, key: str, where: str):
-    if key not in attrs:
+def _wrong(obj: dict, key: str, where: str) -> SchemaError:
+    """The error for `obj[key]` being missing or of the wrong type."""
+    if key not in obj:
+        return SchemaError(f"missing key '{key}' in {where}")
+    return SchemaError(f"key '{key}' in {where} has wrong type {type(obj[key]).__name__}")
+
+
+def _expect(obj: dict, key: str, typ: type, where: str):
+    value = obj.get(key)
+    if type(value) is not typ:
+        raise _wrong(obj, key, where)
+    return value
+
+
+def _json_chunks(value):
+    """A parsed chunk list as a tuple, None for None, and False unless it is
+    a list of non-negative ints."""
+    if value is None:
         return None
-    value = attrs[key]
-    if not isinstance(value, list) or not all(
-        isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in value
-    ):
-        raise SchemaError(f"'{key}' in {where} must be a list of non-negative ints")
-    return tuple(value)
+    if type(value) is list and _INT.issuperset(map(type, value)) and not (
+            value and min(value) < 0):
+        return tuple(value)
+    return False
 
 
-def _node_from_json(obj: dict, where: str) -> TraceNode:
-    if not isinstance(obj, dict):
+def _attrs_from_json(kind, a: dict):
+    """The attrs of a node of JSON kind `kind`, or None unless `a` holds
+    exactly the keys and value types the schema allows for it. A key whose
+    value is null is absent to `get`, so the length check refuses it."""
+    if kind == "COMM_SEND" or kind == "COMM_RECV":
+        peer = a.get("dst_rank" if kind == "COMM_SEND" else "src_rank")
+        size, tag, chunks = a.get("comm_size"), a.get("tag"), a.get("chunks")
+        if (type(peer) is type(size) is type(tag) is int
+                and len(a) == 3 + (chunks is not None)
+                and (chunks := _json_chunks(chunks)) is not False):
+            return (_send if kind == "COMM_SEND" else _recv)(peer, size, tag, chunks)
+    elif kind == "COMP":
+        op, size = a.get("op"), a.get("comp_size")
+        chunks, src_chunks = a.get("chunks"), a.get("src_chunks")
+        if (type(op) is str and type(size) is int
+                and len(a) == 2 + (chunks is not None) + (src_chunks is not None)
+                and (chunks := _json_chunks(chunks)) is not False
+                and (src_chunks := _json_chunks(src_chunks)) is not False):
+            return _comp(op, size, chunks, src_chunks)
+    elif kind == "COMM_COLL":
+        coll_kind, size = a.get("coll_kind"), a.get("comm_size")
+        if (len(a) == 2 and type(size) is int and type(coll_kind) is str
+                and coll_kind in _COLL_KINDS):
+            return CollAttrs(_COLL_KINDS[coll_kind], size)
+    return None
+
+
+def _node_from_json(obj, rank: int, index: int) -> TraceNode:
+    """One node, built straight from the parsed JSON with exact-type checks.
+    A node this refuses goes to `_node_fault`, which raises its SchemaError;
+    no valid node does."""
+    if type(obj) is dict and obj.keys() == _NODE_KEYS:
+        nid, name, deps, a = obj["id"], obj["name"], obj["deps"], obj["attrs"]
+        if (type(nid) is int and type(name) is str and type(deps) is list
+                and type(a) is dict and _INT.issuperset(map(type, deps))):
+            attrs = _attrs_from_json(obj["kind"], a)
+            if attrs is not None:
+                return _node(nid, name, _KINDS[obj["kind"]], tuple(sorted(deps)), attrs)
+    _node_fault(obj, f"rank {rank}, node index {index}")
+
+
+def _node_fault(obj, where: str) -> NoReturn:
+    """Raise the SchemaError for the first fault of a refused node, checking
+    its fields in schema order."""
+    if type(obj) is not dict:
         raise SchemaError(f"node in {where} must be an object")
-    unknown = set(obj) - _NODE_KEYS
-    if unknown:
-        raise SchemaError(f"unknown node key(s) {sorted(unknown)} in {where}")
-    nid = _expect(obj, "id", int, where)
-    name = _expect(obj, "name", str, where)
-    kind_name = _expect(obj, "kind", str, where)
-    try:
-        kind = NodeKind(kind_name)
-    except ValueError:
-        raise SchemaError(f"unknown node kind '{kind_name}' in {where}") from None
-    deps = _expect(obj, "deps", list, where)
-    if not all(isinstance(d, int) and not isinstance(d, bool) for d in deps):
+    if obj.keys() - _NODE_KEYS:
+        raise SchemaError(f"unknown node key(s) {sorted(obj.keys() - _NODE_KEYS)} in {where}")
+    _expect(obj, "id", int, where)
+    _expect(obj, "name", str, where)
+    kind = _KINDS.get(_expect(obj, "kind", str, where))
+    if kind is None:
+        raise SchemaError(f"unknown node kind '{obj['kind']}' in {where}")
+    if not _INT.issuperset(map(type, _expect(obj, "deps", list, where))):
         raise SchemaError(f"deps in {where} must be integers")
-    attrs_obj = _expect(obj, "attrs", dict, where)
-    required, optional = _ATTR_KEYS[kind]
-    missing = required - set(attrs_obj)
+    a = _expect(obj, "attrs", dict, where)
+    schema = _ATTR_SCHEMA[kind]
+    missing = {key for key, typ in schema.items() if typ is not list} - a.keys()
     if missing:
         raise SchemaError(f"missing attribute(s) {sorted(missing)} for {kind.value} in {where}")
-    unknown = set(attrs_obj) - required - optional
-    if unknown:
-        raise SchemaError(f"unknown attribute(s) {sorted(unknown)} for {kind.value} in {where}")
-    if kind is NodeKind.COMM_SEND:
-        attrs: Attrs = SendAttrs(
-            _expect(attrs_obj, "dst_rank", int, where),
-            _expect(attrs_obj, "comm_size", int, where),
-            _expect(attrs_obj, "tag", int, where),
-            _chunks_from_json(attrs_obj, "chunks", where),
-        )
-    elif kind is NodeKind.COMM_RECV:
-        attrs = RecvAttrs(
-            _expect(attrs_obj, "src_rank", int, where),
-            _expect(attrs_obj, "comm_size", int, where),
-            _expect(attrs_obj, "tag", int, where),
-            _chunks_from_json(attrs_obj, "chunks", where),
-        )
-    elif kind is NodeKind.COMP:
-        attrs = CompAttrs(
-            _expect(attrs_obj, "op", str, where),
-            _expect(attrs_obj, "comp_size", int, where),
-            _chunks_from_json(attrs_obj, "chunks", where),
-            _chunks_from_json(attrs_obj, "src_chunks", where),
-        )
-    else:
-        coll_name = _expect(attrs_obj, "coll_kind", str, where)
-        try:
-            coll_kind = CollKind(coll_name)
-        except ValueError:
-            raise SchemaError(f"unknown coll_kind '{coll_name}' in {where}") from None
-        attrs = CollAttrs(coll_kind, _expect(attrs_obj, "comm_size", int, where))
-    return TraceNode(nid, name, kind, tuple(deps), attrs)
+    if a.keys() - schema.keys():
+        raise SchemaError(f"unknown attribute(s) {sorted(a.keys() - schema.keys())} "
+                          f"for {kind.value} in {where}")
+    for key, typ in schema.items():
+        if typ is list:  # a null, or not a list of non-negative ints
+            if key in a and _json_chunks(a[key]) in (None, False):
+                raise SchemaError(f"'{key}' in {where} must be a list of non-negative ints")
+        elif typ is CollKind:
+            if _expect(a, key, str, where) not in _COLL_KINDS:
+                raise SchemaError(f"unknown coll_kind '{a[key]}' in {where}")
+        else:
+            _expect(a, key, typ, where)
+    raise SchemaError(f"node in {where} is not a valid node")
 
 
 def loads_trace(text: str, *, matching: bool = True) -> Trace:
@@ -698,10 +800,7 @@ def loads_trace(text: str, *, matching: bool = True) -> Trace:
     for rank, nodes_obj in enumerate(ranks_obj):
         if not isinstance(nodes_obj, list):
             raise SchemaError(f"rank {rank} entry must be a list of nodes")
-        per_rank.append(
-            [_node_from_json(obj, f"rank {rank}, node index {i}")
-             for i, obj in enumerate(nodes_obj)]
-        )
+        per_rank.append([_node_from_json(obj, rank, i) for i, obj in enumerate(nodes_obj)])
     if trace_class == "workload":
         if claimed is not None:
             raise SchemaError("workload traces must have claimed_collective: null")
@@ -709,13 +808,13 @@ def loads_trace(text: str, *, matching: bool = True) -> Trace:
     else:
         trace = CollectiveTrace(num_ranks, claimed, per_rank)
     if matching:
-        message_index(trace)
+        require_matched(trace)
     return trace
 
 
 def load_trace(path, *, matching: bool = True) -> Trace:
     """Load and schema-check a trace file; building the trace checks its
-    invariants, and `message_index` requires matched send/recv pairs.
+    invariants, and `matching` requires matched send/recv pairs.
 
     `matching=False` admits traces with unmatched sends/receives so the
     semantic validator can diagnose them instead.

@@ -77,7 +77,7 @@ class _Exec:
         self.readiness = [Readiness(nodes) for nodes in trace.per_rank_nodes]
         self.nodes = [r.nodes for r in self.readiness]  # by position
         pos = [r.pos for r in self.readiness]
-        sends, recvs = message_index(trace, require_complete=False)
+        sends, recvs = message_index(trace)
         # (src, dst, tag) -> position of the send on src / of the recv on dst
         self.send_owner = {key: pos[key[0]][nid] for key, (nid, _) in sends.items()}
         self.recv_owner = {key: pos[key[1]][nid] for key, (nid, _) in recvs.items()}

@@ -1,7 +1,8 @@
 """Shared test utilities: an independent concrete executor and rendezvous
 reachability check used as oracles for the symbolic validator, `json.dumps`
-oracles for the trace and report writers, a dict-keyed simulator as the
-oracle for `simulate`, and structural mutation helpers."""
+oracles for the trace and report writers, a per-node checking loader as the
+oracle for `loads_trace`, a dict-keyed simulator as the oracle for
+`simulate`, and structural mutation helpers."""
 
 from __future__ import annotations
 
@@ -9,12 +10,22 @@ import heapq
 import json
 import math
 
-from collgraph.errors import DeadlockError, SpecError, UnexpandedCollectiveError
+from collgraph.errors import (
+    DeadlockError,
+    ParseError,
+    SchemaError,
+    SpecError,
+    UnexpandedCollectiveError,
+)
 from collgraph.simulator import LinkStats, NodeTiming, SimReport, route
 from collgraph.trace import (
+    FORMAT_VERSION,
     OP_COPY,
     OP_NOP,
     OP_REDUCE,
+    CollAttrs,
+    CollDescriptor,
+    CollKind,
     CollectiveTrace,
     CompAttrs,
     NodeKind,
@@ -22,7 +33,7 @@ from collgraph.trace import (
     SendAttrs,
     TraceNode,
     WorkloadTrace,
-    message_index,
+    check_trace,
 )
 
 
@@ -73,6 +84,147 @@ def trace_json_oracle(trace) -> str:
     })
 
 
+def _expect(obj: dict, key: str, types, where: str):
+    if key not in obj:
+        raise SchemaError(f"missing key '{key}' in {where}")
+    value = obj[key]
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise SchemaError(f"key '{key}' in {where} has wrong type {type(value).__name__}")
+    return value
+
+
+_TOP_KEYS = {"format_version", "trace_class", "num_ranks", "claimed_collective", "ranks"}
+_NODE_KEYS = {"id", "name", "kind", "deps", "attrs"}
+_ATTR_KEYS = {
+    NodeKind.COMM_SEND: ({"dst_rank", "comm_size", "tag"}, {"chunks"}),
+    NodeKind.COMM_RECV: ({"src_rank", "comm_size", "tag"}, {"chunks"}),
+    NodeKind.COMP: ({"op", "comp_size"}, {"chunks", "src_chunks"}),
+    NodeKind.COMM_COLL: ({"coll_kind", "comm_size"}, set()),
+}
+
+
+def _chunks_from_json(attrs: dict, key: str, where: str):
+    if key not in attrs:
+        return None
+    value = attrs[key]
+    if not isinstance(value, list) or not all(
+        isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in value
+    ):
+        raise SchemaError(f"'{key}' in {where} must be a list of non-negative ints")
+    return tuple(value)
+
+
+def _node_from_json(obj: dict, where: str) -> TraceNode:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"node in {where} must be an object")
+    unknown = set(obj) - _NODE_KEYS
+    if unknown:
+        raise SchemaError(f"unknown node key(s) {sorted(unknown)} in {where}")
+    nid = _expect(obj, "id", int, where)
+    name = _expect(obj, "name", str, where)
+    kind_name = _expect(obj, "kind", str, where)
+    try:
+        kind = NodeKind(kind_name)
+    except ValueError:
+        raise SchemaError(f"unknown node kind '{kind_name}' in {where}") from None
+    deps = _expect(obj, "deps", list, where)
+    if not all(isinstance(d, int) and not isinstance(d, bool) for d in deps):
+        raise SchemaError(f"deps in {where} must be integers")
+    attrs_obj = _expect(obj, "attrs", dict, where)
+    required, optional = _ATTR_KEYS[kind]
+    missing = required - set(attrs_obj)
+    if missing:
+        raise SchemaError(f"missing attribute(s) {sorted(missing)} for {kind.value} in {where}")
+    unknown = set(attrs_obj) - required - optional
+    if unknown:
+        raise SchemaError(f"unknown attribute(s) {sorted(unknown)} for {kind.value} in {where}")
+    if kind is NodeKind.COMM_SEND:
+        attrs = SendAttrs(
+            _expect(attrs_obj, "dst_rank", int, where),
+            _expect(attrs_obj, "comm_size", int, where),
+            _expect(attrs_obj, "tag", int, where),
+            _chunks_from_json(attrs_obj, "chunks", where),
+        )
+    elif kind is NodeKind.COMM_RECV:
+        attrs = RecvAttrs(
+            _expect(attrs_obj, "src_rank", int, where),
+            _expect(attrs_obj, "comm_size", int, where),
+            _expect(attrs_obj, "tag", int, where),
+            _chunks_from_json(attrs_obj, "chunks", where),
+        )
+    elif kind is NodeKind.COMP:
+        attrs = CompAttrs(
+            _expect(attrs_obj, "op", str, where),
+            _expect(attrs_obj, "comp_size", int, where),
+            _chunks_from_json(attrs_obj, "chunks", where),
+            _chunks_from_json(attrs_obj, "src_chunks", where),
+        )
+    else:
+        coll_name = _expect(attrs_obj, "coll_kind", str, where)
+        try:
+            coll_kind = CollKind(coll_name)
+        except ValueError:
+            raise SchemaError(f"unknown coll_kind '{coll_name}' in {where}") from None
+        attrs = CollAttrs(coll_kind, _expect(attrs_obj, "comm_size", int, where))
+    return TraceNode(nid, name, kind, tuple(deps), attrs)
+
+
+def loads_trace_oracle(text: str, *, matching: bool = True):
+    """The trace loader as it was written before the one-pass loader: every
+    node checked key by key and built through the public constructors, then
+    `check_trace` for `matching`. Reference for `loads_trace`: an equal
+    trace, or the same exception class and message."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg} at line {exc.lineno}, column {exc.colno}") from exc
+    except (RecursionError, ValueError) as exc:  # nesting or integer-length limits
+        raise ParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError("top level must be an object")
+    unknown = set(doc) - _TOP_KEYS
+    if unknown:
+        raise SchemaError(f"unknown top-level key(s) {sorted(unknown)}")
+    version = _expect(doc, "format_version", str, "top level")
+    if version != FORMAT_VERSION:
+        raise SchemaError(f"unsupported format_version '{version}'")
+    trace_class = _expect(doc, "trace_class", str, "top level")
+    if trace_class not in ("collective", "workload"):
+        raise SchemaError(f"unknown trace_class '{trace_class}'")
+    num_ranks = _expect(doc, "num_ranks", int, "top level")
+    ranks_obj = _expect(doc, "ranks", list, "top level")
+    if "claimed_collective" not in doc:
+        raise SchemaError("missing key 'claimed_collective' in top level")
+    claimed_obj = doc["claimed_collective"]
+    claimed = None
+    if claimed_obj is not None:
+        if not isinstance(claimed_obj, dict) or set(claimed_obj) != {"kind", "comm_size"}:
+            raise SchemaError("claimed_collective must be null or {kind, comm_size}")
+        try:
+            claimed_kind = CollKind(claimed_obj["kind"])
+        except (ValueError, TypeError):
+            raise SchemaError(f"unknown collective kind '{claimed_obj['kind']}'") from None
+        claimed = CollDescriptor(claimed_kind, _expect(claimed_obj, "comm_size", int,
+                                                       "claimed_collective"))
+    per_rank = []
+    for rank, nodes_obj in enumerate(ranks_obj):
+        if not isinstance(nodes_obj, list):
+            raise SchemaError(f"rank {rank} entry must be a list of nodes")
+        per_rank.append(
+            [_node_from_json(obj, f"rank {rank}, node index {i}")
+             for i, obj in enumerate(nodes_obj)]
+        )
+    if trace_class == "workload":
+        if claimed is not None:
+            raise SchemaError("workload traces must have claimed_collective: null")
+        trace = WorkloadTrace(num_ranks, per_rank)
+    else:
+        trace = CollectiveTrace(num_ranks, claimed, per_rank)
+    if matching:
+        check_trace(trace)
+    return trace
+
+
 def report_json_oracle(report) -> str:
     """The simulation report through `json.dumps`. Reference for
     `SimReport.dumps`."""
@@ -107,7 +259,7 @@ def simulate_oracle(trace, topology, cost) -> SimReport:
     if trace.num_ranks > topology.n:
         raise SpecError(
             f"trace has {trace.num_ranks} ranks but topology only {topology.n} endpoints")
-    message_index(trace)
+    check_trace(trace)
 
     nodes = [{node.id: node for node in rank_nodes} for rank_nodes in trace.per_rank_nodes]
     pending = [{nid: len(node.deps) for nid, node in by_id.items()} for by_id in nodes]

@@ -63,7 +63,7 @@ def test_parse_topology_tokens():
     assert parse_topology_token("mesh2d:2x4", 8).label() == "mesh2d:2x4"
     assert parse_topology_token("switch", 8).label() == "switch"
     assert parse_topology_token("fully_connected", 8).label() == "fc"
-    for bad in ("hypercube", "mesh2d", "ring:2x4", "torus2d:2x"):
+    for bad in ("hypercube", "mesh2d", "ring:2x4", "torus2d:2x", f"mesh2d:{'9' * 5000}x2"):
         with pytest.raises(CollGraphError):
             parse_topology_token(bad, 8)
 
@@ -217,9 +217,11 @@ def test_simulate_workload_exits_2(tmp_path, net_config, capsys):
     '{"alpha_s": NaN, "bandwidth_Bps": 1e9, "topology": {"kind": "ring", "n": 4}}',
     '{"alpha_s": 1e-06, "bandwidth_Bps": Infinity, "topology": {"kind": "ring", "n": 4}}',
     '{"alpha_s": 1e308, "bandwidth_Bps": 1e9, "topology": {"kind": "ring", "n": 4}}',
+    '{"alpha_s": 1' + "0" * 400 + ', "bandwidth_Bps": 1e9, "topology": {"kind": "ring", "n": 4}}',
+    '{"alpha_s": 1e-06, "bandwidth_Bps": 1e9, "topology": {"kind": "ring", "n": 1e400}}',
 ], ids=["alpha-not-a-number", "topology-not-an-object", "ring-without-n",
         "rows-not-an-integer", "unknown-kind", "truncated-json", "alpha-nan",
-        "bandwidth-infinity", "time-overflows"])
+        "bandwidth-infinity", "time-overflows", "alpha-beyond-float", "ring-n-infinite"])
 def test_simulate_malformed_net_config_exits_2(tmp_path, net, capsys):
     path = tmp_path / "ar.json"
     save_trace(generate(AlgoSpec(Algorithm.RING_ALL_REDUCE, 4, 4096)), path)
@@ -246,6 +248,12 @@ def test_undecodable_or_deeply_nested_input_exits_2(tmp_path, capsys, command, n
     }[command]
     assert run(*argv) == 2
     assert capsys.readouterr().err.startswith("collgraph: ")
+
+
+def test_sweep_of_an_overlong_topology_dimension_exits_2(net_config, capsys):
+    assert run("sweep", "--algo", "ring-allgather", "--ranks", 4, "--sizes", 1024,
+               "--topologies", f"mesh2d:{'5' * 5000}x2", "--net", net_config) == 2
+    assert "too long" in capsys.readouterr().err
 
 
 def test_simulate_circular_wait_exits_4(tmp_path, fixtures_dir, capsys):

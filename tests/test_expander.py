@@ -174,5 +174,5 @@ def test_tags_at_or_above_the_stride_overflow():
     b = TraceBuilder(2)
     for r in range(2):
         b.add_coll(r, CollKind.ALL_GATHER, 64)
-    with pytest.raises(OverflowError, match="namespace"):
+    with pytest.raises(BindingError, match="namespace"):
         expand(b.build_workload(), {CollKind.ALL_GATHER: huge})

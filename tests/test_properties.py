@@ -2,8 +2,10 @@
 by `simulate` as unmatched, or deadlocks, or replays with well-ordered
 timestamps, each exactly as the dict-keyed oracle simulator does; every
 valid trace is written as `json.dumps` would write it and loads back to the
-same bytes; and the trace loader raises only collgraph errors on corrupted
-input.
+same bytes; the trace loader raises only collgraph errors on corrupted
+input, and builds the trace, or raises the error, the per-node checking
+oracle loader does; and the net config and MSCCL XML readers raise only
+collgraph errors on mutated or arbitrary bytes.
 
 Runs are derandomized and keep no example database, so the suite stays
 deterministic; Hypothesis' own cache goes to a temporary directory removed
@@ -13,15 +15,18 @@ at exit, not into the working tree.
 import json
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from helpers import simulate_oracle, trace_json_oracle
+from helpers import loads_trace_oracle, simulate_oracle, trace_json_oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from collgraph.cli import load_net_config
 from collgraph.errors import CollGraphError, DeadlockError, InvariantError
 from collgraph.generators import AlgoSpec, Algorithm, generate
+from collgraph.msccl import parse_msccl_xml
 from collgraph.simulator import CostModel, Topology, simulate
 from collgraph.trace import (
     CollAttrs,
@@ -32,6 +37,7 @@ from collgraph.trace import (
     NodeKind,
     RecvAttrs,
     SendAttrs,
+    TraceBuilder,
     TraceNode,
     dumps_trace,
     loads_trace,
@@ -196,6 +202,23 @@ def test_dumps_trace_equals_the_oracle_and_round_trips(trace):
 
 VALID = dumps_trace(generate(AlgoSpec(Algorithm.RING_ALL_GATHER, 3, 96)))
 
+
+def _comp_and_coll_texts():
+    """A collective with chunked COMP nodes, and a workload."""
+    b = TraceBuilder(2)
+    copy = b.add_comp(0, "COPY", 64, chunks=[0], src_chunks=[1])
+    b.add_send(0, 1, 64, deps=[copy], chunks=[0])
+    recv = b.add_recv(1, 0, 64, chunks=[0])
+    b.add_comp(1, "REDUCE", 64, deps=[recv], chunks=[0])
+    collective = dumps_trace(b.build_collective(CollDescriptor(CollKind.ALL_GATHER, 64)))
+    b = TraceBuilder(2)
+    for rank in range(2):
+        b.add_coll(rank, CollKind.ALL_REDUCE, 64, deps=[b.add_comp(rank, "gemm", 8)])
+    return [collective, dumps_trace(b.build_workload())]
+
+
+BASES = [VALID, *_comp_and_coll_texts()]
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 10**6) | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
@@ -217,13 +240,20 @@ def _replace_at(doc, path, value):
 
 
 @st.composite
+def spliced(draw, base, fragments):
+    """`base` with a span of up to 40 elements replaced by a drawn fragment."""
+    start = draw(st.integers(0, len(base)))
+    end = draw(st.integers(start, min(len(base), start + 40)))
+    return base[:start] + draw(fragments) + base[end:]
+
+
+@st.composite
 def corrupted(draw):
+    base = draw(st.sampled_from(BASES))
     if draw(st.booleans()):  # splice random text into the bytes
-        start = draw(st.integers(0, len(VALID)))
-        end = draw(st.integers(start, min(len(VALID), start + 40)))
-        return VALID[:start] + draw(st.text(max_size=20)) + VALID[end:]
+        return draw(spliced(base, st.text(max_size=20)))
     path = draw(st.lists(st.integers(0, 50), max_size=6))
-    return json.dumps(_replace_at(json.loads(VALID), path, draw(json_values)))
+    return json.dumps(_replace_at(json.loads(base), path, draw(json_values)))
 
 
 @settings(DETERMINISTIC, max_examples=200)
@@ -235,3 +265,98 @@ def test_loads_trace_raises_only_collgraph_errors(text):
         loads_trace(text)
     except CollGraphError:
         pass
+
+
+def loads_as_the_oracle_does(text, matching=True):
+    """`loads_trace`'s trace, after checking that the oracle loader builds an
+    equal one, or raises the same error with the same message; None if both
+    raised."""
+    try:
+        expected = loads_trace_oracle(text, matching=matching)
+    except CollGraphError as exc:
+        with pytest.raises(type(exc)) as raised:
+            loads_trace(text, matching=matching)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        return None
+    trace = loads_trace(text, matching=matching)
+    assert type(trace) is type(expected) and trace == expected
+    return trace
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(valid_traces())
+def test_loads_trace_builds_valid_traces_as_the_oracle_does(trace):
+    assert loads_as_the_oracle_does(dumps_trace(trace)) == trace
+
+
+field_values = json_values | st.lists(st.integers(-2, 5), max_size=3) | st.sampled_from(
+    [kind.value for kind in NodeKind] + [kind.value for kind in CollKind])
+
+
+@st.composite
+def corrupted_nodes(draw):
+    """A base text with one field of one node, or of its attrs, deleted,
+    added or set to a drawn value."""
+    doc = json.loads(draw(st.sampled_from(BASES)))
+    node = draw(st.sampled_from([node for nodes in doc["ranks"] for node in nodes]))
+    target = node["attrs"] if draw(st.booleans()) else node
+    key = draw(st.sampled_from(sorted(target) + ["chunks", "src_chunks", "kind", "bogus"]))
+    if draw(st.booleans()):
+        target.pop(key, None)
+    else:
+        target[key] = draw(field_values)
+    return json.dumps(doc)
+
+
+@settings(DETERMINISTIC, max_examples=500)
+@given(corrupted() | corrupted_nodes(), st.booleans())
+def test_loads_trace_rejects_corrupted_text_as_the_oracle_does(text, matching):
+    loads_as_the_oracle_does(text, matching)
+
+
+NET = json.dumps({"alpha_s": 1e-06, "bandwidth_Bps": 1e9, "reduce_bandwidth_Bps": 1e10,
+                  "fixed_comp_overhead_s": 1e-7,
+                  "topology": {"kind": "mesh2d", "rows": 2, "cols": 2}}).encode()
+XML = (Path(__file__).parent / "fixtures" / "ring_allreduce_n4.xml").read_bytes()
+numbers = st.integers() | st.floats() | st.sampled_from([10**400, 2**1100, -1, 0])
+
+
+@st.composite
+def net_configs(draw):
+    """Net configs with a spliced span, a value swapped for a number or any
+    JSON value, or arbitrary bytes."""
+    how = draw(st.sampled_from(["splice", "value", "bytes"]))
+    if how == "splice":
+        return draw(spliced(NET, st.binary(max_size=20)))
+    if how == "bytes":
+        return draw(st.binary(max_size=80))
+    path = draw(st.lists(st.integers(0, 10), min_size=1, max_size=3))
+    value = draw(numbers | json_values)
+    return json.dumps(_replace_at(json.loads(NET), path, value)).encode()
+
+
+@pytest.fixture(scope="module")
+def input_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+def _raises_only_collgraph_errors(read, path, data: bytes):
+    path.write_bytes(data)
+    try:
+        read(path)
+    except CollGraphError:
+        pass
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(net_configs())
+@example(b'{"alpha_s": 1' + b"0" * 400 + b', "bandwidth_Bps": 1e9}')
+@example(b'{"alpha_s": 1e-06, "bandwidth_Bps": 1e9, "topology": {"kind": "ring", "n": 1e400}}')
+def test_load_net_config_raises_only_collgraph_errors(input_path, data):
+    _raises_only_collgraph_errors(load_net_config, input_path, data)
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(spliced(XML, st.binary(max_size=20)) | st.binary(max_size=200))
+def test_parse_msccl_xml_raises_only_collgraph_errors(input_path, data):
+    _raises_only_collgraph_errors(parse_msccl_xml, input_path, data)

@@ -2,11 +2,14 @@
 topological ordering."""
 
 import json
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from helpers import trace_json_oracle
+from helpers import loads_trace_oracle, trace_json_oracle
 
+from collgraph import trace as trace_module
 from collgraph.errors import CycleError, InvariantError, ParseError, SchemaError
 from collgraph.expander import expand
 from collgraph.generators import AlgoSpec, Algorithm, generate
@@ -129,12 +132,35 @@ def _odd_names():
     ])
 
 
+def _msccl_back_edge():
+    """A step that depends on a step of a lower-numbered threadblock, so the
+    converter sees its deps in descending order."""
+    xml = """<algo name="back-edge" ngpus="1" nchunks="2" coll="allreduce">
+  <gpu id="0">
+    <tb id="0" chan="0">
+      <step s="0" type="cpy" srcbuf="input" srcoff="0" dstbuf="output" dstoff="1" cnt="1"/>
+    </tb>
+    <tb id="1" chan="0">
+      <step s="0" type="nop"/>
+      <step s="1" type="cpy" srcbuf="input" srcoff="1" dstbuf="output" dstoff="0" cnt="1"
+            depid="0" deps="0"/>
+    </tb>
+  </gpu>
+</algo>
+"""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "back_edge.xml"
+        path.write_text(xml)
+        return convert_to_trace(parse_msccl_xml(path), 2048)
+
+
 ORACLE_CASES = {
     **{f"{algo.value}-n{n}": (lambda a=algo, n=n: generate(AlgoSpec(a, n, 840 * 1024)))
        for algo in Algorithm for n in range(1, 9)
        if algo is not Algorithm.RECURSIVE_DOUBLING_ALL_GATHER or n & (n - 1) == 0},
     "msccl-fixture": lambda: convert_to_trace(
         parse_msccl_xml(FIXTURES / "ring_allreduce_n4.xml"), 4 * MIB),
+    "msccl-back-edge": _msccl_back_edge,
     "chain-workload": _chain_workload,
     "expanded-chain": lambda: expand(_chain_workload(), {
         CollKind.ALL_REDUCE: Algorithm.RING_ALL_REDUCE,
@@ -151,6 +177,60 @@ def test_dumps_trace_equals_the_json_dumps_oracle(build):
     text = dumps_trace(trace)
     assert text == trace_json_oracle(trace)
     assert dumps_trace(loads_trace(text)) == text
+
+
+@pytest.mark.parametrize("build", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_private_constructors_build_what_the_public_ones_do(build):
+    """Rebuilding every node and attrs through the public, normalizing
+    constructors changes nothing: producers pass normal values."""
+    trace = build()
+    ranks = [[TraceNode(n.id, n.name, n.kind, n.deps, replace(n.attrs)) for n in nodes]
+             for nodes in trace.per_rank_nodes]
+    rebuilt = (WorkloadTrace(trace.num_ranks, ranks) if isinstance(trace, WorkloadTrace)
+               else CollectiveTrace(trace.num_ranks, trace.claimed_collective, ranks))
+    assert rebuilt == trace
+
+
+@pytest.mark.parametrize("build", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_loads_trace_builds_what_the_oracle_loader_builds(build):
+    text = dumps_trace(build())
+    assert loads_trace(text) == loads_trace_oracle(text)
+
+
+def test_no_message_index_beyond_the_one_made_at_construction(monkeypatch):
+    """`loads_trace`, `dumps_trace`, `build_collective` and `expand` read the
+    pairing that `check_trace` recorded; only building a collective trace
+    indexes its messages."""
+    calls = {"index": 0, "built": 0}
+    index, check = trace_module.message_index, trace_module.check_trace
+
+    def counting_index(*args, **kwargs):
+        calls["index"] += 1
+        return index(*args, **kwargs)
+
+    def counting_check(trace, **kwargs):
+        calls["built"] += isinstance(trace, CollectiveTrace)
+        return check(trace, **kwargs)
+
+    def counted(action):
+        calls.update(index=0, built=0)
+        action()
+        return calls["index"], calls["built"]
+
+    monkeypatch.setattr(trace_module, "message_index", counting_index)
+    monkeypatch.setattr(trace_module, "check_trace", counting_check)
+    trace = ring_ar()
+    text = dumps_trace(trace)
+    builder = TraceBuilder(2)
+    builder.add_send(0, 1, 64)
+    builder.add_recv(1, 0, 64)
+    bindings = {CollKind.ALL_REDUCE: Algorithm.RING_ALL_REDUCE,
+                CollKind.ALL_GATHER: Algorithm.RING_ALL_GATHER}
+    assert counted(lambda: dumps_trace(trace)) == (0, 0)
+    assert counted(lambda: loads_trace(text)) == (1, 1)
+    assert counted(lambda: loads_trace(text, matching=False)) == (1, 1)
+    assert counted(lambda: builder.build_collective(None)) == (1, 1)
+    assert counted(lambda: expand(_chain_workload(), bindings)) == (3, 3)  # 2 bindings
 
 
 def test_parse_error_carries_position(tmp_path):
@@ -201,6 +281,24 @@ def test_unmatched_recv_rejected():
     ]
     with pytest.raises(InvariantError, match="unmatched recv"):
         check_trace(CollectiveTrace(2, None, nodes))
+
+
+@pytest.mark.parametrize("ranks", [
+    [[TraceNode(0, "s", NodeKind.COMM_SEND, (), SendAttrs(1, 64, 7))], []],
+    [[], [TraceNode(0, "r", NodeKind.COMM_RECV, (), RecvAttrs(0, 64, 7))]],
+    [[TraceNode(0, "s", NodeKind.COMM_SEND, (), SendAttrs(1, 64, 0))],
+     [TraceNode(0, "r", NodeKind.COMM_RECV, (), RecvAttrs(0, 128, 0))]],
+], ids=["unmatched-send", "unmatched-recv", "size-mismatch"])
+def test_the_mismatch_recorded_at_construction_is_what_readers_raise(ranks):
+    trace = CollectiveTrace(2, None, ranks)
+    text = trace_json_oracle(trace)
+    with pytest.raises(InvariantError) as checked:
+        check_trace(trace)
+    for read in (lambda: dumps_trace(trace), lambda: loads_trace(text)):
+        with pytest.raises(InvariantError) as raised:
+            read()
+        assert str(raised.value) == str(checked.value)
+    assert loads_trace(text, matching=False) == trace
 
 
 def test_duplicate_tag_rejected():
