@@ -6,11 +6,16 @@ binding), 3 semantic validation FAIL, 4 deadlock (validator stuck or
 simulator stall). All outputs are byte-deterministic for identical inputs.
 Traces and reports are strict RFC 8259 JSON: a cost that is NaN or infinite,
 or a simulated time that overflows, is rejected (exit 2), never written.
+
+Each command runs with the cyclic garbage collector paused: collgraph builds
+no reference cycles (tests/test_cli.py pins that), so reference counting
+frees all it drops. Library calls leave the collector as their caller set it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -307,6 +312,8 @@ def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     log.setLevel(level)
     args = build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (StuckError, DeadlockError) as exc:
@@ -315,6 +322,9 @@ def main(argv=None) -> int:
     except (CollGraphError, OSError) as exc:
         print(f"collgraph: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from .trace import (
     _send,
     check_trace,  # noqa: F401 -- kept importable: perfbench/tracer.py rebinds it
     coll_sequence,
-    node_map,
     require_matched,
 )
 
@@ -85,7 +84,7 @@ def expand(workload: WorkloadTrace, bindings: dict[CollKind, Binding]) -> Collec
     out_ranks: list[list[TraceNode]] = []
     for rank in range(workload.num_ranks):
         ordinal_of = {node.id: i for i, node in enumerate(coll_sequence(workload, rank))}
-        nodes = node_map(workload, rank)
+        nodes = {n.id: n for n in workload.per_rank_nodes[rank]}
         order = sorted(nodes)
 
         # Pass 1: resolve bindings, reserve id blocks, locate roots/sinks.

@@ -122,6 +122,8 @@ def _parse_xml(text: str) -> _Elem:
         parser.Parse(text, True)
     except xml.parsers.expat.ExpatError as exc:
         raise XmlError(f"malformed XML: {exc}") from exc
+    finally:  # the handlers close over the parser: a cycle holding the tree
+        parser.StartElementHandler = parser.CharacterDataHandler = None
     return root[0]
 
 

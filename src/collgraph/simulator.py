@@ -237,12 +237,6 @@ class SimReport:
     event_count: int
     link_stats: tuple[LinkStats, ...]
 
-    def timing(self, rank: int, node_id: int) -> NodeTiming:
-        for nid, t in self.node_times[rank]:
-            if nid == node_id:
-                return t
-        raise KeyError(f"no node {node_id} on rank {rank}")
-
     def dumps(self) -> str:
         """The report as indent-2 JSON text, byte for byte what `json.dumps`
         writes; `simulate` keeps every time finite, so the text is strict JSON."""

@@ -252,10 +252,6 @@ Trace = Union[CollectiveTrace, WorkloadTrace]
 # Graph utilities
 # ---------------------------------------------------------------------------
 
-def node_map(trace: Trace, rank: int) -> dict[int, TraceNode]:
-    return {n.id: n for n in trace.per_rank_nodes[rank]}
-
-
 class Readiness:
     """Dependency readiness of one rank's graph, indexed by position.
 
@@ -338,12 +334,9 @@ def _find_cycle(ready: Readiness) -> list[int]:
 
 def coll_sequence(workload: WorkloadTrace, rank: int) -> list[TraceNode]:
     """COMM_COLL nodes of one rank in topological (tie: id) order."""
-    nodes = node_map(workload, rank)
-    return [
-        nodes[nid]
-        for nid in toposort_rank(workload, rank)
-        if nodes[nid].kind is NodeKind.COMM_COLL
-    ]
+    nodes = {n.id: n for n in workload.per_rank_nodes[rank]}
+    return [nodes[nid] for nid in toposort_rank(workload, rank)
+            if nodes[nid].kind is NodeKind.COMM_COLL]
 
 
 # ---------------------------------------------------------------------------

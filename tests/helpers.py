@@ -2,7 +2,8 @@
 reachability check used as oracles for the symbolic validator, `json.dumps`
 oracles for the trace and report writers, a per-node checking loader as the
 oracle for `loads_trace`, a dict-keyed simulator as the oracle for
-`simulate`, and structural mutation helpers."""
+`simulate`, a per-node lookup into its reports, and structural mutation
+helpers."""
 
 from __future__ import annotations
 
@@ -351,6 +352,14 @@ def simulate_oracle(trace, topology, cost) -> SimReport:
     stats = tuple(LinkStats(link[0], link[1], link_msgs[link], link_busy[link])
                   for link in sorted(link_busy))
     return SimReport(trace.num_ranks, node_times, total, event_count, stats)
+
+
+def timing(report: SimReport, rank: int, node_id: int) -> NodeTiming:
+    """The times `report` gives node `node_id` of `rank`."""
+    for nid, t in report.node_times[rank]:
+        if nid == node_id:
+            return t
+    raise KeyError(f"no node {node_id} on rank {rank}")
 
 
 def concrete_execute(trace: CollectiveTrace, num_chunks: int) -> list[dict[int, int]]:

@@ -1,10 +1,12 @@
 """End-to-end CLI behaviour: exit codes, file outputs, determinism."""
 
 import argparse
+import gc
 import json
 
 import pytest
 
+from collgraph import cli
 from collgraph.cli import main, parse_size, parse_size_list, parse_topology_token
 from collgraph.errors import CollGraphError
 from collgraph.generators import AlgoSpec, Algorithm, generate
@@ -379,3 +381,106 @@ def test_log_level_env_var(tmp_path, monkeypatch):
     run("gen", "--algo", "ring-allgather", "--ranks", 2,
         "--size", 1024, "-o", tmp_path / "t.json")
     assert logging.getLogger("collgraph").level == logging.WARNING
+
+
+# ---------------------------------------------------------------------------
+# The cycle collector: paused while a command runs, and never needed
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_main_restores_the_collector_state(tmp_path, fixtures_dir, monkeypatch, capsys,
+                                           collecting):
+    net = tmp_path / "net2.json"
+    net.write_text('{"topology": {"kind": "ring", "n": 2}, "alpha_s": 1e-06, '
+                   '"bandwidth_Bps": 1e9}\n')
+    seen = []
+
+    def raising(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("unexpected")
+
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert run("gen", "--algo", "ring-allgather", "--ranks", 2,
+                   "--size", 1024, "-o", tmp_path / "t.json") == 0
+        assert gc.isenabled() is collecting
+        assert run("gen", "--algo", "rd-allgather", "--ranks", 6,
+                   "--size", 1024, "-o", tmp_path / "t.json") == 2
+        assert gc.isenabled() is collecting
+        assert run("simulate", fixtures_dir / "circular_wait.json", "--net", net) == 4
+        assert gc.isenabled() is collecting
+        monkeypatch.setattr(cli, "cmd_gen", raising)
+        with pytest.raises(RuntimeError, match="unexpected"):
+            run("gen", "--algo", "ring-allgather", "--ranks", 2,
+                "--size", 1024, "-o", tmp_path / "t.json")
+        assert gc.isenabled() is collecting
+        assert seen == [False]  # the command itself ran with the collector paused
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+def ring_allreduce_xml(n: int) -> str:
+    """MSCCL-IR of the n-rank ring all-reduce, laid out as the n = 4 fixture:
+    threadblock 0 sends, threadblock 1 receives, reducing in the first n-1
+    of its 2(n-1) steps."""
+    steps = range(2 * (n - 1))
+    gpus = []
+    for r in range(n):
+        sends = "".join(f'<step s="{k}" type="s" srcbuf="input" srcoff="{(r - k) % n}" '
+                        f'cnt="1"' + (f' depid="1" deps="{k - 1}"' if k else "") + "/>"
+                        for k in steps)
+        recvs = "".join(f'<step s="{k}" type="{"rrc" if k < n - 1 else "r"}" '
+                        f'dstbuf="input" dstoff="{(r - k - 1) % n}" cnt="1"/>'
+                        for k in steps)
+        gpus.append(f'<gpu id="{r}"><tb id="0" send="{(r + 1) % n}" chan="0">{sends}</tb>'
+                    f'<tb id="1" recv="{(r - 1) % n}" chan="0">{recvs}</tb></gpu>')
+    return f'<algo name="ring" ngpus="{n}" nchunks="{n}" coll="allreduce">{"".join(gpus)}</algo>'
+
+
+def cyclic_garbage(argv) -> list[type]:
+    """The types of what the cycle collector finds once `main(argv)` has
+    exited 0, starting from a freshly collected heap."""
+    gc.collect()
+    gc.garbage.clear()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run(*argv) == 0
+        gc.collect()
+        return [type(obj) for obj in gc.garbage]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys):
+    found = {}
+    for n in (4, 16):
+        d = tmp_path / f"n{n}"
+        d.mkdir()
+        (d / "ring.xml").write_text(ring_allreduce_xml(n))
+        (d / "net.json").write_text(f'{{"topology": {{"kind": "ring", "n": {n}}}, '
+                                    f'"alpha_s": 1e-06, "bandwidth_Bps": 1e9}}\n')
+        write_chain_workload(d / "wl.json", n)
+        commands = {
+            "gen": ("gen", "--algo", "ring-allreduce", "--ranks", n, "--size", "1MiB",
+                    "-o", d / "gen.json"),
+            "convert": ("convert", "--msccl-xml", d / "ring.xml", "--size", "1MiB",
+                        "-o", d / "conv.json"),
+            "validate": ("validate", d / "conv.json"),
+            "simulate": ("simulate", d / "gen.json", "--net", d / "net.json",
+                         "-o", d / "report.json"),
+            "expand": ("expand", d / "wl.json", "--bind", "ALL_REDUCE=ring-allreduce",
+                       "--bind", "ALL_GATHER=ring-allgather", "-o", d / "unified.json"),
+            "sweep": ("sweep", "--algo", "ring-allreduce", "--ranks", n,
+                      "--sizes", "1KiB:64KiB:x8", "--net", d / "net.json",
+                      "--topologies", f"ring,fc,switch,torus2d:2x{n // 2}",
+                      "-o", d / "sweep.csv"),
+        }
+        for name, argv in commands.items():
+            found[name, n] = cyclic_garbage(argv)
+    for (name, n), types in found.items():
+        ours = [t for t in types if t.__module__.startswith("collgraph")]
+        assert not ours, f"{name} at n={n} left {len(ours)} collgraph object(s) in cycles"
+        assert len(types) == len(found[name, 4]), f"{name}'s cyclic garbage grows with n"

@@ -1,11 +1,13 @@
 """Property tests: every hand-built trace is rejected when it is built, or
 by `simulate` as unmatched, or deadlocks, or replays with well-ordered
-timestamps, each exactly as the dict-keyed oracle simulator does; every
-valid trace is written as `json.dumps` would write it and loads back to the
-same bytes; the trace loader raises only collgraph errors on corrupted
-input, and builds the trace, or raises the error, the per-node checking
-oracle loader does; and the net config and MSCCL XML readers raise only
-collgraph errors on mutated or arbitrary bytes.
+timestamps, each exactly as the dict-keyed oracle simulator does; on every
+topology, each recv finishes no earlier than its send's start plus alpha
+plus the message's time on one link; every valid trace is written as
+`json.dumps` would write it and loads back to the same bytes; the trace
+loader raises only collgraph errors on corrupted input, and builds the
+trace, or raises the error, the per-node checking oracle loader does; and
+the net config and MSCCL XML readers raise only collgraph errors on mutated
+or arbitrary bytes.
 
 Runs are derandomized and keep no example database, so the suite stays
 deterministic; Hypothesis' own cache goes to a temporary directory removed
@@ -27,7 +29,7 @@ from collgraph.cli import load_net_config
 from collgraph.errors import CollGraphError, DeadlockError, InvariantError
 from collgraph.generators import AlgoSpec, Algorithm, generate
 from collgraph.msccl import parse_msccl_xml
-from collgraph.simulator import CostModel, Topology, simulate
+from collgraph.simulator import CostModel, Topology, TopologyKind, simulate
 from collgraph.trace import (
     CollAttrs,
     CollDescriptor,
@@ -198,6 +200,40 @@ def test_dumps_trace_equals_the_oracle_and_round_trips(trace):
     written = dumps_trace(trace)
     assert written == trace_json_oracle(trace)
     assert dumps_trace(loads_trace(written)) == written
+
+
+@st.composite
+def topologies(draw, n):
+    """A topology of every kind for `n` ranks, any grid shape, any placement."""
+    kind = draw(st.sampled_from(list(TopologyKind)))
+    rows = cols = 0
+    if kind in (TopologyKind.MESH2D, TopologyKind.TORUS2D):
+        rows = draw(st.sampled_from([r for r in range(1, n + 1) if n % r == 0]))
+        cols = n // rows
+    placement = draw(st.none() | st.permutations(range(n)).map(tuple))
+    return Topology(kind, n, rows, cols, placement)
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(st.data())
+def test_every_recv_finishes_no_earlier_than_its_send_allows(data):
+    trace = data.draw(valid_traces())
+    topology = data.draw(topologies(trace.num_ranks))
+    try:
+        report = simulate(trace, topology, COST)
+    except DeadlockError:
+        return
+    times = [dict(rank_times) for rank_times in report.node_times]
+    send_start = {(rank, node.attrs.dst_rank, node.attrs.tag): times[rank][node.id].start
+                  for rank, nodes in enumerate(trace.per_rank_nodes) for node in nodes
+                  if node.kind is NodeKind.COMM_SEND}
+    for rank, nodes in enumerate(trace.per_rank_nodes):
+        for node in nodes:
+            if node.kind is NodeKind.COMM_RECV:
+                a = node.attrs
+                # summed in the order the link model charges them, so exact in floats
+                bound = send_start[a.src_rank, rank, a.tag] + a.comm_size / COST.bandwidth
+                assert times[rank][node.id].finish >= bound + COST.alpha
 
 
 VALID = dumps_trace(generate(AlgoSpec(Algorithm.RING_ALL_GATHER, 3, 96)))

@@ -4,7 +4,7 @@ monotonicity and sweeps."""
 import random
 
 import pytest
-from helpers import report_json_oracle, simulate_oracle
+from helpers import report_json_oracle, simulate_oracle, timing
 
 from collgraph.errors import (
     DeadlockError,
@@ -198,8 +198,8 @@ def test_compute_costs_follow_reduce_bandwidth():
     cost = CostModel(0.0, 1e9, reduce_bandwidth=1e6, fixed_comp_overhead=0.5)
     report = simulate(trace, Topology.ring(1), cost)
     # REDUCE: overhead + 1000/1e6; the NOP anchor stays free
-    assert report.timing(0, 0).finish == pytest.approx(0.5 + 1e-3, rel=1e-12)
-    assert report.timing(0, 1).finish == report.timing(0, 0).finish
+    assert timing(report, 0, 0).finish == pytest.approx(0.5 + 1e-3, rel=1e-12)
+    assert timing(report, 0, 1).finish == timing(report, 0, 0).finish
 
 
 # ---------------------------------------------------------------------------
