@@ -33,6 +33,9 @@ from .trace import (
 
 TAG_STRIDE = 1 << 20
 
+# A rank's empty subgraph splices in as this free node, keeping the graph connected.
+_ANCHOR = _node(0, "anchor", NodeKind.COMP, (), _comp(OP_NOP, 0, None, None))
+
 Binding = Union[CollectiveTrace, Algorithm, AlgoSpec]
 
 
@@ -87,14 +90,15 @@ def expand(workload: WorkloadTrace, bindings: dict[CollKind, Binding]) -> Collec
         nodes = {n.id: n for n in workload.per_rank_nodes[rank]}
         order = sorted(nodes)
 
-        # Pass 1: resolve bindings, reserve id blocks, locate roots/sinks.
-        resolved: dict[int, tuple] = {}  # coll id -> (subnodes, id_base, roots, sinks)
-        new_id: dict[int, int] = {}
+        # Pass 1: resolve bindings, reserve id blocks, and record what each
+        # node's dependents depend on: its new id or its subgraph's sinks.
+        resolved: dict[int, tuple] = {}  # coll id -> (subnodes, id_base)
+        exits: dict[int, list[int]] = {}
         cursor = 0
         for nid in order:
             node = nodes[nid]
             if node.kind is not NodeKind.COMM_COLL:
-                new_id[nid] = cursor
+                exits[nid] = [cursor]
                 cursor += 1
                 continue
             binding = bindings.get(node.attrs.coll_kind)
@@ -102,48 +106,24 @@ def expand(workload: WorkloadTrace, bindings: dict[CollKind, Binding]) -> Collec
                 raise BindingError(f"no binding for {node.attrs.coll_kind.value}")
             sub = _resolve_binding(node.attrs.coll_kind, binding, workload.num_ranks,
                                    node.attrs.comm_size, cache)
-            subnodes = sorted(sub.per_rank_nodes[rank], key=lambda n: n.id)
-            if subnodes:
-                depended = {d for n in subnodes for d in n.deps}
-                roots = [n.id for n in subnodes if not n.deps]
-                sinks = [n.id for n in subnodes if n.id not in depended]
-            else:
-                roots = sinks = []
-            resolved[nid] = (subnodes, cursor, roots, sinks)
-            cursor += max(len(subnodes), 1)
-
-        def map_dep(dep: int) -> list[int]:
-            if dep in resolved:
-                subnodes, base, roots, sinks = resolved[dep]
-                if not subnodes:
-                    return [base]  # the anchor node
-                sub_ids = {n.id: base + i for i, n in enumerate(subnodes)}
-                return [sub_ids[s] for s in sinks]
-            return [new_id[dep]]
+            subnodes = sorted(sub.per_rank_nodes[rank], key=lambda n: n.id) or [_ANCHOR]
+            depended = {d for n in subnodes for d in n.deps}
+            exits[nid] = [cursor + i for i, n in enumerate(subnodes) if n.id not in depended]
+            resolved[nid] = (subnodes, cursor)
+            cursor += len(subnodes)
 
         # Pass 2: emit.
         out: list[TraceNode] = []
         for nid in order:
             node = nodes[nid]
+            deps = tuple(sorted({d for dep in node.deps for d in exits[dep]}))
             if node.kind is not NodeKind.COMM_COLL:
-                deps = sorted({d for dep in node.deps for d in map_dep(dep)})
-                out.append(_node(new_id[nid], node.name, node.kind, tuple(deps),
-                                 node.attrs))
+                out.append(_node(exits[nid][0], node.name, node.kind, deps, node.attrs))
                 continue
             ordinal = ordinal_of[nid]
-            subnodes, base, roots, sinks = resolved[nid]
-            entry_deps = sorted({d for dep in node.deps for d in map_dep(dep)})
-            if not subnodes:
-                # Degenerate splice: keep the graph connected with a free anchor.
-                out.append(_node(base, f"coll{ordinal}_anchor", NodeKind.COMP,
-                                 tuple(entry_deps), _comp(OP_NOP, 0, None, None)))
-                continue
+            subnodes, base = resolved[nid]
             sub_ids = {n.id: base + i for i, n in enumerate(subnodes)}
-            root_set = set(roots)
             for sub in subnodes:
-                deps = [sub_ids[d] for d in sub.deps]
-                if sub.id in root_set:
-                    deps.extend(entry_deps)
                 attrs = sub.attrs
                 if type(attrs) is SendAttrs or type(attrs) is RecvAttrs:
                     if attrs.tag >= TAG_STRIDE:
@@ -154,8 +134,10 @@ def expand(workload: WorkloadTrace, bindings: dict[CollKind, Binding]) -> Collec
                     attrs = (_send(attrs.dst_rank, attrs.comm_size, tag, attrs.chunks)
                              if type(attrs) is SendAttrs else
                              _recv(attrs.src_rank, attrs.comm_size, tag, attrs.chunks))
+                # roots take the placeholder's deps; ids keep their order
+                sub_deps = tuple(sub_ids[d] for d in sub.deps) if sub.deps else deps
                 out.append(_node(sub_ids[sub.id], f"coll{ordinal}_{sub.name}",
-                                 sub.kind, tuple(sorted(deps)), attrs))
+                                 sub.kind, sub_deps, attrs))
         out_ranks.append(out)
 
     unified = CollectiveTrace(workload.num_ranks, None, out_ranks)

@@ -172,16 +172,16 @@ def _peer_attr(elem: _Elem, name: str, ngpus: int, own: int) -> Optional[int]:
     return value
 
 
-def _parse_step(elem: _Elem, tb: "_TbDraft") -> MscclStep:
+def _parse_step(elem: _Elem, send_peer: Optional[int], recv_peer: Optional[int]) -> MscclStep:
     _check_elem(elem, "step", {"s", "type"})
     index = _int_attr(elem, "s")
     step_type = elem.attrs["type"]
     if step_type not in STEP_TYPES:
         raise SchemaError(f"unknown step type '{step_type}' at line {elem.line}")
-    if step_type in _SENDING and tb.send_peer is None:
+    if step_type in _SENDING and send_peer is None:
         raise SchemaError(
             f"step type '{step_type}' at line {elem.line} requires a send peer on its tb")
-    if step_type in _RECEIVING and tb.recv_peer is None:
+    if step_type in _RECEIVING and recv_peer is None:
         raise SchemaError(
             f"step type '{step_type}' at line {elem.line} requires a recv peer on its tb")
 
@@ -223,12 +223,6 @@ def _parse_step(elem: _Elem, tb: "_TbDraft") -> MscclStep:
     if "hasdep" in elem.attrs:
         _int_attr(elem, "hasdep")  # rejects malformed input; nothing reads the value
     return MscclStep(index, step_type, src_buf, src_off, dst_buf, dst_off, cnt, depend)
-
-
-class _TbDraft:
-    def __init__(self, send_peer, recv_peer):
-        self.send_peer = send_peer
-        self.recv_peer = recv_peer
 
 
 def parse_msccl_xml(path) -> MscclProgram:
@@ -274,8 +268,8 @@ def parse_msccl_xml(path) -> MscclProgram:
                 raise SchemaError(f"chan={channel} at line {tb_elem.line} must be >= 0")
             send_peer = _peer_attr(tb_elem, "send", ngpus, gpu_id)
             recv_peer = _peer_attr(tb_elem, "recv", ngpus, gpu_id)
-            draft = _TbDraft(send_peer, recv_peer)
-            steps = [_parse_step(step_elem, draft) for step_elem in tb_elem.children]
+            steps = [_parse_step(step_elem, send_peer, recv_peer)
+                     for step_elem in tb_elem.children]
             for i, step in enumerate(steps):
                 if step.index != i:
                     raise SchemaError(

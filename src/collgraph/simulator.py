@@ -17,9 +17,9 @@ Event order, which fixes every reported time: events run by time; at equal
 times node finishes run before link enqueues; finishes run by (rank, node
 id) and enqueues by the message's (src, dst, tag), then hop. The replay
 works on integers that keep this order: a node is its rank and its
-position in `Readiness` (ascending id), and a message is its number in one
-table sorted by (src, dst, tag), so events are (t, 0, rank, position) and
-(t, 1, message, hop).
+position in `Readiness` (ascending id), and a message is its number in the
+trace's `messages` table, which `check_trace` sorted by (src, dst, tag), so
+events are (t, 0, rank, position) and (t, 1, message, hop).
 """
 
 from __future__ import annotations
@@ -36,13 +36,10 @@ from .errors import DeadlockError, SpecError, UnexpandedCollectiveError, Unreach
 from .generators import AlgoSpec, Algorithm, generate
 from .trace import (
     OP_NOP,
-    CollectiveTrace,
     NodeKind,
     Readiness,
     Trace,
-    WorkloadTrace,
     json_array,
-    message_index,
     require_matched,
 )
 
@@ -149,9 +146,9 @@ class CostModel:
 def route(topology: Topology, src: int, dst: int) -> list[tuple[int, int]]:
     """Deterministic path of directed links between two physical nodes.
 
-    RING takes the shorter arc (ties clockwise); 2D kinds use dimension-order
-    routing, columns before rows, with per-axis shortest wrap on the torus
-    (ties toward increasing index); SWITCH relays through the hub node `n`.
+    A ring routes as a one-axis torus; 2D kinds (row-major) walk columns,
+    then rows. Each axis takes its shortest way, wrapping on RING and
+    TORUS2D, ties toward increasing index. SWITCH relays through hub `n`.
     """
     if src == dst:
         raise UnreachableError(f"no route from node {src} to itself")
@@ -163,48 +160,23 @@ def route(topology: Topology, src: int, dst: int) -> list[tuple[int, int]]:
     if kind is TopologyKind.SWITCH:
         hub = topology.n
         return [(src, hub), (hub, dst)]
-    if kind is TopologyKind.RING:
-        n = topology.n
-        forward = (dst - src) % n
-        step = 1 if forward <= n - forward else -1
-        hops = forward if step == 1 else n - forward
-        path = []
-        node = src
-        for _ in range(hops):
-            nxt = (node + step) % n
-            path.append((node, nxt))
-            node = nxt
-        return path
-    # 2D mesh / torus, row-major, X (columns) first then Y (rows)
-    cols, rows = topology.cols, topology.rows
-    wrap = kind is TopologyKind.TORUS2D
-    path = []
-    node = src
-
-    def walk(axis_pos, target, size, move):
-        nonlocal node
-        delta = (target - axis_pos) % size
-        if wrap:
-            step = 1 if delta <= size - delta else -1
-            hops = delta if step == 1 else size - delta
+    # each axis: its number of positions and the node distance between them
+    axes = ((topology.n, 1),) if kind is TopologyKind.RING else \
+        ((topology.cols, 1), (topology.rows, topology.cols))
+    wrap = kind is not TopologyKind.MESH2D
+    path, node = [], src
+    for size, stride in axes:
+        here, there = node // stride % size, dst // stride % size
+        forward = (there - here) % size
+        if forward <= size - forward if wrap else there >= here:
+            step, hops = 1, forward
         else:
-            step = 1 if target > axis_pos else -1
-            hops = abs(target - axis_pos)
-        for _ in range(hops):
-            nxt = move(node, step)
+            step, hops = -1, size - forward
+        base = node - here * stride
+        for i in range(1, hops + 1):
+            nxt = base + (here + i * step) % size * stride
             path.append((node, nxt))
             node = nxt
-
-    def move_col(at, step):
-        r, c = divmod(at, cols)
-        return r * cols + (c + step) % cols if wrap else r * cols + c + step
-
-    def move_row(at, step):
-        r, c = divmod(at, cols)
-        return ((r + step) % rows) * cols + c if wrap else (r + step) * cols + c
-
-    walk(src % cols, dst % cols, cols, move_col)
-    walk(node // cols, dst // cols, rows, move_row)
     return path
 
 
@@ -275,7 +247,6 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
         raise SpecError(
             f"trace has {trace.num_ranks} ranks but topology only {topology.n} endpoints")
     require_matched(trace)
-    sends, recvs = message_index(trace)
 
     readiness = [Readiness(rank_nodes) for rank_nodes in trace.per_rank_nodes]
     nodes = [r.nodes for r in readiness]
@@ -286,13 +257,12 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
     issue_t = [[None] * len(r.ids) for r in readiness]
     start_t = [[None] * len(r.ids) for r in readiness]
     finish_t = [[None] * len(r.ids) for r in readiness]
-    # The message table, numbered in (src, dst, tag) order: (src, send
-    # position, dst, recv position, link hold time), plus each message's
-    # route as link ids (set when its send is issued) and delivery time.
+    # Per message of the trace's table: (src, send position, dst, recv
+    # position, link hold time), plus its route as link ids (set when its
+    # send is issued) and its delivery time.
     msgs = []
-    for m, key in enumerate(sorted(sends)):
-        (src, dst, _), (send_id, size) = key, sends[key]
-        send_pos, recv_pos = readiness[src].pos[send_id], readiness[dst].pos[recvs[key][0]]
+    for m, (src, dst, send_id, recv_id, size) in enumerate(trace.messages):
+        send_pos, recv_pos = readiness[src].pos[send_id], readiness[dst].pos[recv_id]
         msg_at[src][send_pos] = msg_at[dst][recv_pos] = m
         msgs.append((src, send_pos, dst, recv_pos, cost.link_occupancy(size)))
     msg_path = [None] * len(msgs)
@@ -414,16 +384,14 @@ def sweep(
     sizes: list[int],
     topologies: list[Topology],
     cost: CostModel,
-    baseline: Optional[Topology] = None,
     jobs: int = 1,
 ) -> list[SweepRow]:
     """Simulate `algorithm` for every (topology, size) cell and report each
-    duration plus its slowdown against the baseline topology (a ring of the
-    same rank count unless given). Rows keep the given topology order with
-    sizes ascending; the result is independent of `jobs`, which is capped at
-    the number of cells and of CPUs."""
-    if baseline is None:
-        baseline = Topology.ring(num_ranks)
+    duration plus its slowdown against the baseline, which is always the
+    ring of `num_ranks`. Rows keep the given topology order with sizes
+    ascending; the result is independent of `jobs`, which is capped at the
+    number of cells and of CPUs."""
+    baseline = Topology.ring(num_ranks)
     sizes = sorted(sizes)
     labeled = [(topo.label(), topo) for topo in topologies]
     tasks = [(baseline.label(), baseline, size) for size in sizes]

@@ -8,9 +8,9 @@ analyzable.
 
 A trace is checked once, when it is built: `CollectiveTrace` and
 `WorkloadTrace` run `check_trace(matching=False)` on construction and are
-frozen. That check records the first unmatched send/recv pair in
-`mismatch`, which `require_matched` raises. Consumers that need each send
-paired with its recv ask `message_index`.
+frozen. That check, and only it, pairs each send with its recv: it keeps
+the pairing as the `messages` table, where a message is its number, and
+the first unmatched send/recv pair as `mismatch`, for `require_matched`.
 
 Construction contract. The public constructors normalize `deps` to a sorted
 tuple of ints and chunk lists to tuples of ints. The private constructors
@@ -224,7 +224,8 @@ class CollectiveTrace:
     num_ranks: int
     claimed_collective: Optional[CollDescriptor]
     per_rank_nodes: tuple[tuple[TraceNode, ...], ...]
-    # (message, rank, node id) of the first unmatched send/recv, set by check_trace
+    # set by check_trace: see _pair_messages
+    messages: tuple = field(default=(), init=False, repr=False, compare=False)
     mismatch: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -238,6 +239,7 @@ class WorkloadTrace:
 
     num_ranks: int
     per_rank_nodes: tuple[tuple[TraceNode, ...], ...]
+    messages: tuple = field(default=(), init=False, repr=False, compare=False)
     mismatch: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -349,9 +351,9 @@ def check_trace(trace: Trace, *, matching: bool = True) -> None:
 
     `matching=False` skips send/recv completeness (tag uniqueness is still
     enforced); built traces skip it so the semantic validator can execute
-    deliberately broken ones. Either way the first unmatched or
-    size-mismatched pair is recorded in `trace.mismatch` for
-    `require_matched`.
+    deliberately broken ones. Either way the pairing is stored in
+    `trace.messages` and the first unmatched or size-mismatched pair in
+    `trace.mismatch` for `require_matched`.
     """
     if type(trace.num_ranks) is not int or trace.num_ranks < 1:
         raise InvariantError(f"num_ranks must be a positive int, got {trace.num_ranks!r}")
@@ -387,11 +389,12 @@ def check_trace(trace: Trace, *, matching: bool = True) -> None:
         if any(ready.pending):
             exc = CycleError(f"dependency cycle on rank {rank}", _find_cycle(ready))
             raise InvariantError(f"dependency cycle {exc.cycle}", rank, exc.cycle[0]) from exc
-    mismatch = None
+    messages, mismatch = (), None
     if is_workload:
         _check_spmd(trace)
     else:
-        mismatch = _first_mismatch(*message_index(trace))
+        messages, mismatch = _pair_messages(trace)
+    object.__setattr__(trace, "messages", messages)
     object.__setattr__(trace, "mismatch", mismatch)
     if matching:
         require_matched(trace)
@@ -460,12 +463,14 @@ def _check_node(trace: Trace, rank: int, node: TraceNode, is_workload: bool) -> 
                                  f"got {a.comm_size!r}", rank, node.id)
 
 
-def message_index(trace: CollectiveTrace):
-    """Index SEND and RECV nodes by (src, dst, tag).
+def _pair_messages(trace: CollectiveTrace):
+    """Pair each SEND with the RECV of the same (src, dst, tag).
 
-    Returns (sends, recvs) mapping the key to (node_id, comm_size). Raises
-    InvariantError on duplicate tags; unmatched or size-mismatched pairs are
-    `check_trace`'s to report (see `require_matched`).
+    Returns the `messages` table, one entry per (src, dst, tag) of a send or
+    a recv in ascending order: (src, dst, send id, recv id, send comm_size),
+    None for a missing side; and the `mismatch`, the first unmatched or
+    size-mismatched pair as InvariantError arguments (message, rank, node
+    id), or None. Raises InvariantError on duplicate tags.
     """
     sends: dict[tuple[int, int, int], tuple[int, int]] = {}
     recvs: dict[tuple[int, int, int], tuple[int, int]] = {}
@@ -485,12 +490,18 @@ def message_index(trace: CollectiveTrace):
                         f"duplicate tag {node.attrs.tag} for recvs {key[0]}->{rank}",
                         rank, node.id)
                 recvs[key] = (node.id, node.attrs.comm_size)
-    return sends, recvs
+    mismatch = _first_mismatch(sends, recvs)
+    missing = (None, None)
+    messages = []
+    # all matched: the sends hold every key, in node order, which sorts fast
+    for key in sorted(sends) if mismatch is None else sorted(sends.keys() | recvs.keys()):
+        send_id, size = sends.get(key, missing)
+        messages.append((key[0], key[1], send_id, recvs.get(key, missing)[0], size))
+    return tuple(messages), mismatch
 
 
 def _first_mismatch(sends, recvs) -> Optional[tuple]:
-    """The first unmatched or size-mismatched pair of a `message_index` as
-    InvariantError arguments (message, rank, node id); None if all match."""
+    """`_pair_messages`' mismatch: the first faulty send, else recv, in node order."""
     for (src, dst, tag), (nid, size) in sends.items():
         match = recvs.get((src, dst, tag))
         if match is None:
@@ -794,6 +805,7 @@ def loads_trace(text: str, *, matching: bool = True) -> Trace:
         if not isinstance(nodes_obj, list):
             raise SchemaError(f"rank {rank} entry must be a list of nodes")
         per_rank.append([_node_from_json(obj, rank, i) for i, obj in enumerate(nodes_obj)])
+    doc = ranks_obj = nodes_obj = None  # free the parsed JSON before the check
     if trace_class == "workload":
         if claimed is not None:
             raise SchemaError("workload traces must have claimed_collective: null")

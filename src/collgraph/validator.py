@@ -12,11 +12,11 @@ metadata. Traces without that metadata still get the executability
 (deadlock) check; the semantic comparison is then reported as SKIPPED.
 
 Execution is driven by the readiness engine of `trace` (`Readiness`): a
-node runs once its deps finished and, for a recv, once its message was
-sent. A second, untracked run under rendezvous semantics, where a send also
-waits until its recv is posted, decides the rendezvous-deadlock warning.
-The canonical form for isomorphism is an `ordered` walk with a structural
-key.
+node runs once its deps finished and, for a recv, once its message (its
+number in the trace's `messages` table) was sent. A second, untracked run
+under rendezvous semantics, where a send also waits until its recv is
+posted, decides the rendezvous-deadlock warning. The canonical form for
+isomorphism is an `ordered` walk with a structural key.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .trace import (
     NodeKind,
     Readiness,
     check_trace,  # noqa: F401 -- kept importable: perfbench/tracer.py rebinds it
-    message_index,
     ordered,
 )
 
@@ -70,21 +69,26 @@ class _Exec:
 
     def __init__(self, trace: CollectiveTrace, track_state: bool, order: random.Random | None,
                  rendezvous: bool = False):
-        self.trace = trace
         self.track = track_state
         self.order = order
         self.rendezvous = rendezvous
         self.readiness = [Readiness(nodes) for nodes in trace.per_rank_nodes]
         self.nodes = [r.nodes for r in self.readiness]  # by position
         pos = [r.pos for r in self.readiness]
-        sends, recvs = message_index(trace)
-        # (src, dst, tag) -> position of the send on src / of the recv on dst
-        self.send_owner = {key: pos[key[0]][nid] for key, (nid, _) in sends.items()}
-        self.recv_owner = {key: pos[key[1]][nid] for key, (nid, _) in recvs.items()}
+        # Per rank, by position: each send's and recv's message and its
+        # peer's rank and position (None if missing); per message, the
+        # payload once its send ran.
+        self.peer: list[list] = [[None] * len(r.ids) for r in self.readiness]
+        for m, (src, dst, send_id, recv_id, _) in enumerate(trace.messages):
+            send_pos, recv_pos = pos[src].get(send_id), pos[dst].get(recv_id)
+            if send_pos is not None:
+                self.peer[src][send_pos] = (m, dst, recv_pos)
+            if recv_pos is not None:
+                self.peer[dst][recv_pos] = (m, src, send_pos)
+        self.delivered: list[list[frozenset] | None] = [None] * len(trace.messages)
         # chunk state per rank; staged payloads per (rank, recv_id)
         self.state: list[dict[int, frozenset]] = [dict() for _ in range(trace.num_ranks)]
         self.staged: dict[tuple[int, int], dict[int, frozenset]] = {}
-        self.delivered: dict[tuple[int, int, int], list[frozenset]] = {}
         self.read_violations: list[dict] = []
         # chunks of each recv that a dependent REDUCE will union in (those
         # are left staged; everything else commits on recv completion)
@@ -107,21 +111,13 @@ class _Exec:
 
     # -- state helpers ------------------------------------------------------
 
-    def seed_initial_state(self, claimed, num_chunks: int) -> None:
-        n = self.trace.num_ranks
-        per_rank = num_chunks // n if num_chunks % n == 0 else None
-        for rank in range(n):
-            if claimed.kind in (CollKind.ALL_REDUCE, CollKind.REDUCE_SCATTER):
-                owned = range(num_chunks)
-            elif claimed.kind is CollKind.ALL_GATHER:
-                # Indivisible chunk spaces are reported as a violation later;
-                # leave the state unseeded so execution still terminates.
-                owned = () if per_rank is None else \
-                    range(rank * per_rank, (rank + 1) * per_rank)
-            else:  # BROADCAST, root = rank 0
-                owned = range(num_chunks) if rank == 0 else ()
-            for j in owned:
+    def seed_initial_state(self, claimed, num_chunks: int) -> list:
+        """Seed each chunk's origins (`_origins`, returned) with their own part."""
+        origins = _origins(claimed.kind, len(self.state), num_chunks)
+        for j, ranks in enumerate(origins):
+            for rank in ranks:
                 self.state[rank][j] = frozenset({(rank, j)})
+        return origins
 
     def _read(self, rank: int, chunk: int, node_id: int) -> frozenset:
         value = self.state[rank].get(chunk)
@@ -134,17 +130,15 @@ class _Exec:
 
     # -- node effects -------------------------------------------------------
 
-    def _run_send(self, rank: int, node) -> None:
-        key = (rank, node.attrs.dst_rank, node.attrs.tag)
+    def _run_send(self, rank: int, node, m: int) -> None:
         if self.track and node.attrs.chunks is not None:
             payload = [self._read(rank, c, node.id) for c in node.attrs.chunks]
         else:
             payload = []
-        self.delivered[key] = payload
+        self.delivered[m] = payload
 
-    def _run_recv(self, rank: int, node) -> None:
-        key = (node.attrs.src_rank, rank, node.attrs.tag)
-        payload = self.delivered[key]
+    def _run_recv(self, rank: int, node, m: int) -> None:
+        payload = self.delivered[m]
         if not self.track or node.attrs.chunks is None:
             return
         if len(payload) != len(node.attrs.chunks):
@@ -200,17 +194,16 @@ class _Exec:
                 heapq.heappush(ready, (rank, p))
 
         def on_dep_ready(rank: int, p: int) -> None:
-            node = self.nodes[rank][p]
-            if node.kind is NodeKind.COMM_RECV:
-                key = (node.attrs.src_rank, rank, node.attrs.tag)
-                unpark(key[0], self.send_owner.get(key))  # the recv is posted now
-                if key not in self.delivered:
+            kind = self.nodes[rank][p].kind
+            if kind is NodeKind.COMM_RECV:
+                m, src, send_pos = self.peer[rank][p]
+                unpark(src, send_pos)  # the recv is posted now
+                if self.delivered[m] is None:
                     parked.add((rank, p))
                     return
-            elif node.kind is NodeKind.COMM_SEND and self.rendezvous:
-                key = (rank, node.attrs.dst_rank, node.attrs.tag)
-                peer = self.recv_owner.get(key)
-                if peer is None or self.readiness[key[1]].pending[peer]:
+            elif kind is NodeKind.COMM_SEND and self.rendezvous:
+                _, dst, recv_pos = self.peer[rank][p]
+                if recv_pos is None or self.readiness[dst].pending[recv_pos]:
                     parked.add((rank, p))
                     return
             heapq.heappush(ready, (rank, p))
@@ -229,11 +222,11 @@ class _Exec:
                 heapq.heapify(ready)
             node = self.nodes[rank][p]
             if node.kind is NodeKind.COMM_SEND:
-                self._run_send(rank, node)
-                key = (rank, node.attrs.dst_rank, node.attrs.tag)
-                unpark(key[1], self.recv_owner.get(key))
+                m, dst, recv_pos = self.peer[rank][p]
+                self._run_send(rank, node, m)
+                unpark(dst, recv_pos)
             elif node.kind is NodeKind.COMM_RECV:
-                self._run_recv(rank, node)
+                self._run_recv(rank, node, self.peer[rank][p][0])
             else:
                 self._run_comp(rank, node)
             executed += 1
@@ -270,25 +263,18 @@ def _infer_num_chunks(trace: CollectiveTrace) -> int:
     return top + 1 if top >= 0 else max(trace.num_ranks, 1)
 
 
-def _expected_slots(claimed, num_ranks: int, num_chunks: int):
-    """Yield (rank, chunk, expected frozenset) for every constrained slot."""
-    kind = claimed.kind
-    if kind in (CollKind.ALL_GATHER, CollKind.REDUCE_SCATTER) and num_chunks % num_ranks:
-        return None
-    per_rank = num_chunks // num_ranks if num_ranks and num_chunks % num_ranks == 0 else 0
-    if kind in (CollKind.ALL_REDUCE, CollKind.REDUCE_SCATTER):  # every rank's part of chunk j
-        full = [frozenset((r, j) for r in range(num_ranks)) for j in range(num_chunks)]
-    slots = []
-    for rank in range(num_ranks):
-        if kind is CollKind.ALL_REDUCE:
-            slots += [(rank, j, full[j]) for j in range(num_chunks)]
-        elif kind is CollKind.ALL_GATHER:
-            slots += [(rank, j, frozenset({(j // per_rank, j)})) for j in range(num_chunks)]
-        elif kind is CollKind.REDUCE_SCATTER:
-            slots += [(rank, j, full[j]) for j in range(rank * per_rank, (rank + 1) * per_rank)]
-        else:  # BROADCAST from rank 0
-            slots += [(rank, j, frozenset({(0, j)})) for j in range(num_chunks)]
-    return slots
+def _origins(kind: CollKind, num_ranks: int, num_chunks: int) -> list:
+    """Per chunk j, the ranks whose input holds it: all for ALL_REDUCE and
+    REDUCE_SCATTER, 0 for BROADCAST, the owner of j's share for ALL_GATHER,
+    and none for an indivisible ALL_GATHER (`check_semantics` reports it)."""
+    if kind is CollKind.BROADCAST:
+        return [(0,)] * num_chunks
+    if kind is CollKind.ALL_GATHER:
+        if num_chunks % num_ranks:
+            return [()] * num_chunks
+        share = num_chunks // num_ranks
+        return [(j // share,) for j in range(num_chunks)]
+    return [range(num_ranks)] * num_chunks
 
 
 def check_semantics(trace: CollectiveTrace, *, order_seed: int | None = None) -> Verdict:
@@ -308,7 +294,7 @@ def check_semantics(trace: CollectiveTrace, *, order_seed: int | None = None) ->
     warnings: list[str] = []
     if track:
         num_chunks = _infer_num_chunks(trace)
-        ex.seed_initial_state(trace.claimed_collective, num_chunks)
+        origins = ex.seed_initial_state(trace.claimed_collective, num_chunks)
     ex.run()
     try:
         _Exec(trace, False, None, rendezvous=True).run()
@@ -318,20 +304,25 @@ def check_semantics(trace: CollectiveTrace, *, order_seed: int | None = None) ->
         return Verdict(SKIPPED, warnings=warnings)
 
     violations = list(ex.read_violations)
-    expected = _expected_slots(trace.claimed_collective, trace.num_ranks, num_chunks)
-    if expected is None:
+    kind, n = trace.claimed_collective.kind, trace.num_ranks
+    if kind in (CollKind.ALL_GATHER, CollKind.REDUCE_SCATTER) and num_chunks % n:
         violations.append({
             "rank": None, "chunk": None,
-            "error": f"chunk space of {num_chunks} not divisible by "
-                     f"{trace.num_ranks} ranks"})
+            "error": f"chunk space of {num_chunks} not divisible by {n} ranks"})
     else:
-        for rank, chunk, want in expected:
-            got = ex.state[rank].get(chunk)
-            if got != want:
-                violations.append({
-                    "rank": rank, "chunk": chunk,
-                    "expected": sorted(want),
-                    "actual": sorted(got) if got is not None else None})
+        # each chunk ends as the union of its origins (REDUCE_SCATTER: on one rank)
+        want = [frozenset((r, j) for r in ranks) for j, ranks in enumerate(origins)]
+        share = num_chunks // n
+        for rank in range(n):
+            owned = range(rank * share, (rank + 1) * share) \
+                if kind is CollKind.REDUCE_SCATTER else range(num_chunks)
+            for chunk in owned:
+                got = ex.state[rank].get(chunk)
+                if got != want[chunk]:
+                    violations.append({
+                        "rank": rank, "chunk": chunk,
+                        "expected": sorted(want[chunk]),
+                        "actual": sorted(got) if got is not None else None})
     if violations:
         return Verdict(FAIL, violations=violations, warnings=warnings)
     return Verdict(PASS, warnings=warnings)
@@ -344,29 +335,21 @@ def check_semantics(trace: CollectiveTrace, *, order_seed: int | None = None) ->
 _KIND_ORDER = {NodeKind.COMM_SEND: 0, NodeKind.COMM_RECV: 1, NodeKind.COMP: 2}
 
 
-def _tag_ordinals(trace: CollectiveTrace) -> dict[tuple[int, int], dict[int, int]]:
-    """Per directed (src, dst) pair: tag value -> rank of that tag.
-
-    Raw tag values are producer-specific; only their relative order within
-    a direction is structurally meaningful.
-    """
-    tags: dict[tuple[int, int], set[int]] = {}
-    for rank, nodes in enumerate(trace.per_rank_nodes):
-        for node in nodes:
-            if node.kind is NodeKind.COMM_SEND:
-                tags.setdefault((rank, node.attrs.dst_rank), set()).add(node.attrs.tag)
-            elif node.kind is NodeKind.COMM_RECV:
-                tags.setdefault((node.attrs.src_rank, rank), set()).add(node.attrs.tag)
-    return {
-        pair: {tag: i for i, tag in enumerate(sorted(values))}
-        for pair, values in tags.items()
-    }
-
-
 def canonical_form(trace: CollectiveTrace):
     """Relabel each rank's nodes by dependency order with a structural
-    tie-break, erasing ids, names, raw tag values and chunk metadata."""
-    ordinals = _tag_ordinals(trace)
+    tie-break, erasing ids, names, raw tag values and chunk metadata.
+
+    Raw tag values are producer-specific; only their relative order within
+    a direction is structurally meaningful, so each send and recv keys on
+    its ordinal in its direction of the trace's `messages` table."""
+    # per rank: send/recv id -> ordinal of its tag within its direction (a
+    # missing side files its ordinal under None, which no node id looks up)
+    ordinals: list[dict] = [{} for _ in range(trace.num_ranks)]
+    direction, k = None, 0
+    for src, dst, send_id, recv_id, _ in trace.messages:
+        k = k + 1 if (src, dst) == direction else 0
+        direction = (src, dst)
+        ordinals[src][send_id] = ordinals[dst][recv_id] = k
     form = []
     for rank in range(trace.num_ranks):
         label: dict[int, int] = {}
@@ -374,15 +357,13 @@ def canonical_form(trace: CollectiveTrace):
         def key_of(node):
             a = node.attrs
             if node.kind is NodeKind.COMM_SEND:
-                peer, size, tag_ord, op = a.dst_rank, a.comm_size, \
-                    ordinals[(rank, a.dst_rank)][a.tag], ""
+                peer, size, tag, op = a.dst_rank, a.comm_size, ordinals[rank][node.id], ""
             elif node.kind is NodeKind.COMM_RECV:
-                peer, size, tag_ord, op = a.src_rank, a.comm_size, \
-                    ordinals[(a.src_rank, rank)][a.tag], ""
+                peer, size, tag, op = a.src_rank, a.comm_size, ordinals[rank][node.id], ""
             else:
-                peer, size, tag_ord, op = -1, a.comp_size, -1, a.op
+                peer, size, tag, op = -1, a.comp_size, -1, a.op
             deps = tuple(sorted(label[d] for d in node.deps))
-            return (_KIND_ORDER[node.kind], peer, size, tag_ord, op, deps)
+            return (_KIND_ORDER[node.kind], peer, size, tag, op, deps)
 
         records = []
         for key, nid in ordered(trace, rank, key_of):

@@ -2,8 +2,8 @@
 reachability check used as oracles for the symbolic validator, `json.dumps`
 oracles for the trace and report writers, a per-node checking loader as the
 oracle for `loads_trace`, a dict-keyed simulator as the oracle for
-`simulate`, a per-node lookup into its reports, and structural mutation
-helpers."""
+`simulate`, a per-node lookup into its reports, the message table the
+trace should store, and structural mutation helpers."""
 
 from __future__ import annotations
 
@@ -466,6 +466,26 @@ def rendezvous_completes(trace: CollectiveTrace) -> bool:
                 done[rank].add(node.id)
                 progress = True
     return all(len(d) == len(r) for d, r in zip(done, nodes))
+
+
+def message_table(trace: CollectiveTrace) -> tuple:
+    """The `messages` table built straight from the nodes: for each (src,
+    dst, tag) of a send or a recv, ascending, (src, dst, send id, recv id,
+    send comm_size), None for a missing side. Reference for `check_trace`."""
+    sends, recvs = {}, {}
+    for rank, nodes in enumerate(trace.per_rank_nodes):
+        for node in nodes:
+            if node.kind is NodeKind.COMM_SEND:
+                sends[(rank, node.attrs.dst_rank, node.attrs.tag)] = node
+            elif node.kind is NodeKind.COMM_RECV:
+                recvs[(node.attrs.src_rank, rank, node.attrs.tag)] = node
+    table = []
+    for src, dst, tag in sorted(set(sends) | set(recvs)):
+        send, recv = sends.get((src, dst, tag)), recvs.get((src, dst, tag))
+        table.append((src, dst, None if send is None else send.id,
+                      None if recv is None else recv.id,
+                      None if send is None else send.attrs.comm_size))
+    return tuple(table)
 
 
 def full_mask(n: int, num_chunks: int, chunk: int) -> int:

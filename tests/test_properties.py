@@ -5,9 +5,10 @@ topology, each recv finishes no earlier than its send's start plus alpha
 plus the message's time on one link; every valid trace is written as
 `json.dumps` would write it and loads back to the same bytes; the trace
 loader raises only collgraph errors on corrupted input, and builds the
-trace, or raises the error, the per-node checking oracle loader does; and
-the net config and MSCCL XML readers raise only collgraph errors on mutated
-or arbitrary bytes.
+trace, or raises the error, the per-node checking oracle loader does; the
+net config and MSCCL XML readers raise only collgraph errors on mutated or
+arbitrary bytes; and the message table a trace stores pairs its sends
+and recvs as the oracle in `tests/helpers.py` does.
 
 Runs are derandomized and keep no example database, so the suite stays
 deterministic; Hypothesis' own cache goes to a temporary directory removed
@@ -20,7 +21,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from helpers import loads_trace_oracle, simulate_oracle, trace_json_oracle
+from helpers import (
+    delete_node,
+    loads_trace_oracle,
+    message_table,
+    simulate_oracle,
+    trace_json_oracle,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -200,6 +207,21 @@ def test_dumps_trace_equals_the_oracle_and_round_trips(trace):
     written = dumps_trace(trace)
     assert written == trace_json_oracle(trace)
     assert dumps_trace(loads_trace(written)) == written
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(st.data())
+def test_messages_table_pairs_as_the_oracle_does(data):
+    """The pairing `check_trace` stores, on valid traces and on those
+    traces with one send or recv removed (so one message is unmatched)."""
+    trace = data.draw(valid_traces())
+    assert trace.messages == message_table(trace)
+    ends = [(rank, node.id) for rank, nodes in enumerate(trace.per_rank_nodes)
+            for node in nodes if node.kind in (NodeKind.COMM_SEND, NodeKind.COMM_RECV)]
+    if ends:
+        broken = delete_node(trace, *data.draw(st.sampled_from(ends)))
+        assert broken.mismatch is not None
+        assert broken.messages == message_table(broken)
 
 
 @st.composite

@@ -97,6 +97,56 @@ def test_torus_wraps_along_shorter_direction():
     assert route(Topology.torus2d(4, 4), 0, 2) == [(0, 1), (1, 2)]
 
 
+GRIDS = [(rows, cols) for rows in range(1, 5) for cols in range(1, 5) if rows * cols > 1]
+
+
+@pytest.mark.parametrize(
+    "topology",
+    [Topology.ring(n) for n in range(2, 9)]
+    + [Topology.mesh2d(rows, cols) for rows, cols in GRIDS]
+    + [Topology.torus2d(rows, cols) for rows, cols in GRIDS],
+    ids=lambda topo: f"{topo.label()}-{topo.n}")
+def test_route_chains_neighbour_links_along_shortest_axes(topology):
+    """Every path, checked against the routing rule rather than against
+    `route` itself (the oracle simulator calls it): neighbour links chained
+    from src to dst, columns before rows, the shortest hop count on each
+    axis, and a tie broken toward increasing index. A ring is one row."""
+    ring = topology.kind is TopologyKind.RING
+    rows, cols = (1, topology.n) if ring else (topology.rows, topology.cols)
+    wrap = topology.kind is not TopologyKind.MESH2D
+
+    def hop(a, b):
+        """(axis, +1 or -1) of a neighbour link a -> b: axis 0 moves along
+        a row (columns), axis 1 along a column (rows)."""
+        (ra, ca), (rb, cb) = divmod(a, cols), divmod(b, cols)
+        for axis, size, x, y, same in ((0, cols, ca, cb, ra == rb), (1, rows, ra, rb, ca == cb)):
+            if same and (y == (x + 1) % size if wrap else y == x + 1):
+                return axis, 1
+            if same and (y == (x - 1) % size if wrap else y == x - 1):
+                return axis, -1
+        raise AssertionError(f"{a} -> {b} is not a link of {topology.label()}")
+
+    def shortest(x, y, size):
+        forward = (y - x) % size
+        if not wrap:
+            return abs(y - x), 1 if y >= x else -1
+        return min(forward, size - forward), 1 if forward <= size - forward else -1
+
+    for src in range(topology.n):
+        for dst in range(topology.n):
+            if src == dst:
+                continue
+            path = route(topology, src, dst)
+            assert [a for a, _ in path] == [src] + [b for _, b in path[:-1]]
+            assert path[-1][1] == dst
+            hops = [hop(a, b) for a, b in path]
+            assert [axis for axis, _ in hops] == sorted(axis for axis, _ in hops)
+            for axis, (x, y, size) in enumerate(((src % cols, dst % cols, cols),
+                                                  (src // cols, dst // cols, rows))):
+                count, step = shortest(x, y, size)
+                assert [s for a, s in hops if a == axis] == [step] * count
+
+
 def test_route_rejects_self_and_unknown_nodes():
     with pytest.raises(UnreachableError):
         route(Topology.ring(4), 2, 2)

@@ -14,6 +14,7 @@ from collgraph.errors import CycleError, InvariantError, ParseError, SchemaError
 from collgraph.expander import expand
 from collgraph.generators import AlgoSpec, Algorithm, generate
 from collgraph.msccl import convert_to_trace, parse_msccl_xml
+from collgraph.simulator import CostModel, Topology, simulate
 from collgraph.trace import (
     CollAttrs,
     CollDescriptor,
@@ -34,6 +35,7 @@ from collgraph.trace import (
     save_trace,
     toposort_rank,
 )
+from collgraph.validator import canonical_form, check_semantics
 
 MIB = 1024 * 1024
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -197,27 +199,28 @@ def test_loads_trace_builds_what_the_oracle_loader_builds(build):
     assert loads_trace(text) == loads_trace_oracle(text)
 
 
-def test_no_message_index_beyond_the_one_made_at_construction(monkeypatch):
+def test_messages_are_paired_only_at_construction(monkeypatch):
     """`loads_trace`, `dumps_trace`, `build_collective` and `expand` read the
-    pairing that `check_trace` recorded; only building a collective trace
-    indexes its messages."""
-    calls = {"index": 0, "built": 0}
-    index, check = trace_module.message_index, trace_module.check_trace
+    pairing that `check_trace` recorded, and `simulate`, both runs of
+    `check_semantics` and `canonical_form` read its `messages` table; only
+    building a collective trace pairs its messages."""
+    calls = {"pair": 0, "built": 0}
+    pair, check = trace_module._pair_messages, trace_module.check_trace
 
-    def counting_index(*args, **kwargs):
-        calls["index"] += 1
-        return index(*args, **kwargs)
+    def counting_pair(*args, **kwargs):
+        calls["pair"] += 1
+        return pair(*args, **kwargs)
 
     def counting_check(trace, **kwargs):
         calls["built"] += isinstance(trace, CollectiveTrace)
         return check(trace, **kwargs)
 
     def counted(action):
-        calls.update(index=0, built=0)
+        calls.update(pair=0, built=0)
         action()
-        return calls["index"], calls["built"]
+        return calls["pair"], calls["built"]
 
-    monkeypatch.setattr(trace_module, "message_index", counting_index)
+    monkeypatch.setattr(trace_module, "_pair_messages", counting_pair)
     monkeypatch.setattr(trace_module, "check_trace", counting_check)
     trace = ring_ar()
     text = dumps_trace(trace)
@@ -231,6 +234,10 @@ def test_no_message_index_beyond_the_one_made_at_construction(monkeypatch):
     assert counted(lambda: loads_trace(text, matching=False)) == (1, 1)
     assert counted(lambda: builder.build_collective(None)) == (1, 1)
     assert counted(lambda: expand(_chain_workload(), bindings)) == (3, 3)  # 2 bindings
+    cost = CostModel(alpha=1e-6, bandwidth=1e9)
+    assert counted(lambda: simulate(trace, Topology.torus2d(2, 2), cost)) == (0, 0)
+    assert counted(lambda: check_semantics(trace)) == (0, 0)  # eager and rendezvous runs
+    assert counted(lambda: canonical_form(trace)) == (0, 0)
 
 
 def test_parse_error_carries_position(tmp_path):
