@@ -109,33 +109,53 @@ def parse_topology_token(token: str, num_ranks: int) -> Topology:
         raise SpecError(f"{kind} dimensions are too long to read as integers") from None
 
 
+_NUMBER = (int, float)
+_NET_FIELDS = {"alpha_s": _NUMBER, "bandwidth_Bps": _NUMBER,
+               "reduce_bandwidth_Bps": (*_NUMBER, type(None)),
+               "fixed_comp_overhead_s": _NUMBER, "topology": (dict, type(None))}
+
+
+def _check_fields(obj: dict, fields: dict, path, prefix: str = "") -> None:
+    """Each key of `obj` must be one of `fields`, and its value of one of
+    that field's exact JSON types: a bool is not a number, nor "4" an integer."""
+    for key, value in obj.items():
+        if key not in fields:
+            raise CollGraphError(f"{path}: unknown net config key {prefix + key!r}")
+        if type(value) not in fields[key]:
+            raise CollGraphError(f"{path}: net config key {prefix + key!r} "
+                                 f"has the wrong type ({type(value).__name__})")
+
+
 def load_net_config(path) -> tuple[Topology | None, CostModel]:
-    """Network config JSON: alpha_s, bandwidth_Bps, reduce_bandwidth_Bps
-    (null = infinite), optional fixed_comp_overhead_s, optional topology
-    {kind, n | rows+cols}."""
+    """Network config JSON: numbers alpha_s, bandwidth_Bps, optional
+    reduce_bandwidth_Bps (null = infinite) and fixed_comp_overhead_s, and an
+    optional topology {kind, n} or {kind, rows, cols} of integers. Any other
+    key is an error."""
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
         if not isinstance(doc, dict):
             raise CollGraphError(f"{path}: net config must be a JSON object")
+        _check_fields(doc, _NET_FIELDS, path)
+        reduce_bandwidth = doc.get("reduce_bandwidth_Bps")
         cost = CostModel(
             alpha=float(doc["alpha_s"]),
             bandwidth=float(doc["bandwidth_Bps"]),
-            reduce_bandwidth=(
-                None if doc.get("reduce_bandwidth_Bps") is None
-                else float(doc["reduce_bandwidth_Bps"])
-            ),
+            reduce_bandwidth=None if reduce_bandwidth is None else float(reduce_bandwidth),
             fixed_comp_overhead=float(doc.get("fixed_comp_overhead_s", 0.0)),
         )
         topo_obj = doc.get("topology")
         if topo_obj is None:
             return None, cost
-        if not isinstance(topo_obj, dict):
-            raise CollGraphError(f"{path}: topology must be a JSON object")
+        kind = topo_obj.get("kind")
+        grid = isinstance(kind, str) and _TOPO_KINDS.get(kind) in _GRID_KINDS
+        sizes = ("rows", "cols") if grid else ("n",)
+        _check_fields(topo_obj, {"kind": (str,), **dict.fromkeys(sizes, (int,))}, path,
+                      "topology.")
         return _topology(topo_obj), cost
     except KeyError as exc:
         raise CollGraphError(f"{path}: missing net config key {exc}") from None
-    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+    except (ValueError, OverflowError, RecursionError) as exc:
         raise CollGraphError(f"{path}: malformed net config: {exc}") from None
 
 

@@ -172,7 +172,8 @@ def _peer_attr(elem: _Elem, name: str, ngpus: int, own: int) -> Optional[int]:
     return value
 
 
-def _parse_step(elem: _Elem, send_peer: Optional[int], recv_peer: Optional[int]) -> MscclStep:
+def _parse_step(elem: _Elem, send_peer: Optional[int], recv_peer: Optional[int],
+                nchunks: int) -> MscclStep:
     _check_elem(elem, "step", {"s", "type"})
     index = _int_attr(elem, "s")
     step_type = elem.attrs["type"]
@@ -210,6 +211,9 @@ def _parse_step(elem: _Elem, send_peer: Optional[int], recv_peer: Optional[int])
     for name, value in (("srcoff", src_off), ("dstoff", dst_off)):
         if value is not None and value < 0:
             raise SchemaError(f"{name}={value} at line {elem.line} must be non-negative")
+        if value is not None and value + cnt > nchunks:
+            raise SchemaError(f"{name}={value} with cnt={cnt} at line {elem.line} "
+                              f"runs past nchunks={nchunks}")
 
     depid = off("depid")
     deps = off("deps")
@@ -268,7 +272,7 @@ def parse_msccl_xml(path) -> MscclProgram:
                 raise SchemaError(f"chan={channel} at line {tb_elem.line} must be >= 0")
             send_peer = _peer_attr(tb_elem, "send", ngpus, gpu_id)
             recv_peer = _peer_attr(tb_elem, "recv", ngpus, gpu_id)
-            steps = [_parse_step(step_elem, send_peer, recv_peer)
+            steps = [_parse_step(step_elem, send_peer, recv_peer, nchunks)
                      for step_elem in tb_elem.children]
             for i, step in enumerate(steps):
                 if step.index != i:

@@ -73,6 +73,7 @@ class Topology:
                     f"{self.kind.value} needs rows*cols == n, got "
                     f"{self.rows}x{self.cols} != {self.n}")
         if self.placement is not None:
+            object.__setattr__(self, "placement", tuple(self.placement))
             if sorted(self.placement) != list(range(self.n)):
                 raise SpecError("placement must be a permutation of the endpoint nodes")
 
@@ -373,9 +374,8 @@ class SweepRow:
 
 
 def _sweep_cell(args) -> float:
-    algo_value, num_ranks, size, topology, cost = args
-    trace = generate(AlgoSpec(Algorithm(algo_value), num_ranks, size))
-    return simulate(trace, topology, cost).total_duration
+    spec, topology, cost = args
+    return simulate(generate(spec), topology, cost).total_duration
 
 
 def sweep(
@@ -389,27 +389,20 @@ def sweep(
     """Simulate `algorithm` for every (topology, size) cell and report each
     duration plus its slowdown against the baseline, which is always the
     ring of `num_ranks`. Rows keep the given topology order with sizes
-    ascending; the result is independent of `jobs`, which is capped at the
-    number of cells and of CPUs."""
+    ascending; each distinct cell is simulated once, and the result is
+    independent of `jobs`, which is capped at the number of cells and of CPUs."""
     baseline = Topology.ring(num_ranks)
     sizes = sorted(sizes)
-    labeled = [(topo.label(), topo) for topo in topologies]
-    tasks = [(baseline.label(), baseline, size) for size in sizes]
-    for label, topo in labeled:
-        if label != baseline.label():
-            tasks += [(label, topo, size) for size in sizes]
-    args = [(algorithm.value, num_ranks, size, topo, cost) for _, topo, size in tasks]
+    cells = list(dict.fromkeys((topo, size) for topo in (baseline, *topologies)
+                               for size in sizes))
+    args = [(AlgoSpec(algorithm, num_ranks, size), topo, cost) for topo, size in cells]
     workers = min(jobs, len(args), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             durations = list(pool.map(_sweep_cell, args))
     else:
         durations = [_sweep_cell(a) for a in args]
-    by_cell = {(label, size): d for (label, _, size), d in zip(tasks, durations)}
-    rows = []
-    for label, _ in labeled:
-        for size in sizes:
-            duration = by_cell[(label, size)]
-            rows.append(SweepRow(label, size, duration,
-                                 duration / by_cell[(baseline.label(), size)]))
-    return rows
+    duration = dict(zip(cells, durations))
+    return [SweepRow(topo.label(), size, duration[topo, size],
+                     duration[topo, size] / duration[baseline, size])
+            for topo in topologies for size in sizes]

@@ -1,9 +1,10 @@
 """Semantic checking of collective traces by symbolic chunk tracking.
 
 Every chunk slot holds a set of (origin_rank, chunk_index) contributions.
-A send snapshots the slots it reads; a matched recv either commits the
-payload into its slots (plain copy) or leaves it staged for a consuming
-REDUCE node, which unions it in. Reduction is a commutative-associative
+A send snapshots the slots it reads. A matched recv commits the payload
+into its slots, except each chunk that a REDUCE depending on that recv
+writes: that one stays staged, and the REDUCE unions it in (a
+receive-reduce step). Reduction is a commutative-associative
 set union, so the final state is schedule-independent for traces whose
 dependencies correctly order writers before readers.
 
@@ -90,24 +91,6 @@ class _Exec:
         self.state: list[dict[int, frozenset]] = [dict() for _ in range(trace.num_ranks)]
         self.staged: dict[tuple[int, int], dict[int, frozenset]] = {}
         self.read_violations: list[dict] = []
-        # chunks of each recv that a dependent REDUCE will union in (those
-        # are left staged; everything else commits on recv completion)
-        self.reduce_consumed: list[dict[int, set[int]]] = [
-            {} for _ in range(trace.num_ranks)
-        ]
-        for rank in range(trace.num_ranks):
-            for node in self.nodes[rank]:
-                if node.kind is not NodeKind.COMP or node.attrs.op != OP_REDUCE:
-                    continue
-                if node.attrs.chunks is None:
-                    continue
-                targets = set(node.attrs.chunks)
-                for dep in node.deps:
-                    dep_node = self.nodes[rank][pos[rank][dep]]
-                    if dep_node.kind is NodeKind.COMM_RECV and dep_node.attrs.chunks:
-                        hit = targets & set(dep_node.attrs.chunks)
-                        if hit:
-                            self.reduce_consumed[rank].setdefault(dep, set()).update(hit)
 
     # -- state helpers ------------------------------------------------------
 
@@ -137,7 +120,9 @@ class _Exec:
             payload = []
         self.delivered[m] = payload
 
-    def _run_recv(self, rank: int, node, m: int) -> None:
+    def _run_recv(self, rank: int, p: int, node, m: int) -> None:
+        """Commit the payload, except the chunks that a REDUCE depending on
+        this recv writes: those stay staged for it to union in."""
         payload = self.delivered[m]
         if not self.track or node.attrs.chunks is None:
             return
@@ -145,7 +130,12 @@ class _Exec:
             raise InvariantError(
                 f"send/recv chunk metadata disagree for tag {node.attrs.tag} "
                 f"from {node.attrs.src_rank}", rank, node.id)
-        consumed = self.reduce_consumed[rank].get(node.id, set())
+        consumed = set()
+        for q in self.readiness[rank].dependents[p]:
+            succ = self.nodes[rank][q]
+            if succ.kind is NodeKind.COMP and succ.attrs.op == OP_REDUCE \
+                    and succ.attrs.chunks is not None:
+                consumed.update(succ.attrs.chunks)
         stage: dict[int, frozenset] = {}
         for chunk, value in zip(node.attrs.chunks, payload):
             if chunk in consumed:
@@ -226,7 +216,7 @@ class _Exec:
                 self._run_send(rank, node, m)
                 unpark(dst, recv_pos)
             elif node.kind is NodeKind.COMM_RECV:
-                self._run_recv(rank, node, self.peer[rank][p][0])
+                self._run_recv(rank, p, node, self.peer[rank][p][0])
             else:
                 self._run_comp(rank, node)
             executed += 1
@@ -243,23 +233,18 @@ class _Exec:
 # check_semantics
 # ---------------------------------------------------------------------------
 
-def _metadata_complete(trace: CollectiveTrace) -> bool:
-    for nodes in trace.per_rank_nodes:
-        for node in nodes:
-            if node.kind in (NodeKind.COMM_SEND, NodeKind.COMM_RECV):
-                if node.attrs.chunks is None:
-                    return False
-    return True
-
-
-def _infer_num_chunks(trace: CollectiveTrace) -> int:
+def _chunk_space(trace: CollectiveTrace) -> int | None:
+    """The number of chunks the metadata names (largest index + 1, or the
+    rank count if it names none); None if a send or recv carries none."""
     top = -1
     for nodes in trace.per_rank_nodes:
         for node in nodes:
-            for chunks in (getattr(node.attrs, "chunks", None),
-                           getattr(node.attrs, "src_chunks", None)):
-                if chunks:
-                    top = max(top, max(chunks))
+            chunks = getattr(node.attrs, "chunks", None)
+            if chunks is None and node.kind in (NodeKind.COMM_SEND, NodeKind.COMM_RECV):
+                return None
+            for named in (chunks, getattr(node.attrs, "src_chunks", None)):
+                if named:
+                    top = max(top, max(named))
     return top + 1 if top >= 0 else max(trace.num_ranks, 1)
 
 
@@ -289,11 +274,11 @@ def check_semantics(trace: CollectiveTrace, *, order_seed: int | None = None) ->
     collective or no chunk metadata; matching/deadlock checks still ran.
     """
     order = None if order_seed is None else random.Random(order_seed)
-    track = trace.claimed_collective is not None and _metadata_complete(trace)
+    num_chunks = None if trace.claimed_collective is None else _chunk_space(trace)
+    track = num_chunks is not None
     ex = _Exec(trace, track, order)
     warnings: list[str] = []
     if track:
-        num_chunks = _infer_num_chunks(trace)
         origins = ex.seed_initial_state(trace.claimed_collective, num_chunks)
     ex.run()
     try:

@@ -7,9 +7,16 @@ import json
 import pytest
 
 from collgraph import cli
-from collgraph.cli import main, parse_size, parse_size_list, parse_topology_token
+from collgraph.cli import (
+    load_net_config,
+    main,
+    parse_size,
+    parse_size_list,
+    parse_topology_token,
+)
 from collgraph.errors import CollGraphError
 from collgraph.generators import AlgoSpec, Algorithm, generate
+from collgraph.simulator import CostModel, Topology
 from collgraph.trace import (
     CollKind,
     CollectiveTrace,
@@ -208,6 +215,31 @@ def test_simulate_workload_exits_2(tmp_path, net_config, capsys):
     assert "expanded" in capsys.readouterr().err
 
 
+# net configs that are well-formed JSON but break the schema, by id, with
+# the key each one must name
+NET_KEY_FAULTS = [
+    ("rows-fractional", '"topology": {"kind": "mesh2d", "rows": 2.7, "cols": 2}', "topology.rows"),
+    ("n-bool", '"topology": {"kind": "ring", "n": true}', "topology.n"),
+    ("n-string", '"topology": {"kind": "ring", "n": "4"}', "topology.n"),
+    ("kind-not-a-string", '"topology": {"kind": ["ring"], "n": 4}', "topology.kind"),
+    ("ring-with-rows", '"topology": {"kind": "ring", "n": 4, "rows": 2}', "topology.rows"),
+    ("grid-with-n", '"topology": {"kind": "mesh2d", "n": 4, "rows": 2, "cols": 2}',
+     "topology.n"),
+    ("alpha-string-number", '"alpha_s": "1e-6"', "alpha_s"),
+    ("alpha-bool", '"alpha_s": false', "alpha_s"),
+    ("reduce-bandwidth-string", '"reduce_bandwidth_Bps": "1e9"', "reduce_bandwidth_Bps"),
+    ("overhead-null", '"fixed_comp_overhead_s": null', "fixed_comp_overhead_s"),
+    ("unknown-key", '"reduce_bandwith_Bps": 1e9', "reduce_bandwith_Bps"),
+]
+
+
+def net_with(entry: str) -> str:
+    """A valid ring net config with one entry added or replaced."""
+    doc = {"alpha_s": 1e-06, "bandwidth_Bps": 1e9, "topology": {"kind": "ring", "n": 4}}
+    doc.update(json.loads("{" + entry + "}"))
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("net", [
     '{"alpha_s": "x", "bandwidth_Bps": 1e9}',
     '{"alpha_s": 1e-06, "bandwidth_Bps": 1e9, "topology": "ring"}',
@@ -221,9 +253,11 @@ def test_simulate_workload_exits_2(tmp_path, net_config, capsys):
     '{"alpha_s": 1e308, "bandwidth_Bps": 1e9, "topology": {"kind": "ring", "n": 4}}',
     '{"alpha_s": 1' + "0" * 400 + ', "bandwidth_Bps": 1e9, "topology": {"kind": "ring", "n": 4}}',
     '{"alpha_s": 1e-06, "bandwidth_Bps": 1e9, "topology": {"kind": "ring", "n": 1e400}}',
-], ids=["alpha-not-a-number", "topology-not-an-object", "ring-without-n",
-        "rows-not-an-integer", "unknown-kind", "truncated-json", "alpha-nan",
-        "bandwidth-infinity", "time-overflows", "alpha-beyond-float", "ring-n-infinite"])
+] + [net_with(entry) for _, entry, _ in NET_KEY_FAULTS],
+    ids=["alpha-not-a-number", "topology-not-an-object", "ring-without-n",
+         "rows-not-an-integer", "unknown-kind", "truncated-json", "alpha-nan",
+         "bandwidth-infinity", "time-overflows", "alpha-beyond-float", "ring-n-infinite"]
+    + [name for name, _, _ in NET_KEY_FAULTS])
 def test_simulate_malformed_net_config_exits_2(tmp_path, net, capsys):
     path = tmp_path / "ar.json"
     save_trace(generate(AlgoSpec(Algorithm.RING_ALL_REDUCE, 4, 4096)), path)
@@ -231,6 +265,23 @@ def test_simulate_malformed_net_config_exits_2(tmp_path, net, capsys):
     config.write_text(net)
     assert run("simulate", path, "--net", config) == 2
     assert capsys.readouterr().err.startswith("collgraph: ")
+
+
+@pytest.mark.parametrize("entry, key", [(entry, key) for _, entry, key in NET_KEY_FAULTS],
+                         ids=[name for name, _, _ in NET_KEY_FAULTS])
+def test_net_config_schema_faults_name_the_key(tmp_path, entry, key):
+    config = tmp_path / "net.json"
+    config.write_text(net_with(entry))
+    with pytest.raises(CollGraphError, match=f"net config key '{key}'"):
+        load_net_config(config)
+
+
+def test_net_config_takes_integer_costs_and_null_reduce_bandwidth(tmp_path):
+    config = tmp_path / "net.json"
+    config.write_text('{"alpha_s": 0, "bandwidth_Bps": 1000000000, "reduce_bandwidth_Bps": null, '
+                      '"fixed_comp_overhead_s": 1, "topology": {"kind": "torus2d", "rows": 2, '
+                      '"cols": 2}}')
+    assert load_net_config(config) == (Topology.torus2d(2, 2), CostModel(0.0, 1e9, None, 1.0))
 
 
 @pytest.mark.parametrize("command, name, content", [

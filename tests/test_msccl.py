@@ -2,6 +2,7 @@
 
 import pytest
 
+from collgraph.cli import main
 from collgraph.errors import MatchError, RefError, SchemaError, SizeError, XmlError
 from collgraph.generators import AlgoSpec, Algorithm, generate
 from collgraph.msccl import convert_to_trace, parse_msccl_xml
@@ -167,6 +168,37 @@ def test_copy_only_program_converts_to_comp_nodes(tmp_path):
     assert [n.kind for n in nodes] == [NodeKind.COMP, NodeKind.COMP]
     assert nodes[0].attrs.op == "COPY" and nodes[0].attrs.comp_size == 1024
     check_trace(converted)
+
+
+ONE_COPY = """\
+<algo name="local" ngpus="1" nchunks="2" coll="allreduce">
+  <gpu id="0">
+    <tb id="0" chan="0">
+      <step s="0" type="cpy" srcbuf="input" srcoff="{src}"
+            dstbuf="output" dstoff="{dst}" cnt="{cnt}"/>
+    </tb>
+  </gpu>
+</algo>
+"""
+
+
+@pytest.mark.parametrize("src, dst, cnt, past", [
+    (0, 0, 2, None), (1, 0, 1, None), (0, 1, 1, None),
+    (1, 0, 2, "srcoff"), (0, 1, 2, "dstoff"), (0, 0, 1_000_000, "srcoff"),
+])
+def test_step_chunks_stay_inside_nchunks(tmp_path, capsys, src, dst, cnt, past):
+    path = write(tmp_path, ONE_COPY.format(src=src, dst=dst, cnt=cnt))
+    if past is None:  # off + cnt == nchunks is the last valid span
+        node = convert_to_trace(parse_msccl_xml(path), 2048).per_rank_nodes[0][0]
+        assert node.attrs.chunks == tuple(range(dst, dst + cnt))
+        assert node.attrs.src_chunks == tuple(range(src, src + cnt))
+        return
+    with pytest.raises(SchemaError, match=f"{past}=.* at line 4 runs past nchunks=2"):
+        parse_msccl_xml(path)
+    assert main(["convert", "--msccl-xml", str(path), "--size", "2048",
+                 "-o", str(tmp_path / "out.json")]) == 2
+    assert not (tmp_path / "out.json").exists()
+    assert "runs past nchunks" in capsys.readouterr().err
 
 
 UNBALANCED = """\

@@ -7,8 +7,10 @@ plus the message's time on one link; every valid trace is written as
 loader raises only collgraph errors on corrupted input, and builds the
 trace, or raises the error, the per-node checking oracle loader does; the
 net config and MSCCL XML readers raise only collgraph errors on mutated or
-arbitrary bytes; and the message table a trace stores pairs its sends
-and recvs as the oracle in `tests/helpers.py` does.
+arbitrary bytes; the message table a trace stores pairs its sends and
+recvs as the oracle in `tests/helpers.py` does; and on random
+chunk-annotated traces the validator's verdict, final chunk state and
+rendezvous warning agree with the oracles there.
 
 Runs are derandomized and keep no example database, so the suite stays
 deterministic; Hypothesis' own cache goes to a temporary directory removed
@@ -22,9 +24,11 @@ from pathlib import Path
 
 import pytest
 from helpers import (
+    concrete_execute,
     delete_node,
     loads_trace_oracle,
     message_table,
+    rendezvous_completes,
     simulate_oracle,
     trace_json_oracle,
 )
@@ -33,7 +37,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from collgraph.cli import load_net_config
-from collgraph.errors import CollGraphError, DeadlockError, InvariantError
+from collgraph.errors import CollGraphError, DeadlockError, InvariantError, StuckError
 from collgraph.generators import AlgoSpec, Algorithm, generate
 from collgraph.msccl import parse_msccl_xml
 from collgraph.simulator import CostModel, Topology, TopologyKind, simulate
@@ -51,6 +55,7 @@ from collgraph.trace import (
     dumps_trace,
     loads_trace,
 )
+from collgraph.validator import _Exec, check_semantics
 
 # set on import: the Hypothesis plugin writes its cache while collecting
 _HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
@@ -418,3 +423,81 @@ def test_load_net_config_raises_only_collgraph_errors(input_path, data):
 @given(spliced(XML, st.binary(max_size=20)) | st.binary(max_size=200))
 def test_parse_msccl_xml_raises_only_collgraph_errors(input_path, data):
     _raises_only_collgraph_errors(parse_msccl_xml, input_path, data)
+
+
+# ---------------------------------------------------------------------------
+# The validator against the independent oracles
+# ---------------------------------------------------------------------------
+
+CHUNKS = 4  # chunk ids are drawn from range(CHUNKS)
+
+
+@st.composite
+def chunked_traces(draw):
+    """ALL_REDUCE traces over `valid_ranks(chained=True)` with chunk metadata.
+    Each send and its recv name chunk lists of one length; each compute node
+    becomes a REDUCE, a COPY or a NOP. Extra deps on earlier nodes give a
+    recv several dependents, and each rank still runs in one order, so the
+    final state does not depend on the schedule. A COPY reads no chunk it
+    writes: the validator reads all sources before it writes, the oracle
+    copies chunk by chunk."""
+    ids = st.integers(0, CHUNKS - 1)
+    length = {}  # (src, dst, tag) -> number of chunks of the message
+    ranks = []
+    for rank, nodes in enumerate(draw(valid_ranks(chained=True))):
+        after = {node.deps[0]: node for node in nodes if node.deps}
+        node = next((node for node in nodes if not node.deps), None)
+        chain = []
+        while node is not None:
+            chain.append(node)
+            node = after.get(node.id)
+        out = []
+        for i, node in enumerate(chain):
+            extra = draw(st.lists(st.sampled_from(chain[:i]), max_size=2)) if i else []
+            deps = tuple(sorted(set(node.deps) | {m.id for m in extra}))
+            a = node.attrs
+            if node.kind is NodeKind.COMP:
+                op = draw(st.sampled_from(["REDUCE", "COPY", "NOP"]))
+                chunks = src = None
+                if op != "NOP":
+                    chunks = draw(st.lists(ids, min_size=1, max_size=3))
+                    free = sorted(set(range(CHUNKS)) - set(chunks)) if op == "COPY" else None
+                    if op == "COPY" or draw(st.booleans()):
+                        src = [draw(st.sampled_from(free) if free else ids) for _ in chunks]
+                a = CompAttrs(op, a.comp_size, chunks, src)
+            else:
+                key = (rank, a.dst_rank, a.tag) if node.kind is NodeKind.COMM_SEND \
+                    else (a.src_rank, rank, a.tag)
+                if key not in length:
+                    length[key] = draw(st.integers(1, 3))
+                a = replace(a, chunks=draw(st.lists(ids, min_size=length[key],
+                                                    max_size=length[key])))
+            out.append(TraceNode(node.id, node.name, node.kind, deps, a))
+        ranks.append(out)
+    return CollectiveTrace(len(ranks), CollDescriptor(CollKind.ALL_REDUCE, 4096), ranks)
+
+
+RENDEZVOUS_WARNING = "trace deadlocks under rendezvous send semantics"
+
+
+def _verdict(trace, seed):
+    try:
+        return check_semantics(trace, order_seed=seed).to_json()
+    except StuckError as exc:
+        return ("STUCK", exc.frontier, str(exc))
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(chunked_traces(), st.integers(0, 2**16))
+def test_validator_agrees_with_the_oracles_on_random_traces(trace, seed):
+    verdict = _verdict(trace, None)
+    assert _verdict(trace, seed) == verdict
+    if isinstance(verdict, tuple):  # stuck even with eager sends
+        return
+    assert (RENDEZVOUS_WARNING in verdict["warnings"]) != rendezvous_completes(trace)
+    ex = _Exec(trace, True, None)
+    ex.seed_initial_state(trace.claimed_collective, CHUNKS)
+    ex.run()
+    masks = [{j: sum(1 << (r * CHUNKS + c) for r, c in held) for j, held in state.items()}
+             for state in ex.state]
+    assert masks == concrete_execute(trace, CHUNKS)

@@ -463,6 +463,23 @@ def test_sweep_slowdowns_and_row_order():
     assert sw[0].slowdown < sw[1].slowdown  # grows with size
 
 
+def test_sweep_keys_cells_by_topology_not_label():
+    # a larger ring and a placed ring share the baseline's "ring" label, but
+    # each is simulated on its own network
+    cost = CostModel(1e-6, 1e9)
+    trace = ring_ag(4, 4096)
+    wide, placed = Topology.ring(8), Topology(TopologyKind.RING, 4, placement=[0, 2, 1, 3])
+    rows = sweep(Algorithm.RING_ALL_GATHER, 4, [4096], [wide, placed, Topology.ring(4)], cost)
+    base = simulate(trace, Topology.ring(4), cost).total_duration
+    expected = [simulate(trace, topo, cost).total_duration for topo in (wide, placed)] + [base]
+    assert expected[:2] == [pytest.approx(2.348e-05), pytest.approx(2.5576e-05)]
+    assert [(r.topology, r.duration_s, r.slowdown) for r in rows] == [
+        ("ring", d, d / base) for d in expected]
+    # a placement given as a list is stored as a tuple, so the topology hashes
+    assert placed == Topology(TopologyKind.RING, 4, placement=(0, 2, 1, 3))
+    assert hash(placed) == hash(Topology(TopologyKind.RING, 4, placement=(0, 2, 1, 3)))
+
+
 def test_sweep_parallel_jobs_match_sequential():
     sizes = [16384, 65536]
     topologies = [Topology.ring(4), Topology.switch(4)]
