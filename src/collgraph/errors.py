@@ -61,32 +61,31 @@ class BindingError(CollGraphError):
     """Missing or mismatched collective binding during expansion."""
 
 
-def _name_frontier(nodes) -> str:
-    """The first 8 of `nodes`, (rank, id, name) triples, as `(rank, id) 'name'`."""
-    shown = [f"({rank}, {nid}) {name!r}" for rank, nid, name in nodes[:8]]
-    if len(nodes) > 8:
-        shown.append(f"and {len(nodes) - 8} more")
-    return ", ".join(shown) or "none"
+class _FrontierError(CollGraphError):
+    """Built from a frontier of (rank, node_id, name) triples: the message
+    names the first 8 after the subclass's `label`, and `frontier` holds
+    every (rank, node_id) pair."""
 
-
-class StuckError(CollGraphError):
-    """Symbolic execution cannot reach quiescence. Built from the blocked
-    frontier as (rank, node_id, name) triples; the message names the first
-    8, and `frontier` holds every (rank, node_id) pair."""
+    label = ""
 
     def __init__(self, message: str, nodes: list[tuple[int, int, str]]):
-        super().__init__(f"{message}; frontier: {_name_frontier(nodes)}")
+        shown = [f"({rank}, {nid}) {name!r}" for rank, nid, name in nodes[:8]]
+        if len(nodes) > 8:
+            shown.append(f"and {len(nodes) - 8} more")
+        super().__init__(f"{message}; {self.label}: {', '.join(shown) or 'none'}")
         self.frontier = [(rank, nid) for rank, nid, _ in nodes]
 
 
-class DeadlockError(CollGraphError):
-    """Simulation ran out of events with nodes still pending. Built from the
-    pending frontier as (rank, node_id, name) triples; the message names the
-    first 8, and `frontier` holds every (rank, node_id) pair."""
+class StuckError(_FrontierError):
+    """Symbolic execution cannot reach quiescence; built from the blocked frontier."""
 
-    def __init__(self, message: str, nodes: list[tuple[int, int, str]]):
-        super().__init__(f"{message}; pending: {_name_frontier(nodes)}")
-        self.frontier = [(rank, nid) for rank, nid, _ in nodes]
+    label = "frontier"
+
+
+class DeadlockError(_FrontierError):
+    """Simulation ran out of events with nodes still pending (the frontier)."""
+
+    label = "pending"
 
 
 class UnexpandedCollectiveError(CollGraphError):

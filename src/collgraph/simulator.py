@@ -186,46 +186,36 @@ def route(topology: Topology, src: int, dst: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class NodeTiming:
-    issue: float
-    start: float
-    finish: float
-
-
-@dataclass(frozen=True)
-class LinkStats:
-    src: int
-    dst: int
-    messages: int
-    busy_time: float
-
-
-@dataclass(frozen=True)
 class SimReport:
-    """Per-node timestamps plus link usage; a pure function of its inputs."""
+    """Per-node timestamps plus link usage; a pure function of its inputs.
+
+    `node_times[rank]` holds one row `(id, issue_s, start_s, finish_s)` per
+    node of that rank, by ascending id; `link_stats` holds one row
+    `(src, dst, messages, busy_s)` per directed link that carried a
+    message, sorted by link."""
 
     num_ranks: int
-    node_times: tuple[tuple[tuple[int, NodeTiming], ...], ...]
+    node_times: tuple[tuple[tuple[int, float, float, float], ...], ...]
     total_duration: float
     event_count: int
-    link_stats: tuple[LinkStats, ...]
+    link_stats: tuple[tuple[int, int, int, float], ...]
 
     def dumps(self) -> str:
         """The report as indent-2 JSON text, byte for byte what `json.dumps`
         writes; `simulate` keeps every time finite, so the text is strict JSON."""
         num = float.__repr__  # json's own float format
         ranks = json_array(
-            [json_array([f'{{\n        "id": {nid},\n        "issue_s": {num(t.issue)},\n'
-                         f'        "start_s": {num(t.start)},\n'
-                         f'        "finish_s": {num(t.finish)}\n      }}'
-                         for nid, t in rank_times], 4)
+            [json_array([f'{{\n        "id": {nid},\n        "issue_s": {num(issue)},\n'
+                         f'        "start_s": {num(start)},\n'
+                         f'        "finish_s": {num(finish)}\n      }}'
+                         for nid, issue, start, finish in rank_times], 4)
              for rank_times in self.node_times], 2)
         total = self.total_duration
         links = json_array(
-            [f'{{\n      "src": {ls.src},\n      "dst": {ls.dst},\n'
-             f'      "messages": {ls.messages},\n      "busy_s": {num(ls.busy_time)},\n'
-             f'      "utilization": {num(ls.busy_time / total if total > 0 else 0.0)}\n    }}'
-             for ls in self.link_stats], 2)
+            [f'{{\n      "src": {src},\n      "dst": {dst},\n'
+             f'      "messages": {messages},\n      "busy_s": {num(busy)},\n'
+             f'      "utilization": {num(busy / total if total > 0 else 0.0)}\n    }}'
+             for src, dst, messages, busy in self.link_stats], 2)
         return (f'{{\n  "total_duration_s": {num(total)},\n  "event_count": {self.event_count},\n'
                 f'  "num_ranks": {self.num_ranks},\n  "ranks": {ranks},\n  "links": {links}\n}}\n')
 
@@ -346,18 +336,13 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
             f"simulation stalled with {total_nodes - finished} node(s) unfinished",
             [(rank, nodes[rank][p].id, nodes[rank][p].name) for rank, p in waiting])
 
-    node_times = tuple(
-        tuple((nid, NodeTiming(i, s, f))
-              for nid, i, s, f in zip(r.ids, issue_t[rank], start_t[rank], finish_t[rank]))
-        for rank, r in enumerate(readiness)
-    )
+    node_times = tuple(tuple(zip(r.ids, issue_t[rank], start_t[rank], finish_t[rank]))
+                       for rank, r in enumerate(readiness))
     total = max((max(f) for f in finish_t if f), default=0.0)
     if not math.isfinite(total):  # every other time is at most the total
         raise SpecError("simulated time overflows a float; scale the costs down")
-    stats = tuple(
-        LinkStats(link[0], link[1], link_msgs[lid], link_busy[lid])
-        for link, lid in sorted(link_ids.items())
-    )
+    stats = tuple((src, dst, link_msgs[lid], link_busy[lid])
+                  for (src, dst), lid in sorted(link_ids.items()))
     return SimReport(trace.num_ranks, node_times, total, event_count, stats)
 
 

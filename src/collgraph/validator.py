@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import InvariantError, StuckError
 from .trace import (
@@ -149,6 +150,11 @@ class _Exec:
         if not self.track or node.attrs.chunks is None:
             return
         a = node.attrs
+        if a.op in (OP_REDUCE, OP_COPY) and a.src_chunks is not None \
+                and len(a.src_chunks) != len(a.chunks):
+            raise InvariantError(
+                f"{a.op} names {len(a.chunks)} chunk(s) but {len(a.src_chunks)} "
+                f"src_chunks", rank, node.id)
         if a.op == OP_REDUCE:
             for i, chunk in enumerate(a.chunks):
                 acc = self.state[rank].get(chunk, frozenset())
@@ -233,19 +239,24 @@ class _Exec:
 # check_semantics
 # ---------------------------------------------------------------------------
 
-def _chunk_space(trace: CollectiveTrace) -> int | None:
-    """The number of chunks the metadata names (largest index + 1, or the
-    rank count if it names none); None if a send or recv carries none."""
-    top = -1
+def _chunk_space(trace: CollectiveTrace) -> tuple[int, int, list[int]] | None:
+    """The number of chunks the metadata names (largest id + 1, or the rank
+    count if it names none), how many ids below that it leaves out, and the
+    first 8 of those; None if a send or recv carries no metadata."""
+    named = set()
     for nodes in trace.per_rank_nodes:
         for node in nodes:
             chunks = getattr(node.attrs, "chunks", None)
             if chunks is None and node.kind in (NodeKind.COMM_SEND, NodeKind.COMM_RECV):
                 return None
-            for named in (chunks, getattr(node.attrs, "src_chunks", None)):
-                if named:
-                    top = max(top, max(named))
-    return top + 1 if top >= 0 else max(trace.num_ranks, 1)
+            named.update(chunks or ())
+            named.update(getattr(node.attrs, "src_chunks", None) or ())
+    if not named:
+        return max(trace.num_ranks, 1), 0, []
+    space = max(named) + 1
+    # the first 8 gaps lie within len(named) + 8 ids of 0, so this is bounded
+    gaps = list(islice((c for c in range(space) if c not in named), 8))
+    return space, space - len(named), gaps
 
 
 def _origins(kind: CollKind, num_ranks: int, num_chunks: int) -> list:
@@ -271,15 +282,18 @@ def check_semantics(trace: CollectiveTrace, *, order_seed: int | None = None) ->
 
     Raises StuckError when execution cannot reach quiescence (deadlock or
     missing messages). Returns SKIPPED when the trace carries no claimed
-    collective or no chunk metadata; matching/deadlock checks still ran.
+    collective or no chunk metadata, and FAIL with one violation when the
+    named chunk ids are not 0..k-1; matching/deadlock checks still ran.
     """
     order = None if order_seed is None else random.Random(order_seed)
-    num_chunks = None if trace.claimed_collective is None else _chunk_space(trace)
-    track = num_chunks is not None
+    space = None if trace.claimed_collective is None else _chunk_space(trace)
+    track = space is not None
     ex = _Exec(trace, track, order)
     warnings: list[str] = []
     if track:
-        origins = ex.seed_initial_state(trace.claimed_collective, num_chunks)
+        num_chunks, missing, gaps = space
+        if not missing:
+            origins = ex.seed_initial_state(trace.claimed_collective, num_chunks)
     ex.run()
     try:
         _Exec(trace, False, None, rendezvous=True).run()
@@ -287,6 +301,11 @@ def check_semantics(trace: CollectiveTrace, *, order_seed: int | None = None) ->
         warnings.append("trace deadlocks under rendezvous send semantics")
     if not track:
         return Verdict(SKIPPED, warnings=warnings)
+    if missing:  # the state is neither seeded nor compared, so one violation
+        shown = ", ".join(map(str, gaps)) + (", ..." if missing > len(gaps) else "")
+        return Verdict(FAIL, warnings=warnings, violations=[{
+            "rank": None, "chunk": None,
+            "error": f"chunk ids are not 0..{num_chunks - 1}: {missing} missing ({shown})"}])
 
     violations = list(ex.read_violations)
     kind, n = trace.claimed_collective.kind, trace.num_ranks

@@ -18,7 +18,7 @@ from collgraph.errors import (
     SpecError,
     UnexpandedCollectiveError,
 )
-from collgraph.simulator import LinkStats, NodeTiming, SimReport, route
+from collgraph.simulator import SimReport, route
 from collgraph.trace import (
     FORMAT_VERSION,
     OP_COPY,
@@ -235,14 +235,14 @@ def report_json_oracle(report) -> str:
         "event_count": report.event_count,
         "num_ranks": report.num_ranks,
         "ranks": [
-            [{"id": nid, "issue_s": t.issue, "start_s": t.start, "finish_s": t.finish}
-             for nid, t in rank_times]
+            [{"id": nid, "issue_s": issue, "start_s": start, "finish_s": finish}
+             for nid, issue, start, finish in rank_times]
             for rank_times in report.node_times
         ],
         "links": [
-            {"src": ls.src, "dst": ls.dst, "messages": ls.messages, "busy_s": ls.busy_time,
-             "utilization": ls.busy_time / total if total > 0 else 0.0}
-            for ls in report.link_stats
+            {"src": src, "dst": dst, "messages": messages, "busy_s": busy,
+             "utilization": busy / total if total > 0 else 0.0}
+            for src, dst, messages, busy in report.link_stats
         ],
     })
 
@@ -342,23 +342,22 @@ def simulate_oracle(trace, topology, cost) -> SimReport:
             [(r, nid, nodes[r][nid].name) for r, nid in sorted(recv_wait.values())])
 
     node_times = tuple(
-        tuple((nid, NodeTiming(issue_t[(rank, nid)], start_t[(rank, nid)],
-                               finish_t[(rank, nid)]))
+        tuple((nid, issue_t[(rank, nid)], start_t[(rank, nid)], finish_t[(rank, nid)])
               for nid in sorted(nodes[rank]))
         for rank in range(trace.num_ranks))
     total = max(finish_t.values(), default=0.0)
     if not math.isfinite(total):
         raise SpecError("simulated time overflows a float; scale the costs down")
-    stats = tuple(LinkStats(link[0], link[1], link_msgs[link], link_busy[link])
+    stats = tuple((link[0], link[1], link_msgs[link], link_busy[link])
                   for link in sorted(link_busy))
     return SimReport(trace.num_ranks, node_times, total, event_count, stats)
 
 
-def timing(report: SimReport, rank: int, node_id: int) -> NodeTiming:
-    """The times `report` gives node `node_id` of `rank`."""
-    for nid, t in report.node_times[rank]:
+def timing(report: SimReport, rank: int, node_id: int) -> tuple[float, float, float]:
+    """The (issue, start, finish) times `report` gives node `node_id` of `rank`."""
+    for nid, *times in report.node_times[rank]:
         if nid == node_id:
-            return t
+            return tuple(times)
     raise KeyError(f"no node {node_id} on rank {rank}")
 
 

@@ -3,6 +3,10 @@
 import argparse
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,7 @@ from collgraph.errors import CollGraphError
 from collgraph.generators import AlgoSpec, Algorithm, generate
 from collgraph.simulator import CostModel, Topology
 from collgraph.trace import (
+    CollDescriptor,
     CollKind,
     CollectiveTrace,
     NodeKind,
@@ -189,6 +194,19 @@ def test_validate_circular_wait_exits_4(fixtures_dir, capsys):
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["verdict"] == "STUCK"
     assert verdict["stuck_nodes"] == [[0, 0], [1, 0]]
+
+
+@pytest.mark.parametrize("op, chunks, src_chunks", [("REDUCE", [0, 1], [0]),
+                                                     ("COPY", [0, 1], [1])])
+def test_validate_comp_whose_chunk_lists_differ_in_length_exits_2(tmp_path, capsys, op,
+                                                                  chunks, src_chunks):
+    b = TraceBuilder(1)
+    b.add_comp(0, op, 64, chunks=chunks, src_chunks=src_chunks)
+    path = tmp_path / "comp.json"
+    save_trace(b.build_collective(CollDescriptor(CollKind.ALL_REDUCE, 64)), path)
+    assert run("validate", path) == 2
+    assert capsys.readouterr().err == \
+        f"collgraph: {op} names 2 chunk(s) but 1 src_chunks (rank 0, node 0)\n"
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +437,67 @@ def test_help_on_every_subcommand():
         with pytest.raises(SystemExit) as exc:
             run(command, "--help")
         assert exc.value.code == 0
+
+
+@pytest.fixture
+def inputs(tmp_path, net_config):
+    """Paths by name: a collective trace, a workload with collectives, a net
+    config with costs but no topology, the ring net config, and an output."""
+    paths = {"coll": tmp_path / "coll.json", "wl": tmp_path / "wl.json",
+             "costs": tmp_path / "costs.json", "net": net_config, "out": tmp_path / "out"}
+    save_trace(generate(AlgoSpec(Algorithm.RING_ALL_GATHER, 4, 4096)), paths["coll"])
+    write_chain_workload(paths["wl"])
+    paths["costs"].write_text('{"alpha_s": 1e-06, "bandwidth_Bps": 1e9}')
+    return paths
+
+
+SWEEP = ["sweep", "--algo", "ring-allgather", "--ranks", "4", "--topologies", "ring"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(SWEEP + ["--sizes", "1KiB:4KiB", "--net", "{net}"],
+                 "invalid sweep '1KiB:4KiB'", id="sweep-without-factor"),
+    pytest.param(["simulate", "{coll}", "--net", "{costs}"],
+                 "simulate needs a topology entry", id="simulate-without-topology"),
+    pytest.param(["validate", "{wl}"], "validate expects a collective trace",
+                 id="validate-a-workload"),
+    pytest.param(["expand", "{coll}", "-o", "{out}"], "expand expects a workload trace",
+                 id="expand-a-collective"),
+    pytest.param(["expand", "{wl}", "--bind", "ALL_REDUCE", "-o", "{out}"],
+                 "invalid binding 'ALL_REDUCE'", id="bind-without-target"),
+    pytest.param(["expand", "{wl}", "--bind", "ALL_SUM=ring-allreduce", "-o", "{out}"],
+                 "unknown collective kind 'ALL_SUM'", id="bind-unknown-kind"),
+    pytest.param(["expand", "{wl}", "--bind", "ALL_REDUCE={out}.json", "-o", "{out}"],
+                 "neither an algorithm", id="bind-missing-file"),
+    pytest.param(["expand", "{wl}", "--bind", "ALL_REDUCE=file:{wl}", "-o", "{out}"],
+                 "is not a collective trace", id="bind-a-workload"),
+])
+def test_wrong_arguments_and_inputs_exit_2(inputs, capsys, argv, message):
+    try:
+        code = run(*[arg.format(**inputs) for arg in argv])
+    except SystemExit as exc:  # argparse rejects its own arguments this way
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not inputs["out"].exists()
+
+
+def test_simulate_and_sweep_write_to_stdout_what_they_write_to_a_file(inputs, capsys):
+    for argv in (["simulate", "{coll}", "--net", "{net}"],
+                 SWEEP + ["--sizes", "1KiB", "--net", "{costs}"]):
+        argv = [arg.format(**inputs) for arg in argv]
+        assert run(*argv, "-o", inputs["out"]) == 0
+        assert run(*argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == inputs["out"].read_bytes()
+
+
+def test_module_entry_point_exits_with_the_command_status(fixtures_dir):
+    src = str(Path(cli.__file__).parents[1])  # the directory that holds the package
+    done = subprocess.run(
+        [sys.executable, "-m", "collgraph.cli", "validate", fixtures_dir / "circular_wait.json"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60)
+    assert done.returncode == 4
+    assert json.loads(done.stdout)["stuck_nodes"] == [[0, 0], [1, 0]]
 
 
 def test_log_level_env_var(tmp_path, monkeypatch):

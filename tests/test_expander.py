@@ -152,6 +152,10 @@ def test_binding_may_be_a_fixed_trace_of_matching_size():
          "sized"),
         ({CollKind.ALL_GATHER: generate(AlgoSpec(Algorithm.RING_ALL_GATHER, 4, MIB))},
          "ranks"),
+        ({CollKind.ALL_GATHER: CollectiveTrace(2, None, [[], []])}, "does not claim"),
+        ({CollKind.ALL_GATHER: generate(AlgoSpec(Algorithm.RING_ALL_REDUCE, 2, MIB))},
+         "claims ALL_REDUCE"),
+        ({CollKind.ALL_GATHER: AlgoSpec(Algorithm.RING_ALL_REDUCE, 2, MIB)}, "implements"),
     ],
 )
 def test_binding_errors(binding, message):

@@ -234,6 +234,73 @@ def test_count_mismatch_raises_match_error(tmp_path):
         convert_to_trace(program, 2048)
 
 
+PAIR = UNBALANCED.replace('      <step s="1" type="s" srcbuf="input" srcoff="0" cnt="1"/>\n', "")
+NOP_STEP = '<step s="0" type="nop"/>'
+
+
+@pytest.mark.parametrize("text, size, error, match", [
+    pytest.param(NOP_ONLY.replace('ngpus="1"', 'ngpus="0"'), 1, SchemaError,
+                 "ngpus=0 at line 1 must be positive", id="no-gpus"),
+    pytest.param(NOP_ONLY.replace('nchunks="1"', 'nchunks="0"'), 1, SchemaError,
+                 "nchunks=0 at line 1 must be positive", id="no-chunks"),
+    pytest.param(NOP_ONLY.replace('coll="allreduce"', 'coll="alltoall"'), 1, SchemaError,
+                 "unknown collective 'alltoall' at line 1", id="unknown-collective"),
+    pytest.param(NOP_ONLY.replace('<gpu id="0">', '<gpu id="1">'), 1, SchemaError,
+                 "gpu id=1 at line 2 out of range", id="gpu-out-of-range"),
+    pytest.param(PAIR.replace('<gpu id="1">', '<gpu id="0">'), 1, SchemaError,
+                 "duplicate gpu id=0 at line 7", id="duplicate-gpu"),
+    pytest.param(NOP_ONLY.replace('ngpus="1"', 'ngpus="2"'), 1, SchemaError,
+                 "expected 2 <gpu> elements, found 1", id="missing-gpu"),
+    pytest.param(NOP_ONLY.replace("</tb>", f'</tb><tb id="0" chan="0">{NOP_STEP}</tb>'), 1,
+                 SchemaError, "duplicate tb id=0 at line 5", id="duplicate-tb"),
+    pytest.param(NOP_ONLY.replace('chan="0"', 'chan="-1"'), 1, SchemaError,
+                 "chan=-1 at line 3 must be >= 0", id="negative-channel"),
+    pytest.param(NOP_ONLY.replace('chan="0"', 'send="1" chan="0"'), 1, SchemaError,
+                 "send=1 on <tb> at line 3 is not a valid gpu", id="send-peer-out-of-range"),
+    pytest.param(NOP_ONLY.replace('chan="0"', 'send="0" chan="0"'), 1, SchemaError,
+                 "send on <tb> at line 3 points at its own gpu", id="send-to-itself"),
+    pytest.param(NOP_ONLY.replace(NOP_STEP, '<step s="0" type="r" dstbuf="output" '
+                                            'dstoff="0" cnt="1"/>'), 1, SchemaError,
+                 "requires a recv peer", id="recv-without-peer"),
+    pytest.param(PAIR.replace('srcbuf="input" srcoff="0" ', ""), 1, SchemaError,
+                 "step type 's' at line 4 needs srcbuf/srcoff", id="send-without-source"),
+    pytest.param(PAIR.replace('dstbuf="output" dstoff="0" ', ""), 1, SchemaError,
+                 "step type 'r' at line 9 needs dstbuf/dstoff", id="recv-without-target"),
+    pytest.param(ONE_COPY.format(src=0, dst=0, cnt=0), 2, SchemaError,
+                 "step type 'cpy' at line 4 needs cnt >= 1", id="no-count"),
+    pytest.param(ONE_COPY.format(src=-1, dst=0, cnt=1), 2, SchemaError,
+                 "srcoff=-1 at line 4 must be non-negative", id="negative-offset"),
+    pytest.param(NOP_ONLY.replace(NOP_STEP, '<step s="0" type="nop" depid="0"/>'), 1,
+                 SchemaError, "depid/deps at line 4 must be given together",
+                 id="depid-without-deps"),
+    pytest.param(PAIR.replace('<tb id="0" recv="0" chan="0">', '<tb id="0" recv="0" chan="1">'),
+                 1, MatchError, r"sends and recvs for 0->1 use different channels \(\[0\] vs "
+                 r"\[1\]\)", id="channels-differ"),
+    pytest.param(NOP_ONLY, 0, SizeError, "comm_size must be positive, got 0",
+                 id="no-bytes"),
+])
+def test_malformed_program_raises_its_error(tmp_path, text, size, error, match):
+    with pytest.raises(error, match=match):
+        convert_to_trace(parse_msccl_xml(write(tmp_path, text)), size)
+
+
+def test_depid_minus_one_means_no_dependency(tmp_path):
+    text = NOP_ONLY.replace(NOP_STEP, '<step s="0" type="nop" depid="-1" deps="-1"/>')
+    program = parse_msccl_xml(write(tmp_path, text))
+    assert program.gpus[0].threadblocks[0].steps[0].depend is None
+
+
+def test_reduce_step_converts_to_a_reduce_node(tmp_path):
+    text = NOP_ONLY.replace('nchunks="1"', 'nchunks="2"').replace(
+        NOP_STEP, NOP_STEP + '<step s="1" type="re" srcbuf="input" srcoff="0" '
+                             'dstbuf="output" dstoff="1" cnt="1"/>')
+    nodes = convert_to_trace(parse_msccl_xml(write(tmp_path, text)), 2048).per_rank_nodes[0]
+    reduce = nodes[1]
+    assert (reduce.kind, reduce.attrs.op, reduce.attrs.comp_size) == (NodeKind.COMP, "REDUCE", 1024)
+    assert (reduce.attrs.chunks, reduce.attrs.src_chunks) == ((1,), (0,))
+    assert reduce.deps == (nodes[0].id,)
+
+
 def test_indivisible_size_raises_size_error(fixtures_dir):
     program = parse_msccl_xml(fixtures_dir / "ring_allreduce_n4.xml")
     with pytest.raises(SizeError, match="divisible"):

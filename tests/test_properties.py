@@ -29,6 +29,7 @@ from helpers import (
     loads_trace_oracle,
     message_table,
     rendezvous_completes,
+    report_json_oracle,
     simulate_oracle,
     trace_json_oracle,
 )
@@ -159,6 +160,7 @@ def simulate_as_the_oracle_does(trace, topology):
         return None
     report = simulate(trace, topology, COST)
     assert report == expected and report.dumps() == expected.dumps()
+    assert report.dumps() == report_json_oracle(report)
     return report
 
 
@@ -174,9 +176,9 @@ def test_built_trace_replays_with_ordered_times_or_is_rejected(ranks):
         return
     finishes = []
     for rank_times in report.node_times:
-        for _, t in rank_times:
-            assert t.issue <= t.start <= t.finish
-            finishes.append(t.finish)
+        for _, issue, start, finish in rank_times:
+            assert issue <= start <= finish
+            finishes.append(finish)
     assert report.total_duration == max(finishes, default=0.0)
 
 
@@ -250,8 +252,9 @@ def test_every_recv_finishes_no_earlier_than_its_send_allows(data):
         report = simulate(trace, topology, COST)
     except DeadlockError:
         return
-    times = [dict(rank_times) for rank_times in report.node_times]
-    send_start = {(rank, node.attrs.dst_rank, node.attrs.tag): times[rank][node.id].start
+    times = [{nid: (start, finish) for nid, _, start, finish in rank_times}
+             for rank_times in report.node_times]
+    send_start = {(rank, node.attrs.dst_rank, node.attrs.tag): times[rank][node.id][0]
                   for rank, nodes in enumerate(trace.per_rank_nodes) for node in nodes
                   if node.kind is NodeKind.COMM_SEND}
     for rank, nodes in enumerate(trace.per_rank_nodes):
@@ -260,7 +263,7 @@ def test_every_recv_finishes_no_earlier_than_its_send_allows(data):
                 a = node.attrs
                 # summed in the order the link model charges them, so exact in floats
                 bound = send_start[a.src_rank, rank, a.tag] + a.comm_size / COST.bandwidth
-                assert times[rank][node.id].finish >= bound + COST.alpha
+                assert times[rank][node.id][1] >= bound + COST.alpha
 
 
 VALID = dumps_trace(generate(AlgoSpec(Algorithm.RING_ALL_GATHER, 3, 96)))

@@ -16,8 +16,6 @@ from collgraph.errors import (
 from collgraph.generators import AlgoSpec, Algorithm, generate
 from collgraph.simulator import (
     CostModel,
-    LinkStats,
-    NodeTiming,
     SimReport,
     Topology,
     TopologyKind,
@@ -248,8 +246,9 @@ def test_compute_costs_follow_reduce_bandwidth():
     cost = CostModel(0.0, 1e9, reduce_bandwidth=1e6, fixed_comp_overhead=0.5)
     report = simulate(trace, Topology.ring(1), cost)
     # REDUCE: overhead + 1000/1e6; the NOP anchor stays free
-    assert timing(report, 0, 0).finish == pytest.approx(0.5 + 1e-3, rel=1e-12)
-    assert timing(report, 0, 1).finish == timing(report, 0, 0).finish
+    _, _, reduce_finish = timing(report, 0, 0)
+    assert reduce_finish == pytest.approx(0.5 + 1e-3, rel=1e-12)
+    assert timing(report, 0, 1)[2] == reduce_finish
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +259,9 @@ def test_timestamps_are_ordered_and_total_is_max():
     report = simulate(ring_ar(4, 4096), Topology.mesh2d(2, 2), COST)
     finishes = []
     for rank_times in report.node_times:
-        for _, t in rank_times:
-            assert t.finish >= t.start >= t.issue >= 0.0
-            finishes.append(t.finish)
+        for _, issue, start, finish in rank_times:
+            assert finish >= start >= issue >= 0.0
+            finishes.append(finish)
     assert report.total_duration == max(finishes)
 
 
@@ -297,7 +296,7 @@ def test_zero_alpha_duration_scales_linearly_with_size():
 def test_conservation_every_message_arrives_once():
     trace = ring_ar(4, 4 * 4096)
     report = simulate(trace, Topology.ring(4), COST)
-    total_messages = sum(ls.messages for ls in report.link_stats)
+    total_messages = sum(messages for _, _, messages, _ in report.link_stats)
     sends = sum(1 for nodes in trace.per_rank_nodes for n in nodes
                 if n.kind.value == "COMM_SEND")
     assert total_messages == sends  # adjacent ring: one link per message
@@ -313,6 +312,12 @@ def test_workload_trace_is_rejected():
         b.add_coll(r, CollKind.ALL_REDUCE, 1024)
     with pytest.raises(UnexpandedCollectiveError):
         simulate(b.build_workload(), Topology.ring(2), COST)
+
+
+@pytest.mark.parametrize("kind", [TopologyKind.MESH2D, TopologyKind.TORUS2D])
+def test_grid_dimensions_must_cover_every_node(kind):
+    with pytest.raises(SpecError, match="rows\\*cols == n"):
+        Topology(kind, 5, 2, 2)
 
 
 def test_too_small_topology_rejected():
@@ -386,8 +391,7 @@ def test_zero_duration_reports_equal_the_oracle():
     empty = simulate(CollectiveTrace(2, None, [[], []]), Topology.ring(2), COST)
     assert empty.dumps() == report_json_oracle(empty)
     # a link with no busy time in a zero-length run has utilization 0.0
-    idle = SimReport(2, (((0, NodeTiming(0.0, 0.0, 0.0)),), ()), 0.0, 1,
-                     (LinkStats(0, 1, 1, 0.0),))
+    idle = SimReport(2, (((0, 0.0, 0.0, 0.0),), ()), 0.0, 1, ((0, 1, 1, 0.0),))
     assert '"utilization": 0.0' in idle.dumps()
     assert idle.dumps() == report_json_oracle(idle)
 

@@ -258,6 +258,11 @@ def test_parse_error_carries_position(tmp_path):
         (lambda d: d.__setitem__("trace_class", "other"), "unknown trace_class"),
         (lambda d: d.__setitem__("claimed_collective", {"kind": "FOO", "comm_size": 1}),
          "unknown collective kind"),
+        (lambda d: d["ranks"][0][0].update(kind="COMM_COLL",
+                                           attrs={"coll_kind": "FOO", "comm_size": 1}),
+         "unknown coll_kind 'FOO'"),
+        (lambda d: d.pop("claimed_collective"), "missing key 'claimed_collective'"),
+        (lambda d: d.__setitem__("trace_class", "workload"), "claimed_collective: null"),
     ],
 )
 def test_schema_errors(tmp_path, mangle, message):
@@ -352,6 +357,11 @@ def test_self_and_out_of_range_peers_rejected():
     with pytest.raises(InvariantError, match="out of range"):
         CollectiveTrace(2, None, [
             [TraceNode(0, "s", NodeKind.COMM_SEND, (), SendAttrs(5, 64, 0))], []])
+
+
+def test_negative_tag_rejected():
+    with pytest.raises(InvariantError, match="tag must be non-negative"):
+        CollectiveTrace(2, None, _send_pair(SendAttrs(1, 64, -1), RecvAttrs(0, 64, -1)))
 
 
 def test_nonpositive_sizes_rejected():

@@ -292,6 +292,38 @@ def test_missing_chunk_metadata_is_skipped_not_guessed():
     assert check_semantics(trace).status == SKIPPED
 
 
+def two_rank_message(kind, chunks, recv_chunks=None):
+    """One send from rank 0 to rank 1 carrying `chunks`, claiming `kind`."""
+    b = TraceBuilder(2)
+    b.add_send(0, 1, 64, chunks=chunks)
+    b.add_recv(1, 0, 64, chunks=chunks if recv_chunks is None else recv_chunks)
+    return b.build_collective(CollDescriptor(kind, 64))
+
+
+def test_send_and_recv_chunk_lists_of_different_lengths_are_an_input_error():
+    trace = two_rank_message(CollKind.ALL_REDUCE, [0], [0, 1])
+    with pytest.raises(InvariantError, match=r"chunk metadata disagree.*\(rank 1, node 0\)"):
+        check_semantics(trace)
+
+
+def test_indivisible_all_gather_chunk_space_is_reported():
+    verdict = check_semantics(two_rank_message(CollKind.ALL_GATHER, [0, 1, 2]))
+    assert verdict.status == FAIL
+    assert verdict.violations[-1] == {
+        "rank": None, "chunk": None, "error": "chunk space of 3 not divisible by 2 ranks"}
+
+
+@pytest.mark.parametrize("chunks, error", [
+    ([200_000], "chunk ids are not 0..200000: 200000 missing (0, 1, 2, 3, 4, 5, 6, 7, ...)"),
+    ([0, 2, 5], "chunk ids are not 0..5: 3 missing (1, 3, 4)"),
+])
+def test_a_chunk_space_with_gaps_is_one_violation(chunks, error):
+    verdict = check_semantics(two_rank_message(CollKind.ALL_REDUCE, chunks))
+    assert verdict.to_json() == {
+        "verdict": FAIL, "violations": [{"rank": None, "chunk": None, "error": error}],
+        "stuck_nodes": [], "warnings": []}
+
+
 def test_unclaimed_trace_is_skipped():
     trace = gen(Algorithm.RING_ALL_REDUCE, 2, 2048)
     unclaimed = CollectiveTrace(2, None, trace.per_rank_nodes)
@@ -345,6 +377,10 @@ def test_different_collectives_are_not_isomorphic():
     ar = gen(Algorithm.RING_ALL_REDUCE, 4, 4 * MIB)
     ag = gen(Algorithm.RING_ALL_GATHER, 4, 4 * MIB)
     assert not isomorphic(ar, ag)
+
+
+def test_traces_of_different_rank_counts_are_not_isomorphic():
+    assert not isomorphic(gen(Algorithm.RING_ALL_REDUCE, 2), gen(Algorithm.RING_ALL_REDUCE, 3))
 
 
 def test_peer_rewrite_breaks_isomorphism():
