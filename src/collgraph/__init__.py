@@ -24,7 +24,6 @@ from .msccl import MscclProgram, convert_to_trace, parse_msccl_xml
 from .simulator import (
     CostModel,
     SimReport,
-    SweepRow,
     Topology,
     TopologyKind,
     route,

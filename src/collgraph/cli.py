@@ -178,7 +178,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    trace = load_trace(args.trace, matching=False)
+    trace = load_trace(args.trace)
     if not isinstance(trace, CollectiveTrace):
         raise CollGraphError("validate expects a collective trace, got a workload")
     try:
@@ -210,8 +210,8 @@ def cmd_sweep(args) -> int:
     rows = sweep(Algorithm(args.algo), args.ranks, args.sizes, topologies, cost,
                  jobs=args.jobs)
     lines = ["topology,size_bytes,duration_s,slowdown"]
-    lines += [f"{r.topology},{r.size_bytes},{r.duration_s!r},{r.slowdown!r}"
-              for r in rows]
+    lines += [f"{topology},{size},{duration!r},{slowdown!r}"
+              for topology, size, duration, slowdown in rows]
     text = "\n".join(lines) + "\n"
     if args.output:
         Path(args.output).write_bytes(text.encode("utf-8"))

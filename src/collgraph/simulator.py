@@ -350,14 +350,6 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
 # Topology sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRow:
-    topology: str
-    size_bytes: int
-    duration_s: float
-    slowdown: float
-
-
 def _sweep_cell(args) -> float:
     spec, topology, cost = args
     return simulate(generate(spec), topology, cost).total_duration
@@ -370,12 +362,13 @@ def sweep(
     topologies: list[Topology],
     cost: CostModel,
     jobs: int = 1,
-) -> list[SweepRow]:
-    """Simulate `algorithm` for every (topology, size) cell and report each
-    duration plus its slowdown against the baseline, which is always the
-    ring of `num_ranks`. Rows keep the given topology order with sizes
-    ascending; each distinct cell is simulated once, and the result is
-    independent of `jobs`, which is capped at the number of cells and of CPUs."""
+) -> list[tuple[str, int, float, float]]:
+    """Simulate `algorithm` for every (topology, size) cell and return the
+    rows (topology label, size_bytes, duration_s, slowdown), each slowdown
+    against the baseline, which is always the ring of `num_ranks`. Rows
+    keep the given topology order with sizes ascending; each distinct cell
+    is simulated once, and the result is independent of `jobs`, which is
+    capped at the number of cells and of CPUs."""
     baseline = Topology.ring(num_ranks)
     sizes = sorted(sizes)
     cells = list(dict.fromkeys((topo, size) for topo in (baseline, *topologies)
@@ -388,6 +381,6 @@ def sweep(
     else:
         durations = [_sweep_cell(a) for a in args]
     duration = dict(zip(cells, durations))
-    return [SweepRow(topo.label(), size, duration[topo, size],
-                     duration[topo, size] / duration[baseline, size])
+    return [(topo.label(), size, duration[topo, size],
+             duration[topo, size] / duration[baseline, size])
             for topo in topologies for size in sizes]

@@ -10,10 +10,13 @@ A trace is checked once, when it is built: `CollectiveTrace` and
 `WorkloadTrace` run `check_trace(matching=False)` on construction and are
 frozen. That check, and only it, pairs each send with its recv: it keeps
 the pairing as the `messages` table, where a message is its number, and
-the first unmatched send/recv pair as `mismatch`, for `require_matched`.
+the first unmatched send/recv pair as `mismatch`. `loads_trace` keeps such
+a trace for the semantic validator; `dumps_trace`, `simulate` and `expand`
+(for its bindings) refuse it through `require_matched`.
 
-Construction contract. The public constructors normalize `deps` to a sorted
-tuple of ints and chunk lists to tuples of ints. The private constructors
+Construction contract. The public constructors take `deps` and chunk lists
+as iterables of exact ints (a bool, float or str is an InvariantError) and
+store them as tuples, `deps` sorted. The private constructors
 `_node`, `_send`, `_recv` and `_comp`, used by `loads_trace`, the
 generators, `convert_to_trace` and `expand`, store what they are given and
 only reject negative chunks: callers pass `deps` as a sorted tuple of ints
@@ -81,8 +84,22 @@ def _check_chunks(chunks):
     return chunks
 
 
+_INT = {int}
+
+
+def _int_tuple(value, what: str) -> tuple:
+    """`value` as a tuple of exact ints, or InvariantError."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        items = None
+    if items is None or not _INT.issuperset(map(type, items)):
+        raise InvariantError(f"{what} must be a list of ints, got {value!r}")
+    return items
+
+
 def _freeze_chunks(value):
-    return None if value is None else _check_chunks(tuple(map(int, value)))
+    return None if value is None else _check_chunks(_int_tuple(value, "chunks"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,7 +175,7 @@ class TraceNode:
     attrs: Attrs
 
     def __post_init__(self):
-        object.__setattr__(self, "deps", tuple(sorted(map(int, self.deps))))
+        object.__setattr__(self, "deps", tuple(sorted(_int_tuple(self.deps, "deps"))))
 
 
 # Private constructors (see the module docstring). Each writes its values
@@ -417,14 +434,18 @@ def _is_text(value) -> bool:
 
 def _check_node(trace: Trace, rank: int, node: TraceNode, is_workload: bool) -> None:
     # Exact ints and UTF-8 text: what the writer writes, the loader reads back.
+    if type(node) is not TraceNode:
+        raise InvariantError(f"rank lists must hold TraceNodes, got {type(node).__name__}",
+                             rank)
     if type(node.id) is not int or node.id < 0:
         raise InvariantError(f"node id must be a non-negative int, got {node.id!r}", rank)
     if not _is_text(node.name):
         raise InvariantError(f"name must be UTF-8 text, got {node.name!r}", rank, node.id)
     expected_kind = _KIND_FOR_ATTRS.get(type(node.attrs))
     if expected_kind is None or node.kind is not expected_kind:
+        kind = node.kind.value if type(node.kind) is NodeKind else repr(node.kind)
         raise InvariantError(
-            f"kind {node.kind.value} inconsistent with attrs {type(node.attrs).__name__}",
+            f"kind {kind} inconsistent with attrs {type(node.attrs).__name__}",
             rank, node.id,
         )
     a = node.attrs
@@ -656,7 +677,6 @@ _TOP_KEYS = {"format_version", "trace_class", "num_ranks", "claimed_collective",
 _NODE_KEYS = {"id", "name", "kind", "deps", "attrs"}
 _KINDS = {kind.value: kind for kind in NodeKind}
 _COLL_KINDS = {kind.value: kind for kind in CollKind}
-_INT = {int}
 # Each kind's attrs in schema order with their JSON types; lists are the
 # optional chunk lists, and CollKind stands for its name.
 _ATTR_SCHEMA = {
@@ -767,7 +787,7 @@ def _node_fault(obj, where: str) -> NoReturn:
     raise SchemaError(f"node in {where} is not a valid node")
 
 
-def loads_trace(text: str, *, matching: bool = True) -> Trace:
+def loads_trace(text: str) -> Trace:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -809,23 +829,15 @@ def loads_trace(text: str, *, matching: bool = True) -> Trace:
     if trace_class == "workload":
         if claimed is not None:
             raise SchemaError("workload traces must have claimed_collective: null")
-        trace: Trace = WorkloadTrace(num_ranks, per_rank)
-    else:
-        trace = CollectiveTrace(num_ranks, claimed, per_rank)
-    if matching:
-        require_matched(trace)
-    return trace
+        return WorkloadTrace(num_ranks, per_rank)
+    return CollectiveTrace(num_ranks, claimed, per_rank)
 
 
-def load_trace(path, *, matching: bool = True) -> Trace:
+def load_trace(path) -> Trace:
     """Load and schema-check a trace file; building the trace checks its
-    invariants, and `matching` requires matched send/recv pairs.
-
-    `matching=False` admits traces with unmatched sends/receives so the
-    semantic validator can diagnose them instead.
-    """
+    invariants (see the module docstring)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return loads_trace(text, matching=matching)
+    return loads_trace(text)

@@ -3,13 +3,15 @@ reachability check used as oracles for the symbolic validator, `json.dumps`
 oracles for the trace and report writers, a per-node checking loader as the
 oracle for `loads_trace`, a dict-keyed simulator as the oracle for
 `simulate`, a per-node lookup into its reports, the message table the
-trace should store, and structural mutation helpers."""
+trace should store, a node-by-node splicer as the oracle for `expand`, and
+structural mutation helpers."""
 
 from __future__ import annotations
 
 import heapq
 import json
 import math
+from dataclasses import replace
 
 from collgraph.errors import (
     DeadlockError,
@@ -170,11 +172,11 @@ def _node_from_json(obj: dict, where: str) -> TraceNode:
     return TraceNode(nid, name, kind, tuple(deps), attrs)
 
 
-def loads_trace_oracle(text: str, *, matching: bool = True):
+def loads_trace_oracle(text: str):
     """The trace loader as it was written before the one-pass loader: every
-    node checked key by key and built through the public constructors, then
-    `check_trace` for `matching`. Reference for `loads_trace`: an equal
-    trace, or the same exception class and message."""
+    node checked key by key and built through the public constructors.
+    Reference for `loads_trace`: an equal trace, or the same exception class
+    and message."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -221,8 +223,6 @@ def loads_trace_oracle(text: str, *, matching: bool = True):
         trace = WorkloadTrace(num_ranks, per_rank)
     else:
         trace = CollectiveTrace(num_ranks, claimed, per_rank)
-    if matching:
-        check_trace(trace)
     return trace
 
 
@@ -485,6 +485,64 @@ def message_table(trace: CollectiveTrace) -> tuple:
                       None if recv is None else recv.id,
                       None if send is None else send.attrs.comm_size))
     return tuple(table)
+
+
+def expand_oracle(workload: WorkloadTrace, subtrace, tag_stride: int) -> CollectiveTrace:
+    """The unified trace by the expander's rules, node by node: a COMM_COLL
+    placeholder becomes its rank's subgraph of `subtrace(kind, size)`, whose
+    roots take the placeholder's deps and whose sinks feed its dependents;
+    each rank is renumbered 0.. in ascending workload id, a subgraph in
+    ascending subgraph id at its placeholder's place; the placeholder's
+    ordinal (its position among the rank's collectives in topological
+    order, ties by id) lifts every tag by ordinal * `tag_stride` and
+    prefixes every name with `coll{ordinal}_`; an empty subgraph is one
+    free NOP node named `anchor`. Reference for `expand`."""
+    out = []
+    for rank, rank_nodes in enumerate(workload.per_rank_nodes):
+        by_id = {node.id: node for node in rank_nodes}
+        done, topo = set(), []
+        while len(topo) < len(by_id):
+            nid = min(i for i, node in by_id.items()
+                      if i not in done and set(node.deps) <= done)
+            done.add(nid)
+            topo.append(nid)
+        colls = [nid for nid in topo if by_id[nid].kind is NodeKind.COMM_COLL]
+        # each workload node's block: its new ids by old id, and its nodes
+        blocks, next_id = {}, 0
+        for nid in sorted(by_id):
+            node = by_id[nid]
+            if node.kind is NodeKind.COMM_COLL:
+                sub = subtrace(node.attrs.coll_kind, node.attrs.comm_size)
+                members = sorted(sub.per_rank_nodes[rank], key=lambda m: m.id) or [
+                    TraceNode(0, "anchor", NodeKind.COMP, (), CompAttrs(OP_NOP, 0))]
+            else:
+                members = [node]
+            blocks[nid] = ({m.id: next_id + i for i, m in enumerate(members)}, members)
+            next_id += len(members)
+
+        def exits(nid):
+            new_ids, members = blocks[nid]
+            depended = {d for m in members for d in m.deps}
+            return [new_ids[m.id] for m in members if m.id not in depended]
+
+        nodes = []
+        for nid in sorted(by_id):
+            node = by_id[nid]
+            deps = tuple(sorted({e for d in node.deps for e in exits(d)}))
+            new_ids, members = blocks[nid]
+            if node.kind is not NodeKind.COMM_COLL:
+                nodes.append(TraceNode(new_ids[nid], node.name, node.kind, deps, node.attrs))
+                continue
+            ordinal = colls.index(nid)
+            for m in members:
+                attrs = m.attrs
+                if m.kind is not NodeKind.COMP:
+                    attrs = replace(attrs, tag=attrs.tag + ordinal * tag_stride)
+                m_deps = tuple(new_ids[d] for d in m.deps) if m.deps else deps
+                nodes.append(TraceNode(new_ids[m.id], f"coll{ordinal}_{m.name}", m.kind,
+                                       m_deps, attrs))
+        out.append(nodes)
+    return CollectiveTrace(workload.num_ranks, None, out)
 
 
 def full_mask(n: int, num_chunks: int, chunk: int) -> int:

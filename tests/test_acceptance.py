@@ -59,14 +59,13 @@ def test_criterion_2_topology_slowdowns_at_64_npus():
                   Topology.switch(64)]
     rows = sweep(Algorithm.RING_ALL_REDUCE, 64, sizes, topologies, COST)
     by_topo = {}
-    for row in rows:
-        by_topo.setdefault(row.topology, []).append(row)
-    assert all(row.slowdown == 1.0 for row in by_topo["fc"])
-    assert all(row.slowdown > 1.0 for row in by_topo["mesh2d:8x8"])
-    switch_rows = sorted(by_topo["switch"], key=lambda r: r.size_bytes)
-    assert all(row.slowdown > 1.0 for row in switch_rows)
-    assert all(row.slowdown <= 2.0 for row in switch_rows)
-    slowdowns = [row.slowdown for row in switch_rows]
+    for topology, size, _, slowdown in rows:
+        by_topo.setdefault(topology, []).append((size, slowdown))
+    assert all(slowdown == 1.0 for _, slowdown in by_topo["fc"])
+    assert all(slowdown > 1.0 for _, slowdown in by_topo["mesh2d:8x8"])
+    slowdowns = [slowdown for _, slowdown in sorted(by_topo["switch"])]
+    assert all(slowdown > 1.0 for slowdown in slowdowns)
+    assert all(slowdown <= 2.0 for slowdown in slowdowns)
     assert slowdowns == sorted(slowdowns) and len(set(slowdowns)) == len(slowdowns)
     elapsed = time.monotonic() - started
     assert elapsed < 20.0, f"runtime bound exceeded: {elapsed:.1f}s"

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import trace_json_oracle
 
 from collgraph import cli
 from collgraph.cli import (
@@ -27,6 +28,7 @@ from collgraph.trace import (
     CollectiveTrace,
     NodeKind,
     RecvAttrs,
+    SendAttrs,
     TraceBuilder,
     TraceNode,
     load_trace,
@@ -327,6 +329,23 @@ def test_sweep_of_an_overlong_topology_dimension_exits_2(net_config, capsys):
     assert "too long" in capsys.readouterr().err
 
 
+def write_unmatched(path, claimed=None):
+    """A 2-rank trace whose one send has no recv; `save_trace` refuses it."""
+    trace = CollectiveTrace(2, claimed, [
+        [TraceNode(0, "s", NodeKind.COMM_SEND, (), SendAttrs(1, 64, 7))], []])
+    path.write_text(trace_json_oracle(trace), encoding="utf-8")
+
+
+UNMATCHED = "collgraph: unmatched send 0->1 tag 7 (rank 0, node 0)\n"
+
+
+def test_simulate_of_an_unmatched_trace_exits_2(tmp_path, net_config, capsys):
+    path = tmp_path / "unmatched.json"
+    write_unmatched(path)
+    assert run("simulate", path, "--net", net_config) == 2
+    assert capsys.readouterr().err == UNMATCHED
+
+
 def test_simulate_circular_wait_exits_4(tmp_path, fixtures_dir, capsys):
     net = tmp_path / "net2.json"
     net.write_text('{"topology": {"kind": "ring", "n": 2}, "alpha_s": 1e-06, '
@@ -406,6 +425,20 @@ def test_expand_accepts_trace_file_binding(tmp_path):
     assert run("expand", workload, "--bind", f"ALL_GATHER=file:{binding}",
                "-o", out) == 0
     assert load_trace(out).num_ranks == 2
+
+
+def test_expand_of_an_unmatched_binding_file_exits_2(tmp_path, capsys):
+    workload = tmp_path / "wl.json"
+    b = TraceBuilder(2)
+    for r in range(2):
+        b.add_coll(r, CollKind.ALL_GATHER, 64)
+    save_trace(b.build_workload(), workload)
+    binding = tmp_path / "unmatched.json"
+    write_unmatched(binding, CollDescriptor(CollKind.ALL_GATHER, 64))
+    out = tmp_path / "u.json"
+    assert run("expand", workload, "--bind", f"ALL_GATHER=file:{binding}", "-o", out) == 2
+    assert capsys.readouterr().err == UNMATCHED
+    assert not out.exists()
 
 
 def test_expand_of_coll_free_workload_is_byte_identical(tmp_path):

@@ -1,8 +1,12 @@
 """Expander: splicing collective subgraphs into workloads."""
 
+import gc
+
 import pytest
 
-from collgraph.errors import BindingError
+from collgraph import expander
+from collgraph import trace as trace_module
+from collgraph.errors import BindingError, InvariantError
 from collgraph.expander import TAG_STRIDE, expand
 from collgraph.generators import AlgoSpec, Algorithm, generate
 from collgraph.simulator import CostModel, Topology, simulate
@@ -147,7 +151,8 @@ def test_binding_may_be_a_fixed_trace_of_matching_size():
     [
         ({}, "no binding"),
         ({CollKind.ALL_GATHER: Algorithm.RING_ALL_REDUCE}, "implements"),
-        ({CollKind.ALL_GATHER: AlgoSpec(Algorithm.RING_ALL_GATHER, 8, MIB)}, "ranks"),
+        ({CollKind.ALL_GATHER: AlgoSpec(Algorithm.RING_ALL_GATHER, 2, MIB)},
+         "must be a CollectiveTrace or an Algorithm, got AlgoSpec"),
         ({CollKind.ALL_GATHER: generate(AlgoSpec(Algorithm.RING_ALL_GATHER, 2, 2 * MIB))},
          "sized"),
         ({CollKind.ALL_GATHER: generate(AlgoSpec(Algorithm.RING_ALL_GATHER, 4, MIB))},
@@ -155,28 +160,81 @@ def test_binding_may_be_a_fixed_trace_of_matching_size():
         ({CollKind.ALL_GATHER: CollectiveTrace(2, None, [[], []])}, "does not claim"),
         ({CollKind.ALL_GATHER: generate(AlgoSpec(Algorithm.RING_ALL_REDUCE, 2, MIB))},
          "claims ALL_REDUCE"),
-        ({CollKind.ALL_GATHER: AlgoSpec(Algorithm.RING_ALL_REDUCE, 2, MIB)}, "implements"),
+        ({CollKind.ALL_GATHER: Algorithm.RING_ALL_REDUCE}, "implements"),
     ],
 )
 def test_binding_errors(binding, message):
-    b = TraceBuilder(2)
-    for r in range(2):
-        b.add_coll(r, CollKind.ALL_GATHER, MIB)
     with pytest.raises(BindingError, match=message):
-        expand(b.build_workload(), binding)
+        expand(all_gathers([MIB]), binding)
+
+
+def all_gathers(sizes, n=2):
+    """A workload of all-gathers of `sizes`, one after another, on n ranks."""
+    b = TraceBuilder(n)
+    for r in range(n):
+        prev = []
+        for size in sizes:
+            prev = [b.add_coll(r, CollKind.ALL_GATHER, size, deps=prev)]
+    return b.build_workload()
+
+
+def huge_tags(size=64):
+    return CollectiveTrace(
+        2,
+        CollDescriptor(CollKind.ALL_GATHER, size),
+        [
+            [TraceNode(0, "s", NodeKind.COMM_SEND, (), SendAttrs(1, size, TAG_STRIDE))],
+            [TraceNode(0, "r", NodeKind.COMM_RECV, (), RecvAttrs(0, size, TAG_STRIDE))],
+        ],
+    )
 
 
 def test_tags_at_or_above_the_stride_overflow():
-    huge = CollectiveTrace(
-        2,
-        CollDescriptor(CollKind.ALL_GATHER, 64),
-        [
-            [TraceNode(0, "s", NodeKind.COMM_SEND, (), SendAttrs(1, 64, TAG_STRIDE))],
-            [TraceNode(0, "r", NodeKind.COMM_RECV, (), RecvAttrs(0, 64, TAG_STRIDE))],
-        ],
-    )
-    b = TraceBuilder(2)
-    for r in range(2):
-        b.add_coll(r, CollKind.ALL_GATHER, 64)
+    with pytest.raises(BindingError, match=f"binding tag {TAG_STRIDE} exceeds"):
+        expand(all_gathers([64]), {CollKind.ALL_GATHER: huge_tags()})
+
+
+def test_generated_bindings_are_held_to_the_tag_stride_too(monkeypatch):
+    monkeypatch.setattr(expander, "generate", lambda spec: huge_tags(spec.comm_size))
     with pytest.raises(BindingError, match="namespace"):
-        expand(b.build_workload(), {CollKind.ALL_GATHER: huge})
+        expand(all_gathers([64]), {CollKind.ALL_GATHER: Algorithm.RING_ALL_GATHER})
+
+
+def test_an_unmatched_binding_raises_its_own_mismatch():
+    unmatched = CollectiveTrace(2, CollDescriptor(CollKind.ALL_GATHER, 64), [
+        [TraceNode(0, "s", NodeKind.COMM_SEND, (), SendAttrs(1, 64, 7))], []])
+    with pytest.raises(InvariantError) as raised:
+        expand(all_gathers([64, 64]), {CollKind.ALL_GATHER: unmatched})
+    assert str(raised.value) == "unmatched send 0->1 tag 7 (rank 0, node 0)"
+
+
+def test_each_distinct_size_is_generated_once(monkeypatch):
+    specs = []
+
+    def recording(spec):
+        specs.append(spec)
+        return generate(spec)
+
+    monkeypatch.setattr(expander, "generate", recording)
+    unified = expand(all_gathers([MIB, 2 * MIB, MIB, 2 * MIB, MIB], n=4),
+                     {CollKind.ALL_GATHER: Algorithm.RING_ALL_GATHER})
+    assert [spec.comm_size for spec in specs] == [MIB, 2 * MIB]
+    assert [len(nodes) for nodes in unified.per_rank_nodes] == [5 * 6] * 4
+
+
+def test_resolved_traces_are_released_before_the_unified_check(monkeypatch):
+    check = trace_module.check_trace
+    alive = []
+
+    def checking(trace, **kwargs):
+        if isinstance(trace, CollectiveTrace) and trace.claimed_collective is None:
+            gc.collect()  # counts only what references keep alive
+            alive.append(sum(type(o) is TraceNode and not o.name.startswith("coll")
+                             and getattr(o.attrs, "comm_size", 0) in sizes
+                             for o in gc.get_objects()))
+        check(trace, **kwargs)
+
+    sizes = [1234, 5678]  # no other test's trace holds these
+    monkeypatch.setattr(trace_module, "check_trace", checking)
+    expand(all_gathers(sizes, n=4), {CollKind.ALL_GATHER: Algorithm.RING_ALL_GATHER})
+    assert alive == [0]

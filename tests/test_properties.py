@@ -10,7 +10,9 @@ net config and MSCCL XML readers raise only collgraph errors on mutated or
 arbitrary bytes; the message table a trace stores pairs its sends and
 recvs as the oracle in `tests/helpers.py` does; and on random
 chunk-annotated traces the validator's verdict, final chunk state and
-rendezvous warning agree with the oracles there.
+rendezvous warning agree with the oracles there; and random SPMD workloads
+expand, under Algorithm and trace bindings, to the trace the oracle
+splicer builds.
 
 Runs are derandomized and keep no example database, so the suite stays
 deterministic; Hypothesis' own cache goes to a temporary directory removed
@@ -26,6 +28,7 @@ import pytest
 from helpers import (
     concrete_execute,
     delete_node,
+    expand_oracle,
     loads_trace_oracle,
     message_table,
     rendezvous_completes,
@@ -39,6 +42,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from collgraph.cli import load_net_config
 from collgraph.errors import CollGraphError, DeadlockError, InvariantError, StuckError
+from collgraph.expander import TAG_STRIDE, expand
 from collgraph.generators import AlgoSpec, Algorithm, generate
 from collgraph.msccl import parse_msccl_xml
 from collgraph.simulator import CostModel, Topology, TopologyKind, simulate
@@ -53,6 +57,7 @@ from collgraph.trace import (
     SendAttrs,
     TraceBuilder,
     TraceNode,
+    WorkloadTrace,
     dumps_trace,
     loads_trace,
 )
@@ -333,19 +338,20 @@ def test_loads_trace_raises_only_collgraph_errors(text):
         pass
 
 
-def loads_as_the_oracle_does(text, matching=True):
+def loads_as_the_oracle_does(text):
     """`loads_trace`'s trace, after checking that the oracle loader builds an
-    equal one, or raises the same error with the same message; None if both
-    raised."""
+    equal one with the same mismatch, or raises the same error with the same
+    message; None if both raised."""
     try:
-        expected = loads_trace_oracle(text, matching=matching)
+        expected = loads_trace_oracle(text)
     except CollGraphError as exc:
         with pytest.raises(type(exc)) as raised:
-            loads_trace(text, matching=matching)
+            loads_trace(text)
         assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
         return None
-    trace = loads_trace(text, matching=matching)
+    trace = loads_trace(text)
     assert type(trace) is type(expected) and trace == expected
+    assert trace.mismatch == expected.mismatch
     return trace
 
 
@@ -375,9 +381,9 @@ def corrupted_nodes(draw):
 
 
 @settings(DETERMINISTIC, max_examples=500)
-@given(corrupted() | corrupted_nodes(), st.booleans())
-def test_loads_trace_rejects_corrupted_text_as_the_oracle_does(text, matching):
-    loads_as_the_oracle_does(text, matching)
+@given(corrupted() | corrupted_nodes())
+def test_loads_trace_rejects_corrupted_text_as_the_oracle_does(text):
+    loads_as_the_oracle_does(text)
 
 
 NET = json.dumps({"alpha_s": 1e-06, "bandwidth_Bps": 1e9, "reduce_bandwidth_Bps": 1e10,
@@ -504,3 +510,68 @@ def test_validator_agrees_with_the_oracles_on_random_traces(trace, seed):
     masks = [{j: sum(1 << (r * CHUNKS + c) for r, c in held) for j, held in state.items()}
              for state in ex.state]
     assert masks == concrete_execute(trace, CHUNKS)
+
+
+# the algorithms that implement each collective kind
+IMPLEMENTERS = {CollKind.ALL_REDUCE: [Algorithm.RING_ALL_REDUCE],
+                CollKind.ALL_GATHER: [Algorithm.RING_ALL_GATHER,
+                                      Algorithm.RECURSIVE_DOUBLING_ALL_GATHER]}
+
+
+def _renumbered(trace):
+    """`trace` with every rank's ids reversed (id -> 100 - id), so its nodes
+    are listed by descending id and a splice must sort them."""
+    return CollectiveTrace(trace.num_ranks, trace.claimed_collective, [
+        [replace(node, id=100 - node.id, deps=tuple(100 - d for d in node.deps))
+         for node in nodes]
+        for nodes in trace.per_rank_nodes])
+
+
+@st.composite
+def spmd_expansions(draw):
+    """A workload whose ranks share one graph of 0-4 collectives of both
+    kinds (sizes repeat) and 0-4 computes under sparse ids, each rank
+    listing its nodes in its own order; and a binding per kind, an
+    Algorithm or, when every collective of the kind has one size, a
+    generated trace of that size with its ids renumbered."""
+    n = draw(st.integers(1, 4))
+    colls = draw(st.lists(st.tuples(st.sampled_from(list(IMPLEMENTERS)),
+                                    st.sampled_from([n * 64, n * 128])), max_size=4))
+    specs = [(NodeKind.COMM_COLL, CollAttrs(kind, size)) for kind, size in colls]
+    specs += [(NodeKind.COMP, CompAttrs("GEMM", draw(st.sampled_from([0, 512]))))
+              for _ in range(draw(st.integers(0, 4)))]
+    specs = draw(st.permutations(specs))  # their topological order
+    ids = draw(st.lists(st.integers(0, 999), min_size=len(specs), max_size=len(specs),
+                        unique=True))
+    deps = [[ids[j] for j in draw(st.sets(st.integers(0, pos - 1), max_size=2))]
+            if pos else [] for pos in range(len(specs))]
+    nodes = [TraceNode(nid, f"w{nid}", kind, tuple(d), a)
+             for nid, (kind, a), d in zip(ids, specs, deps)]
+    workload = WorkloadTrace(n, [draw(st.permutations(nodes)) for _ in range(n)])
+    bindings = {}
+    for kind, algorithms in IMPLEMENTERS.items():
+        usable = [a for a in algorithms
+                  if a is not Algorithm.RECURSIVE_DOUBLING_ALL_GATHER or not n & (n - 1)]
+        algorithm = draw(st.sampled_from(usable))
+        sizes = {size for k, size in colls if k is kind}
+        if len(sizes) == 1 and draw(st.booleans()):
+            bindings[kind] = _renumbered(generate(AlgoSpec(algorithm, n, sizes.pop())))
+        else:
+            bindings[kind] = algorithm
+    return workload, bindings
+
+
+@settings(DETERMINISTIC, max_examples=150)
+@given(spmd_expansions())
+def test_expand_splices_as_the_oracle_does(case):
+    workload, bindings = case
+
+    def subtrace(kind, size):
+        binding = bindings[kind]
+        if isinstance(binding, CollectiveTrace):
+            return binding
+        return generate(AlgoSpec(binding, workload.num_ranks, size))
+
+    unified = expand(workload, bindings)
+    assert unified == expand_oracle(workload, subtrace, TAG_STRIDE)
+    assert unified.mismatch is None

@@ -452,19 +452,18 @@ def test_sweep_slowdowns_and_row_order():
     sizes = [65536, 16384]
     topologies = [Topology.ring(8), Topology.fully_connected(8), Topology.switch(8)]
     rows = sweep(Algorithm.RING_ALL_REDUCE, 8, sizes, topologies, COST)
-    assert [(r.topology, r.size_bytes) for r in rows] == [
+    assert [(topology, size) for topology, size, _, _ in rows] == [
         ("ring", 16384), ("ring", 65536),
         ("fc", 16384), ("fc", 65536),
         ("switch", 16384), ("switch", 65536),
     ]
     by_topo = {}
-    for row in rows:
-        by_topo.setdefault(row.topology, []).append(row)
-    assert all(r.slowdown == 1.0 for r in by_topo["ring"])
-    assert all(r.slowdown == 1.0 for r in by_topo["fc"])
+    for topology, _, _, slowdown in rows:
+        by_topo.setdefault(topology, []).append(slowdown)
+    assert by_topo["ring"] == by_topo["fc"] == [1.0, 1.0]
     sw = by_topo["switch"]
-    assert all(1.0 < r.slowdown <= 2.0 for r in sw)
-    assert sw[0].slowdown < sw[1].slowdown  # grows with size
+    assert all(1.0 < slowdown <= 2.0 for slowdown in sw)
+    assert sw[0] < sw[1]  # grows with size
 
 
 def test_sweep_keys_cells_by_topology_not_label():
@@ -477,8 +476,7 @@ def test_sweep_keys_cells_by_topology_not_label():
     base = simulate(trace, Topology.ring(4), cost).total_duration
     expected = [simulate(trace, topo, cost).total_duration for topo in (wide, placed)] + [base]
     assert expected[:2] == [pytest.approx(2.348e-05), pytest.approx(2.5576e-05)]
-    assert [(r.topology, r.duration_s, r.slowdown) for r in rows] == [
-        ("ring", d, d / base) for d in expected]
+    assert rows == [("ring", 4096, d, d / base) for d in expected]
     # a placement given as a list is stored as a tuple, so the topology hashes
     assert placed == Topology(TopologyKind.RING, 4, placement=(0, 2, 1, 3))
     assert hash(placed) == hash(Topology(TopologyKind.RING, 4, placement=(0, 2, 1, 3)))

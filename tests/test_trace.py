@@ -32,6 +32,7 @@ from collgraph.trace import (
     dumps_trace,
     load_trace,
     loads_trace,
+    require_matched,
     save_trace,
     toposort_rank,
 )
@@ -231,7 +232,6 @@ def test_messages_are_paired_only_at_construction(monkeypatch):
                 CollKind.ALL_GATHER: Algorithm.RING_ALL_GATHER}
     assert counted(lambda: dumps_trace(trace)) == (0, 0)
     assert counted(lambda: loads_trace(text)) == (1, 1)
-    assert counted(lambda: loads_trace(text, matching=False)) == (1, 1)
     assert counted(lambda: builder.build_collective(None)) == (1, 1)
     assert counted(lambda: expand(_chain_workload(), bindings)) == (3, 3)  # 2 bindings
     cost = CostModel(alpha=1e-6, bandwidth=1e9)
@@ -306,11 +306,14 @@ def test_the_mismatch_recorded_at_construction_is_what_readers_raise(ranks):
     text = trace_json_oracle(trace)
     with pytest.raises(InvariantError) as checked:
         check_trace(trace)
-    for read in (lambda: dumps_trace(trace), lambda: loads_trace(text)):
+    loaded = loads_trace(text)
+    assert loaded == trace and loaded.mismatch == trace.mismatch
+    cost = CostModel(alpha=1e-6, bandwidth=1e9)
+    for read in (lambda: dumps_trace(trace), lambda: require_matched(loaded),
+                 lambda: simulate(loaded, Topology.ring(2), cost)):
         with pytest.raises(InvariantError) as raised:
             read()
         assert str(raised.value) == str(checked.value)
-    assert loads_trace(text, matching=False) == trace
 
 
 def test_duplicate_tag_rejected():
@@ -384,6 +387,27 @@ def test_negative_chunk_indices_rejected(attrs):
     for chunks in ((-1,), (2, -5, 0)):
         with pytest.raises(InvariantError, match="chunk indices must be non-negative"):
             attrs(chunks)
+
+
+NOP = CompAttrs("NOP", 0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CompAttrs("COPY", 8, chunks=[0.9, "1"]), "chunks must be a list of ints"),
+    (lambda: CompAttrs("COPY", 8, chunks=[0], src_chunks=[True, 1.5]),
+     "chunks must be a list of ints"),
+    (lambda: SendAttrs(1, 64, 0, chunks=5), "chunks must be a list of ints"),
+    (lambda: TraceNode(0, "n", NodeKind.COMP, ("0",), NOP), "deps must be a list of ints"),
+    (lambda: TraceNode(0, "n", NodeKind.COMP, [None], NOP), "deps must be a list of ints"),
+    (lambda: CollectiveTrace(1, None, [[TraceNode(0, "n", "COMP", (), NOP)]]),
+     "kind 'COMP' inconsistent"),
+    (lambda: CollectiveTrace(1, None, [[(0, "n", NodeKind.COMP, (), NOP)]]),
+     "rank lists must hold TraceNodes"),
+], ids=["float-and-str-chunks", "bool-and-float-src-chunks", "int-chunks", "str-dep",
+        "none-dep", "str-kind", "tuple-node"])
+def test_public_constructors_take_exact_ints_and_raise_invariant_errors(build, message):
+    with pytest.raises(InvariantError, match=message):
+        build()
 
 
 def test_sizes_beyond_int64_rejected():
