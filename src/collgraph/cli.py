@@ -21,7 +21,6 @@ import logging
 import os
 import re
 import sys
-from pathlib import Path
 
 from .errors import (
     CollGraphError,
@@ -163,6 +162,15 @@ def load_net_config(path) -> tuple[Topology | None, CostModel]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _write(pieces, path) -> None:
+    """Write text pieces as UTF-8 to `path`, or to stdout if there is none."""
+    if not path:
+        sys.stdout.writelines(pieces)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.writelines(pieces)
+
+
 def cmd_gen(args) -> int:
     spec = AlgoSpec(Algorithm(args.algo), args.ranks, args.size)
     save_trace(generate(spec), args.output)
@@ -194,12 +202,7 @@ def cmd_simulate(args) -> int:
     topology, cost = load_net_config(args.net)
     if topology is None:
         raise CollGraphError(f"{args.net}: simulate needs a topology entry")
-    report = simulate(trace, topology, cost)
-    text = report.dumps()
-    if args.output:
-        Path(args.output).write_bytes(text.encode("utf-8"))
-    else:
-        sys.stdout.write(text)
+    _write(simulate(trace, topology, cost).pieces(), args.output)
     return 0
 
 
@@ -209,14 +212,9 @@ def cmd_sweep(args) -> int:
                   for token in args.topologies.split(",")]
     rows = sweep(Algorithm(args.algo), args.ranks, args.sizes, topologies, cost,
                  jobs=args.jobs)
-    lines = ["topology,size_bytes,duration_s,slowdown"]
-    lines += [f"{topology},{size},{duration!r},{slowdown!r}"
-              for topology, size, duration, slowdown in rows]
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_bytes(text.encode("utf-8"))
-    else:
-        sys.stdout.write(text)
+    _write(["topology,size_bytes,duration_s,slowdown\n",
+            *(f"{topology},{size},{duration!r},{slowdown!r}\n"
+              for topology, size, duration, slowdown in rows)], args.output)
     return 0
 
 

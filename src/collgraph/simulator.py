@@ -40,6 +40,7 @@ from .trace import (
     Readiness,
     Trace,
     json_array,
+    json_array_pieces,
     require_matched,
 )
 
@@ -203,21 +204,26 @@ class SimReport:
     def dumps(self) -> str:
         """The report as indent-2 JSON text, byte for byte what `json.dumps`
         writes; `simulate` keeps every time finite, so the text is strict JSON."""
+        return "".join(self.pieces())
+
+    def pieces(self):
+        """The text of `dumps`, one piece per rank, to write it unjoined."""
         num = float.__repr__  # json's own float format
-        ranks = json_array(
-            [json_array([f'{{\n        "id": {nid},\n        "issue_s": {num(issue)},\n'
+        total = self.total_duration
+        yield (f'{{\n  "total_duration_s": {num(total)},\n  "event_count": {self.event_count},\n'
+               f'  "num_ranks": {self.num_ranks},\n  "ranks": ')
+        yield from json_array_pieces(
+            (json_array([f'{{\n        "id": {nid},\n        "issue_s": {num(issue)},\n'
                          f'        "start_s": {num(start)},\n'
                          f'        "finish_s": {num(finish)}\n      }}'
                          for nid, issue, start, finish in rank_times], 4)
-             for rank_times in self.node_times], 2)
-        total = self.total_duration
+             for rank_times in self.node_times), 2)
         links = json_array(
             [f'{{\n      "src": {src},\n      "dst": {dst},\n'
              f'      "messages": {messages},\n      "busy_s": {num(busy)},\n'
              f'      "utilization": {num(busy / total if total > 0 else 0.0)}\n    }}'
              for src, dst, messages, busy in self.link_stats], 2)
-        return (f'{{\n  "total_duration_s": {num(total)},\n  "event_count": {self.event_count},\n'
-                f'  "num_ranks": {self.num_ranks},\n  "ranks": {ranks},\n  "links": {links}\n}}\n')
+        yield f',\n  "links": {links}\n}}\n'
 
 
 _FINISH, _ENQUEUE = 0, 1
@@ -381,6 +387,7 @@ def sweep(
     else:
         durations = [_sweep_cell(a) for a in args]
     duration = dict(zip(cells, durations))
+    # a one-rank collective moves nothing: 0 s on every topology, slowdown 1
     return [(topo.label(), size, duration[topo, size],
-             duration[topo, size] / duration[baseline, size])
+             duration[topo, size] / duration[baseline, size] if duration[baseline, size] else 1.0)
             for topo in topologies for size in sizes]

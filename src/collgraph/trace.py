@@ -11,8 +11,8 @@ A trace is checked once, when it is built: `CollectiveTrace` and
 frozen. That check, and only it, pairs each send with its recv: it keeps
 the pairing as the `messages` table, where a message is its number, and
 the first unmatched send/recv pair as `mismatch`. `loads_trace` keeps such
-a trace for the semantic validator; `dumps_trace`, `simulate` and `expand`
-(for its bindings) refuse it through `require_matched`.
+a trace for the semantic validator; `save_trace`, `dumps_trace`, `simulate`
+and `expand` (for its bindings) refuse it through `require_matched`.
 
 Construction contract. The public constructors take `deps` and chunk lists
 as iterables of exact ints (a bool, float or str is an InvariantError) and
@@ -30,10 +30,12 @@ event loops.
 
 A saved trace is UTF-8 text, byte for byte what `json.dumps(doc, indent=2,
 ensure_ascii=False)` plus a newline gives for its canonical dict: fixed key
-order, nodes by ascending id. `dumps_trace` writes that text directly (the
-pure-Python indent encoder is several times slower); a test pins it to the
-`json.dumps` oracle. Built traces hold only exact ints and UTF-8 text, so
-every trace that can be saved loads back.
+order, nodes by ascending id. `save_trace` formats it directly (the
+pure-Python indent encoder is several times slower) and writes it rank by
+rank; `dumps_trace` joins the same pieces, and a test pins them to the
+`json.dumps` oracle. `loads_trace` drops the text once parsed and each
+rank's parsed JSON once built. Built traces hold only exact ints and UTF-8
+text, so every trace that can be saved loads back.
 """
 
 from __future__ import annotations
@@ -246,7 +248,11 @@ class CollectiveTrace:
     mismatch: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "per_rank_nodes", tuple(map(tuple, self.per_rank_nodes)))
+        try:  # store the rank lists as tuples, then check the trace
+            ranks = tuple(map(tuple, self.per_rank_nodes))
+        except TypeError:  # not an iterable of iterables
+            raise InvariantError("per_rank_nodes must be a list of node lists") from None
+        object.__setattr__(self, "per_rank_nodes", ranks)
         check_trace(self, matching=False)
 
 
@@ -259,9 +265,7 @@ class WorkloadTrace:
     messages: tuple = field(default=(), init=False, repr=False, compare=False)
     mismatch: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "per_rank_nodes", tuple(map(tuple, self.per_rank_nodes)))
-        check_trace(self, matching=False)
+    __post_init__ = CollectiveTrace.__post_init__
 
 
 Trace = Union[CollectiveTrace, WorkloadTrace]
@@ -616,6 +620,15 @@ def json_array(elements, indent: int) -> str:
     return f"[{inner}{body}\n{' ' * indent}]" if body else "[]"
 
 
+def json_array_pieces(elements, indent: int):
+    """The text of `json_array(elements, indent)`, one piece per element."""
+    sep, inner = "[", "\n" + " " * (indent + 2)
+    for element in elements:
+        yield sep + inner + element
+        sep = ","
+    yield "[]" if sep == "[" else f"\n{' ' * indent}]"
+
+
 _ATTR_SEP = ",\n" + " " * 10
 
 
@@ -642,35 +655,42 @@ def _node_text(node: TraceNode) -> str:
             f'        "attrs": {{\n          {body}\n        }}\n      }}')
 
 
-def dumps_trace(trace: Trace) -> str:
-    """The canonical text of a trace (see `save_trace`)."""
-    require_matched(trace)
+def _trace_pieces(trace: Trace):
+    """The canonical text of a matched trace, one piece per rank."""
     if isinstance(trace, WorkloadTrace):
         trace_class, claimed = "workload", None
     else:
         trace_class, claimed = "collective", trace.claimed_collective
     claimed_text = "null" if claimed is None else (
         f'{{\n    "kind": "{claimed.kind.value}",\n    "comm_size": {claimed.comm_size}\n  }}')
-    ranks = json_array(
-        [json_array([_node_text(n) for n in sorted(nodes, key=lambda n: n.id)], 4)
-         for nodes in trace.per_rank_nodes], 2)
-    return (f'{{\n  "format_version": "{FORMAT_VERSION}",\n'
-            f'  "trace_class": "{trace_class}",\n'
-            f'  "num_ranks": {trace.num_ranks},\n  "claimed_collective": {claimed_text},\n'
-            f'  "ranks": {ranks}\n}}\n')
+    yield (f'{{\n  "format_version": "{FORMAT_VERSION}",\n'
+           f'  "trace_class": "{trace_class}",\n'
+           f'  "num_ranks": {trace.num_ranks},\n  "claimed_collective": {claimed_text},\n'
+           f'  "ranks": ')
+    yield from json_array_pieces(
+        (json_array([_node_text(n) for n in sorted(nodes, key=lambda n: n.id)], 4)
+         for nodes in trace.per_rank_nodes), 2)
+    yield "\n}\n"
+
+
+def dumps_trace(trace: Trace) -> str:
+    """The canonical text of a trace (see `save_trace`)."""
+    require_matched(trace)
+    return "".join(_trace_pieces(trace))
 
 
 def save_trace(trace: Trace, path) -> None:
-    """Write the canonical form; identical traces produce identical bytes.
-    Refuses (before writing anything) if a send or recv is unmatched.
+    """Write the canonical form, rank by rank; identical traces produce
+    identical bytes. Refuses (before opening the file) if unmatched.
 
     The bytes are `json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"` in
     UTF-8, where `doc` has the keys format_version, trace_class, num_ranks,
     claimed_collective {kind, comm_size}, ranks; each node id, name, kind,
     deps, attrs; attrs as `dumps_trace` orders them, `chunks`/`src_chunks`
     only when set. `tests/helpers.py::trace_json_oracle` pins this."""
-    text = dumps_trace(trace)
-    Path(path).write_bytes(text.encode("utf-8"))
+    require_matched(trace)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.writelines(_trace_pieces(trace))
 
 
 _TOP_KEYS = {"format_version", "trace_class", "num_ranks", "claimed_collective", "ranks"}
@@ -789,7 +809,7 @@ def _node_fault(obj, where: str) -> NoReturn:
 
 def loads_trace(text: str) -> Trace:
     try:
-        doc = json.loads(text)
+        doc, text = json.loads(text), None  # frees the text if the caller kept none
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg} at line {exc.lineno}, column {exc.colno}") from exc
     except (RecursionError, ValueError) as exc:  # nesting or integer-length limits
@@ -825,7 +845,8 @@ def loads_trace(text: str) -> Trace:
         if not isinstance(nodes_obj, list):
             raise SchemaError(f"rank {rank} entry must be a list of nodes")
         per_rank.append([_node_from_json(obj, rank, i) for i, obj in enumerate(nodes_obj)])
-    doc = ranks_obj = nodes_obj = None  # free the parsed JSON before the check
+        ranks_obj[rank] = None  # free each rank's parsed JSON once it is built
+    doc = ranks_obj = nodes_obj = None  # and the rest before the check
     if trace_class == "workload":
         if claimed is not None:
             raise SchemaError("workload traces must have claimed_collective: null")
@@ -836,8 +857,7 @@ def loads_trace(text: str) -> Trace:
 def load_trace(path) -> Trace:
     """Load and schema-check a trace file; building the trace checks its
     invariants (see the module docstring)."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
+    try:  # no local holds the text, so loads_trace can free it
+        return loads_trace(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:  # only reading decodes bytes
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return loads_trace(text)

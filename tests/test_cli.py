@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -522,6 +523,38 @@ def test_simulate_and_sweep_write_to_stdout_what_they_write_to_a_file(inputs, ca
         assert run(*argv, "-o", inputs["out"]) == 0
         assert run(*argv) == 0
         assert capsys.readouterr().out.encode("utf-8") == inputs["out"].read_bytes()
+
+
+def test_one_rank_sweep_reports_no_slowdown(inputs, capsys):
+    for algo in ("ring-allreduce", "ring-allgather", "rd-allgather"):
+        assert run("sweep", "--algo", algo, "--ranks", 1, "--sizes", 4,
+                   "--topologies", "ring,switch", "--net", inputs["costs"]) == 0
+        assert capsys.readouterr().out == ("topology,size_bytes,duration_s,slowdown\n"
+                                           "ring,4,0.0,1.0\nswitch,4,0.0,1.0\n")
+
+
+def test_simulate_writes_its_report_without_holding_a_whole_copy(tmp_path, monkeypatch):
+    trace, net, out = tmp_path / "t.json", tmp_path / "net.json", tmp_path / "report.json"
+    save_trace(generate(AlgoSpec(Algorithm.RING_ALL_REDUCE, 32, MIB)), trace)
+    net.write_text('{"topology": {"kind": "ring", "n": 32}, "alpha_s": 1e-06, '
+                   '"bandwidth_Bps": 1e9}')
+    live = []
+
+    def simulate(*args):  # marks what is live once the report is built
+        report = cli_simulate(*args)
+        live.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return report
+
+    cli_simulate = cli.simulate
+    monkeypatch.setattr(cli, "simulate", simulate)
+    tracemalloc.start()
+    try:
+        assert run("simulate", trace, "--net", net, "-o", out) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - live[0] < out.stat().st_size
 
 
 def test_module_entry_point_exits_with_the_command_status(fixtures_dir):

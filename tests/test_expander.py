@@ -160,7 +160,6 @@ def test_binding_may_be_a_fixed_trace_of_matching_size():
         ({CollKind.ALL_GATHER: CollectiveTrace(2, None, [[], []])}, "does not claim"),
         ({CollKind.ALL_GATHER: generate(AlgoSpec(Algorithm.RING_ALL_REDUCE, 2, MIB))},
          "claims ALL_REDUCE"),
-        ({CollKind.ALL_GATHER: Algorithm.RING_ALL_REDUCE}, "implements"),
     ],
 )
 def test_binding_errors(binding, message):

@@ -466,6 +466,13 @@ def test_sweep_slowdowns_and_row_order():
     assert sw[0] < sw[1]  # grows with size
 
 
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_one_rank_sweep_reports_no_slowdown(algorithm):
+    topologies = [Topology.ring(1), Topology.switch(1)]
+    assert sweep(algorithm, 1, [4], topologies, COST) == [("ring", 4, 0.0, 1.0),
+                                                         ("switch", 4, 0.0, 1.0)]
+
+
 def test_sweep_keys_cells_by_topology_not_label():
     # a larger ring and a placed ring share the baseline's "ring" label, but
     # each is simulated on its own network

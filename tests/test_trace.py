@@ -3,6 +3,7 @@ topological ordering."""
 
 import json
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -403,8 +404,11 @@ NOP = CompAttrs("NOP", 0)
      "kind 'COMP' inconsistent"),
     (lambda: CollectiveTrace(1, None, [[(0, "n", NodeKind.COMP, (), NOP)]]),
      "rank lists must hold TraceNodes"),
+    (lambda: CollectiveTrace(1, None, [5]), "per_rank_nodes must be a list of node lists"),
+    (lambda: CollectiveTrace(1, None, 5), "per_rank_nodes must be a list of node lists"),
+    (lambda: WorkloadTrace(1, [5]), "per_rank_nodes must be a list of node lists"),
 ], ids=["float-and-str-chunks", "bool-and-float-src-chunks", "int-chunks", "str-dep",
-        "none-dep", "str-kind", "tuple-node"])
+        "none-dep", "str-kind", "tuple-node", "int-rank", "int-ranks", "int-workload-rank"])
 def test_public_constructors_take_exact_ints_and_raise_invariant_errors(build, message):
     with pytest.raises(InvariantError, match=message):
         build()
@@ -515,6 +519,34 @@ def test_cycle_rejected_at_save(tmp_path):
     with pytest.raises(InvariantError, match="cycle"):
         save_trace(CollectiveTrace(1, None, [[comp(0, (1,)), comp(1, (0,))]]), path)
     assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# Memory of saving and loading
+# ---------------------------------------------------------------------------
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak of `fn()`, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_trace_holds_less_than_the_file_at_once(tmp_path):
+    trace, path = ring_ar(32), tmp_path / "t.json"
+    peak = traced_peak(lambda: save_trace(trace, path))
+    assert path.read_text(encoding="utf-8") == dumps_trace(trace)
+    assert peak < path.stat().st_size
+
+
+def test_load_trace_peaks_near_the_parsed_json(tmp_path):
+    path = tmp_path / "t.json"
+    save_trace(ring_ar(32), path)
+    parsed = traced_peak(lambda: json.loads(path.read_text(encoding="utf-8")))
+    assert traced_peak(lambda: load_trace(path)) <= 1.05 * parsed
 
 
 # ---------------------------------------------------------------------------
