@@ -52,6 +52,13 @@ def parse_size(text: str) -> int:
     return size
 
 
+def parse_jobs(text: str) -> int:
+    """A worker count: an integer of at least 1."""
+    if not re.fullmatch(r"\d+", text) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"invalid job count {text!r}; expected 1 or more")
+    return int(text)
+
+
 def parse_size_list(text: str) -> list[int]:
     """Either a comma list of sizes or a geometric sweep `lo:hi:xK`."""
     if ":" in text:
@@ -310,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--topologies", required=True,
                     help="comma list: ring,fc,switch,mesh2d:RxC,torus2d:RxC")
     sw.add_argument("--net", required=True, help="network config JSON (costs)")
-    sw.add_argument("--jobs", type=int, default=1,
+    sw.add_argument("--jobs", type=parse_jobs, default=1,
                     help="parallel simulations (output is identical for any value)")
     sw.add_argument("-o", "--output", help="CSV path (default: stdout)")
     sw.set_defaults(func=cmd_sweep)

@@ -24,10 +24,10 @@ from .trace import (
     SendAttrs,
     TraceNode,
     WorkloadTrace,
-    _comp,
+    _comp_node,
     _node,
-    _recv,
-    _send,
+    _recv_node,
+    _send_node,
     check_trace,  # noqa: F401 -- kept importable: perfbench/tracer.py rebinds it
     coll_sequence,
     require_matched,
@@ -36,7 +36,7 @@ from .trace import (
 TAG_STRIDE = 1 << 20
 
 # A rank's empty subgraph splices in as this free node, keeping the graph connected.
-_ANCHOR = _node(0, "anchor", NodeKind.COMP, (), _comp(OP_NOP, 0, None, None))
+_ANCHOR = _comp_node(0, "anchor", (), OP_NOP, 0, None, None)
 
 Binding = CollectiveTrace | Algorithm
 
@@ -80,6 +80,7 @@ def _resolve(kind: CollKind, size: int, binding, num_ranks: int) -> CollectiveTr
 def _splice(workload: WorkloadTrace, resolved: dict) -> list[list[TraceNode]]:
     """Each rank's nodes, its placeholders replaced from `resolved`."""
     out_ranks: list[list[TraceNode]] = []
+    names: dict[tuple[int, str], str] = {}  # one coll{ordinal}_{name} for every rank
     for rank in range(workload.num_ranks):
         ordinal_of = {node.id: i for i, node in enumerate(coll_sequence(workload, rank))}
         nodes = {n.id: n for n in workload.per_rank_nodes[rank]}
@@ -116,14 +117,17 @@ def _splice(workload: WorkloadTrace, resolved: dict) -> list[list[TraceNode]]:
             subnodes, base = blocks[nid]
             sub_ids = {n.id: base + i for i, n in enumerate(subnodes)}
             for sub in subnodes:
-                a = sub.attrs
-                if type(a) is SendAttrs:
-                    a = _send(a.dst_rank, a.comm_size, lift + a.tag, a.chunks)
-                elif type(a) is RecvAttrs:
-                    a = _recv(a.src_rank, a.comm_size, lift + a.tag, a.chunks)
+                a, key = sub.attrs, (ordinal, sub.name)
+                name = names.get(key) or names.setdefault(key, f"coll{ordinal}_{sub.name}")
                 sub_deps = tuple(sub_ids[d] for d in sub.deps) if sub.deps else deps
-                out.append(_node(sub_ids[sub.id], f"coll{ordinal}_{sub.name}",
-                                 sub.kind, sub_deps, a))
+                if type(a) is SendAttrs:
+                    out.append(_send_node(sub_ids[sub.id], name, sub_deps, a.dst_rank,
+                                          a.comm_size, lift + a.tag, a.chunks))
+                elif type(a) is RecvAttrs:
+                    out.append(_recv_node(sub_ids[sub.id], name, sub_deps, a.src_rank,
+                                          a.comm_size, lift + a.tag, a.chunks))
+                else:
+                    out.append(_node(sub_ids[sub.id], name, sub.kind, sub_deps, a))
         out_ranks.append(out)
     return out_ranks
 

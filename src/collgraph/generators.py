@@ -18,11 +18,9 @@ from .trace import (
     CollDescriptor,
     CollKind,
     CollectiveTrace,
-    NodeKind,
-    _comp,
-    _node,
-    _recv as _recv_attrs,
-    _send as _send_attrs,
+    _comp_node,
+    _recv_node,
+    _send_node,
     check_trace,  # noqa: F401 -- kept importable: perfbench/tracer.py rebinds it
 )
 
@@ -63,21 +61,11 @@ def generate(spec: AlgoSpec) -> CollectiveTrace:
     return _recursive_doubling_all_gather(spec.num_ranks, spec.comm_size)
 
 
-# Nodes go through the private constructors: every `deps` list below is
-# written in ascending order.
-def _send(nid, dst, size, tag, deps, chunk_list, name):
-    return _node(nid, name, NodeKind.COMM_SEND, tuple(deps),
-                 _send_attrs(dst, size, tag, tuple(chunk_list)))
-
-
-def _recv(nid, src, size, tag, deps, chunk_list, name):
-    return _node(nid, name, NodeKind.COMM_RECV, tuple(deps),
-                 _recv_attrs(src, size, tag, tuple(chunk_list)))
-
-
-def _reduce(nid, size, deps, chunk_list, name):
-    return _node(nid, name, NodeKind.COMP, tuple(deps),
-                 _comp(OP_REDUCE, size, tuple(chunk_list), None))
+# Nodes go through the private constructors: every `deps` tuple below is in
+# ascending order. What does not depend on the rank (deps, tags, names and
+# chunk tuples) is built once per trace and shared by every rank.
+def _chunk_names(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}_c{chunk}" for chunk in range(n)]
 
 
 def _ring_all_reduce(n: int, s: int) -> CollectiveTrace:
@@ -86,36 +74,33 @@ def _ring_all_reduce(n: int, s: int) -> CollectiveTrace:
     claimed = CollDescriptor(CollKind.ALL_REDUCE, s)
     c = s // n
     steps = n - 1
+    # Send stream: ids and tags t = 0 .. 2*steps-1 (reduce-scatter, then
+    # all-gather), send t carrying chunk (r - t) % n. Recv stream: phase-1
+    # recv/reduce pairs, then phase-2 recvs, recv t taking chunk (r - t - 1) % n.
+    base = 2 * steps
+    recv_ids = [base + 2 * t if t < steps else base + steps + t for t in range(2 * steps)]
+    done = [nid + 1 for nid in recv_ids[:steps]] + recv_ids[steps:]  # last writer of recv t
+    send_deps = [()] + [(t - 1, done[t - 1]) for t in range(1, 2 * steps)]
+    recv_deps = [()] + [(done[t - 1],) for t in range(1, 2 * steps)]
+    reduce_deps = [(nid,) for nid in recv_ids[:steps]]
+    send_names = [_chunk_names("rs_send", n)] * steps + [_chunk_names("ag_send", n)] * steps
+    recv_names = [_chunk_names("rs_recv", n)] * steps + [_chunk_names("ag_recv", n)] * steps
+    reduce_names = _chunk_names("reduce", n)
+    chunks = [(chunk,) for chunk in range(n)]
     ranks = []
     for r in range(n):
         nxt, prv = (r + 1) % n, (r - 1) % n
-        # Send stream: ids 0 .. 2*steps-1. Recv stream follows: phase-1
-        # recv/reduce pairs, then phase-2 recvs.
-        base = 2 * steps
-        rs_recv = lambda k: base + 2 * k          # noqa: E731
-        rs_comp = lambda k: base + 2 * k + 1      # noqa: E731
-        ag_recv = lambda k: base + 2 * steps + k  # noqa: E731
         nodes = []
-        for k in range(steps):  # phase 1: reduce-scatter sends
-            chunk = (r - k) % n
-            deps = [] if k == 0 else [k - 1, rs_comp(k - 1)]
-            nodes.append(_send(k, nxt, c, k, deps, [chunk], f"rs_send_c{chunk}"))
-        for k in range(steps):  # phase 2: all-gather sends
-            chunk = (r + 1 - k) % n
-            deps = [steps - 1, rs_comp(steps - 1)] if k == 0 else \
-                   [steps + k - 1, ag_recv(k - 1)]
-            nodes.append(_send(steps + k, nxt, c, steps + k, deps, [chunk],
-                               f"ag_send_c{chunk}"))
-        for k in range(steps):  # phase 1: recv + reduce chain
-            chunk = (r - k - 1) % n
-            deps = [] if k == 0 else [rs_comp(k - 1)]
-            nodes.append(_recv(rs_recv(k), prv, c, k, deps, [chunk], f"rs_recv_c{chunk}"))
-            nodes.append(_reduce(rs_comp(k), c, [rs_recv(k)], [chunk], f"reduce_c{chunk}"))
-        for k in range(steps):  # phase 2: recv chain, no compute
-            chunk = (r - k) % n
-            deps = [rs_comp(steps - 1)] if k == 0 else [ag_recv(k - 1)]
-            nodes.append(_recv(ag_recv(k), prv, c, steps + k, deps, [chunk],
-                               f"ag_recv_c{chunk}"))
+        for t in range(2 * steps):
+            j = (r - t) % n
+            nodes.append(_send_node(t, send_names[t][j], send_deps[t], nxt, c, t, chunks[j]))
+        for t in range(2 * steps):
+            j = (r - t - 1) % n
+            nodes.append(_recv_node(recv_ids[t], recv_names[t][j], recv_deps[t], prv, c, t,
+                                    chunks[j]))
+            if t < steps:
+                nodes.append(_comp_node(done[t], reduce_names[j], reduce_deps[t], OP_REDUCE,
+                                        c, chunks[j], None))
         ranks.append(nodes)
     return CollectiveTrace(n, claimed, ranks)
 
@@ -125,18 +110,21 @@ def _ring_all_gather(n: int, s: int) -> CollectiveTrace:
     inputs of s bytes; chunk index = originating rank."""
     claimed = CollDescriptor(CollKind.ALL_GATHER, s)
     steps = n - 1
+    send_deps = [()] + [(k - 1, steps + k - 1) for k in range(1, steps)]
+    recv_deps = [()] + [(steps + k - 1,) for k in range(1, steps)]
+    send_names, recv_names = _chunk_names("ag_send", n), _chunk_names("ag_recv", n)
+    chunks = [(chunk,) for chunk in range(n)]
     ranks = []
     for r in range(n):
         nxt, prv = (r + 1) % n, (r - 1) % n
         nodes = []
         for k in range(steps):
-            chunk = (r - k) % n
-            deps = [] if k == 0 else [k - 1, steps + k - 1]
-            nodes.append(_send(k, nxt, s, k, deps, [chunk], f"ag_send_c{chunk}"))
+            j = (r - k) % n
+            nodes.append(_send_node(k, send_names[j], send_deps[k], nxt, s, k, chunks[j]))
         for k in range(steps):
-            chunk = (r - k - 1) % n
-            deps = [] if k == 0 else [steps + k - 1]
-            nodes.append(_recv(steps + k, prv, s, k, deps, [chunk], f"ag_recv_c{chunk}"))
+            j = (r - k - 1) % n
+            nodes.append(_recv_node(steps + k, recv_names[j], recv_deps[k], prv, s, k,
+                                    chunks[j]))
         ranks.append(nodes)
     return CollectiveTrace(n, claimed, ranks)
 
@@ -146,22 +134,21 @@ def _recursive_doubling_all_gather(n: int, s: int) -> CollectiveTrace:
     block with the partner at XOR distance 2^j."""
     claimed = CollDescriptor(CollKind.ALL_GATHER, s)
     rounds = n.bit_length() - 1  # n is a power of two
+    send_deps = [()] + [(j - 1, rounds + j - 1) for j in range(1, rounds)]
+    recv_deps = [()] + [(rounds + j - 1,) for j in range(1, rounds)]
+    send_names = [f"rd_send_r{j}" for j in range(rounds)]
+    recv_names = [f"rd_recv_r{j}" for j in range(rounds)]
+    # blocks[j][b]: the 2^j chunks of block b in round j, the block of rank r being r >> j
+    blocks = [[tuple(range(b << j, (b + 1) << j)) for b in range(n >> j)] for j in range(rounds)]
     ranks = []
     for r in range(n):
         nodes = []
         for j in range(rounds):  # send stream: ids 0..rounds-1
-            peer = r ^ (1 << j)
-            width = 1 << j
-            own_lo = (r >> j) << j
-            deps = [] if j == 0 else [j - 1, rounds + j - 1]
-            nodes.append(_send(j, peer, width * s, 0, deps,
-                               range(own_lo, own_lo + width), f"rd_send_r{j}"))
+            nodes.append(_send_node(j, send_names[j], send_deps[j], r ^ (1 << j), s << j, 0,
+                                    blocks[j][r >> j]))
         for j in range(rounds):  # recv stream: ids rounds..2*rounds-1
             peer = r ^ (1 << j)
-            width = 1 << j
-            peer_lo = (peer >> j) << j
-            deps = [] if j == 0 else [rounds + j - 1]
-            nodes.append(_recv(rounds + j, peer, width * s, 0, deps,
-                               range(peer_lo, peer_lo + width), f"rd_recv_r{j}"))
+            nodes.append(_recv_node(rounds + j, recv_names[j], recv_deps[j], peer, s << j, 0,
+                                    blocks[j][peer >> j]))
         ranks.append(nodes)
     return CollectiveTrace(n, claimed, ranks)

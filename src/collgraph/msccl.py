@@ -21,12 +21,10 @@ from .trace import (
     CollDescriptor,
     CollKind,
     CollectiveTrace,
-    NodeKind,
     TraceNode,
-    _comp,
-    _node,
-    _recv,
-    _send,
+    _comp_node,
+    _recv_node,
+    _send_node,
     check_trace,  # noqa: F401 -- kept importable: perfbench/tracer.py rebinds it
 )
 
@@ -381,8 +379,8 @@ def convert_to_trace(program: MscclProgram, comm_size: int) -> CollectiveTrace:
 
         nodes: list[TraceNode] = []
 
-        def emit(name, kind, deps, attrs):
-            nodes.append(_node(len(nodes), name, kind, tuple(sorted(deps)), attrs))
+        def emit(build, name, deps, *attrs):
+            nodes.append(build(len(nodes), name, tuple(sorted(deps)), *attrs))
             return len(nodes) - 1
 
         for tb in sorted(gpu.threadblocks, key=lambda t: t.id):
@@ -399,28 +397,23 @@ def convert_to_trace(program: MscclProgram, comm_size: int) -> CollectiveTrace:
                     tuple(range(step.dst_off, step.dst_off + step.cnt))
                 if step.type == "s":
                     tag = send_tags[(gpu.id, tb.id, step.index)]
-                    first = last = emit(name, NodeKind.COMM_SEND, deps,
-                                        _send(tb.send_peer, size, tag, src))
+                    first = last = emit(_send_node, name, deps, tb.send_peer, size, tag, src)
                 elif step.type in ("r", "rrc", "rcs"):
                     tag = recv_tags[(gpu.id, tb.id, step.index)]
-                    first = emit(name, NodeKind.COMM_RECV, deps,
-                                 _recv(tb.recv_peer, size, tag, dst))
+                    first = emit(_recv_node, name, deps, tb.recv_peer, size, tag, dst)
                     last = first
                     if step.type == "rrc":
-                        last = emit(name + "_red", NodeKind.COMP, [first],
-                                    _comp(OP_REDUCE, size, dst, None))
+                        last = emit(_comp_node, name + "_red", [first], OP_REDUCE, size, dst, None)
                     elif step.type == "rcs":
                         tag = send_tags[(gpu.id, tb.id, step.index)]
-                        last = emit(name + "_fwd", NodeKind.COMM_SEND, [first],
-                                    _send(tb.send_peer, size, tag, dst))
+                        last = emit(_send_node, name + "_fwd", [first], tb.send_peer, size,
+                                    tag, dst)
                 elif step.type == "re":
-                    first = last = emit(name, NodeKind.COMP, deps,
-                                        _comp(OP_REDUCE, size, dst, src))
+                    first = last = emit(_comp_node, name, deps, OP_REDUCE, size, dst, src)
                 elif step.type == "cpy":
-                    first = last = emit(name, NodeKind.COMP, deps,
-                                        _comp(OP_COPY, size, dst, src))
+                    first = last = emit(_comp_node, name, deps, OP_COPY, size, dst, src)
                 else:  # nop: zero-cost dependency anchor
-                    first = last = emit(name, NodeKind.COMP, deps, _comp(OP_NOP, 0, None, None))
+                    first = last = emit(_comp_node, name, deps, OP_NOP, 0, None, None)
                 assert (first, last) == span[(tb.id, step.index)]
                 prev_last = last
         per_rank.append(nodes)

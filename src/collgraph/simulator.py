@@ -374,7 +374,9 @@ def sweep(
     against the baseline, which is always the ring of `num_ranks`. Rows
     keep the given topology order with sizes ascending; each distinct cell
     is simulated once, and the result is independent of `jobs`, which is
-    capped at the number of cells and of CPUs."""
+    capped at the number of cells and of CPUs; below 1 it is a SpecError."""
+    if jobs < 1:
+        raise SpecError(f"jobs must be at least 1, got {jobs}")
     baseline = Topology.ring(num_ranks)
     sizes = sorted(sizes)
     cells = list(dict.fromkeys((topo, size) for topo in (baseline, *topologies)

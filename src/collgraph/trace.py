@@ -16,11 +16,12 @@ and `expand` (for its bindings) refuse it through `require_matched`.
 
 Construction contract. The public constructors take `deps` and chunk lists
 as iterables of exact ints (a bool, float or str is an InvariantError) and
-store them as tuples, `deps` sorted. The private constructors
-`_node`, `_send`, `_recv` and `_comp`, used by `loads_trace`, the
-generators, `convert_to_trace` and `expand`, store what they are given and
-only reject negative chunks: callers pass `deps` as a sorted tuple of ints
-and chunk lists as tuples of ints or None. The trace checks the rest.
+store them as tuples, `deps` sorted. The private constructors `_node`,
+`_send_node`, `_recv_node` and `_comp_node` (the last three build the attrs
+in the same call) store what they are given and only reject negative
+chunks: callers pass `deps` as a sorted tuple of ints and chunk lists as
+tuples of ints or None. The trace checks the rest. Producers may share
+these immutable tuples, and names, between nodes and ranks.
 
 `Readiness` is the one dependency-readiness engine: it numbers a rank's
 nodes by position (ascending id), counts each node's unfinished deps and
@@ -45,7 +46,6 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
@@ -200,26 +200,39 @@ def _node(nid, name, kind, deps, attrs, _set=_slot_setters(TraceNode)) -> TraceN
     return node
 
 
-def _message(cls, setters, peer, comm_size, tag, chunks):
-    attrs = _new(cls)
-    setters[0](attrs, peer)
-    setters[1](attrs, comm_size)
-    setters[2](attrs, tag)
-    setters[3](attrs, _check_chunks(chunks))
-    return attrs
+def _message_node(cls):
+    """The one-call constructor of a node with attrs `cls` (SendAttrs or
+    RecvAttrs): `(nid, name, deps, peer, comm_size, tag, chunks)`."""
+    kind = _KIND_FOR_ATTRS[cls]
+    set_peer, set_size, set_tag, set_chunks = _slot_setters(cls)
+    set_id, set_name, set_kind, set_deps, set_attrs = _slot_setters(TraceNode)
+
+    def build(nid, name, deps, peer, comm_size, tag, chunks) -> TraceNode:
+        attrs, node = _new(cls), _new(TraceNode)
+        set_peer(attrs, peer)
+        set_size(attrs, comm_size)
+        set_tag(attrs, tag)
+        set_chunks(attrs, _check_chunks(chunks))
+        set_id(node, nid)
+        set_name(node, name)
+        set_kind(node, kind)
+        set_deps(node, deps)
+        set_attrs(node, attrs)
+        return node
+    return build
 
 
-_send = partial(_message, SendAttrs, _slot_setters(SendAttrs))
-_recv = partial(_message, RecvAttrs, _slot_setters(RecvAttrs))
+_send_node, _recv_node = _message_node(SendAttrs), _message_node(RecvAttrs)
 
 
-def _comp(op, comp_size, chunks, src_chunks, _set=_slot_setters(CompAttrs)) -> CompAttrs:
+def _comp_node(nid, name, deps, op, comp_size, chunks, src_chunks,
+               _set=_slot_setters(CompAttrs)) -> TraceNode:
     attrs = _new(CompAttrs)
     _set[0](attrs, op)
     _set[1](attrs, comp_size)
     _set[2](attrs, _check_chunks(chunks))
     _set[3](attrs, _check_chunks(src_chunks))
-    return attrs
+    return _node(nid, name, NodeKind.COMP, deps, attrs)
 
 
 @dataclass(frozen=True)
@@ -370,17 +383,23 @@ def check_trace(trace: Trace, *, matching: bool = True) -> None:
     """Verify every structural invariant; raise InvariantError on the first
     violation (with rank and node id). Every trace runs this when it is built.
 
+    It is one pass per rank (nodes, ids and send/recv tables, then deps and
+    cycles) that raises what checking all nodes, deps and cycles rank by
+    rank, then all tags, raises first. A rank with ids 0..k-1 in order is
+    checked on lists indexed by id; what that doubts gets the exact check.
+
     `matching=False` skips send/recv completeness (tag uniqueness is still
     enforced); built traces skip it so the semantic validator can execute
     deliberately broken ones. Either way the pairing is stored in
     `trace.messages` and the first unmatched or size-mismatched pair in
     `trace.mismatch` for `require_matched`.
     """
-    if type(trace.num_ranks) is not int or trace.num_ranks < 1:
-        raise InvariantError(f"num_ranks must be a positive int, got {trace.num_ranks!r}")
-    if len(trace.per_rank_nodes) != trace.num_ranks:
+    num_ranks = trace.num_ranks
+    if type(num_ranks) is not int or num_ranks < 1:
+        raise InvariantError(f"num_ranks must be a positive int, got {num_ranks!r}")
+    if len(trace.per_rank_nodes) != num_ranks:
         raise InvariantError(
-            f"expected {trace.num_ranks} rank node lists, got {len(trace.per_rank_nodes)}"
+            f"expected {num_ranks} rank node lists, got {len(trace.per_rank_nodes)}"
         )
     is_workload = isinstance(trace, WorkloadTrace)
     claimed = None if is_workload else trace.claimed_collective
@@ -390,35 +409,92 @@ def check_trace(trace: Trace, *, matching: bool = True) -> None:
         raise InvariantError(
             f"claimed_collective must be a CollKind and a size in 1..{MAX_SIZE}, "
             f"got {claimed!r}")
+    sends, recvs = {}, {}  # (src, dst, tag) -> (node id, comm_size), in node order
+    duplicate = None  # the first duplicate tag, raised once every rank passed
+    send, recv, comp = NodeKind.COMM_SEND, NodeKind.COMM_RECV, NodeKind.COMP
     for rank, nodes in enumerate(trace.per_rank_nodes):
-        ids = set()
-        for node in nodes:
-            _check_node(trace, rank, node, is_workload)
-            if node.id in ids:
-                raise InvariantError("duplicate node id", rank, node.id)
-            ids.add(node.id)
-        for node in nodes:
-            for dep in node.deps:
-                if dep not in ids:
-                    raise InvariantError(f"dep {dep} does not exist on this rank", rank, node.id)
-                if dep == node.id:
-                    raise InvariantError("node depends on itself", rank, node.id)
-        ready = Readiness(nodes)  # drained in any order: only what is left matters
-        stack = ready.roots()
-        while stack:
-            stack += ready.finish(stack.pop())
-        if any(ready.pending):
-            exc = CycleError(f"dependency cycle on rank {rank}", _find_cycle(ready))
-            raise InvariantError(f"dependency cycle {exc.cycle}", rank, exc.cycle[0]) from exc
+        ids = None  # the rank's id set, once its ids leave 0..k-1 in order
+        for i, node in enumerate(nodes):
+            a = node.attrs if type(node) is TraceNode else None
+            ta, table = type(a), None
+            if ta is SendAttrs:
+                peer, size, tag, table, kind = a.dst_rank, a.comm_size, a.tag, sends, send
+                key = (rank, peer, tag)
+            elif ta is RecvAttrs:
+                peer, size, tag, table, kind = a.src_rank, a.comm_size, a.tag, recvs, recv
+                key = (peer, rank, tag)
+            # an inline gate passes the common valid node; _check_node decides the rest
+            if table is not None:
+                valid = (node.kind is kind and type(peer) is type(size) is type(tag) is int
+                         and 0 <= peer < num_ranks and peer != rank
+                         and 0 < size <= MAX_SIZE and tag >= 0 and not is_workload)
+            else:
+                valid = (ta is CompAttrs and node.kind is comp and type(a.op) is str
+                         and a.op.isascii() and type(a.comp_size) is int
+                         and 0 <= a.comp_size <= MAX_SIZE)
+            nid = node.id if valid else None
+            if not (type(nid) is int and nid >= 0 and type(node.name) is str
+                    and node.name.isascii()):
+                _check_node(trace, rank, node, is_workload)
+                nid = node.id
+            if ids is not None or nid != i:
+                ids = set(range(i)) if ids is None else ids
+                if nid in ids:
+                    raise InvariantError("duplicate node id", rank, nid)
+                ids.add(nid)
+            if table is not None:
+                if key in table and duplicate is None:
+                    side = "sends" if table is sends else "recvs"
+                    duplicate = f"duplicate tag {tag} for {side} {key[0]}->{key[1]}", rank, nid
+                table[key] = (nid, size)
+        if ids is not None or not _acyclic(nodes):  # the exact check, in node order
+            ids = range(len(nodes)) if ids is None else ids
+            for node in nodes:
+                for dep in node.deps:
+                    if dep not in ids:
+                        raise InvariantError(f"dep {dep} does not exist on this rank",
+                                             rank, node.id)
+                    if dep == node.id:
+                        raise InvariantError("node depends on itself", rank, node.id)
+            try:  # the nodes left unrun, and so the cycle named, are the same in any order
+                for _ in ordered(trace, rank):
+                    pass
+            except CycleError as exc:
+                raise InvariantError(f"dependency cycle {exc.cycle}", rank, exc.cycle[0]) from exc
+    if duplicate is not None:
+        raise InvariantError(*duplicate)
     messages, mismatch = (), None
     if is_workload:
         _check_spmd(trace)
     else:
-        messages, mismatch = _pair_messages(trace)
+        messages, mismatch = _pair_messages(sends, recvs)
     object.__setattr__(trace, "messages", messages)
     object.__setattr__(trace, "mismatch", mismatch)
     if matching:
         require_matched(trace)
+
+
+def _acyclic(nodes) -> bool:
+    """True if the deps of a rank with ids 0..k-1 in order name its nodes and
+    form no cycle (a self dep is one); if False, the exact check decides."""
+    k = len(nodes)
+    dependents, pending = [[] for _ in nodes], [0] * k
+    try:
+        for i, node in enumerate(nodes):
+            for dep in node.deps:
+                if not 0 <= dep < k:
+                    return False
+                dependents[dep].append(i)
+            pending[i] = len(node.deps)
+    except TypeError:  # a dep that is not an int
+        return False
+    stack = [i for i, count in enumerate(pending) if not count]
+    for i in stack:  # the stack grows as nodes are released
+        for succ in dependents[i]:
+            pending[succ] -= 1
+            if not pending[succ]:
+                stack.append(succ)
+    return len(stack) == k
 
 
 def require_matched(trace: Trace) -> None:
@@ -488,33 +564,16 @@ def _check_node(trace: Trace, rank: int, node: TraceNode, is_workload: bool) -> 
                                  f"got {a.comm_size!r}", rank, node.id)
 
 
-def _pair_messages(trace: CollectiveTrace):
-    """Pair each SEND with the RECV of the same (src, dst, tag).
+def _pair_messages(sends: dict, recvs: dict):
+    """Pair each SEND with the RECV of the same (src, dst, tag) in
+    `check_trace`'s tables.
 
     Returns the `messages` table, one entry per (src, dst, tag) of a send or
     a recv in ascending order: (src, dst, send id, recv id, send comm_size),
     None for a missing side; and the `mismatch`, the first unmatched or
     size-mismatched pair as InvariantError arguments (message, rank, node
-    id), or None. Raises InvariantError on duplicate tags.
+    id), or None.
     """
-    sends: dict[tuple[int, int, int], tuple[int, int]] = {}
-    recvs: dict[tuple[int, int, int], tuple[int, int]] = {}
-    for rank, nodes in enumerate(trace.per_rank_nodes):
-        for node in nodes:
-            if node.kind is NodeKind.COMM_SEND:
-                key = (rank, node.attrs.dst_rank, node.attrs.tag)
-                if key in sends:
-                    raise InvariantError(
-                        f"duplicate tag {node.attrs.tag} for sends {rank}->{key[1]}",
-                        rank, node.id)
-                sends[key] = (node.id, node.attrs.comm_size)
-            elif node.kind is NodeKind.COMM_RECV:
-                key = (node.attrs.src_rank, rank, node.attrs.tag)
-                if key in recvs:
-                    raise InvariantError(
-                        f"duplicate tag {node.attrs.tag} for recvs {key[0]}->{rank}",
-                        rank, node.id)
-                recvs[key] = (node.id, node.attrs.comm_size)
     mismatch = _first_mismatch(sends, recvs)
     missing = (None, None)
     messages = []
@@ -732,8 +791,8 @@ def _json_chunks(value):
     return False
 
 
-def _attrs_from_json(kind, a: dict):
-    """The attrs of a node of JSON kind `kind`, or None unless `a` holds
+def _json_node(kind, a: dict, nid: int, name: str, deps: tuple):
+    """The node of JSON kind `kind` with attrs `a`, or None unless `a` holds
     exactly the keys and value types the schema allows for it. A key whose
     value is null is absent to `get`, so the length check refuses it."""
     if kind == "COMM_SEND" or kind == "COMM_RECV":
@@ -742,7 +801,8 @@ def _attrs_from_json(kind, a: dict):
         if (type(peer) is type(size) is type(tag) is int
                 and len(a) == 3 + (chunks is not None)
                 and (chunks := _json_chunks(chunks)) is not False):
-            return (_send if kind == "COMM_SEND" else _recv)(peer, size, tag, chunks)
+            build = _send_node if kind == "COMM_SEND" else _recv_node
+            return build(nid, name, deps, peer, size, tag, chunks)
     elif kind == "COMP":
         op, size = a.get("op"), a.get("comp_size")
         chunks, src_chunks = a.get("chunks"), a.get("src_chunks")
@@ -750,12 +810,13 @@ def _attrs_from_json(kind, a: dict):
                 and len(a) == 2 + (chunks is not None) + (src_chunks is not None)
                 and (chunks := _json_chunks(chunks)) is not False
                 and (src_chunks := _json_chunks(src_chunks)) is not False):
-            return _comp(op, size, chunks, src_chunks)
+            return _comp_node(nid, name, deps, op, size, chunks, src_chunks)
     elif kind == "COMM_COLL":
         coll_kind, size = a.get("coll_kind"), a.get("comm_size")
         if (len(a) == 2 and type(size) is int and type(coll_kind) is str
                 and coll_kind in _COLL_KINDS):
-            return CollAttrs(_COLL_KINDS[coll_kind], size)
+            return _node(nid, name, NodeKind.COMM_COLL, deps,
+                         CollAttrs(_COLL_KINDS[coll_kind], size))
     return None
 
 
@@ -767,9 +828,9 @@ def _node_from_json(obj, rank: int, index: int) -> TraceNode:
         nid, name, deps, a = obj["id"], obj["name"], obj["deps"], obj["attrs"]
         if (type(nid) is int and type(name) is str and type(deps) is list
                 and type(a) is dict and _INT.issuperset(map(type, deps))):
-            attrs = _attrs_from_json(obj["kind"], a)
-            if attrs is not None:
-                return _node(nid, name, _KINDS[obj["kind"]], tuple(sorted(deps)), attrs)
+            node = _json_node(obj["kind"], a, nid, name, tuple(sorted(deps)))
+            if node is not None:
+                return node
     _node_fault(obj, f"rank {rank}, node index {index}")
 
 

@@ -4,9 +4,11 @@ Every chunk slot holds a set of (origin_rank, chunk_index) contributions.
 A send snapshots the slots it reads. A matched recv commits the payload
 into its slots, except each chunk that a REDUCE depending on that recv
 writes: that one stays staged, and the REDUCE unions it in (a
-receive-reduce step). Reduction is a commutative-associative
-set union, so the final state is schedule-independent for traces whose
-dependencies correctly order writers before readers.
+receive-reduce step). A COPY reads all its sources before it writes any
+target, so chunks (0, 1) from (1, 0) swap; a REDUCE runs chunk by chunk.
+Reduction is a commutative-associative set union, so the final state is
+schedule-independent for traces whose dependencies correctly order writers
+before readers.
 
 The chunk identities come from the optional "chunks" / "src_chunks" node
 metadata. Traces without that metadata still get the executability

@@ -3,8 +3,9 @@ reachability check used as oracles for the symbolic validator, `json.dumps`
 oracles for the trace and report writers, a per-node checking loader as the
 oracle for `loads_trace`, a dict-keyed simulator as the oracle for
 `simulate`, a per-node lookup into its reports, the message table the
-trace should store, a node-by-node splicer as the oracle for `expand`, and
-structural mutation helpers."""
+trace should store, a multi-pass checker as the oracle for `check_trace`, a
+node-by-node splicer as the oracle for `expand`, and structural mutation
+helpers."""
 
 from __future__ import annotations
 
@@ -13,10 +14,13 @@ import json
 import math
 from dataclasses import replace
 
+from collgraph import trace as trace_module
 from collgraph.errors import (
+    CycleError,
     DeadlockError,
     ParseError,
     SchemaError,
+    InvariantError,
     SpecError,
     UnexpandedCollectiveError,
 )
@@ -419,8 +423,9 @@ def concrete_execute(trace: CollectiveTrace, num_chunks: int) -> list[dict[int, 
                             acc |= state[rank][node.attrs.src_chunks[i]]
                         state[rank][chunk] = acc
                 elif node.attrs.op == OP_COPY and node.attrs.chunks and node.attrs.src_chunks:
-                    for chunk, src in zip(node.attrs.chunks, node.attrs.src_chunks):
-                        state[rank][chunk] = state[rank][src]
+                    values = [state[rank][src] for src in node.attrs.src_chunks]  # all first
+                    for chunk, value in zip(node.attrs.chunks, values):
+                        state[rank][chunk] = value
                 done[rank].add(node.id)
                 progress = True
     assert all(len(done[r]) == len(nodes[r]) for r in range(n)), "oracle run stuck"
@@ -485,6 +490,86 @@ def message_table(trace: CollectiveTrace) -> tuple:
                       None if recv is None else recv.id,
                       None if send is None else send.attrs.comm_size))
     return tuple(table)
+
+
+def check_trace_oracle(trace) -> tuple:
+    """`check_trace(trace, matching=False)` as a multi-pass check: every
+    node's fields and id, then every dep, then cycles, rank by rank, then
+    the send/recv tags over all ranks. Returns the (messages, mismatch) the
+    trace should record, or raises the InvariantError it should raise.
+    Reference for `check_trace`; node fields are judged by its
+    `_check_node` and cycles named by `_find_cycle`."""
+    if type(trace.num_ranks) is not int or trace.num_ranks < 1:
+        raise InvariantError(f"num_ranks must be a positive int, got {trace.num_ranks!r}")
+    if len(trace.per_rank_nodes) != trace.num_ranks:
+        raise InvariantError(
+            f"expected {trace.num_ranks} rank node lists, got {len(trace.per_rank_nodes)}")
+    is_workload = isinstance(trace, WorkloadTrace)
+    claimed = None if is_workload else trace.claimed_collective
+    if claimed is not None and not (
+            isinstance(claimed, CollDescriptor) and type(claimed.kind) is CollKind
+            and type(claimed.comm_size) is int
+            and 0 < claimed.comm_size <= trace_module.MAX_SIZE):
+        raise InvariantError(
+            f"claimed_collective must be a CollKind and a size in 1..{trace_module.MAX_SIZE}, "
+            f"got {claimed!r}")
+    for rank, nodes in enumerate(trace.per_rank_nodes):
+        ids = set()
+        for node in nodes:
+            trace_module._check_node(trace, rank, node, is_workload)
+            if node.id in ids:
+                raise InvariantError("duplicate node id", rank, node.id)
+            ids.add(node.id)
+        for node in nodes:
+            for dep in node.deps:
+                if dep not in ids:
+                    raise InvariantError(f"dep {dep} does not exist on this rank", rank, node.id)
+                if dep == node.id:
+                    raise InvariantError("node depends on itself", rank, node.id)
+        ready = trace_module.Readiness(nodes)
+        stack = ready.roots()
+        while stack:
+            stack += ready.finish(stack.pop())
+        if any(ready.pending):
+            exc = CycleError(f"dependency cycle on rank {rank}", trace_module._find_cycle(ready))
+            raise InvariantError(f"dependency cycle {exc.cycle}", rank, exc.cycle[0]) from exc
+    if is_workload:
+        trace_module._check_spmd(trace)
+        return (), None
+    sends, recvs = {}, {}
+    for rank, nodes in enumerate(trace.per_rank_nodes):
+        for node in nodes:
+            if node.kind is NodeKind.COMM_SEND:
+                key = (rank, node.attrs.dst_rank, node.attrs.tag)
+                if key in sends:
+                    raise InvariantError(
+                        f"duplicate tag {node.attrs.tag} for sends {rank}->{key[1]}",
+                        rank, node.id)
+                sends[key] = node
+            elif node.kind is NodeKind.COMM_RECV:
+                key = (node.attrs.src_rank, rank, node.attrs.tag)
+                if key in recvs:
+                    raise InvariantError(
+                        f"duplicate tag {node.attrs.tag} for recvs {key[0]}->{rank}",
+                        rank, node.id)
+                recvs[key] = node
+    return message_table(trace), _first_mismatch(sends, recvs)
+
+
+def _first_mismatch(sends: dict, recvs: dict):
+    """The first send, in node order, without a recv of its size, else the
+    first recv without a send, as InvariantError arguments; or None."""
+    for (src, dst, tag), send in sends.items():
+        recv = recvs.get((src, dst, tag))
+        if recv is None:
+            return f"unmatched send {src}->{dst} tag {tag}", src, send.id
+        if recv.attrs.comm_size != send.attrs.comm_size:
+            return (f"send {src}->{dst} tag {tag} has size {send.attrs.comm_size} but "
+                    f"recv expects {recv.attrs.comm_size}", src, send.id)
+    for (src, dst, tag), recv in recvs.items():
+        if (src, dst, tag) not in sends:
+            return f"unmatched recv from {src} tag {tag}", dst, recv.id
+    return None
 
 
 def expand_oracle(workload: WorkloadTrace, subtrace, tag_stride: int) -> CollectiveTrace:

@@ -330,6 +330,15 @@ def test_sweep_of_an_overlong_topology_dimension_exits_2(net_config, capsys):
     assert "too long" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "x"])
+def test_sweep_with_jobs_below_1_exits_2(net_config, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        run("sweep", "--algo", "ring-allgather", "--ranks", 4, "--sizes", 1024,
+            "--topologies", "ring", "--net", net_config, "--jobs", jobs)
+    assert exc.value.code == 2
+    assert "invalid job count" in capsys.readouterr().err
+
+
 def write_unmatched(path, claimed=None):
     """A 2-rank trace whose one send has no recv; `save_trace` refuses it."""
     trace = CollectiveTrace(2, claimed, [

@@ -52,6 +52,16 @@ def test_expansion_produces_a_valid_unified_trace():
         toposort_rank(unified, rank)  # acyclicity re-established
 
 
+def test_each_instance_name_is_one_string_on_every_rank():
+    unified = expand(chain_workload(n=8), BINDINGS)
+    names = {}
+    for nodes in unified.per_rank_nodes:
+        for node in nodes:
+            if node.name.startswith("coll"):
+                assert names.setdefault(node.name, node.name) is node.name
+    assert "coll0_rs_send_c0" in names and "coll1_ag_recv_c7" in names
+
+
 def test_node_count_is_workload_plus_bindings():
     unified = expand(chain_workload(), BINDINGS)
     # 2 workload comps + 15 (ring AR, N=4) + 6 (ring AG, N=4)

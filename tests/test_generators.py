@@ -121,3 +121,18 @@ def test_generation_is_deterministic():
 def test_spec_errors(spec, message):
     with pytest.raises(SpecError, match=message):
         generate(spec)
+
+
+@pytest.mark.parametrize("algo", list(Algorithm))
+def test_ranks_share_the_pieces_that_do_not_depend_on_the_rank(algo):
+    """Node k's deps tuple is one object on every rank, and so is each name
+    and chunk tuple: nodes that carry the same chunk share them."""
+    trace = generate(AlgoSpec(algo, 8, 8 * 1024))
+    rank0, rank1 = trace.per_rank_nodes[:2]
+    assert all(a.deps is b.deps for a, b in zip(rank0, rank1, strict=True))
+    names, chunks = {}, {}
+    for nodes in trace.per_rank_nodes:
+        for node in nodes:
+            assert names.setdefault(node.name, node.name) is node.name
+            assert chunks.setdefault(node.attrs.chunks, node.attrs.chunks) is node.attrs.chunks
+    assert len(names) < len(rank0) * 8

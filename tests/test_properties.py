@@ -8,7 +8,8 @@ loader raises only collgraph errors on corrupted input, and builds the
 trace, or raises the error, the per-node checking oracle loader does; the
 net config and MSCCL XML readers raise only collgraph errors on mutated or
 arbitrary bytes; the message table a trace stores pairs its sends and
-recvs as the oracle in `tests/helpers.py` does; and on random
+recvs as the oracle in `tests/helpers.py` does; `check_trace` raises or
+records on faulty traces what the multi-pass oracle there does; and on random
 chunk-annotated traces the validator's verdict, final chunk state and
 rendezvous warning agree with the oracles there; and random SPMD workloads
 expand, under Algorithm and trace bindings, to the trace the oracle
@@ -26,6 +27,7 @@ from pathlib import Path
 
 import pytest
 from helpers import (
+    check_trace_oracle,
     concrete_execute,
     delete_node,
     expand_oracle,
@@ -58,6 +60,7 @@ from collgraph.trace import (
     TraceBuilder,
     TraceNode,
     WorkloadTrace,
+    check_trace,
     dumps_trace,
     loads_trace,
 )
@@ -108,14 +111,28 @@ def valid_ranks(draw, chained=False):
 def _fault(draw, ranks, what):
     """Break one node of `ranks` in place in the way named by `what`."""
     rank = draw(st.integers(0, len(ranks) - 1))
-    if not ranks[rank]:
-        return
+    if not ranks[rank] or any(type(m.id) is not int for m in ranks[rank]):
+        return  # (an id that is not an int takes no further fault)
     i = draw(st.integers(0, len(ranks[rank]) - 1))
     node, a = ranks[rank][i], ranks[rank][i].attrs
     messaging = isinstance(a, (SendAttrs, RecvAttrs))
     if what == "drop":
         ranks[rank] = [replace(m, deps=tuple(d for d in m.deps if d != node.id))
                        for m in ranks[rank] if m is not node]
+        return
+    if what == "shuffle":  # the same ids, out of order
+        ranks[rank] = draw(st.permutations(ranks[rank]))
+        return
+    if what == "offset":  # ids no longer 0..k-1
+        shift = draw(st.integers(1, 3))
+        ranks[rank] = [replace(m, id=m.id + shift, deps=tuple(d + shift for d in m.deps))
+                       for m in ranks[rank]]
+        return
+    if what == "dup-tag" and messaging:  # a second message on the same (src, dst, tag)
+        ranks[rank].append(replace(node, id=len(ranks[rank]), deps=()))
+        return
+    if what == "entry":
+        ranks[rank][i] = draw(st.sampled_from([None, 3, a, (node.id,)]))
         return
     if what == "dep":  # dangling, self or back edge (a cycle)
         node = replace(node, deps=node.deps + (draw(st.integers(-1, 9)),))
@@ -136,10 +153,34 @@ def _fault(draw, ranks, what):
     elif what == "coll":
         node = replace(node, kind=NodeKind.COMM_COLL,
                        attrs=CollAttrs(draw(st.sampled_from(list(CollKind))), 64))
+    elif what == "name":
+        node = replace(node, name=draw(st.sampled_from([5, None, "\ud800", "n\u00e9"])))
+    elif what == "op" and isinstance(a, CompAttrs):
+        node = replace(node, attrs=replace(a, op=draw(st.sampled_from([7, "\udfff", "\u00e9"]))))
+    elif what == "type":  # an int field that is not an exact int
+        value = draw(st.sampled_from([True, 64.0, "64", 2**63]))
+        field = draw(st.sampled_from(["id", "comp_size" if isinstance(a, CompAttrs)
+                                      else "comm_size", "tag" if messaging else "id"]))
+        node = replace(node, id=value) if field == "id" else \
+            replace(node, attrs=replace(a, **{field: value}))
+    elif what == "dup-id":
+        node = replace(node, id=draw(st.sampled_from([m.id for m in ranks[rank]])))
+    elif what == "self":
+        node = replace(node, deps=node.deps + (node.id,))
+    elif what == "missing":  # just past either end of the ids
+        node = replace(node, deps=node.deps + (draw(st.sampled_from([-1, len(ranks[rank])])),))
+    elif what == "cycle":  # a dep of the node comes to depend on it
+        for j, m in enumerate(ranks[rank]):
+            if node.deps and m.id == node.deps[0]:
+                ranks[rank][j] = replace(m, deps=m.deps + (node.id,))
     ranks[rank][i] = node
 
 
 FAULTS = ["drop", "dep", "peer", "size", "tag", "kind", "id", "coll"]
+# faults of single fields, and of ids, deps, order and entries, for check_trace
+FIELD_FAULTS = ["peer", "size", "tag", "kind", "coll", "name", "op", "type"]
+CHECK_FAULTS = FAULTS + FIELD_FAULTS[5:] + [
+    "dup-id", "self", "missing", "cycle", "shuffle", "offset", "dup-tag"]
 
 
 @st.composite
@@ -234,6 +275,59 @@ def test_messages_table_pairs_as_the_oracle_does(data):
         broken = delete_node(trace, *data.draw(st.sampled_from(ends)))
         assert broken.mismatch is not None
         assert broken.messages == message_table(broken)
+
+
+def _unchecked(cls, ranks):
+    """A trace of `cls` holding `ranks` as they are, before any check."""
+    trace = object.__new__(cls)
+    object.__setattr__(trace, "num_ranks", len(ranks))
+    object.__setattr__(trace, "per_rank_nodes", tuple(map(tuple, ranks)))
+    if cls is CollectiveTrace:
+        object.__setattr__(trace, "claimed_collective", None)
+    return trace
+
+
+@st.composite
+def faulty_traces(draw):
+    """Collective traces, or workloads (most with their messages made
+    collectives), with up to three faults of `CHECK_FAULTS` and maybe an
+    entry that is not a node; half of them first get a duplicate tag on one
+    rank and a field fault, often on another."""
+    ranks = draw(valid_ranks())
+    if draw(st.booleans()):
+        _fault(draw, ranks, "dup-tag")
+        _fault(draw, ranks, draw(st.sampled_from(FIELD_FAULTS)))
+    for what in draw(st.lists(st.sampled_from(CHECK_FAULTS), max_size=3)):
+        _fault(draw, ranks, what)
+    if draw(st.sampled_from([False] * 5 + [True])):  # last: faults above need nodes
+        _fault(draw, ranks, "entry")
+    if draw(st.sampled_from([False] * 4 + [True])):
+        keep = draw(st.booleans())  # keep the messages, which a workload refuses
+        ranks = [[replace(m, kind=NodeKind.COMM_COLL, attrs=CollAttrs(CollKind.ALL_REDUCE, 64))
+                  if not keep and isinstance(m, TraceNode) and m.kind in (
+                      NodeKind.COMM_SEND, NodeKind.COMM_RECV) else m for m in nodes]
+                 for nodes in ranks]
+        return _unchecked(WorkloadTrace, ranks)
+    return _unchecked(CollectiveTrace, ranks)
+
+
+@settings(DETERMINISTIC, max_examples=600)
+@given(faulty_traces())
+def test_check_trace_raises_or_records_as_the_multi_pass_oracle_does(trace):
+    """The one-pass `check_trace` raises the InvariantError (message, rank,
+    node id) the multi-pass oracle raises, or records the same messages and
+    mismatch."""
+    def outcome(check):
+        try:
+            return check(trace)
+        except InvariantError as exc:
+            return str(exc), exc.rank, exc.node_id
+
+    def one_pass(trace):
+        check_trace(trace, matching=False)
+        return trace.messages, trace.mismatch
+
+    assert outcome(one_pass) == outcome(check_trace_oracle)
 
 
 @st.composite
@@ -447,9 +541,9 @@ def chunked_traces(draw):
     Each send and its recv name chunk lists of one length; each compute node
     becomes a REDUCE, a COPY or a NOP. Extra deps on earlier nodes give a
     recv several dependents, and each rank still runs in one order, so the
-    final state does not depend on the schedule. A COPY reads no chunk it
-    writes: the validator reads all sources before it writes, the oracle
-    copies chunk by chunk."""
+    final state does not depend on the schedule. A COPY's sources may
+    overlap its targets: both the validator and the oracle read every
+    source before they write."""
     ids = st.integers(0, CHUNKS - 1)
     length = {}  # (src, dst, tag) -> number of chunks of the message
     ranks = []
@@ -470,9 +564,8 @@ def chunked_traces(draw):
                 chunks = src = None
                 if op != "NOP":
                     chunks = draw(st.lists(ids, min_size=1, max_size=3))
-                    free = sorted(set(range(CHUNKS)) - set(chunks)) if op == "COPY" else None
                     if op == "COPY" or draw(st.booleans()):
-                        src = [draw(st.sampled_from(free) if free else ids) for _ in chunks]
+                        src = [draw(ids) for _ in chunks]
                 a = CompAttrs(op, a.comp_size, chunks, src)
             else:
                 key = (rank, a.dst_rank, a.tag) if node.kind is NodeKind.COMM_SEND \

@@ -497,6 +497,12 @@ def test_sweep_parallel_jobs_match_sequential():
     assert sequential == parallel
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_jobs_below_1(jobs):
+    with pytest.raises(SpecError, match="jobs must be at least 1"):
+        sweep(Algorithm.RING_ALL_GATHER, 4, [1024], [Topology.ring(4)], COST, jobs=jobs)
+
+
 @pytest.mark.parametrize("jobs, cpus, topologies, expected", [
     (64, 8, 1, [2]),   # capped by the 2 cells
     (3, 2, 2, [2]),    # capped by the CPUs

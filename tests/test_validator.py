@@ -93,6 +93,19 @@ def test_hand_enumerated_two_rank_all_reduce_table():
     assert state[1] == expected[1]
 
 
+def test_copy_reads_every_source_before_it_writes():
+    """A COPY of chunks (1, 0) into (0, 1) is a swap in the validator and in
+    the oracle: both read all sources first."""
+    builder = TraceBuilder(1)
+    builder.add_comp(0, "COPY", 64, chunks=[0, 1], src_chunks=[1, 0])
+    trace = builder.build_collective(CollDescriptor(CollKind.ALL_REDUCE, 128))
+    ex = _Exec(trace, True, None)
+    ex.seed_initial_state(trace.claimed_collective, 2)
+    ex.run()
+    assert ex.state == [{0: frozenset({(0, 1)}), 1: frozenset({(0, 0)})}]
+    assert concrete_execute(trace, 2) == [{0: 1 << 1, 1: 1 << 0}]
+
+
 def test_validator_pass_for_all_generators_up_to_16():
     for algo in Algorithm:
         for n in list(range(1, 17)) if algo is not Algorithm.RECURSIVE_DOUBLING_ALL_GATHER \
