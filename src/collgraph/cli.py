@@ -205,10 +205,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    trace = load_trace(args.trace)
-    topology, cost = load_net_config(args.net)
+    topology, cost = load_net_config(args.net)  # the small file first: a bad one fails fast
     if topology is None:
         raise CollGraphError(f"{args.net}: simulate needs a topology entry")
+    trace = load_trace(args.trace)
     _write(simulate(trace, topology, cost).pieces(), args.output)
     return 0
 

@@ -81,6 +81,8 @@ def _splice(workload: WorkloadTrace, resolved: dict) -> list[list[TraceNode]]:
     """Each rank's nodes, its placeholders replaced from `resolved`."""
     out_ranks: list[list[TraceNode]] = []
     names: dict[tuple[int, str], str] = {}  # one coll{ordinal}_{name} for every rank
+    joined: dict[tuple, tuple] = {}  # each deps value of a workload node or root, once
+    renumbered: dict[tuple, tuple] = {}  # (id base, subgraph deps) -> new deps
     for rank in range(workload.num_ranks):
         ordinal_of = {node.id: i for i, node in enumerate(coll_sequence(workload, rank))}
         nodes = {n.id: n for n in workload.per_rank_nodes[rank]}
@@ -109,25 +111,35 @@ def _splice(workload: WorkloadTrace, resolved: dict) -> list[list[TraceNode]]:
         for nid in order:
             node = nodes[nid]
             deps = tuple(sorted({d for dep in node.deps for d in exits[dep]}))
+            deps = joined.setdefault(deps, deps)
             if node.kind is not NodeKind.COMM_COLL:
                 out.append(_node(exits[nid][0], node.name, node.kind, deps, node.attrs))
                 continue
             ordinal = ordinal_of[nid]
             lift = ordinal * TAG_STRIDE
             subnodes, base = blocks[nid]
-            sub_ids = {n.id: base + i for i, n in enumerate(subnodes)}
-            for sub in subnodes:
+            # ids 0..k-1 (as every producer numbers them): an id d becomes base + d
+            dense = subnodes[-1].id == len(subnodes) - 1
+            sub_ids = None if dense else {n.id: base + i for i, n in enumerate(subnodes)}
+            for new_id, sub in enumerate(subnodes, base):
                 a, key = sub.attrs, (ordinal, sub.name)
                 name = names.get(key) or names.setdefault(key, f"coll{ordinal}_{sub.name}")
-                sub_deps = tuple(sub_ids[d] for d in sub.deps) if sub.deps else deps
+                if not sub.deps:
+                    sub_deps = deps
+                elif dense:  # one tuple per (base, deps), shared by all ranks
+                    key = base, sub.deps
+                    sub_deps = renumbered.get(key) or renumbered.setdefault(
+                        key, tuple(base + d for d in sub.deps))
+                else:
+                    sub_deps = tuple(sub_ids[d] for d in sub.deps)
                 if type(a) is SendAttrs:
-                    out.append(_send_node(sub_ids[sub.id], name, sub_deps, a.dst_rank,
+                    out.append(_send_node(new_id, name, sub_deps, a.dst_rank,
                                           a.comm_size, lift + a.tag, a.chunks))
                 elif type(a) is RecvAttrs:
-                    out.append(_recv_node(sub_ids[sub.id], name, sub_deps, a.src_rank,
+                    out.append(_recv_node(new_id, name, sub_deps, a.src_rank,
                                           a.comm_size, lift + a.tag, a.chunks))
                 else:
-                    out.append(_node(sub_ids[sub.id], name, sub.kind, sub_deps, a))
+                    out.append(_node(new_id, name, sub.kind, sub_deps, a))
         out_ranks.append(out)
     return out_ranks
 

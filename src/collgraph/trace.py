@@ -15,13 +15,16 @@ a trace for the semantic validator; `save_trace`, `dumps_trace`, `simulate`
 and `expand` (for its bindings) refuse it through `require_matched`.
 
 Construction contract. The public constructors take `deps` and chunk lists
-as iterables of exact ints (a bool, float or str is an InvariantError) and
-store them as tuples, `deps` sorted. The private constructors `_node`,
-`_send_node`, `_recv_node` and `_comp_node` (the last three build the attrs
-in the same call) store what they are given and only reject negative
-chunks: callers pass `deps` as a sorted tuple of ints and chunk lists as
-tuples of ints or None. The trace checks the rest. Producers may share
-these immutable tuples, and names, between nodes and ranks.
+as iterables of exact ints (a bool, float or str is an InvariantError),
+store them as tuples, `deps` sorted, and reject a negative chunk. The
+private constructors `_node`, `_send_node`, `_recv_node` and `_comp_node`
+(the last three build the attrs in the same call) store what they are
+given and check nothing: callers pass `deps` as a sorted tuple of ints and
+chunk lists as tuples of non-negative ints or None, checked where each
+tuple is made (the generators build them from `range`, the loader checks
+each parsed list, the MSCCL parser rejects a negative offset and `expand`
+copies them from checked traces). The trace checks the rest. Producers may
+share these immutable tuples, and names, between nodes and ranks.
 
 `Readiness` is the one dependency-readiness engine: it numbers a rank's
 nodes by position (ascending id), counts each node's unfinished deps and
@@ -34,9 +37,12 @@ ensure_ascii=False)` plus a newline gives for its canonical dict: fixed key
 order, nodes by ascending id. `save_trace` formats it directly (the
 pure-Python indent encoder is several times slower) and writes it rank by
 rank; `dumps_trace` joins the same pieces, and a test pins them to the
-`json.dumps` oracle. `loads_trace` drops the text once parsed and each
-rank's parsed JSON once built. Built traces hold only exact ints and UTF-8
-text, so every trace that can be saved loads back.
+`json.dumps` oracle. `loads_trace` builds each node while the JSON is
+parsed, as soon as its object is complete, so the parsed tree never exists
+whole; within one load, equal names, ops, ints, deps and chunk tuples are
+one object. It drops the text before the trace is checked. Built traces
+hold only exact ints and UTF-8 text, so every trace that can be saved loads
+back.
 """
 
 from __future__ import annotations
@@ -80,12 +86,6 @@ class CollKind(Enum):
 MAX_SIZE = 2**63 - 1
 
 
-def _check_chunks(chunks):
-    if chunks and min(chunks) < 0:
-        raise InvariantError(f"chunk indices must be non-negative, got {min(chunks)}")
-    return chunks
-
-
 _INT = {int}
 
 
@@ -101,7 +101,12 @@ def _int_tuple(value, what: str) -> tuple:
 
 
 def _freeze_chunks(value):
-    return None if value is None else _check_chunks(_int_tuple(value, "chunks"))
+    if value is None:
+        return None
+    chunks = _int_tuple(value, "chunks")
+    if chunks and min(chunks) < 0:
+        raise InvariantError(f"chunk indices must be non-negative, got {min(chunks)}")
+    return chunks
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,7 +217,7 @@ def _message_node(cls):
         set_peer(attrs, peer)
         set_size(attrs, comm_size)
         set_tag(attrs, tag)
-        set_chunks(attrs, _check_chunks(chunks))
+        set_chunks(attrs, chunks)
         set_id(node, nid)
         set_name(node, name)
         set_kind(node, kind)
@@ -230,8 +235,8 @@ def _comp_node(nid, name, deps, op, comp_size, chunks, src_chunks,
     attrs = _new(CompAttrs)
     _set[0](attrs, op)
     _set[1](attrs, comp_size)
-    _set[2](attrs, _check_chunks(chunks))
-    _set[3](attrs, _check_chunks(src_chunks))
+    _set[2](attrs, chunks)
+    _set[3](attrs, src_chunks)
     return _node(nid, name, NodeKind.COMP, deps, attrs)
 
 
@@ -780,18 +785,19 @@ def _expect(obj: dict, key: str, typ: type, where: str):
     return value
 
 
-def _json_chunks(value):
-    """A parsed chunk list as a tuple, None for None, and False unless it is
-    a list of non-negative ints."""
+def _json_chunks(value, share):
+    """A parsed chunk list as a shared tuple, None for None, and False unless
+    it is a list of non-negative ints."""
     if value is None:
         return None
     if type(value) is list and _INT.issuperset(map(type, value)) and not (
             value and min(value) < 0):
-        return tuple(value)
+        value = tuple(value)
+        return share(value, value)
     return False
 
 
-def _json_node(kind, a: dict, nid: int, name: str, deps: tuple):
+def _json_node(kind, a: dict, nid: int, name: str, deps: tuple, share):
     """The node of JSON kind `kind` with attrs `a`, or None unless `a` holds
     exactly the keys and value types the schema allows for it. A key whose
     value is null is absent to `get`, so the length check refuses it."""
@@ -800,38 +806,50 @@ def _json_node(kind, a: dict, nid: int, name: str, deps: tuple):
         size, tag, chunks = a.get("comm_size"), a.get("tag"), a.get("chunks")
         if (type(peer) is type(size) is type(tag) is int
                 and len(a) == 3 + (chunks is not None)
-                and (chunks := _json_chunks(chunks)) is not False):
+                and (chunks := _json_chunks(chunks, share)) is not False):
             build = _send_node if kind == "COMM_SEND" else _recv_node
-            return build(nid, name, deps, peer, size, tag, chunks)
+            return build(nid, name, deps, peer, share(size, size), share(tag, tag), chunks)
     elif kind == "COMP":
         op, size = a.get("op"), a.get("comp_size")
         chunks, src_chunks = a.get("chunks"), a.get("src_chunks")
         if (type(op) is str and type(size) is int
                 and len(a) == 2 + (chunks is not None) + (src_chunks is not None)
-                and (chunks := _json_chunks(chunks)) is not False
-                and (src_chunks := _json_chunks(src_chunks)) is not False):
-            return _comp_node(nid, name, deps, op, size, chunks, src_chunks)
+                and (chunks := _json_chunks(chunks, share)) is not False
+                and (src_chunks := _json_chunks(src_chunks, share)) is not False):
+            return _comp_node(nid, name, deps, share(op, op), share(size, size),
+                              chunks, src_chunks)
     elif kind == "COMM_COLL":
         coll_kind, size = a.get("coll_kind"), a.get("comm_size")
         if (len(a) == 2 and type(size) is int and type(coll_kind) is str
                 and coll_kind in _COLL_KINDS):
             return _node(nid, name, NodeKind.COMM_COLL, deps,
-                         CollAttrs(_COLL_KINDS[coll_kind], size))
+                         CollAttrs(_COLL_KINDS[coll_kind], share(size, size)))
     return None
 
 
-def _node_from_json(obj, rank: int, index: int) -> TraceNode:
-    """One node, built straight from the parsed JSON with exact-type checks.
-    A node this refuses goes to `_node_fault`, which raises its SchemaError;
-    no valid node does."""
-    if type(obj) is dict and obj.keys() == _NODE_KEYS:
-        nid, name, deps, a = obj["id"], obj["name"], obj["deps"], obj["attrs"]
-        if (type(nid) is int and type(name) is str and type(deps) is list
-                and type(a) is dict and _INT.issuperset(map(type, deps))):
-            node = _json_node(obj["kind"], a, nid, name, tuple(sorted(deps)))
-            if node is not None:
-                return node
-    _node_fault(obj, f"rank {rank}, node index {index}")
+def _node_of(obj: dict, share) -> Optional[TraceNode]:
+    """The node a parsed JSON object describes, built with exact-type checks,
+    or None if the schema refuses it. Each value goes through `share` (a
+    dict's `setdefault`) only after its type is checked, since `1 == 1.0 ==
+    True`: equal values of one load become one object."""
+    if obj.keys() != _NODE_KEYS:
+        return None
+    nid, name, deps, a = obj["id"], obj["name"], obj["deps"], obj["attrs"]
+    if not (type(nid) is int and type(name) is str and type(deps) is list
+            and type(a) is dict and _INT.issuperset(map(type, deps))):
+        return None
+    deps = tuple(sorted(deps))
+    return _json_node(obj["kind"], a, share(nid, nid), share(name, name),
+                      share(deps, deps), share)
+
+
+def _nodes_in_ranks(doc) -> int:
+    """How many TraceNodes a parsed document holds in its rank lists."""
+    ranks = doc.get("ranks") if type(doc) is dict else None
+    if type(ranks) is not list:
+        return 0
+    return sum(list(map(type, nodes)).count(TraceNode) for nodes in ranks
+               if type(nodes) is list)
 
 
 def _node_fault(obj, where: str) -> NoReturn:
@@ -858,7 +876,7 @@ def _node_fault(obj, where: str) -> NoReturn:
                           f"for {kind.value} in {where}")
     for key, typ in schema.items():
         if typ is list:  # a null, or not a list of non-negative ints
-            if key in a and _json_chunks(a[key]) in (None, False):
+            if key in a and _json_chunks(a[key], {}.setdefault) in (None, False):
                 raise SchemaError(f"'{key}' in {where} must be a list of non-negative ints")
         elif typ is CollKind:
             if _expect(a, key, str, where) not in _COLL_KINDS:
@@ -869,8 +887,31 @@ def _node_fault(obj, where: str) -> NoReturn:
 
 
 def loads_trace(text: str) -> Trace:
+    """Parse and schema-check a trace; building it checks its invariants.
+
+    A JSON object hook builds each node as soon as its object is parsed. If
+    it built a node outside the rank lists (inside attrs, say), the text is
+    parsed again without it, so the checks below see the plain JSON and
+    raise the same SchemaError either way."""
+    shared = {}
+    share, built = shared.setdefault, 0
+
+    def node_or_obj(obj):
+        nonlocal built
+        node = _node_of(obj, share) if len(obj) == 5 else None  # attrs have fewer keys
+        if node is None:
+            return obj
+        built += 1
+        return node
+
     try:
-        doc, text = json.loads(text), None  # frees the text if the caller kept none
+        try:
+            doc = json.loads(text, object_hook=node_or_obj)
+        except RecursionError:  # the hook's frames count toward the nesting limit
+            doc, built = None, -1
+        if built != _nodes_in_ranks(doc):
+            doc = json.loads(text)
+        text = None  # frees the text if the caller kept none
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg} at line {exc.lineno}, column {exc.colno}") from exc
     except (RecursionError, ValueError) as exc:  # nesting or integer-length limits
@@ -901,18 +942,20 @@ def loads_trace(text: str) -> Trace:
             raise SchemaError(f"unknown collective kind '{claimed_obj['kind']}'") from None
         claimed = CollDescriptor(claimed_kind, _expect(claimed_obj, "comm_size", int,
                                                        "claimed_collective"))
-    per_rank = []
-    for rank, nodes_obj in enumerate(ranks_obj):
-        if not isinstance(nodes_obj, list):
+    for rank, nodes in enumerate(ranks_obj):
+        if not isinstance(nodes, list):
             raise SchemaError(f"rank {rank} entry must be a list of nodes")
-        per_rank.append([_node_from_json(obj, rank, i) for i, obj in enumerate(nodes_obj)])
-        ranks_obj[rank] = None  # free each rank's parsed JSON once it is built
-    doc = ranks_obj = nodes_obj = None  # and the rest before the check
+        for i, obj in enumerate(nodes):
+            if type(obj) is not TraceNode:  # refused by the hook, or parsed again
+                node = _node_of(obj, share) if type(obj) is dict else None
+                if node is None:  # the fault finder raises what no valid node raises
+                    _node_fault(obj, f"rank {rank}, node index {i}")
+                nodes[i] = node
     if trace_class == "workload":
         if claimed is not None:
             raise SchemaError("workload traces must have claimed_collective: null")
-        return WorkloadTrace(num_ranks, per_rank)
-    return CollectiveTrace(num_ranks, claimed, per_rank)
+        return WorkloadTrace(num_ranks, ranks_obj)
+    return CollectiveTrace(num_ranks, claimed, ranks_obj)
 
 
 def load_trace(path) -> Trace:

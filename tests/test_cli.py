@@ -288,6 +288,19 @@ def test_simulate_malformed_net_config_exits_2(tmp_path, net, capsys):
     assert capsys.readouterr().err.startswith("collgraph: ")
 
 
+@pytest.mark.parametrize("net", ['{"alpha_s": 1e-06,', '{"alpha_s": 1e-06, "bandwidth_Bps": 1e9}'],
+                         ids=["malformed", "without-topology"])
+def test_simulate_reads_the_net_config_before_the_trace(tmp_path, net, monkeypatch, capsys):
+    def load_trace(path):
+        pytest.fail("simulate loaded the trace before it read the net config")
+
+    monkeypatch.setattr(cli, "load_trace", load_trace)
+    config = tmp_path / "net.json"
+    config.write_text(net)
+    assert run("simulate", tmp_path / "big.json", "--net", config) == 2
+    assert capsys.readouterr().err.startswith(f"collgraph: {config}: ")
+
+
 @pytest.mark.parametrize("entry, key", [(entry, key) for _, entry, key in NET_KEY_FAULTS],
                          ids=[name for name, _, _ in NET_KEY_FAULTS])
 def test_net_config_schema_faults_name_the_key(tmp_path, entry, key):

@@ -62,6 +62,12 @@ def test_each_instance_name_is_one_string_on_every_rank():
     assert "coll0_rs_send_c0" in names and "coll1_ag_recv_c7" in names
 
 
+def test_equal_deps_are_one_tuple_on_every_rank():
+    rank0, rank1 = expand(chain_workload(n=8), BINDINGS).per_rank_nodes[:2]
+    equal = [(a.deps, b.deps) for a, b in zip(rank0, rank1) if a.deps and a.deps == b.deps]
+    assert len(equal) > 8 and all(a is b for a, b in equal)
+
+
 def test_node_count_is_workload_plus_bindings():
     unified = expand(chain_workload(), BINDINGS)
     # 2 workload comps + 15 (ring AR, N=4) + 6 (ring AG, N=4)

@@ -21,6 +21,7 @@ at exit, not into the working tree.
 """
 
 import json
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -474,10 +475,42 @@ def corrupted_nodes(draw):
     return json.dumps(doc)
 
 
+NODE = json.loads(VALID)["ranks"][0][0]
+
+
+def _set(*path, value):
+    """VALID with the value at `path` (keys and list indices) set to `value`."""
+    doc = json.loads(VALID)
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return json.dumps(doc)
+
+
 @settings(DETERMINISTIC, max_examples=500)
 @given(corrupted() | corrupted_nodes())
+# values equal to ints the loader shares before them: (1,) == (1.0,) == (True,)
+@example(_set("ranks", 1, 0, "attrs", "chunks", value=[1.0]))
+@example(_set("ranks", 1, 0, "attrs", "chunks", value=[True]))
+@example(_set("ranks", 1, 1, "deps", value=[True]))
+@example(_set("ranks", 1, 1, "id", value=True))
+@example(_set("ranks", 1, 1, "attrs", "comm_size", value=1.0))
+# a node-shaped object outside the rank lists, which the loader parses again for
+@example(_set("ranks", 0, 1, "attrs", "x", value=NODE))
+@example(_set("claimed_collective", value=NODE))
+@example(_set("ranks", 1, value=NODE))
+@example(json.dumps(NODE))
+@example(VALID.replace('"ranks": [', f'"ranks": [[{json.dumps(NODE)}]], "ranks": [', 1))
 def test_loads_trace_rejects_corrupted_text_as_the_oracle_does(text):
     loads_as_the_oracle_does(text)
+
+
+def test_loads_a_node_nested_near_the_recursion_limit_as_the_oracle_does():
+    # the object hook's frames count toward the limit that plain JSON nesting meets
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 200, limit):
+        loads_as_the_oracle_does("[" * depth + json.dumps(NODE) + "]" * depth)
 
 
 NET = json.dumps({"alpha_s": 1e-06, "bandwidth_Bps": 1e9, "reduce_bandwidth_Bps": 1e10,
