@@ -79,14 +79,8 @@ def parse_size_list(text: str) -> list[int]:
     return [parse_size(part) for part in text.split(",")]
 
 
-_TOPO_KINDS = {
-    "ring": TopologyKind.RING,
-    "fc": TopologyKind.FULLY_CONNECTED,
-    "fully_connected": TopologyKind.FULLY_CONNECTED,
-    "switch": TopologyKind.SWITCH,
-    "mesh2d": TopologyKind.MESH2D,
-    "torus2d": TopologyKind.TORUS2D,
-}
+_TOPO_KINDS = {kind.value: kind for kind in TopologyKind}
+_TOPO_KINDS["fully_connected"] = TopologyKind.FULLY_CONNECTED
 _GRID_KINDS = (TopologyKind.MESH2D, TopologyKind.TORUS2D)
 
 
@@ -252,15 +246,8 @@ def cmd_expand(args) -> int:
     workload = load_trace(args.workload)
     if not isinstance(workload, WorkloadTrace):
         raise CollGraphError("expand expects a workload trace")
-    has_colls = any(node.kind.value == "COMM_COLL"
-                    for nodes in workload.per_rank_nodes for node in nodes)
-    if not has_colls:
-        # nothing to splice: expansion is the identity, byte for byte
-        save_trace(workload, args.output)
-        log.info("wrote %s (no collectives to expand)", args.output)
-        return 0
     bindings: dict[CollKind, Binding] = {}
-    for kind, target in args.bind or []:
+    for kind, target in args.bind or []:  # a bad file fails even if nothing uses it
         if isinstance(target, str):
             bound = load_trace(target)
             if not isinstance(bound, CollectiveTrace):
@@ -268,6 +255,13 @@ def cmd_expand(args) -> int:
             bindings[kind] = bound
         else:
             bindings[kind] = target
+    has_colls = any(node.kind.value == "COMM_COLL"
+                    for nodes in workload.per_rank_nodes for node in nodes)
+    if not has_colls:
+        # nothing to splice: expansion is the identity, byte for byte
+        save_trace(workload, args.output)
+        log.info("wrote %s (no collectives to expand)", args.output)
+        return 0
     save_trace(expand(workload, bindings), args.output)
     log.info("wrote %s", args.output)
     return 0

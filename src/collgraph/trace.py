@@ -17,16 +17,19 @@ and `expand` (for its bindings) refuse it through `require_matched`.
 Construction contract. The public constructors take `deps` and chunk lists
 as iterables of exact ints (a bool, float or str is an InvariantError),
 store them as tuples, `deps` sorted, and reject a negative chunk. The
-private constructors `_node`, `_send_node`, `_recv_node` and `_comp_node`
-(the last three build the attrs in the same call) store what they are
-given and check nothing: callers pass `deps` as a sorted tuple of ints and
-chunk lists as tuples of non-negative ints or None, checked where each
-tuple is made (the generators build them from `range`, the loader checks
-each parsed list, the MSCCL parser rejects a negative offset and `expand`
-copies them from checked traces). The trace checks the rest. Producers may
-share these immutable tuples, and names, between nodes and ranks.
+private constructors store what they are given and check nothing: `_node`
+takes its attrs whole, and `_send_node`, `_recv_node` and `_comp_node`,
+each made by `_node_builder`, build the attrs in the same call. Callers
+pass `deps` as a sorted tuple of ints and chunk lists as tuples of
+non-negative ints or None, checked where each tuple is made (the
+generators build them from `range`, the loader checks each parsed list,
+the MSCCL parser rejects a negative offset and `expand` copies them from
+checked traces). The trace checks the rest. Producers may share these
+immutable tuples, and names, between nodes and ranks.
 
-`Readiness` is the one dependency-readiness engine: it numbers a rank's
+`check_trace` counts deps on list indices, since it meets the ids before
+they are known to be valid. Every walk over a built trace drives
+`Readiness`, the one dependency-readiness engine: it numbers a rank's
 nodes by position (ascending id), counts each node's unfinished deps and
 releases dependents as nodes finish. `ordered` walks a rank with it in heap
 order; the validator and the simulator drive it from their own cross-rank
@@ -205,19 +208,20 @@ def _node(nid, name, kind, deps, attrs, _set=_slot_setters(TraceNode)) -> TraceN
     return node
 
 
-def _message_node(cls):
-    """The one-call constructor of a node with attrs `cls` (SendAttrs or
-    RecvAttrs): `(nid, name, deps, peer, comm_size, tag, chunks)`."""
+def _node_builder(cls):
+    """The one-call constructor of a node with attrs `cls` (SendAttrs,
+    RecvAttrs or CompAttrs): `(nid, name, deps, *fields)`, the four attrs
+    fields in `cls`'s order."""
     kind = _KIND_FOR_ATTRS[cls]
-    set_peer, set_size, set_tag, set_chunks = _slot_setters(cls)
+    set_a, set_b, set_c, set_d = _slot_setters(cls)
     set_id, set_name, set_kind, set_deps, set_attrs = _slot_setters(TraceNode)
 
-    def build(nid, name, deps, peer, comm_size, tag, chunks) -> TraceNode:
+    def build(nid, name, deps, a, b, c, d) -> TraceNode:
         attrs, node = _new(cls), _new(TraceNode)
-        set_peer(attrs, peer)
-        set_size(attrs, comm_size)
-        set_tag(attrs, tag)
-        set_chunks(attrs, chunks)
+        set_a(attrs, a)
+        set_b(attrs, b)
+        set_c(attrs, c)
+        set_d(attrs, d)
         set_id(node, nid)
         set_name(node, name)
         set_kind(node, kind)
@@ -227,17 +231,7 @@ def _message_node(cls):
     return build
 
 
-_send_node, _recv_node = _message_node(SendAttrs), _message_node(RecvAttrs)
-
-
-def _comp_node(nid, name, deps, op, comp_size, chunks, src_chunks,
-               _set=_slot_setters(CompAttrs)) -> TraceNode:
-    attrs = _new(CompAttrs)
-    _set[0](attrs, op)
-    _set[1](attrs, comp_size)
-    _set[2](attrs, chunks)
-    _set[3](attrs, src_chunks)
-    return _node(nid, name, NodeKind.COMP, deps, attrs)
+_send_node, _recv_node, _comp_node = map(_node_builder, (SendAttrs, RecvAttrs, CompAttrs))
 
 
 @dataclass(frozen=True)
@@ -330,25 +324,22 @@ class Readiness:
         return released
 
 
-def ordered(trace: Trace, rank: int, key=None):
-    """Walk one rank in dependency order, always taking the smallest ready
-    entry: yields ids, or `(key(node), id)` pairs when `key` is given. The
+def ordered(trace: Trace, rank: int, key=attrgetter("id")):
+    """Walk one rank in dependency order, always taking the ready node with
+    the smallest `(key(node), id)`: yields `(key(node), node)` pairs. The
     key is evaluated when a node becomes ready, i.e. after every dep was
     yielded. After the last yield, raises CycleError carrying the ids of one
     dependency cycle if nodes were left over."""
     ready = Readiness(trace.per_rank_nodes[rank])
-    ids, nodes, finish = ready.ids, ready.nodes, ready.finish
+    nodes, finish = ready.nodes, ready.finish
     push, pop = heapq.heappush, heapq.heappop
-    heap = ready.roots()  # ascending, hence already a heap
-    if key is not None:
-        heap = [(key(nodes[p]), p) for p in heap]
-        heapq.heapify(heap)
+    heap = [(key(nodes[p]), p) for p in ready.roots()]
+    heapq.heapify(heap)
     while heap:
-        entry = pop(heap)
-        p = entry if key is None else entry[1]
-        yield ids[p] if key is None else (entry[0], ids[p])
+        value, p = pop(heap)
+        yield value, nodes[p]
         for succ in finish(p):
-            push(heap, succ if key is None else (key(nodes[succ]), succ))
+            push(heap, (key(nodes[succ]), succ))
     if any(ready.pending):
         raise CycleError(f"dependency cycle on rank {rank}", _find_cycle(ready))
 
@@ -358,7 +349,7 @@ def toposort_rank(trace: Trace, rank: int) -> list[int]:
 
     Raises CycleError carrying the ids of one dependency cycle.
     """
-    return list(ordered(trace, rank))
+    return [node.id for _, node in ordered(trace, rank)]
 
 
 def _find_cycle(ready: Readiness) -> list[int]:
@@ -375,9 +366,7 @@ def _find_cycle(ready: Readiness) -> list[int]:
 
 def coll_sequence(workload: WorkloadTrace, rank: int) -> list[TraceNode]:
     """COMM_COLL nodes of one rank in topological (tie: id) order."""
-    nodes = {n.id: n for n in workload.per_rank_nodes[rank]}
-    return [nodes[nid] for nid in toposort_rank(workload, rank)
-            if nodes[nid].kind is NodeKind.COMM_COLL]
+    return [node for _, node in ordered(workload, rank) if node.kind is NodeKind.COMM_COLL]
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +377,13 @@ def check_trace(trace: Trace, *, matching: bool = True) -> None:
     """Verify every structural invariant; raise InvariantError on the first
     violation (with rank and node id). Every trace runs this when it is built.
 
-    It is one pass per rank (nodes, ids and send/recv tables, then deps and
-    cycles) that raises what checking all nodes, deps and cycles rank by
-    rank, then all tags, raises first. A rank with ids 0..k-1 in order is
-    checked on lists indexed by id; what that doubts gets the exact check.
+    It raises what checking all nodes, deps and cycles rank by rank, then
+    all tags, raises first. Per rank, one pass over the nodes checks each
+    node and maps its id to its list index (an id seen before is a
+    duplicate) while it fills the send/recv tables. One loop over the deps
+    then raises the first missing dep or self dep in node order, and counts
+    each node's pending deps on list indices; one release loop follows. If
+    nodes are left over, `ordered` names their cycle.
 
     `matching=False` skips send/recv completeness (tag uniqueness is still
     enforced); built traces skip it so the semantic validator can execute
@@ -418,7 +410,7 @@ def check_trace(trace: Trace, *, matching: bool = True) -> None:
     duplicate = None  # the first duplicate tag, raised once every rank passed
     send, recv, comp = NodeKind.COMM_SEND, NodeKind.COMM_RECV, NodeKind.COMP
     for rank, nodes in enumerate(trace.per_rank_nodes):
-        ids = None  # the rank's id set, once its ids leave 0..k-1 in order
+        index = {}  # node id -> list index
         for i, node in enumerate(nodes):
             a = node.attrs if type(node) is TraceNode else None
             ta, table = type(a), None
@@ -442,28 +434,36 @@ def check_trace(trace: Trace, *, matching: bool = True) -> None:
                     and node.name.isascii()):
                 _check_node(trace, rank, node, is_workload)
                 nid = node.id
-            if ids is not None or nid != i:
-                ids = set(range(i)) if ids is None else ids
-                if nid in ids:
-                    raise InvariantError("duplicate node id", rank, nid)
-                ids.add(nid)
+            if index.setdefault(nid, i) != i:
+                raise InvariantError("duplicate node id", rank, nid)
             if table is not None:
-                if key in table and duplicate is None:
+                entry = (nid, size)  # a duplicate tag keeps the first entry, then raises
+                if table.setdefault(key, entry) is not entry and duplicate is None:
                     side = "sends" if table is sends else "recvs"
                     duplicate = f"duplicate tag {tag} for {side} {key[0]}->{key[1]}", rank, nid
-                table[key] = (nid, size)
-        if ids is not None or not _acyclic(nodes):  # the exact check, in node order
-            ids = range(len(nodes)) if ids is None else ids
-            for node in nodes:
-                for dep in node.deps:
-                    if dep not in ids:
-                        raise InvariantError(f"dep {dep} does not exist on this rank",
-                                             rank, node.id)
-                    if dep == node.id:
+        # deps on list indices (only index[dep] raises KeyError); count, then release
+        pending, dependents = [], [[] for _ in nodes]
+        try:
+            for i, node in enumerate(nodes):
+                deps = node.deps
+                for dep in deps:
+                    j = index[dep]
+                    if j == i:
                         raise InvariantError("node depends on itself", rank, node.id)
-            try:  # the nodes left unrun, and so the cycle named, are the same in any order
-                for _ in ordered(trace, rank):
-                    pass
+                    dependents[j].append(i)
+                pending.append(len(deps))
+        except KeyError:
+            raise InvariantError(f"dep {dep} does not exist on this rank",
+                                 rank, node.id) from None
+        released = [i for i, count in enumerate(pending) if not count]
+        for i in released:  # the list grows as nodes are released
+            for succ in dependents[i]:
+                pending[succ] -= 1
+                if not pending[succ]:
+                    released.append(succ)
+        if len(released) != len(nodes):
+            try:  # the unrun nodes, and so the cycle named, are the same in any order
+                toposort_rank(trace, rank)
             except CycleError as exc:
                 raise InvariantError(f"dependency cycle {exc.cycle}", rank, exc.cycle[0]) from exc
     if duplicate is not None:
@@ -477,29 +477,6 @@ def check_trace(trace: Trace, *, matching: bool = True) -> None:
     object.__setattr__(trace, "mismatch", mismatch)
     if matching:
         require_matched(trace)
-
-
-def _acyclic(nodes) -> bool:
-    """True if the deps of a rank with ids 0..k-1 in order name its nodes and
-    form no cycle (a self dep is one); if False, the exact check decides."""
-    k = len(nodes)
-    dependents, pending = [[] for _ in nodes], [0] * k
-    try:
-        for i, node in enumerate(nodes):
-            for dep in node.deps:
-                if not 0 <= dep < k:
-                    return False
-                dependents[dep].append(i)
-            pending[i] = len(node.deps)
-    except TypeError:  # a dep that is not an int
-        return False
-    stack = [i for i, count in enumerate(pending) if not count]
-    for i in stack:  # the stack grows as nodes are released
-        for succ in dependents[i]:
-            pending[succ] -= 1
-            if not pending[succ]:
-                stack.append(succ)
-    return len(stack) == k
 
 
 def require_matched(trace: Trace) -> None:
@@ -771,18 +748,14 @@ _ATTR_SCHEMA = {
 }
 
 
-def _wrong(obj: dict, key: str, where: str) -> SchemaError:
-    """The error for `obj[key]` being missing or of the wrong type."""
-    if key not in obj:
-        return SchemaError(f"missing key '{key}' in {where}")
-    return SchemaError(f"key '{key}' in {where} has wrong type {type(obj[key]).__name__}")
-
-
 def _expect(obj: dict, key: str, typ: type, where: str):
+    """`obj[key]`, or SchemaError if it is missing or not of exact type `typ`."""
     value = obj.get(key)
-    if type(value) is not typ:
-        raise _wrong(obj, key, where)
-    return value
+    if type(value) is typ:
+        return value
+    if key not in obj:
+        raise SchemaError(f"missing key '{key}' in {where}")
+    raise SchemaError(f"key '{key}' in {where} has wrong type {type(value).__name__}")
 
 
 def _json_chunks(value, share):

@@ -372,8 +372,8 @@ def canonical_form(trace: CollectiveTrace):
             return (_KIND_ORDER[node.kind], peer, size, tag, op, deps)
 
         records = []
-        for key, nid in ordered(trace, rank, key_of):
-            label[nid] = len(records)
+        for key, node in ordered(trace, rank, key_of):
+            label[node.id] = len(records)
             records.append(key)
         form.append(tuple(records))
     return tuple(form)

@@ -476,6 +476,20 @@ def test_expand_of_coll_free_workload_is_byte_identical(tmp_path):
     assert out.read_bytes() == workload.read_bytes()
 
 
+def test_expand_of_coll_free_workload_loads_its_binding_files(tmp_path, capsys):
+    workload = tmp_path / "wl.json"
+    b = TraceBuilder(2)
+    for r in range(2):
+        b.add_comp(r, "a", 64, name="a")
+    save_trace(b.build_workload(), workload)
+    binding = tmp_path / "broken.json"
+    binding.write_text("{not JSON", encoding="utf-8")
+    out = tmp_path / "same.json"
+    assert run("expand", workload, "--bind", f"ALL_REDUCE=file:{binding}", "-o", out) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_expand_of_a_name_with_a_lone_surrogate_exits_2(tmp_path, capsys):
     workload = tmp_path / "wl.json"
     write_chain_workload(workload)

@@ -435,16 +435,18 @@ def test_canonical_form_raises_on_cycles():
 def test_toposort_and_canonical_form_report_the_same_cycle():
     from collgraph.trace import CompAttrs
 
-    # 0 is a root; 1 -> 3 -> 2 -> 1 is the cycle; 4 hangs off it
+    # 0 is a root; 1 -> 3 -> 2 -> 1 is the cycle; 4 hangs off it. Then the
+    # same rank in reversed list order, and with every id and dep shifted by 10.
     deps = {0: (), 1: (0, 3), 2: (1,), 3: (2,), 4: (3,)}
-    nodes = [TraceNode(nid, f"n{nid}", NodeKind.COMP, d, CompAttrs("NOP", 0))
-             for nid, d in deps.items()]
-    with pytest.raises(InvariantError, match="dependency cycle") as built:
-        CollectiveTrace(1, None, [nodes])
-    cyclic = _unchecked(1, [nodes])
-    with pytest.raises(CycleError) as topo:
-        toposort_rank(cyclic, 0)
-    with pytest.raises(CycleError) as canon:
-        canonical_form(cyclic)
-    assert built.value.__cause__.cycle == topo.value.cycle == canon.value.cycle == [1, 3, 2]
-    assert str(topo.value) == str(canon.value)
+    for order, shift, cycle in ((1, 0, [1, 3, 2]), (-1, 0, [1, 3, 2]), (1, 10, [11, 13, 12])):
+        nodes = [TraceNode(nid + shift, f"n{nid}", NodeKind.COMP, [d + shift for d in ds],
+                           CompAttrs("NOP", 0)) for nid, ds in deps.items()][::order]
+        with pytest.raises(InvariantError, match="dependency cycle") as built:
+            CollectiveTrace(1, None, [nodes])
+        cyclic = _unchecked(1, [nodes])
+        with pytest.raises(CycleError) as topo:
+            toposort_rank(cyclic, 0)
+        with pytest.raises(CycleError) as canon:
+            canonical_form(cyclic)
+        assert built.value.__cause__.cycle == topo.value.cycle == canon.value.cycle == cycle
+        assert str(topo.value) == str(canon.value)
