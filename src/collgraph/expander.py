@@ -83,6 +83,7 @@ def _splice(workload: WorkloadTrace, resolved: dict) -> list[list[TraceNode]]:
     names: dict[tuple[int, str], str] = {}  # one coll{ordinal}_{name} for every rank
     joined: dict[tuple, tuple] = {}  # each deps value of a workload node or root, once
     renumbered: dict[tuple, tuple] = {}  # (id base, subgraph deps) -> new deps
+    lifted: dict[int, int] = {}  # each lifted tag value, once
     for rank in range(workload.num_ranks):
         ordinal_of = {node.id: i for i, node in enumerate(coll_sequence(workload, rank))}
         nodes = {n.id: n for n in workload.per_rank_nodes[rank]}
@@ -133,11 +134,11 @@ def _splice(workload: WorkloadTrace, resolved: dict) -> list[list[TraceNode]]:
                 else:
                     sub_deps = tuple(sub_ids[d] for d in sub.deps)
                 if type(a) is SendAttrs:
-                    out.append(_send_node(new_id, name, sub_deps, a.dst_rank,
-                                          a.comm_size, lift + a.tag, a.chunks))
+                    out.append(_send_node(new_id, name, sub_deps, a.dst_rank, a.comm_size,
+                                          lifted.setdefault(t := lift + a.tag, t), a.chunks))
                 elif type(a) is RecvAttrs:
-                    out.append(_recv_node(new_id, name, sub_deps, a.src_rank,
-                                          a.comm_size, lift + a.tag, a.chunks))
+                    out.append(_recv_node(new_id, name, sub_deps, a.src_rank, a.comm_size,
+                                          lifted.setdefault(t := lift + a.tag, t), a.chunks))
                 else:
                     out.append(_node(new_id, name, sub.kind, sub_deps, a))
         out_ranks.append(out)

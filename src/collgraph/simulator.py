@@ -207,23 +207,31 @@ class SimReport:
         return "".join(self.pieces())
 
     def pieces(self):
-        """The text of `dumps`, one piece per rank, to write it unjoined."""
+        """The text of `dumps`, one piece per rank, to write it unjoined.
+        Lockstep SPMD ranks repeat most rows: a row equal to the previous
+        rank's row at the same position reuses its text, unless it holds a
+        zero (0.0 == -0.0, but their texts differ)."""
         num = float.__repr__  # json's own float format
         total = self.total_duration
         yield (f'{{\n  "total_duration_s": {num(total)},\n  "event_count": {self.event_count},\n'
                f'  "num_ranks": {self.num_ranks},\n  "ranks": ')
-        yield from json_array_pieces(
-            (json_array([f'{{\n        "id": {nid},\n        "issue_s": {num(issue)},\n'
-                         f'        "start_s": {num(start)},\n'
-                         f'        "finish_s": {num(finish)}\n      }}'
-                         for nid, issue, start, finish in rank_times], 4)
-             for rank_times in self.node_times), 2)
+        yield from json_array_pieces(self._rank_texts(), 2)
         links = json_array(
             [f'{{\n      "src": {src},\n      "dst": {dst},\n'
              f'      "messages": {messages},\n      "busy_s": {num(busy)},\n'
              f'      "utilization": {num(busy / total if total > 0 else 0.0)}\n    }}'
              for src, dst, messages, busy in self.link_stats], 2)
         yield f',\n  "links": {links}\n}}\n'
+
+    def _rank_texts(self, last_rows=(), last_texts=()):
+        row_text = ('{{\n        "id": {},\n        "issue_s": {!r},\n        "start_s": {!r},\n'
+                    '        "finish_s": {!r}\n      }}').format  # !r: a float as json writes it
+        for rows in self.node_times:  # only the previous rank's texts are kept
+            texts = [text if row == last and 0.0 not in row else row_text(*row)
+                     for row, last, text in zip(rows, last_rows, last_texts)]
+            texts += [row_text(*row) for row in rows[len(texts):]]
+            yield json_array(texts, 4)
+            last_rows, last_texts = rows, texts
 
 
 _FINISH, _ENQUEUE = 0, 1

@@ -7,8 +7,8 @@ through send/recv tag matching, so each rank's graph stays independently
 analyzable.
 
 A trace is checked once, when it is built: `CollectiveTrace` and
-`WorkloadTrace` run `check_trace(matching=False)` on construction and are
-frozen. That check, and only it, pairs each send with its recv: it keeps
+`WorkloadTrace` run `check_trace` on construction and are frozen. That
+check, and only it, pairs each send with its recv: it keeps
 the pairing as the `messages` table, where a message is its number, and
 the first unmatched send/recv pair as `mismatch`. `loads_trace` keeps such
 a trace for the semantic validator; `save_trace`, `dumps_trace`, `simulate`
@@ -40,12 +40,12 @@ ensure_ascii=False)` plus a newline gives for its canonical dict: fixed key
 order, nodes by ascending id. `save_trace` formats it directly (the
 pure-Python indent encoder is several times slower) and writes it rank by
 rank; `dumps_trace` joins the same pieces, and a test pins them to the
-`json.dumps` oracle. `loads_trace` builds each node while the JSON is
-parsed, as soon as its object is complete, so the parsed tree never exists
-whole; within one load, equal names, ops, ints, deps and chunk tuples are
-one object. It drops the text before the trace is checked. Built traces
-hold only exact ints and UTF-8 text, so every trace that can be saved loads
-back.
+`json.dumps` oracle. Each deps and chunk tuple is formatted once while
+consecutive ranks use it, so a write holds two ranks' texts at most.
+`loads_trace` builds each node while the JSON is parsed, so the parsed tree
+never exists whole; within one load, equal names, ops, ints, deps and chunk
+tuples are one object. It drops the text before the trace is checked. Built
+traces hold only exact ints and UTF-8 text, so every saved trace loads back.
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ class CollectiveTrace:
         except TypeError:  # not an iterable of iterables
             raise InvariantError("per_rank_nodes must be a list of node lists") from None
         object.__setattr__(self, "per_rank_nodes", ranks)
-        check_trace(self, matching=False)
+        check_trace(self)
 
 
 @dataclass(frozen=True)
@@ -373,7 +373,7 @@ def coll_sequence(workload: WorkloadTrace, rank: int) -> list[TraceNode]:
 # Invariant checking
 # ---------------------------------------------------------------------------
 
-def check_trace(trace: Trace, *, matching: bool = True) -> None:
+def check_trace(trace: Trace) -> None:
     """Verify every structural invariant; raise InvariantError on the first
     violation (with rank and node id). Every trace runs this when it is built.
 
@@ -385,11 +385,11 @@ def check_trace(trace: Trace, *, matching: bool = True) -> None:
     each node's pending deps on list indices; one release loop follows. If
     nodes are left over, `ordered` names their cycle.
 
-    `matching=False` skips send/recv completeness (tag uniqueness is still
-    enforced); built traces skip it so the semantic validator can execute
-    deliberately broken ones. Either way the pairing is stored in
-    `trace.messages` and the first unmatched or size-mismatched pair in
-    `trace.mismatch` for `require_matched`.
+    It does not require every send and recv to match (tags must still be
+    unique), so the semantic validator can execute deliberately broken
+    traces: it stores the pairing in `trace.messages` and the first
+    unmatched or size-mismatched pair in `trace.mismatch`, which
+    `require_matched` raises.
     """
     num_ranks = trace.num_ranks
     if type(num_ranks) is not int or num_ranks < 1:
@@ -475,8 +475,6 @@ def check_trace(trace: Trace, *, matching: bool = True) -> None:
         messages, mismatch = _pair_messages(sends, recvs)
     object.__setattr__(trace, "messages", messages)
     object.__setattr__(trace, "mismatch", mismatch)
-    if matching:
-        require_matched(trace)
 
 
 def require_matched(trace: Trace) -> None:
@@ -671,29 +669,41 @@ def json_array_pieces(elements, indent: int):
 
 
 _ATTR_SEP = ",\n" + " " * 10
+_KIND_TEXT = {kind: f'        "kind": "{kind.value}",\n        "deps": ' for kind in NodeKind}
+_CHUNKS, _SRC_CHUNKS = (f'{_ATTR_SEP}"{key}": ' for key in ("chunks", "src_chunks"))
 
 
-def _node_text(node: TraceNode) -> str:
-    """One node as indent-2 JSON, at column 6 inside its rank's array."""
-    a = node.attrs
-    if type(a) is SendAttrs:
-        body = (f'"dst_rank": {a.dst_rank}{_ATTR_SEP}"comm_size": {a.comm_size}'
-                f'{_ATTR_SEP}"tag": {a.tag}')
-    elif type(a) is RecvAttrs:
-        body = (f'"src_rank": {a.src_rank}{_ATTR_SEP}"comm_size": {a.comm_size}'
-                f'{_ATTR_SEP}"tag": {a.tag}')
-    elif type(a) is CompAttrs:
+def _node_text(node: TraceNode, texts: tuple, last: tuple) -> str:
+    """One node as indent-2 JSON, at column 6 inside its rank's array.
+    `texts` holds one dict per field (deps, chunks, src_chunks) from each
+    value met on this rank to its text, `last` the same for the previous
+    rank: a tuple is formatted once while consecutive ranks use it. Names
+    and ops are not kept: their C escaper costs less than the lookups."""
+    deps_texts, chunk_texts, src_texts = texts
+    prev_deps, prev_chunks, prev_src = last
+    a, deps = node.attrs, node.deps
+    deps = deps_texts.get(deps) or deps_texts.setdefault(
+        deps, prev_deps.get(deps) or json_array(map(str, deps), 8))
+    ta, src = type(a), None
+    if ta is SendAttrs or ta is RecvAttrs:
+        peer = f'"dst_rank": {a.dst_rank}' if ta is SendAttrs else f'"src_rank": {a.src_rank}'
+        body = f'{peer}{_ATTR_SEP}"comm_size": {a.comm_size}{_ATTR_SEP}"tag": {a.tag}'
+        chunks = a.chunks
+    elif ta is CompAttrs:
         body = f'"op": {encode_basestring(a.op)}{_ATTR_SEP}"comp_size": {a.comp_size}'
+        chunks, src = a.chunks, a.src_chunks
     else:
         body = f'"coll_kind": "{a.coll_kind.value}"{_ATTR_SEP}"comm_size": {a.comm_size}'
-    for key in ("chunks", "src_chunks"):
-        chunks = getattr(a, key, None)
-        if chunks is not None:
-            body += f'{_ATTR_SEP}"{key}": {json_array(map(str, chunks), 10)}'
+        chunks = None
+    if chunks is not None:
+        body += chunk_texts.get(chunks) or chunk_texts.setdefault(
+            chunks, prev_chunks.get(chunks) or _CHUNKS + json_array(map(str, chunks), 10))
+    if src is not None:
+        body += src_texts.get(src) or src_texts.setdefault(
+            src, prev_src.get(src) or _SRC_CHUNKS + json_array(map(str, src), 10))
     return (f'{{\n        "id": {node.id},\n        "name": {encode_basestring(node.name)},\n'
-            f'        "kind": "{node.kind.value}",\n'
-            f'        "deps": {json_array(map(str, node.deps), 8)},\n'
-            f'        "attrs": {{\n          {body}\n        }}\n      }}')
+            f'{_KIND_TEXT[node.kind]}{deps},\n        "attrs": {{\n          {body}'
+            '\n        }\n      }')
 
 
 def _trace_pieces(trace: Trace):
@@ -708,9 +718,15 @@ def _trace_pieces(trace: Trace):
            f'  "trace_class": "{trace_class}",\n'
            f'  "num_ranks": {trace.num_ranks},\n  "claimed_collective": {claimed_text},\n'
            f'  "ranks": ')
-    yield from json_array_pieces(
-        (json_array([_node_text(n) for n in sorted(nodes, key=lambda n: n.id)], 4)
-         for nodes in trace.per_rank_nodes), 2)
+
+    def rank_texts(last=({},) * 3):  # see _node_text
+        for nodes in trace.per_rank_nodes:
+            texts = ({}, {}, {})
+            yield json_array([_node_text(n, texts, last)
+                              for n in sorted(nodes, key=attrgetter("id"))], 4)
+            last = texts
+
+    yield from json_array_pieces(rank_texts(), 2)
     yield "\n}\n"
 
 

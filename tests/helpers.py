@@ -41,6 +41,7 @@ from collgraph.trace import (
     TraceNode,
     WorkloadTrace,
     check_trace,
+    require_matched,
 )
 
 
@@ -265,6 +266,7 @@ def simulate_oracle(trace, topology, cost) -> SimReport:
         raise SpecError(
             f"trace has {trace.num_ranks} ranks but topology only {topology.n} endpoints")
     check_trace(trace)
+    require_matched(trace)
 
     nodes = [{node.id: node for node in rank_nodes} for rank_nodes in trace.per_rank_nodes]
     pending = [{nid: len(node.deps) for nid, node in by_id.items()} for by_id in nodes]
@@ -493,7 +495,7 @@ def message_table(trace: CollectiveTrace) -> tuple:
 
 
 def check_trace_oracle(trace) -> tuple:
-    """`check_trace(trace, matching=False)` as a multi-pass check: every
+    """`check_trace(trace)` as a multi-pass check: every
     node's fields and id, then every dep, then cycles, rank by rank, then
     the send/recv tags over all ranks. Returns the (messages, mismatch) the
     trace should record, or raises the InvariantError it should raise.

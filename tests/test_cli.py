@@ -569,11 +569,26 @@ def test_one_rank_sweep_reports_no_slowdown(inputs, capsys):
                                            "ring,4,0.0,1.0\nswitch,4,0.0,1.0\n")
 
 
-def test_simulate_writes_its_report_without_holding_a_whole_copy(tmp_path, monkeypatch):
+def _compute_chains(n=32, length=400):
+    """Each rank a chain of compute nodes sized by its rank: no two ranks'
+    rows in the report are equal."""
+    b = TraceBuilder(n)
+    for rank in range(n):
+        for i in range(length):
+            b.add_comp(rank, "REDUCE", (rank + 1) * 1000, deps=[i - 1] if i else [])
+    return b.build_collective(None)
+
+
+@pytest.mark.parametrize("build, compute", [
+    (lambda: generate(AlgoSpec(Algorithm.RING_ALL_REDUCE, 32, MIB)), ""),
+    (_compute_chains, ', "reduce_bandwidth_Bps": 1e10'),
+], ids=["lockstep-ring", "no-equal-rows"])
+def test_simulate_writes_its_report_without_holding_a_whole_copy(build, compute, tmp_path,
+                                                                monkeypatch):
     trace, net, out = tmp_path / "t.json", tmp_path / "net.json", tmp_path / "report.json"
-    save_trace(generate(AlgoSpec(Algorithm.RING_ALL_REDUCE, 32, MIB)), trace)
+    save_trace(build(), trace)
     net.write_text('{"topology": {"kind": "ring", "n": 32}, "alpha_s": 1e-06, '
-                   '"bandwidth_Bps": 1e9}')
+                   f'"bandwidth_Bps": 1e9{compute}}}')
     live = []
 
     def simulate(*args):  # marks what is live once the report is built

@@ -20,6 +20,7 @@ from collgraph.trace import (
     TraceBuilder,
     TraceNode,
     check_trace,
+    require_matched,
     toposort_rank,
 )
 from collgraph.validator import SKIPPED, check_semantics
@@ -45,6 +46,7 @@ def chain_workload(n=4, size=4 * MIB, comp1=8 * MIB, comp2=2 * MIB):
 def test_expansion_produces_a_valid_unified_trace():
     unified = expand(chain_workload(), BINDINGS)
     check_trace(unified)
+    require_matched(unified)
     assert unified.claimed_collective is None
     kinds = {n.kind for nodes in unified.per_rank_nodes for n in nodes}
     assert NodeKind.COMM_COLL not in kinds
@@ -66,6 +68,15 @@ def test_equal_deps_are_one_tuple_on_every_rank():
     rank0, rank1 = expand(chain_workload(n=8), BINDINGS).per_rank_nodes[:2]
     equal = [(a.deps, b.deps) for a, b in zip(rank0, rank1) if a.deps and a.deps == b.deps]
     assert len(equal) > 8 and all(a is b for a, b in equal)
+
+
+def test_each_lifted_tag_is_one_int_on_every_rank():
+    unified = expand(chain_workload(n=8), BINDINGS)
+    tags = [n.attrs.tag for nodes in unified.per_rank_nodes for n in nodes
+            if n.kind is not NodeKind.COMP]
+    lifted = [tag for tag in tags if tag >= TAG_STRIDE]  # above the small-int cache
+    assert len(lifted) > len(set(lifted)) > 1
+    assert len({id(tag) for tag in tags}) == len(set(tags))
 
 
 def test_node_count_is_workload_plus_bindings():
@@ -125,7 +136,8 @@ def test_repeated_collectives_get_disjoint_tag_ranges():
         first = b.add_coll(r, CollKind.ALL_GATHER, MIB, name="ag1")
         b.add_coll(r, CollKind.ALL_GATHER, MIB, deps=[first], name="ag2")
     unified = expand(b.build_workload(), {CollKind.ALL_GATHER: Algorithm.RING_ALL_GATHER})
-    check_trace(unified)  # matching across instances must still be exact
+    check_trace(unified)
+    require_matched(unified)  # matching across instances must still be exact
     tags = sorted(n.attrs.tag for n in unified.per_rank_nodes[0]
                   if n.kind is NodeKind.COMM_SEND)
     assert tags == [0, TAG_STRIDE]
@@ -160,6 +172,7 @@ def test_binding_may_be_a_fixed_trace_of_matching_size():
     unified = expand(b.build_workload(), {CollKind.ALL_GATHER: trace})
     assert check_semantics(unified).status == SKIPPED  # unified traces carry no claim
     check_trace(unified)
+    require_matched(unified)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import pytest
 
 from collgraph.errors import SpecError
 from collgraph.generators import AlgoSpec, Algorithm, generate
-from collgraph.trace import CollKind, NodeKind, check_trace
+from collgraph.trace import CollKind, NodeKind, check_trace, require_matched
 from collgraph.validator import PASS, check_semantics
 
 MIB = 1024 * 1024
@@ -101,6 +101,7 @@ def test_all_rank_counts_up_to_16_are_valid_and_semantically_correct():
                 continue
             trace = generate(AlgoSpec(algo, n, n * 64))
             check_trace(trace)
+            require_matched(trace)
             assert check_semantics(trace).status == PASS, (algo, n)
 
 

@@ -6,7 +6,7 @@ from collgraph.cli import main
 from collgraph.errors import MatchError, RefError, SchemaError, SizeError, XmlError
 from collgraph.generators import AlgoSpec, Algorithm, generate
 from collgraph.msccl import convert_to_trace, parse_msccl_xml
-from collgraph.trace import NodeKind, check_trace
+from collgraph.trace import NodeKind, check_trace, require_matched
 from collgraph.validator import PASS, check_semantics, isomorphic
 
 MIB = 1024 * 1024
@@ -125,6 +125,7 @@ def test_fixture_converts_to_generator_equivalent_trace(fixtures_dir):
     program = parse_msccl_xml(fixtures_dir / "ring_allreduce_n4.xml")
     converted = convert_to_trace(program, 4 * MIB)
     check_trace(converted)
+    require_matched(converted)
     assert check_semantics(converted).status == PASS
     reference = generate(AlgoSpec(Algorithm.RING_ALL_REDUCE, 4, 4 * MIB))
     assert isomorphic(converted, reference)
@@ -168,6 +169,7 @@ def test_copy_only_program_converts_to_comp_nodes(tmp_path):
     assert [n.kind for n in nodes] == [NodeKind.COMP, NodeKind.COMP]
     assert nodes[0].attrs.op == "COPY" and nodes[0].attrs.comp_size == 1024
     check_trace(converted)
+    require_matched(converted)
 
 
 ONE_COPY = """\

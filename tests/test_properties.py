@@ -325,7 +325,7 @@ def test_check_trace_raises_or_records_as_the_multi_pass_oracle_does(trace):
             return str(exc), exc.rank, exc.node_id
 
     def one_pass(trace):
-        check_trace(trace, matching=False)
+        check_trace(trace)
         return trace.messages, trace.mismatch
 
     assert outcome(one_pass) == outcome(check_trace_oracle)

@@ -396,6 +396,24 @@ def test_zero_duration_reports_equal_the_oracle():
     assert idle.dumps() == report_json_oracle(idle)
 
 
+ROW, LATER = (1, 2.0, 2.0, 3.0), (2, 3.0, 3.0, 4.0)
+REPORT_CASES = {  # rows a rank may take from the previous rank's text, or may not
+    "one-time-differs": SimReport(2, (((0, 0.5, 1.0, 2.0), ROW),
+                                      ((0, 0.5, 1.0, 2.0), (1, 2.0, 2.5, 3.0))),
+                                  3.0, 8, ((0, 1, 2, 1.5),)),
+    "ranks-of-different-lengths": SimReport(4, ((ROW, LATER), (ROW,), (ROW, LATER), ()),
+                                            4.0, 10, ()),
+    "negative-zero-under-zero": SimReport(2, (((0, 0.0, 0.0, 1.0), (1, 1.0, 0.0, 2.0)),
+                                              ((0, -0.0, 0.0, 1.0), (1, 1.0, -0.0, 2.0))),
+                                          2.0, 8, ()),
+}
+
+
+@pytest.mark.parametrize("report", REPORT_CASES.values(), ids=REPORT_CASES.keys())
+def test_hand_built_reports_equal_the_oracle(report):
+    assert report.dumps() == report_json_oracle(report)
+
+
 # ---------------------------------------------------------------------------
 # Dict-keyed oracle
 # ---------------------------------------------------------------------------

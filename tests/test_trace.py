@@ -136,6 +136,23 @@ def _odd_names():
     ])
 
 
+def _shared_across_fields():
+    """One tuple as a node's deps, chunks and src_chunks, one string as its
+    name and op, and equal values as separate objects on the next rank: the
+    writer reuses text across neither fields nor values."""
+    one, op = (0,), "REDUCE"
+    equal, equal_op = tuple([0]), "".join(["RED", "UCE"])
+    assert equal is not one and equal_op is not op
+    comp_node, send_node, recv_node = (trace_module._comp_node, trace_module._send_node,
+                                       trace_module._recv_node)
+    return CollectiveTrace(2, None, [
+        [comp(0, ()), comp_node(1, op, one, op, 8, one, one),
+         send_node(2, op, one, 1, 64, 0, one)],
+        [comp(0, ()), comp_node(1, equal_op, equal, equal_op, 8, equal, tuple([0])),
+         recv_node(2, equal_op, equal, 0, 64, 0, equal)],
+    ])
+
+
 def _msccl_back_edge():
     """A step that depends on a step of a lower-numbered threadblock, so the
     converter sees its deps in descending order."""
@@ -172,6 +189,7 @@ ORACLE_CASES = {
     "empty-rank-workload": lambda: WorkloadTrace(3, [[comp(0, ())], [], [comp(4, ())]]),
     "empty-rank-collective": lambda: CollectiveTrace(2, None, [[], [comp(1, ()), comp(0, (1,))]]),
     "names-and-chunks": _odd_names,
+    "shared-across-fields": _shared_across_fields,
 }
 
 
@@ -285,6 +303,7 @@ def test_unmatched_send_rejected():
     trace = CollectiveTrace(2, None, nodes)
     with pytest.raises(InvariantError, match="unmatched send"):
         check_trace(trace)
+        require_matched(trace)
 
 
 def test_unmatched_recv_rejected():
@@ -292,8 +311,10 @@ def test_unmatched_recv_rejected():
         [],
         [TraceNode(0, "r", NodeKind.COMM_RECV, (), RecvAttrs(0, 64, 7))],
     ]
+    trace = CollectiveTrace(2, None, nodes)
     with pytest.raises(InvariantError, match="unmatched recv"):
-        check_trace(CollectiveTrace(2, None, nodes))
+        check_trace(trace)
+        require_matched(trace)
 
 
 @pytest.mark.parametrize("ranks", [
@@ -307,6 +328,7 @@ def test_the_mismatch_recorded_at_construction_is_what_readers_raise(ranks):
     text = trace_json_oracle(trace)
     with pytest.raises(InvariantError) as checked:
         check_trace(trace)
+        require_matched(trace)
     loaded = loads_trace(text)
     assert loaded == trace and loaded.mismatch == trace.mismatch
     cost = CostModel(alpha=1e-6, bandwidth=1e9)
@@ -337,8 +359,10 @@ def test_size_mismatch_rejected():
         [TraceNode(0, "s", NodeKind.COMM_SEND, (), SendAttrs(1, 64, 0))],
         [TraceNode(0, "r", NodeKind.COMM_RECV, (), RecvAttrs(0, 128, 0))],
     ]
+    trace = CollectiveTrace(2, None, nodes)
     with pytest.raises(InvariantError, match="size"):
-        check_trace(CollectiveTrace(2, None, nodes))
+        check_trace(trace)
+        require_matched(trace)
 
 
 def test_deleting_any_message_node_breaks_the_load_invariant():
@@ -352,6 +376,7 @@ def test_deleting_any_message_node_breaks_the_load_invariant():
             broken = delete_node(trace, rank, node.id)
             with pytest.raises(InvariantError):
                 check_trace(broken)
+                require_matched(broken)
 
 
 def test_self_and_out_of_range_peers_rejected():
@@ -535,8 +560,20 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_save_trace_holds_less_than_the_file_at_once(tmp_path):
-    trace, path = ring_ar(32), tmp_path / "t.json"
+def _all_distinct(n=32, length=200):
+    """No two nodes share a name, op, deps or chunk list: the writer can
+    reuse no text."""
+    return CollectiveTrace(n, None, [
+        [TraceNode(rank * length + i, f"n{rank}_{i}", NodeKind.COMP,
+                   (rank * length + i - 1,) if i else (),
+                   CompAttrs(f"op{rank}_{i}", 8, (rank, i, 0), (i, rank, 1)))
+         for i in range(length)]
+        for rank in range(n)])
+
+
+@pytest.mark.parametrize("build", [ring_ar, _all_distinct], ids=["ring", "all-distinct"])
+def test_save_trace_holds_less_than_the_file_at_once(build, tmp_path):
+    trace, path = build(32), tmp_path / "t.json"
     peak = traced_peak(lambda: save_trace(trace, path))
     assert path.read_text(encoding="utf-8") == dumps_trace(trace)
     assert peak < path.stat().st_size
