@@ -326,10 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level_name = os.environ.get("COLLGRAPH_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, logging.WARNING)
+    level = getattr(logging, os.environ.get("COLLGRAPH_LOG", "WARNING").upper(), None)
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    log.setLevel(level)
+    log.setLevel(level if type(level) is int else logging.WARNING)  # BASIC_FORMAT is no level
     args = build_parser().parse_args(argv)
     collecting = gc.isenabled()
     gc.disable()

@@ -3,11 +3,12 @@
 A binding is a `CollectiveTrace` or an `Algorithm`. The workload is SPMD, so
 each (kind, size) in rank 0's collective sequence is resolved once, to a
 trace that claims it, is matched and keeps its tags below `TAG_STRIDE`.
+Its ranks are numbered 0..k-1 (renumbered once if a binding's are not).
 Each COMM_COLL placeholder then becomes its rank's subgraph: the roots take
 the placeholder's deps and the sinks feed its dependents. Ids are
-renumbered 0.. in ascending workload id, a subgraph's in ascending id at
-its placeholder's place. The placeholder's ordinal in the rank's sequence
-lifts every tag by ordinal * TAG_STRIDE and names each node
+renumbered 0.. in ascending workload id; a subgraph placed from id `base`
+turns its id d into base + d. The placeholder's ordinal in the rank's
+sequence lifts every tag by ordinal * TAG_STRIDE and names each node
 `coll{ordinal}_{name}`. An empty subgraph becomes one NOP node, the anchor.
 """
 
@@ -41,8 +42,9 @@ _ANCHOR = _comp_node(0, "anchor", (), OP_NOP, 0, None, None)
 Binding = CollectiveTrace | Algorithm
 
 
-def _resolve(kind: CollKind, size: int, binding, num_ranks: int) -> CollectiveTrace:
-    """The checked trace that `binding` gives for one (kind, size)."""
+def _resolve(kind: CollKind, size: int, binding, num_ranks: int) -> tuple:
+    """The rank lists of the checked trace that `binding` gives for one
+    (kind, size), each numbered 0..k-1 in ascending id."""
     if binding is None:
         raise BindingError(f"no binding for {kind.value}")
     if isinstance(binding, Algorithm):
@@ -74,7 +76,16 @@ def _resolve(kind: CollKind, size: int, binding, num_ranks: int) -> CollectiveTr
     if tag is not None:
         raise BindingError(
             f"binding tag {tag} exceeds the per-instance namespace of {TAG_STRIDE}")
-    return trace
+    return tuple(map(_dense, trace.per_rank_nodes))
+
+
+def _dense(nodes: tuple) -> tuple:
+    """A rank of a built trace with its ids renumbered 0..k-1 in ascending id."""
+    if not nodes or nodes[-1].id == len(nodes) - 1:  # ids ascend: they are 0..k-1
+        return nodes
+    new = {node.id: i for i, node in enumerate(nodes)}
+    return tuple(_node(i, node.name, node.kind, tuple(new[d] for d in node.deps), node.attrs)
+                 for i, node in enumerate(nodes))
 
 
 def _splice(workload: WorkloadTrace, resolved: dict) -> list[list[TraceNode]]:
@@ -84,33 +95,29 @@ def _splice(workload: WorkloadTrace, resolved: dict) -> list[list[TraceNode]]:
     joined: dict[tuple, tuple] = {}  # each deps value of a workload node or root, once
     renumbered: dict[tuple, tuple] = {}  # (id base, subgraph deps) -> new deps
     lifted: dict[int, int] = {}  # each lifted tag value, once
-    for rank in range(workload.num_ranks):
+    for rank, nodes in enumerate(workload.per_rank_nodes):
         ordinal_of = {node.id: i for i, node in enumerate(coll_sequence(workload, rank))}
-        nodes = {n.id: n for n in workload.per_rank_nodes[rank]}
-        order = sorted(nodes)
 
         # Pass 1: reserve id blocks and record what each node's dependents
         # depend on: its new id or its subgraph's sinks.
-        blocks: dict[int, tuple] = {}  # coll id -> (subnodes, id_base)
+        blocks: dict[int, tuple] = {}  # coll id -> (subnodes, id base)
         exits: dict[int, list[int]] = {}
         cursor = 0
-        for nid in order:
-            node = nodes[nid]
+        for node in nodes:
             if node.kind is not NodeKind.COMM_COLL:
-                exits[nid] = [cursor]
+                exits[node.id] = [cursor]
                 cursor += 1
                 continue
-            sub = resolved[node.attrs.coll_kind, node.attrs.comm_size][rank]
-            subnodes = sorted(sub, key=lambda n: n.id) or [_ANCHOR]
+            subnodes = resolved[node.attrs.coll_kind, node.attrs.comm_size][rank] or (_ANCHOR,)
             depended = {d for n in subnodes for d in n.deps}
-            exits[nid] = [cursor + i for i, n in enumerate(subnodes) if n.id not in depended]
-            blocks[nid] = (subnodes, cursor)
+            exits[node.id] = [cursor + n.id for n in subnodes if n.id not in depended]
+            blocks[node.id] = (subnodes, cursor)
             cursor += len(subnodes)
 
         # Pass 2: emit.
         out: list[TraceNode] = []
-        for nid in order:
-            node = nodes[nid]
+        for node in nodes:
+            nid = node.id
             deps = tuple(sorted({d for dep in node.deps for d in exits[dep]}))
             deps = joined.setdefault(deps, deps)
             if node.kind is not NodeKind.COMM_COLL:
@@ -119,20 +126,16 @@ def _splice(workload: WorkloadTrace, resolved: dict) -> list[list[TraceNode]]:
             ordinal = ordinal_of[nid]
             lift = ordinal * TAG_STRIDE
             subnodes, base = blocks[nid]
-            # ids 0..k-1 (as every producer numbers them): an id d becomes base + d
-            dense = subnodes[-1].id == len(subnodes) - 1
-            sub_ids = None if dense else {n.id: base + i for i, n in enumerate(subnodes)}
-            for new_id, sub in enumerate(subnodes, base):
+            for sub in subnodes:
                 a, key = sub.attrs, (ordinal, sub.name)
                 name = names.get(key) or names.setdefault(key, f"coll{ordinal}_{sub.name}")
-                if not sub.deps:
-                    sub_deps = deps
-                elif dense:  # one tuple per (base, deps), shared by all ranks
+                if sub.deps:  # one tuple per (base, deps), shared by all ranks
                     key = base, sub.deps
                     sub_deps = renumbered.get(key) or renumbered.setdefault(
                         key, tuple(base + d for d in sub.deps))
                 else:
-                    sub_deps = tuple(sub_ids[d] for d in sub.deps)
+                    sub_deps = deps
+                new_id = base + sub.id
                 if type(a) is SendAttrs:
                     out.append(_send_node(new_id, name, sub_deps, a.dst_rank, a.comm_size,
                                           lifted.setdefault(t := lift + a.tag, t), a.chunks))
@@ -153,7 +156,7 @@ def expand(workload: WorkloadTrace, bindings: dict[CollKind, Binding]) -> Collec
     n = workload.num_ranks
     keys = dict.fromkeys((node.attrs.coll_kind, node.attrs.comm_size)
                          for node in coll_sequence(workload, 0))
-    resolved = {key: _resolve(*key, bindings.get(key[0]), n).per_rank_nodes for key in keys}
+    resolved = {key: _resolve(*key, bindings.get(key[0]), n) for key in keys}
     out_ranks = _splice(workload, resolved)
     del resolved  # _splice's locals are gone too: no resolved trace is checked below
     return CollectiveTrace(n, None, out_ranks)

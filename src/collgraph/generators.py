@@ -54,11 +54,12 @@ def generate(spec: AlgoSpec) -> CollectiveTrace:
     """Build the CollectiveTrace of the requested algorithm (checked, like
     every trace, when it is built)."""
     spec.validate()
+    n, s = spec.num_ranks, spec.comm_size
     if spec.algorithm is Algorithm.RING_ALL_REDUCE:
-        return _ring_all_reduce(spec.num_ranks, spec.comm_size)
+        return _ring(CollDescriptor(CollKind.ALL_REDUCE, s), n, s // n, ("rs", "ag"))
     if spec.algorithm is Algorithm.RING_ALL_GATHER:
-        return _ring_all_gather(spec.num_ranks, spec.comm_size)
-    return _recursive_doubling_all_gather(spec.num_ranks, spec.comm_size)
+        return _ring(CollDescriptor(CollKind.ALL_GATHER, s), n, s, ("ag",))
+    return _recursive_doubling_all_gather(n, s)
 
 
 # Nodes go through the private constructors: every `deps` tuple below is in
@@ -68,63 +69,41 @@ def _chunk_names(prefix: str, n: int) -> list[str]:
     return [f"{prefix}_c{chunk}" for chunk in range(n)]
 
 
-def _ring_all_reduce(n: int, s: int) -> CollectiveTrace:
-    """Unidirectional ring: N-1 reduce-scatter steps, then N-1 all-gather
-    steps; every message is one chunk of s/n bytes sent to rank+1."""
-    claimed = CollDescriptor(CollKind.ALL_REDUCE, s)
-    c = s // n
+def _ring(claimed: CollDescriptor, n: int, c: int, phases: tuple) -> CollectiveTrace:
+    """Unidirectional ring: N-1 steps per phase, "rs" (reduce-scatter, each
+    recv followed by a reduce) then "ag" (all-gather); every message is one
+    chunk of c bytes sent to rank+1. Ring all-reduce runs both phases on
+    chunks of s/n bytes. Ring all-gather is its "ag" phase alone on whole
+    inputs of s bytes, so a chunk index is the originating rank."""
     steps = n - 1
-    # Send stream: ids and tags t = 0 .. 2*steps-1 (reduce-scatter, then
-    # all-gather), send t carrying chunk (r - t) % n. Recv stream: phase-1
-    # recv/reduce pairs, then phase-2 recvs, recv t taking chunk (r - t - 1) % n.
-    base = 2 * steps
-    recv_ids = [base + 2 * t if t < steps else base + steps + t for t in range(2 * steps)]
-    done = [nid + 1 for nid in recv_ids[:steps]] + recv_ids[steps:]  # last writer of recv t
-    send_deps = [()] + [(t - 1, done[t - 1]) for t in range(1, 2 * steps)]
-    recv_deps = [()] + [(done[t - 1],) for t in range(1, 2 * steps)]
-    reduce_deps = [(nid,) for nid in recv_ids[:steps]]
-    send_names = [_chunk_names("rs_send", n)] * steps + [_chunk_names("ag_send", n)] * steps
-    recv_names = [_chunk_names("rs_recv", n)] * steps + [_chunk_names("ag_recv", n)] * steps
+    total = len(phases) * steps
+    reducing = steps if phases[0] == "rs" else 0  # the recvs followed by a reduce
+    # Send stream: ids and tags t = 0 .. total-1, send t carrying chunk
+    # (r - t) % n. Recv stream: the reduce-scatter recv/reduce pairs, then
+    # the all-gather recvs, recv t taking chunk (r - t - 1) % n.
+    recv_ids = [total + 2 * t if t < reducing else total + reducing + t for t in range(total)]
+    done = [nid + 1 for nid in recv_ids[:reducing]] + recv_ids[reducing:]  # last writer
+    send_deps = [()] + [(t - 1, done[t - 1]) for t in range(1, total)]
+    recv_deps = [()] + [(done[t - 1],) for t in range(1, total)]
+    reduce_deps = [(nid,) for nid in recv_ids[:reducing]]
+    send_names = sum(([_chunk_names(f"{phase}_send", n)] * steps for phase in phases), [])
+    recv_names = sum(([_chunk_names(f"{phase}_recv", n)] * steps for phase in phases), [])
     reduce_names = _chunk_names("reduce", n)
     chunks = [(chunk,) for chunk in range(n)]
     ranks = []
     for r in range(n):
         nxt, prv = (r + 1) % n, (r - 1) % n
         nodes = []
-        for t in range(2 * steps):
+        for t in range(total):
             j = (r - t) % n
             nodes.append(_send_node(t, send_names[t][j], send_deps[t], nxt, c, t, chunks[j]))
-        for t in range(2 * steps):
+        for t in range(total):
             j = (r - t - 1) % n
             nodes.append(_recv_node(recv_ids[t], recv_names[t][j], recv_deps[t], prv, c, t,
                                     chunks[j]))
-            if t < steps:
+            if t < reducing:
                 nodes.append(_comp_node(done[t], reduce_names[j], reduce_deps[t], OP_REDUCE,
                                         c, chunks[j], None))
-        ranks.append(nodes)
-    return CollectiveTrace(n, claimed, ranks)
-
-
-def _ring_all_gather(n: int, s: int) -> CollectiveTrace:
-    """Unidirectional ring all-gather: N-1 steps forwarding whole per-rank
-    inputs of s bytes; chunk index = originating rank."""
-    claimed = CollDescriptor(CollKind.ALL_GATHER, s)
-    steps = n - 1
-    send_deps = [()] + [(k - 1, steps + k - 1) for k in range(1, steps)]
-    recv_deps = [()] + [(steps + k - 1,) for k in range(1, steps)]
-    send_names, recv_names = _chunk_names("ag_send", n), _chunk_names("ag_recv", n)
-    chunks = [(chunk,) for chunk in range(n)]
-    ranks = []
-    for r in range(n):
-        nxt, prv = (r + 1) % n, (r - 1) % n
-        nodes = []
-        for k in range(steps):
-            j = (r - k) % n
-            nodes.append(_send_node(k, send_names[j], send_deps[k], nxt, s, k, chunks[j]))
-        for k in range(steps):
-            j = (r - k - 1) % n
-            nodes.append(_recv_node(steps + k, recv_names[j], recv_deps[k], prv, s, k,
-                                    chunks[j]))
         ranks.append(nodes)
     return CollectiveTrace(n, claimed, ranks)
 

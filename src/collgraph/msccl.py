@@ -173,6 +173,9 @@ def _peer_attr(elem: _Elem, name: str, ngpus: int, own: int) -> Optional[int]:
 def _parse_step(elem: _Elem, send_peer: Optional[int], recv_peer: Optional[int],
                 nchunks: int) -> MscclStep:
     _check_elem(elem, "step", {"s", "type"})
+    if elem.children:  # a step holds no elements
+        child = elem.children[0]
+        raise SchemaError(f"unknown element <{child.tag}> at line {child.line}")
     index = _int_attr(elem, "s")
     step_type = elem.attrs["type"]
     if step_type not in STEP_TYPES:

@@ -16,10 +16,10 @@ approach, without reaching, the hop-count ratio as messages grow.
 Event order, which fixes every reported time: events run by time; at equal
 times node finishes run before link enqueues; finishes run by (rank, node
 id) and enqueues by the message's (src, dst, tag), then hop. The replay
-works on integers that keep this order: a node is its rank and its
-position in `Readiness` (ascending id), and a message is its number in the
-trace's `messages` table, which `check_trace` sorted by (src, dst, tag), so
-events are (t, 0, rank, position) and (t, 1, message, hop).
+works on integers that keep this order: a node is its rank and its list
+position, which a built trace keeps in ascending id, and a message is its
+number in the trace's `messages` table, which `check_trace` sorted by
+(src, dst, tag), so events are (t, 0, rank, position) and (t, 1, message, hop).
 """
 
 from __future__ import annotations
@@ -258,10 +258,10 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
     finish = [r.finish for r in readiness]
     # Per rank, by position: the message a send or recv belongs to (-1 for
     # compute), and issue/start/finish times (None until set).
-    msg_at = [[-1] * len(r.ids) for r in readiness]
-    issue_t = [[None] * len(r.ids) for r in readiness]
-    start_t = [[None] * len(r.ids) for r in readiness]
-    finish_t = [[None] * len(r.ids) for r in readiness]
+    msg_at = [[-1] * len(r.nodes) for r in readiness]
+    issue_t = [[None] * len(r.nodes) for r in readiness]
+    start_t = [[None] * len(r.nodes) for r in readiness]
+    finish_t = [[None] * len(r.nodes) for r in readiness]
     # Per message of the trace's table: (src, send position, dst, recv
     # position, link hold time), plus its route as link ids (set when its
     # send is issued) and its delivery time.
@@ -350,8 +350,8 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
             f"simulation stalled with {total_nodes - finished} node(s) unfinished",
             [(rank, nodes[rank][p].id, nodes[rank][p].name) for rank, p in waiting])
 
-    node_times = tuple(tuple(zip(r.ids, issue_t[rank], start_t[rank], finish_t[rank]))
-                       for rank, r in enumerate(readiness))
+    node_times = tuple(tuple(zip([n.id for n in ns], issue_t[r], start_t[r], finish_t[r]))
+                       for r, ns in enumerate(nodes))
     total = max((max(f) for f in finish_t if f), default=0.0)
     if not math.isfinite(total):  # every other time is at most the total
         raise SpecError("simulated time overflows a float; scale the costs down")

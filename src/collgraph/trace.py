@@ -25,12 +25,13 @@ non-negative ints or None, checked where each tuple is made (the
 generators build them from `range`, the loader checks each parsed list,
 the MSCCL parser rejects a negative offset and `expand` copies them from
 checked traces). The trace checks the rest. Producers may share these
-immutable tuples, and names, between nodes and ranks.
+immutable tuples, and names, between nodes and ranks. A built trace lists
+each rank by ascending id, as producers emit it (`check_trace` sorts other
+orders once they pass every check): a list index is a position everywhere.
 
 `check_trace` counts deps on list indices, since it meets the ids before
-they are known to be valid. Every walk over a built trace drives
-`Readiness`, the one dependency-readiness engine: it numbers a rank's
-nodes by position (ascending id), counts each node's unfinished deps and
+they are known to be valid. Every walk drives `Readiness`, the one
+dependency-readiness engine: it counts each node's unfinished deps and
 releases dependents as nodes finish. `ordered` walks a rank with it in heap
 order; the validator and the simulator drive it from their own cross-rank
 event loops.
@@ -288,23 +289,22 @@ Trace = Union[CollectiveTrace, WorkloadTrace]
 # ---------------------------------------------------------------------------
 
 class Readiness:
-    """Dependency readiness of one rank's graph, indexed by position.
+    """Dependency readiness of one rank's graph, indexed by list position.
 
-    A node's position is its index in ascending-id order: `ids[pos]` is its
-    id, `nodes[pos]` the node, `pos[nid]` the position of an id. `pending`
-    holds each node's count of unfinished deps and `dependents` the
-    positions that depend on it, both indexed by position. Since positions
-    follow ids, a heap of positions pops in the same order as a heap of ids.
-    Every walk over a rank in dependency order (toposort, canonical form,
-    symbolic execution, simulation) drives one of these."""
+    `nodes[p]` is the node at position `p`, `pos[nid]` the position of an id
+    (`check_trace` passes the map its node pass built; a dep missing from it
+    raises KeyError). `pending` holds each node's count of unfinished deps
+    and `dependents` the positions that depend on it, both by position. A
+    built trace lists ids ascending, so a heap of positions pops as a heap
+    of ids would. Every walk over a rank in dependency order (toposort,
+    canonical form, symbolic execution, simulation) drives one of these."""
 
-    def __init__(self, nodes):
-        self.nodes = by_pos = sorted(nodes, key=attrgetter("id"))
-        self.ids = ids = [node.id for node in by_pos]
-        self.pos = pos = {nid: p for p, nid in enumerate(ids)}
-        self.pending = [len(node.deps) for node in by_pos]
-        self.dependents = dependents = [[] for _ in ids]
-        for p, node in enumerate(by_pos):
+    def __init__(self, nodes, pos=None):
+        self.nodes = nodes
+        self.pos = pos = {node.id: p for p, node in enumerate(nodes)} if pos is None else pos
+        self.pending = [len(node.deps) for node in nodes]
+        self.dependents = dependents = [[] for _ in nodes]
+        for p, node in enumerate(nodes):
             for dep in node.deps:
                 dependents[pos[dep]].append(p)
 
@@ -326,10 +326,10 @@ class Readiness:
 
 def ordered(trace: Trace, rank: int, key=attrgetter("id")):
     """Walk one rank in dependency order, always taking the ready node with
-    the smallest `(key(node), id)`: yields `(key(node), node)` pairs. The
-    key is evaluated when a node becomes ready, i.e. after every dep was
-    yielded. After the last yield, raises CycleError carrying the ids of one
-    dependency cycle if nodes were left over."""
+    the smallest `(key(node), position)`, on a built trace `(key(node), id)`:
+    yields `(key(node), node)` pairs. The key is evaluated when a node
+    becomes ready, i.e. after every dep was yielded. After the last yield,
+    raises CycleError carrying the ids of one cycle if nodes were left over."""
     ready = Readiness(trace.per_rank_nodes[rank])
     nodes, finish = ready.nodes, ready.finish
     push, pop = heapq.heappush, heapq.heappop
@@ -345,7 +345,7 @@ def ordered(trace: Trace, rank: int, key=attrgetter("id")):
 
 
 def toposort_rank(trace: Trace, rank: int) -> list[int]:
-    """Topological order of one rank's nodes, ties broken by ascending id.
+    """Topological order of one rank's nodes, ties broken by position (ascending id).
 
     Raises CycleError carrying the ids of one dependency cycle.
     """
@@ -353,15 +353,17 @@ def toposort_rank(trace: Trace, rank: int) -> list[int]:
 
 
 def _find_cycle(ready: Readiness) -> list[int]:
-    # Walk unfinished deps until a node repeats; the repeated tail is a cycle.
-    pending, pos = ready.pending, ready.pos
-    p = next(p for p, count in enumerate(pending) if count)
+    """One cycle among the nodes `ready` left unfinished, as ids: from the
+    smallest unfinished id, follow the smallest unfinished dep until a node
+    repeats, so the cycle named does not depend on the list order."""
+    nodes, pending, pos = ready.nodes, ready.pending, ready.pos
+    p = pos[min(node.id for node, count in zip(nodes, pending) if count)]
     path, seen = [], {}
     while p not in seen:
         seen[p] = len(path)
         path.append(p)
-        p = next(pos[d] for d in ready.nodes[p].deps if pending[pos[d]])
-    return [ready.ids[q] for q in path[seen[p]:]]
+        p = next(pos[d] for d in nodes[p].deps if pending[pos[d]])
+    return [nodes[q].id for q in path[seen[p]:]]
 
 
 def coll_sequence(workload: WorkloadTrace, rank: int) -> list[TraceNode]:
@@ -377,13 +379,12 @@ def check_trace(trace: Trace) -> None:
     """Verify every structural invariant; raise InvariantError on the first
     violation (with rank and node id). Every trace runs this when it is built.
 
-    It raises what checking all nodes, deps and cycles rank by rank, then
-    all tags, raises first. Per rank, one pass over the nodes checks each
-    node and maps its id to its list index (an id seen before is a
-    duplicate) while it fills the send/recv tables. One loop over the deps
-    then raises the first missing dep or self dep in node order, and counts
-    each node's pending deps on list indices; one release loop follows. If
-    nodes are left over, `ordered` names their cycle.
+    It raises what checking all nodes, deps and cycles rank by rank, in the
+    given order, then all tags, raises first. Per rank, one pass over the
+    nodes checks each node and maps its id to its list index (an id seen
+    before is a duplicate) while it fills the send/recv tables; the rank's
+    `Readiness` is built on that map and released inline, and `_dep_fault`
+    raises for a missing dep or nodes left over. Then it sorts unsorted ranks.
 
     It does not require every send and recv to match (tags must still be
     unique), so the semantic validator can execute deliberately broken
@@ -408,9 +409,10 @@ def check_trace(trace: Trace) -> None:
             f"got {claimed!r}")
     sends, recvs = {}, {}  # (src, dst, tag) -> (node id, comm_size), in node order
     duplicate = None  # the first duplicate tag, raised once every rank passed
+    unsorted = set()  # the ranks not listed by ascending id
     send, recv, comp = NodeKind.COMM_SEND, NodeKind.COMM_RECV, NodeKind.COMP
     for rank, nodes in enumerate(trace.per_rank_nodes):
-        index = {}  # node id -> list index
+        index, last = {}, -1  # node id -> list index; the previous node's id
         for i, node in enumerate(nodes):
             a = node.attrs if type(node) is TraceNode else None
             ta, table = type(a), None
@@ -420,7 +422,7 @@ def check_trace(trace: Trace) -> None:
             elif ta is RecvAttrs:
                 peer, size, tag, table, kind = a.src_rank, a.comm_size, a.tag, recvs, recv
                 key = (peer, rank, tag)
-            # an inline gate passes the common valid node; _check_node decides the rest
+            # an inline gate passes the common valid node, ids ascending; _check_node the rest
             if table is not None:
                 valid = (node.kind is kind and type(peer) is type(size) is type(tag) is int
                          and 0 <= peer < num_ranks and peer != rank
@@ -430,44 +432,43 @@ def check_trace(trace: Trace) -> None:
                          and a.op.isascii() and type(a.comp_size) is int
                          and 0 <= a.comp_size <= MAX_SIZE)
             nid = node.id if valid else None
-            if not (type(nid) is int and nid >= 0 and type(node.name) is str
+            if not (type(nid) is int and nid > last and type(node.name) is str
                     and node.name.isascii()):
                 _check_node(trace, rank, node, is_workload)
                 nid = node.id
+                if nid < last:  # a descent
+                    unsorted.add(rank)
             if index.setdefault(nid, i) != i:
                 raise InvariantError("duplicate node id", rank, nid)
+            last = nid
             if table is not None:
                 entry = (nid, size)  # a duplicate tag keeps the first entry, then raises
                 if table.setdefault(key, entry) is not entry and duplicate is None:
                     side = "sends" if table is sends else "recvs"
                     duplicate = f"duplicate tag {tag} for {side} {key[0]}->{key[1]}", rank, nid
-        # deps on list indices (only index[dep] raises KeyError); count, then release
-        pending, dependents = [], [[] for _ in nodes]
         try:
-            for i, node in enumerate(nodes):
-                deps = node.deps
-                for dep in deps:
-                    j = index[dep]
-                    if j == i:
-                        raise InvariantError("node depends on itself", rank, node.id)
-                    dependents[j].append(i)
-                pending.append(len(deps))
-        except KeyError:
-            raise InvariantError(f"dep {dep} does not exist on this rank",
-                                 rank, node.id) from None
-        released = [i for i, count in enumerate(pending) if not count]
-        for i in released:  # the list grows as nodes are released
-            for succ in dependents[i]:
-                pending[succ] -= 1
-                if not pending[succ]:
-                    released.append(succ)
-        if len(released) != len(nodes):
-            try:  # the unrun nodes, and so the cycle named, are the same in any order
-                toposort_rank(trace, rank)
-            except CycleError as exc:
-                raise InvariantError(f"dependency cycle {exc.cycle}", rank, exc.cycle[0]) from exc
+            ready = Readiness(nodes, index)
+        except KeyError:  # a missing dep
+            ready = None
+        else:
+            pending, dependents = ready.pending, ready.dependents
+            released = ready.roots()
+            for i in released:  # the list grows as nodes are released
+                for succ in dependents[i]:
+                    pending[succ] -= 1
+                    if not pending[succ]:
+                        released.append(succ)
+            if len(released) == len(nodes):
+                continue
+        _dep_fault(rank, nodes, index, ready)
     if duplicate is not None:
         raise InvariantError(*duplicate)
+    if unsorted:  # store ranks, and the tables' node order, by ascending id
+        object.__setattr__(trace, "per_rank_nodes", tuple(
+            tuple(sorted(nodes, key=attrgetter("id"))) if rank in unsorted else nodes
+            for rank, nodes in enumerate(trace.per_rank_nodes)))
+        sends = dict(sorted(sends.items(), key=lambda item: (item[0][0], item[1][0])))
+        recvs = dict(sorted(recvs.items(), key=lambda item: (item[0][1], item[1][0])))
     messages, mismatch = (), None
     if is_workload:
         _check_spmd(trace)
@@ -475,6 +476,20 @@ def check_trace(trace: Trace) -> None:
         messages, mismatch = _pair_messages(sends, recvs)
     object.__setattr__(trace, "messages", messages)
     object.__setattr__(trace, "mismatch", mismatch)
+
+
+def _dep_fault(rank: int, nodes, index: dict, ready: Optional[Readiness]) -> NoReturn:
+    """Raise the first missing or self dep of a rank in node order, else the
+    cycle among the nodes that `ready` (its released Readiness) left."""
+    for node in nodes:
+        for dep in node.deps:
+            if dep not in index:
+                raise InvariantError(f"dep {dep} does not exist on this rank", rank, node.id)
+            if dep == node.id:
+                raise InvariantError("node depends on itself", rank, node.id)
+    cycle = _find_cycle(ready)
+    raise InvariantError(f"dependency cycle {cycle}", rank, cycle[0]) from CycleError(
+        f"dependency cycle on rank {rank}", cycle)
 
 
 def require_matched(trace: Trace) -> None:
@@ -722,8 +737,7 @@ def _trace_pieces(trace: Trace):
     def rank_texts(last=({},) * 3):  # see _node_text
         for nodes in trace.per_rank_nodes:
             texts = ({}, {}, {})
-            yield json_array([_node_text(n, texts, last)
-                              for n in sorted(nodes, key=attrgetter("id"))], 4)
+            yield json_array([_node_text(n, texts, last) for n in nodes], 4)
             last = texts
 
     yield from json_array_pieces(rank_texts(), 2)

@@ -82,7 +82,7 @@ class _Exec:
         # Per rank, by position: each send's and recv's message and its
         # peer's rank and position (None if missing); per message, the
         # payload once its send ran.
-        self.peer: list[list] = [[None] * len(r.ids) for r in self.readiness]
+        self.peer: list[list] = [[None] * len(nodes) for nodes in self.nodes]
         for m, (src, dst, send_id, recv_id, _) in enumerate(trace.messages):
             send_pos, recv_pos = pos[src].get(send_id), pos[dst].get(recv_id)
             if send_pos is not None:

@@ -628,6 +628,13 @@ def test_log_level_env_var(tmp_path, monkeypatch):
     run("gen", "--algo", "ring-allgather", "--ranks", 2,
         "--size", 1024, "-o", tmp_path / "t.json")
     assert logging.getLogger("collgraph").level == logging.WARNING
+    monkeypatch.setenv("COLLGRAPH_LOG", "DEBUG")
+    run("gen", "--algo", "ring-allgather", "--ranks", 2, "--size", 1024, "-o", tmp_path / "t.json")
+    # a name in `logging` that is no level (BASIC_FORMAT is a str) means WARNING
+    monkeypatch.setenv("COLLGRAPH_LOG", "basic_format")
+    assert run("gen", "--algo", "ring-allgather", "--ranks", 2,
+               "--size", 1024, "-o", tmp_path / "t.json") == 0
+    assert logging.getLogger("collgraph").level == logging.WARNING
 
 
 # ---------------------------------------------------------------------------

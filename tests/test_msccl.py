@@ -272,6 +272,9 @@ NOP_STEP = '<step s="0" type="nop"/>'
                  "step type 'cpy' at line 4 needs cnt >= 1", id="no-count"),
     pytest.param(ONE_COPY.format(src=-1, dst=0, cnt=1), 2, SchemaError,
                  "srcoff=-1 at line 4 must be non-negative", id="negative-offset"),
+    pytest.param(NOP_ONLY.replace(NOP_STEP, '<step s="0" type="nop"><banana color="yellow"/>'
+                                            '</step>'), 1, SchemaError,
+                 "unknown element <banana> at line 4", id="element-in-step"),
     pytest.param(NOP_ONLY.replace(NOP_STEP, '<step s="0" type="nop" depid="0"/>'), 1,
                  SchemaError, "depid/deps at line 4 must be given together",
                  id="depid-without-deps"),

@@ -2,6 +2,7 @@
 topological ordering."""
 
 import json
+import random
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -93,6 +94,42 @@ def test_node_insertion_order_does_not_change_bytes():
         [tuple(reversed(nodes)) for nodes in trace.per_rank_nodes],
     )
     assert dumps_trace(shuffled) == dumps_trace(trace)
+
+
+def _three_unmatched_sends():
+    return CollectiveTrace(2, None, [
+        [TraceNode(t, f"s{t}", NodeKind.COMM_SEND, (), SendAttrs(1, 64, t)) for t in range(3)],
+        [comp(0, ())]])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_trace_stores_each_rank_by_ascending_id(seed):
+    """Built from its ranks in any order, a trace lists each rank by
+    ascending id and equals the trace built in id order, so every consumer
+    reads the same trace."""
+    rng = random.Random(seed)
+    cost = CostModel(alpha=1e-6, bandwidth=1e9)
+    for trace in (ring_ar(), generate(AlgoSpec(Algorithm.RING_ALL_GATHER, 3, 64)),
+                  _three_unmatched_sends()):
+        shuffled = CollectiveTrace(trace.num_ranks, trace.claimed_collective,
+                                   [rng.sample(nodes, len(nodes))
+                                    for nodes in trace.per_rank_nodes])
+        for nodes in shuffled.per_rank_nodes:
+            assert [node.id for node in nodes] == sorted(node.id for node in nodes)
+        assert shuffled == trace
+        assert (shuffled.messages, shuffled.mismatch) == (trace.messages, trace.mismatch)
+        assert check_semantics(shuffled).to_json() == check_semantics(trace).to_json()
+        assert canonical_form(shuffled) == canonical_form(trace)
+        if trace.mismatch is None:
+            assert dumps_trace(shuffled) == dumps_trace(trace)
+            topology = Topology.ring(trace.num_ranks)
+            assert (simulate(shuffled, topology, cost).dumps()
+                    == simulate(trace, topology, cost).dumps())
+    workload = _chain_workload()
+    shuffled = WorkloadTrace(workload.num_ranks, [rng.sample(nodes, len(nodes))
+                                                  for nodes in workload.per_rank_nodes])
+    assert shuffled == workload
+    assert dumps_trace(shuffled) == dumps_trace(workload)
 
 
 def test_canonical_output_uses_lf_and_trailing_newline(tmp_path):
@@ -257,6 +294,30 @@ def test_messages_are_paired_only_at_construction(monkeypatch):
     assert counted(lambda: simulate(trace, Topology.torus2d(2, 2), cost)) == (0, 0)
     assert counted(lambda: check_semantics(trace)) == (0, 0)  # eager and rendezvous runs
     assert counted(lambda: canonical_form(trace)) == (0, 0)
+
+
+def test_valid_collective_nodes_pass_the_inline_gate(monkeypatch):
+    """`check_trace` leaves `_check_node` to the nodes its inline gate
+    refuses: a valid SEND, RECV or COMP node listed by ascending id never
+    reaches it, whatever produced the trace."""
+    calls = []
+    check_node = trace_module._check_node
+
+    def counting(*args):
+        calls.append(args)
+        return check_node(*args)
+
+    monkeypatch.setattr(trace_module, "_check_node", counting)
+    bindings = {CollKind.ALL_REDUCE: Algorithm.RING_ALL_REDUCE,
+                CollKind.ALL_GATHER: Algorithm.RING_ALL_GATHER}
+    workload = _chain_workload()
+    calls.clear()
+    traces = [generate(AlgoSpec(algo, 8, 8 * 1024)) for algo in Algorithm]
+    traces.append(convert_to_trace(parse_msccl_xml(FIXTURES / "ring_allreduce_n4.xml"),
+                                   4 * MIB))
+    traces.append(expand(workload, bindings))
+    traces.append(loads_trace(dumps_trace(traces[-1])))
+    assert calls == []
 
 
 def test_parse_error_carries_position(tmp_path):

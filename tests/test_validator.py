@@ -436,11 +436,15 @@ def test_toposort_and_canonical_form_report_the_same_cycle():
     from collgraph.trace import CompAttrs
 
     # 0 is a root; 1 -> 3 -> 2 -> 1 is the cycle; 4 hangs off it. Then the
-    # same rank in reversed list order, and with every id and dep shifted by 10.
+    # same rank in reversed and in shuffled list order, and with every id and
+    # dep shifted by 10.
     deps = {0: (), 1: (0, 3), 2: (1,), 3: (2,), 4: (3,)}
-    for order, shift, cycle in ((1, 0, [1, 3, 2]), (-1, 0, [1, 3, 2]), (1, 10, [11, 13, 12])):
+    for order, shift, cycle in (([0, 1, 2, 3, 4], 0, [1, 3, 2]), ([4, 3, 2, 1, 0], 0, [1, 3, 2]),
+                                ([4, 2, 0, 3, 1], 0, [1, 3, 2]),
+                                ([0, 1, 2, 3, 4], 10, [11, 13, 12])):
         nodes = [TraceNode(nid + shift, f"n{nid}", NodeKind.COMP, [d + shift for d in ds],
-                           CompAttrs("NOP", 0)) for nid, ds in deps.items()][::order]
+                           CompAttrs("NOP", 0)) for nid, ds in deps.items()]
+        nodes = [nodes[i] for i in order]
         with pytest.raises(InvariantError, match="dependency cycle") as built:
             CollectiveTrace(1, None, [nodes])
         cyclic = _unchecked(1, [nodes])
