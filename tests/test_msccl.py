@@ -289,6 +289,43 @@ def test_malformed_program_raises_its_error(tmp_path, text, size, error, match):
         convert_to_trace(parse_msccl_xml(write(tmp_path, text)), size)
 
 
+BAD_TYPE = '<step s="0" type="xyz"/>'
+
+
+@pytest.mark.parametrize("text, error, match", [
+    pytest.param(NOP_ONLY.replace(NOP_STEP, '<step s="0" type="nop" proto="x"/>')
+                 .replace("</gpu>", "junk</gpu>"), SchemaError,
+                 "unexpected character data 'junk' at line 6", id="stray-text-after-attribute"),
+    pytest.param(NOP_ONLY.replace('<gpu id="0">', '<gpu id="1">')
+                 .replace("</algo>", "</algo"), XmlError, "malformed XML",
+                 id="malformed-after-schema-fault"),
+    pytest.param(NOP_ONLY.replace(NOP_STEP, '<step s="x" type="nop"><banana/></step>'),
+                 SchemaError, "unknown element <banana> at line 4", id="element-before-value"),
+    pytest.param(NOP_ONLY.replace(NOP_STEP, '<step s="0" type="nop" proto="x"><banana/>'
+                                            '</step>'),
+                 SchemaError, r"unknown attribute\(s\) \['proto'\] on <step> at line 4",
+                 id="attribute-name-before-element"),
+    pytest.param(NOP_ONLY.replace(NOP_STEP, '<step s="5" type="nop"/>\n'
+                                            '      <step s="1" type="xyz"/>'),
+                 SchemaError, "unknown step type 'xyz' at line 5", id="type-before-dense-index"),
+    pytest.param(PAIR.replace('type="s"', 'type="xyz"').replace('<gpu id="1">', '<gpu id="0">'),
+                 SchemaError, "unknown step type 'xyz' at line 4",
+                 id="step-before-duplicate-gpu"),
+    pytest.param(NOP_ONLY.replace(NOP_STEP, BAD_TYPE).replace("</tb>", "</tb><banana/>"),
+                 SchemaError, "unknown step type 'xyz' at line 4", id="step-before-next-element"),
+    pytest.param(NOP_ONLY.replace(NOP_STEP, '<step s="0" type="nop" depid="3" deps="0"/>')
+                 .replace('ngpus="1"', 'ngpus="2"'), SchemaError,
+                 "expected 2 <gpu> elements, found 1", id="missing-gpu-before-dangling-depid"),
+])
+def test_the_first_fault_in_the_document_wins(tmp_path, text, error, match):
+    """Expat faults and stray text anywhere beat schema faults; schema
+    faults come in document order, a step's own attribute names before its
+    child element before its attribute values, a tb's dense step indices
+    after its last step, and a dangling dependency after every schema check."""
+    with pytest.raises(error, match=match):
+        parse_msccl_xml(write(tmp_path, text))
+
+
 def test_depid_minus_one_means_no_dependency(tmp_path):
     text = NOP_ONLY.replace(NOP_STEP, '<step s="0" type="nop" depid="-1" deps="-1"/>')
     program = parse_msccl_xml(write(tmp_path, text))
