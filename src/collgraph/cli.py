@@ -7,15 +7,17 @@ simulator stall). All outputs are byte-deterministic for identical inputs.
 Traces and reports are strict RFC 8259 JSON: a cost that is NaN or infinite,
 or a simulated time that overflows, is rejected (exit 2), never written.
 
-Each command runs with the cyclic garbage collector paused: collgraph builds
-no reference cycles (tests/test_cli.py pins that), so reference counting
-frees all it drops. Library calls leave the collector as their caller set it.
+Each command runs with the cyclic garbage collector paused, and so does
+each of the library's whole-trace calls (`load_trace`, `generate`,
+`check_semantics`, `simulate`, ...; see `trace.collector_paused`): collgraph
+builds no reference cycles (tests/test_cli.py pins that), so reference
+counting frees all it drops. Either way the collector is left as the caller
+set it.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import logging
 import os
@@ -32,7 +34,8 @@ from .expander import Binding, expand
 from .generators import AlgoSpec, Algorithm, generate
 from .msccl import convert_to_trace, parse_msccl_xml
 from .simulator import CostModel, Topology, TopologyKind, simulate, sweep
-from .trace import MAX_SIZE, CollKind, CollectiveTrace, WorkloadTrace, load_trace, save_trace
+from .trace import (MAX_SIZE, CollKind, CollectiveTrace, WorkloadTrace, collector_paused,
+                    load_trace, save_trace)
 from .validator import FAIL, Verdict, check_semantics
 
 log = logging.getLogger("collgraph")
@@ -325,13 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@collector_paused
 def main(argv=None) -> int:
     level = getattr(logging, os.environ.get("COLLGRAPH_LOG", "WARNING").upper(), None)
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     log.setLevel(level if type(level) is int else logging.WARNING)  # BASIC_FORMAT is no level
     args = build_parser().parse_args(argv)
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         return args.func(args)
     except (StuckError, DeadlockError) as exc:
@@ -340,9 +342,6 @@ def main(argv=None) -> int:
     except (CollGraphError, OSError) as exc:
         print(f"collgraph: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if collecting:
-            gc.enable()
 
 
 if __name__ == "__main__":

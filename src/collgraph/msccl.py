@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import xml.parsers.expat
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -24,8 +25,11 @@ from .trace import (
     TraceNode,
     _comp_node,
     _recv_node,
+    _new,
     _send_node,
+    _slot_setters,
     check_trace,  # noqa: F401 -- kept importable: perfbench/tracer.py rebinds it
+    collector_paused,
 )
 
 STEP_TYPES = ("s", "r", "rrc", "rcs", "re", "cpy", "nop")
@@ -41,7 +45,7 @@ _COLL_NAMES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MscclStep:
     index: int
     type: str
@@ -51,6 +55,22 @@ class MscclStep:
     dst_off: Optional[int]
     cnt: int
     depend: Optional[tuple[int, int]]  # (tb id, step index) in the same gpu
+
+
+def _new_step(index, step_type, src_buf, src_off, dst_buf, dst_off, cnt, depend,
+              _set=_slot_setters(MscclStep)) -> MscclStep:
+    """An MscclStep of checked fields, set through its slots instead of the
+    frozen `__init__`."""
+    step = _new(MscclStep)
+    _set[0](step, index)
+    _set[1](step, step_type)
+    _set[2](step, src_buf)
+    _set[3](step, src_off)
+    _set[4](step, dst_buf)
+    _set[5](step, dst_off)
+    _set[6](step, cnt)
+    _set[7](step, depend)
+    return step
 
 
 @dataclass(frozen=True)
@@ -81,50 +101,7 @@ class MscclProgram:
 # XML parsing (expat, so schema errors carry line numbers)
 # ---------------------------------------------------------------------------
 
-class _Elem:
-    __slots__ = ("tag", "attrs", "children", "line")
-
-    def __init__(self, tag, attrs, line):
-        self.tag = tag
-        self.attrs = attrs
-        self.children = []
-        self.line = line
-
-
-def _parse_xml(text: str) -> _Elem:
-    parser = xml.parsers.expat.ParserCreate()
-    root: list[_Elem] = []
-    stack: list[_Elem] = []
-
-    def start(tag, attrs):
-        elem = _Elem(tag, dict(attrs), parser.CurrentLineNumber)
-        if stack:
-            stack[-1].children.append(elem)
-        else:
-            root.append(elem)
-        stack.append(elem)
-
-    def end(_tag):
-        stack.pop()
-
-    def chars(data):
-        if data.strip():
-            raise SchemaError(
-                f"unexpected character data {data.strip()!r} at line "
-                f"{parser.CurrentLineNumber}")
-
-    parser.StartElementHandler = start
-    parser.EndElementHandler = end
-    parser.CharacterDataHandler = chars
-    try:
-        parser.Parse(text, True)
-    except xml.parsers.expat.ExpatError as exc:
-        raise XmlError(f"malformed XML: {exc}") from exc
-    finally:  # the handlers close over the parser: a cycle holding the tree
-        parser.StartElementHandler = parser.CharacterDataHandler = None
-    return root[0]
-
-
+_LEVELS = (None, "algo", "gpu", "tb", "step")  # the element expected at each depth
 _ALLOWED_ATTRS = {
     "algo": {"name", "ngpus", "nchunks", "coll"},
     "gpu": {"id"},
@@ -132,161 +109,209 @@ _ALLOWED_ATTRS = {
     "step": {"s", "type", "srcbuf", "srcoff", "dstbuf", "dstoff", "cnt",
              "depid", "deps", "hasdep"},
 }
+_REQUIRED_ATTRS = {"algo": _ALLOWED_ATTRS["algo"], "gpu": {"id"}, "tb": {"id", "chan"},
+                   "step": {"s", "type"}}
+_STEP_ATTRS = frozenset(_ALLOWED_ATTRS["step"])
+# Per step type: needs a send peer, a recv peer, srcoff, dstoff.
+_STEP_RULES = {"s": (True, False, True, False), "r": (False, True, False, True),
+               "rrc": (False, True, False, True), "rcs": (True, True, False, True),
+               "re": (False, False, True, True), "cpy": (False, False, True, True),
+               "nop": (False, False, False, False)}
 
 
-def _check_elem(elem: _Elem, expected_tag: str, required: set[str]) -> None:
-    if elem.tag != expected_tag:
-        raise SchemaError(f"unknown element <{elem.tag}> at line {elem.line}")
-    unknown = set(elem.attrs) - _ALLOWED_ATTRS[expected_tag]
+def _check_attrs(tag: str, attrs: dict, line: int) -> None:
+    unknown = attrs.keys() - _ALLOWED_ATTRS[tag]
     if unknown:
-        raise SchemaError(
-            f"unknown attribute(s) {sorted(unknown)} on <{elem.tag}> at line {elem.line}")
-    missing = required - set(elem.attrs)
+        raise SchemaError(f"unknown attribute(s) {sorted(unknown)} on <{tag}> at line {line}")
+    missing = _REQUIRED_ATTRS[tag] - attrs.keys()
     if missing:
-        raise SchemaError(
-            f"missing attribute(s) {sorted(missing)} on <{elem.tag}> at line {elem.line}")
+        raise SchemaError(f"missing attribute(s) {sorted(missing)} on <{tag}> at line {line}")
 
 
-def _int_attr(elem: _Elem, name: str) -> int:
-    try:
-        return int(elem.attrs[name])
-    except ValueError:
-        raise SchemaError(
-            f"attribute {name}={elem.attrs[name]!r} on <{elem.tag}> at line "
-            f"{elem.line} is not an integer") from None
+class _Reader:
+    """Checks one MSCCL-IR document while expat parses it, so no tree is
+    built: `<algo>`, `<gpu>` and `<tb>` when they open, a `<step>` when it
+    closes (an element inside it is only noted before), and a tb's step
+    indices once it closes. A fault is a SchemaError from the handler."""
 
+    def __init__(self, text: str, checking: bool = True):
+        self.parser = parser = xml.parsers.expat.ParserCreate()
+        parser.CharacterDataHandler = self.chars
+        if checking:  # buffered text is fewer calls, but its line may be a later one
+            parser.StartElementHandler, parser.EndElementHandler = self.start, self.end
+            parser.buffer_text = True
+        self.depth = 0
+        self.ints = {}  # attribute text -> int, so each distinct text is read once
+        self.algo = self.gpu = self.tb = None  # the open elements' values
+        self.step = self.line = None  # the open step's attrs and line
+        self.child = None  # the first element inside a step: the parse ends at that step
+        self.gpus, self.seen_gpus = [], set()
+        try:
+            parser.Parse(text, True)
+        except xml.parsers.expat.ExpatError as exc:
+            raise XmlError(f"malformed XML: {exc}") from exc
+        finally:  # the handlers hold the reader, which holds the parser
+            parser.StartElementHandler = parser.EndElementHandler = None
+            parser.CharacterDataHandler = None
 
-def _peer_attr(elem: _Elem, name: str, ngpus: int, own: int) -> Optional[int]:
-    # Absent or -1 both mean "no peer" (upstream emitters use -1).
-    if name not in elem.attrs:
-        return None
-    value = _int_attr(elem, name)
-    if value == -1:
-        return None
-    if not 0 <= value < ngpus:
-        raise SchemaError(f"{name}={value} on <tb> at line {elem.line} is not a valid gpu")
-    if value == own:
-        raise SchemaError(f"{name} on <tb> at line {elem.line} points at its own gpu")
-    return value
+    def chars(self, data):
+        if data.strip():
+            raise SchemaError(f"unexpected character data {data.strip()!r} at line "
+                              f"{self.parser.CurrentLineNumber}")
 
-
-def _parse_step(elem: _Elem, send_peer: Optional[int], recv_peer: Optional[int],
-                nchunks: int) -> MscclStep:
-    _check_elem(elem, "step", {"s", "type"})
-    if elem.children:  # a step holds no elements
-        child = elem.children[0]
-        raise SchemaError(f"unknown element <{child.tag}> at line {child.line}")
-    index = _int_attr(elem, "s")
-    step_type = elem.attrs["type"]
-    if step_type not in STEP_TYPES:
-        raise SchemaError(f"unknown step type '{step_type}' at line {elem.line}")
-    if step_type in _SENDING and send_peer is None:
-        raise SchemaError(
-            f"step type '{step_type}' at line {elem.line} requires a send peer on its tb")
-    if step_type in _RECEIVING and recv_peer is None:
-        raise SchemaError(
-            f"step type '{step_type}' at line {elem.line} requires a recv peer on its tb")
-
-    def buf(name):
-        if name not in elem.attrs:
-            return None
-        value = elem.attrs[name]
-        if value not in _BUFFERS:
-            raise SchemaError(f"{name}={value!r} at line {elem.line} is not one of {_BUFFERS}")
+    def int_attr(self, attrs: dict, name: str, tag: str, line: int) -> int:
+        text = attrs[name]
+        value = self.ints.get(text)
+        if value is None:
+            try:
+                value = self.ints[text] = int(text)
+            except ValueError:
+                raise SchemaError(f"attribute {name}={text!r} on <{tag}> at line {line} "
+                                  "is not an integer") from None
         return value
 
-    def off(name):
-        return _int_attr(elem, name) if name in elem.attrs else None
+    def peer_attr(self, attrs: dict, name: str, line: int, own: int) -> Optional[int]:
+        # Absent or -1 both mean "no peer" (upstream emitters use -1).
+        if name not in attrs:
+            return None
+        value = self.int_attr(attrs, name, "tb", line)
+        if value == -1:
+            return None
+        if not 0 <= value < self.algo[1]:
+            raise SchemaError(f"{name}={value} on <tb> at line {line} is not a valid gpu")
+        if value == own:
+            raise SchemaError(f"{name} on <tb> at line {line} points at its own gpu")
+        return value
 
-    src_buf, src_off = buf("srcbuf"), off("srcoff")
-    dst_buf, dst_off = buf("dstbuf"), off("dstoff")
-    needs_src = step_type in ("s", "re", "cpy")
-    needs_dst = step_type in ("r", "rrc", "rcs", "re", "cpy")
-    if needs_src and src_off is None:
-        raise SchemaError(f"step type '{step_type}' at line {elem.line} needs srcbuf/srcoff")
-    if needs_dst and dst_off is None:
-        raise SchemaError(f"step type '{step_type}' at line {elem.line} needs dstbuf/dstoff")
-    cnt = _int_attr(elem, "cnt") if "cnt" in elem.attrs else 0
-    if step_type != "nop" and cnt < 1:
-        raise SchemaError(f"step type '{step_type}' at line {elem.line} needs cnt >= 1")
-    for name, value in (("srcoff", src_off), ("dstoff", dst_off)):
-        if value is not None and value < 0:
-            raise SchemaError(f"{name}={value} at line {elem.line} must be non-negative")
-        if value is not None and value + cnt > nchunks:
-            raise SchemaError(f"{name}={value} with cnt={cnt} at line {elem.line} "
-                              f"runs past nchunks={nchunks}")
+    def start(self, tag: str, attrs: dict) -> None:
+        depth = self.depth = self.depth + 1
+        if depth == 4 and tag == "step":
+            self.step, self.line = attrs, self.parser.CurrentLineNumber
+            return
+        line = self.parser.CurrentLineNumber
+        if depth > 4:  # inside a step: only its first element counts
+            if self.child is None:
+                self.child = (tag, line)
+            return
+        if tag != _LEVELS[depth]:
+            raise SchemaError(f"unknown element <{tag}> at line {line}")
+        _check_attrs(tag, attrs, line)
+        if depth == 3:
+            gpu_id, _, seen_tbs = self.gpu
+            tb_id = self.int_attr(attrs, "id", tag, line)
+            if tb_id in seen_tbs:
+                raise SchemaError(f"duplicate tb id={tb_id} at line {line}")
+            seen_tbs.add(tb_id)
+            channel = self.int_attr(attrs, "chan", tag, line)
+            if channel < 0:
+                raise SchemaError(f"chan={channel} at line {line} must be >= 0")
+            self.tb = (tb_id, self.peer_attr(attrs, "send", line, gpu_id),
+                       self.peer_attr(attrs, "recv", line, gpu_id), channel, [])
+        elif depth == 2:
+            gpu_id = self.int_attr(attrs, "id", tag, line)
+            if not 0 <= gpu_id < self.algo[1]:
+                raise SchemaError(f"gpu id={gpu_id} at line {line} out of range")
+            if gpu_id in self.seen_gpus:
+                raise SchemaError(f"duplicate gpu id={gpu_id} at line {line}")
+            self.seen_gpus.add(gpu_id)
+            self.gpu = (gpu_id, [], set())
+        else:
+            ngpus = self.int_attr(attrs, "ngpus", tag, line)
+            nchunks = self.int_attr(attrs, "nchunks", tag, line)
+            coll = attrs["coll"]
+            if ngpus < 1:
+                raise SchemaError(f"ngpus={ngpus} at line {line} must be positive")
+            if nchunks < 1:
+                raise SchemaError(f"nchunks={nchunks} at line {line} must be positive")
+            if coll not in _COLL_NAMES:
+                raise SchemaError(f"unknown collective '{coll}' at line {line}; "
+                                  f"expected one of {sorted(_COLL_NAMES)}")
+            self.algo = (attrs["name"], ngpus, nchunks, coll)
 
-    depid = off("depid")
-    deps = off("deps")
-    if depid == -1:
-        depid = None
-    if deps == -1:
-        deps = None
-    if (depid is None) != (deps is None):
-        raise SchemaError(f"depid/deps at line {elem.line} must be given together")
-    depend = None if depid is None else (depid, deps)
-    if "hasdep" in elem.attrs:
-        _int_attr(elem, "hasdep")  # rejects malformed input; nothing reads the value
-    return MscclStep(index, step_type, src_buf, src_off, dst_buf, dst_off, cnt, depend)
+    def end(self, _tag: str) -> None:
+        depth = self.depth = self.depth - 1
+        if depth == 3:
+            self.tb[4].append(self.closed_step())
+        elif depth == 2:  # a tb closed: its step indices are 0, 1, ...
+            tb_id, send_peer, recv_peer, channel, steps = self.tb
+            for i, step in enumerate(steps):
+                if step.index != i:
+                    raise SchemaError(
+                        f"step indices of tb {tb_id} (gpu {self.gpu[0]}) must be dense and "
+                        f"ascending; found s={step.index} at position {i}")
+            self.gpu[1].append(MscclThreadblock(tb_id, send_peer, recv_peer, channel,
+                                                tuple(steps)))
+        elif depth == 1:
+            self.gpus.append(MscclGpu(self.gpu[0], tuple(self.gpu[1])))
+
+    def closed_step(self) -> MscclStep:
+        attrs, line, int_attr = self.step, self.line, self.int_attr
+        if not ("s" in attrs and "type" in attrs and attrs.keys() <= _STEP_ATTRS):
+            _check_attrs("step", attrs, line)
+        if self.child is not None:  # a step holds no elements
+            raise SchemaError(f"unknown element <{self.child[0]}> at line {self.child[1]}")
+        index = int_attr(attrs, "s", "step", line)
+        step_type = attrs["type"]
+        rule = _STEP_RULES.get(step_type)
+        if rule is None:
+            raise SchemaError(f"unknown step type '{step_type}' at line {line}")
+        sends, receives, needs_src, needs_dst = rule
+        if sends and self.tb[1] is None:
+            raise SchemaError(
+                f"step type '{step_type}' at line {line} requires a send peer on its tb")
+        if receives and self.tb[2] is None:
+            raise SchemaError(
+                f"step type '{step_type}' at line {line} requires a recv peer on its tb")
+        src_buf, dst_buf = attrs.get("srcbuf"), attrs.get("dstbuf")
+        if src_buf is not None and src_buf not in _BUFFERS:
+            raise SchemaError(f"srcbuf={src_buf!r} at line {line} is not one of {_BUFFERS}")
+        src_off = int_attr(attrs, "srcoff", "step", line) if "srcoff" in attrs else None
+        if dst_buf is not None and dst_buf not in _BUFFERS:
+            raise SchemaError(f"dstbuf={dst_buf!r} at line {line} is not one of {_BUFFERS}")
+        dst_off = int_attr(attrs, "dstoff", "step", line) if "dstoff" in attrs else None
+        if needs_src and src_off is None:
+            raise SchemaError(f"step type '{step_type}' at line {line} needs srcbuf/srcoff")
+        if needs_dst and dst_off is None:
+            raise SchemaError(f"step type '{step_type}' at line {line} needs dstbuf/dstoff")
+        cnt = int_attr(attrs, "cnt", "step", line) if "cnt" in attrs else 0
+        if cnt < 1 and step_type != "nop":
+            raise SchemaError(f"step type '{step_type}' at line {line} needs cnt >= 1")
+        last = self.algo[2] - cnt  # the last offset a span of cnt chunks may start at
+        for name, value in (("srcoff", src_off), ("dstoff", dst_off)):
+            if value is not None and not 0 <= value <= last:
+                if value < 0:
+                    raise SchemaError(f"{name}={value} at line {line} must be non-negative")
+                raise SchemaError(f"{name}={value} with cnt={cnt} at line {line} "
+                                  f"runs past nchunks={self.algo[2]}")
+        # -1 means none, as upstream emitters write it
+        depid = int_attr(attrs, "depid", "step", line) if "depid" in attrs else -1
+        deps = int_attr(attrs, "deps", "step", line) if "deps" in attrs else -1
+        if (depid == -1) != (deps == -1):
+            raise SchemaError(f"depid/deps at line {line} must be given together")
+        if "hasdep" in attrs:
+            int_attr(attrs, "hasdep", "step", line)  # rejects malformed input; nothing reads it
+        return _new_step(index, step_type, src_buf, src_off, dst_buf, dst_off, cnt,
+                         None if depid == -1 else (depid, deps))
 
 
+@collector_paused
 def parse_msccl_xml(path) -> MscclProgram:
-    """Parse and fully validate an MSCCL-IR style XML file."""
+    """Parse and fully validate an MSCCL-IR style XML file (see the module
+    docstring for which fault is reported first)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise XmlError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    root = _parse_xml(text)
-    _check_elem(root, "algo", {"name", "ngpus", "nchunks", "coll"})
-    ngpus = _int_attr(root, "ngpus")
-    nchunks = _int_attr(root, "nchunks")
-    coll = root.attrs["coll"]
-    if ngpus < 1:
-        raise SchemaError(f"ngpus={ngpus} at line {root.line} must be positive")
-    if nchunks < 1:
-        raise SchemaError(f"nchunks={nchunks} at line {root.line} must be positive")
-    if coll not in _COLL_NAMES:
-        raise SchemaError(
-            f"unknown collective '{coll}' at line {root.line}; "
-            f"expected one of {sorted(_COLL_NAMES)}")
-
-    gpus = []
-    seen_gpus = set()
-    for gpu_elem in root.children:
-        _check_elem(gpu_elem, "gpu", {"id"})
-        gpu_id = _int_attr(gpu_elem, "id")
-        if not 0 <= gpu_id < ngpus:
-            raise SchemaError(f"gpu id={gpu_id} at line {gpu_elem.line} out of range")
-        if gpu_id in seen_gpus:
-            raise SchemaError(f"duplicate gpu id={gpu_id} at line {gpu_elem.line}")
-        seen_gpus.add(gpu_id)
-        tbs = []
-        seen_tbs = set()
-        for tb_elem in gpu_elem.children:
-            _check_elem(tb_elem, "tb", {"id", "chan"})
-            tb_id = _int_attr(tb_elem, "id")
-            if tb_id in seen_tbs:
-                raise SchemaError(f"duplicate tb id={tb_id} at line {tb_elem.line}")
-            seen_tbs.add(tb_id)
-            channel = _int_attr(tb_elem, "chan")
-            if channel < 0:
-                raise SchemaError(f"chan={channel} at line {tb_elem.line} must be >= 0")
-            send_peer = _peer_attr(tb_elem, "send", ngpus, gpu_id)
-            recv_peer = _peer_attr(tb_elem, "recv", ngpus, gpu_id)
-            steps = [_parse_step(step_elem, send_peer, recv_peer, nchunks)
-                     for step_elem in tb_elem.children]
-            for i, step in enumerate(steps):
-                if step.index != i:
-                    raise SchemaError(
-                        f"step indices of tb {tb_id} (gpu {gpu_id}) must be dense and "
-                        f"ascending; found s={step.index} at position {i}")
-            tbs.append(MscclThreadblock(tb_id, send_peer, recv_peer, channel, tuple(steps)))
-        gpus.append(MscclGpu(gpu_id, tuple(tbs)))
+    try:
+        reader = _Reader(text)
+    except SchemaError:  # an expat fault or stray text anywhere comes first
+        _Reader(text, checking=False)
+        raise
+    name, ngpus, nchunks, coll = reader.algo
+    gpus = sorted(reader.gpus, key=lambda g: g.id)
     if len(gpus) != ngpus:
         raise SchemaError(f"expected {ngpus} <gpu> elements, found {len(gpus)}")
-    gpus.sort(key=lambda g: g.id)
-
-    program = MscclProgram(root.attrs["name"], ngpus, nchunks, coll, tuple(gpus))
+    program = MscclProgram(name, ngpus, nchunks, coll, tuple(gpus))
     _check_depends(program)
     return program
 
@@ -353,6 +378,18 @@ def _assign_tags(program: MscclProgram):
     return send_tags, recv_tags
 
 
+def _span(spans: dict, offset: Optional[int], count: int) -> Optional[tuple[int, ...]]:
+    """The chunk tuple of `count` chunks from `offset` (None for None), one
+    per (offset, count) in `spans`."""
+    if offset is None:
+        return None
+    span = spans.get((offset, count))
+    if span is None:
+        span = spans[(offset, count)] = tuple(range(offset, offset + count))
+    return span
+
+
+@collector_paused
 def convert_to_trace(program: MscclProgram, comm_size: int) -> CollectiveTrace:
     """Create one trace vertex per MSCCL operation and wire the edges.
 
@@ -368,57 +405,59 @@ def convert_to_trace(program: MscclProgram, comm_size: int) -> CollectiveTrace:
     chunk_bytes = comm_size // program.num_chunks
     send_tags, recv_tags = _assign_tags(program)
 
+    # What does not depend on the gpu is made once and shared by every rank:
+    # the names of each (tb, step, type), the chunk tuple of each (offset,
+    # count) and each deps tuple.
+    names: dict[tuple[int, int, str], tuple[str, str]] = {}
+    spans: dict[tuple[int, int], tuple[int, ...]] = {}
+    share = {}.setdefault
     per_rank: list[list[TraceNode]] = []
     for gpu in program.gpus:
+        tbs = sorted(gpu.threadblocks, key=attrgetter("id"))
         # Pre-assign node ids so `depend` may reference any threadblock,
-        # including ones emitted later.
-        span: dict[tuple[int, int], tuple[int, int]] = {}  # (tb, step) -> (first, last)
+        # including ones emitted later: (tb, step) -> the id of its last node.
+        last: dict[tuple[int, int], int] = {}
         next_id = 0
-        for tb in sorted(gpu.threadblocks, key=lambda t: t.id):
+        for tb in tbs:
             for step in tb.steps:
-                width = 2 if step.type in ("rrc", "rcs") else 1
-                span[(tb.id, step.index)] = (next_id, next_id + width - 1)
-                next_id += width
-
+                next_id += 2 if step.type in ("rrc", "rcs") else 1
+                last[(tb.id, step.index)] = next_id - 1
         nodes: list[TraceNode] = []
-
-        def emit(build, name, deps, *attrs):
-            nodes.append(build(len(nodes), name, tuple(sorted(deps)), *attrs))
-            return len(nodes) - 1
-
-        for tb in sorted(gpu.threadblocks, key=lambda t: t.id):
-            prev_last = None
+        append = nodes.append
+        for tb in tbs:
+            deps = ()
             for step in tb.steps:
-                deps = [] if prev_last is None else [prev_last]
                 if step.depend is not None:
-                    deps.append(span[step.depend][1])
-                name = f"tb{tb.id}_s{step.index}_{step.type}"
-                size = step.cnt * chunk_bytes
-                src = None if step.src_off is None else \
-                    tuple(range(step.src_off, step.src_off + step.cnt))
-                dst = None if step.dst_off is None else \
-                    tuple(range(step.dst_off, step.dst_off + step.cnt))
-                if step.type == "s":
-                    tag = send_tags[(gpu.id, tb.id, step.index)]
-                    first = last = emit(_send_node, name, deps, tb.send_peer, size, tag, src)
-                elif step.type in ("r", "rrc", "rcs"):
-                    tag = recv_tags[(gpu.id, tb.id, step.index)]
-                    first = emit(_recv_node, name, deps, tb.recv_peer, size, tag, dst)
-                    last = first
-                    if step.type == "rrc":
-                        last = emit(_comp_node, name + "_red", [first], OP_REDUCE, size, dst, None)
-                    elif step.type == "rcs":
-                        tag = send_tags[(gpu.id, tb.id, step.index)]
-                        last = emit(_send_node, name + "_fwd", [first], tb.send_peer, size,
-                                    tag, dst)
-                elif step.type == "re":
-                    first = last = emit(_comp_node, name, deps, OP_REDUCE, size, dst, src)
-                elif step.type == "cpy":
-                    first = last = emit(_comp_node, name, deps, OP_COPY, size, dst, src)
-                else:  # nop: zero-cost dependency anchor
-                    first = last = emit(_comp_node, name, deps, OP_NOP, 0, None, None)
-                assert (first, last) == span[(tb.id, step.index)]
-                prev_last = last
+                    deps = tuple(sorted((*deps, last[step.depend])))
+                    deps = share(deps, deps)
+                key = (tb.id, step.index, step.type)
+                if key not in names:
+                    name = f"tb{tb.id}_s{step.index}_{step.type}"
+                    names[key] = (name, name + ("_red" if step.type == "rrc" else "_fwd"))
+                name, second = names[key]
+                t, nid, size = step.type, len(nodes), step.cnt * chunk_bytes
+                if t == "s":
+                    append(_send_node(nid, name, deps, tb.send_peer, size,
+                                      send_tags[(gpu.id, tb.id, step.index)],
+                                      _span(spans, step.src_off, step.cnt)))
+                elif t == "r" or t == "rrc" or t == "rcs":
+                    dst = _span(spans, step.dst_off, step.cnt)
+                    append(_recv_node(nid, name, deps, tb.recv_peer, size,
+                                      recv_tags[(gpu.id, tb.id, step.index)], dst))
+                    after = share((nid,), (nid,))
+                    if t == "rrc":
+                        append(_comp_node(nid + 1, second, after, OP_REDUCE, size, dst, None))
+                    elif t == "rcs":
+                        append(_send_node(nid + 1, second, after, tb.send_peer, size,
+                                          send_tags[(gpu.id, tb.id, step.index)], dst))
+                elif t == "nop":  # a zero-cost dependency anchor
+                    append(_comp_node(nid, name, deps, OP_NOP, 0, None, None))
+                else:
+                    append(_comp_node(nid, name, deps, OP_REDUCE if t == "re" else OP_COPY, size,
+                                      _span(spans, step.dst_off, step.cnt),
+                                      _span(spans, step.src_off, step.cnt)))
+                deps = (len(nodes) - 1,)
+                deps = share(deps, deps)
         per_rank.append(nodes)
 
     claimed = CollDescriptor(_COLL_NAMES[program.collective], comm_size)

@@ -39,6 +39,7 @@ from .trace import (
     NodeKind,
     Readiness,
     Trace,
+    collector_paused,
     json_array,
     json_array_pieces,
     require_matched,
@@ -208,9 +209,10 @@ class SimReport:
 
     def pieces(self):
         """The text of `dumps`, one piece per rank, to write it unjoined.
-        Lockstep SPMD ranks repeat most rows: a row equal to the previous
-        rank's row at the same position reuses its text, unless it holds a
-        zero (0.0 == -0.0, but their texts differ)."""
+        Lockstep SPMD ranks repeat most rows: when a rank's first row equals
+        the previous rank's, a row equal to the previous rank's row at the
+        same position reuses its text, unless it holds a zero (0.0 == -0.0,
+        but their texts differ); other ranks are formatted whole."""
         num = float.__repr__  # json's own float format
         total = self.total_duration
         yield (f'{{\n  "total_duration_s": {num(total)},\n  "event_count": {self.event_count},\n'
@@ -224,12 +226,16 @@ class SimReport:
         yield f',\n  "links": {links}\n}}\n'
 
     def _rank_texts(self, last_rows=(), last_texts=()):
-        row_text = ('{{\n        "id": {},\n        "issue_s": {!r},\n        "start_s": {!r},\n'
-                    '        "finish_s": {!r}\n      }}').format  # !r: a float as json writes it
+        def row_text(nid, issue, start, finish):  # !r: a float as json writes it
+            return (f'{{\n        "id": {nid},\n        "issue_s": {issue!r},\n'
+                    f'        "start_s": {start!r},\n        "finish_s": {finish!r}\n      }}')
         for rows in self.node_times:  # only the previous rank's texts are kept
-            texts = [text if row == last and 0.0 not in row else row_text(*row)
-                     for row, last, text in zip(rows, last_rows, last_texts)]
-            texts += [row_text(*row) for row in rows[len(texts):]]
+            if rows[:1] != last_rows[:1]:  # a rank that starts apart is written whole
+                texts = [row_text(*row) for row in rows]
+            else:
+                texts = [text if row == last and 0.0 not in row else row_text(*row)
+                         for row, last, text in zip(rows, last_rows, last_texts)]
+                texts += [row_text(*row) for row in rows[len(texts):]]
             yield json_array(texts, 4)
             last_rows, last_texts = rows, texts
 
@@ -237,6 +243,7 @@ class SimReport:
 _FINISH, _ENQUEUE = 0, 1
 
 
+@collector_paused
 def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
     """Event-driven replay. Raises UnexpandedCollectiveError on COMM_COLL
     nodes, InvariantError (recorded by `check_trace`) on an unmatched send
@@ -369,6 +376,7 @@ def _sweep_cell(args) -> float:
     return simulate(generate(spec), topology, cost).total_duration
 
 
+@collector_paused
 def sweep(
     algorithm: Algorithm,
     num_ranks: int,

@@ -51,6 +51,8 @@ traces hold only exact ints and UTF-8 text, so every saved trace loads back.
 
 from __future__ import annotations
 
+import functools
+import gc
 import heapq
 import json
 import re
@@ -282,6 +284,23 @@ class WorkloadTrace:
 
 
 Trace = Union[CollectiveTrace, WorkloadTrace]
+
+
+def collector_paused(fn):
+    """`fn` run with the cyclic garbage collector paused, then left as the
+    caller set it. collgraph builds no reference cycles (tests pin that), so
+    reference counting frees all it drops; collections during a whole-trace
+    call would only walk its young nodes and find nothing."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if collecting:
+                gc.enable()
+    return paused
 
 
 # ---------------------------------------------------------------------------
@@ -750,6 +769,7 @@ def dumps_trace(trace: Trace) -> str:
     return "".join(_trace_pieces(trace))
 
 
+@collector_paused
 def save_trace(trace: Trace, path) -> None:
     """Write the canonical form, rank by rank; identical traces produce
     identical bytes. Refuses (before opening the file) if unmatched.
@@ -788,64 +808,6 @@ def _expect(obj: dict, key: str, typ: type, where: str):
     raise SchemaError(f"key '{key}' in {where} has wrong type {type(value).__name__}")
 
 
-def _json_chunks(value, share):
-    """A parsed chunk list as a shared tuple, None for None, and False unless
-    it is a list of non-negative ints."""
-    if value is None:
-        return None
-    if type(value) is list and _INT.issuperset(map(type, value)) and not (
-            value and min(value) < 0):
-        value = tuple(value)
-        return share(value, value)
-    return False
-
-
-def _json_node(kind, a: dict, nid: int, name: str, deps: tuple, share):
-    """The node of JSON kind `kind` with attrs `a`, or None unless `a` holds
-    exactly the keys and value types the schema allows for it. A key whose
-    value is null is absent to `get`, so the length check refuses it."""
-    if kind == "COMM_SEND" or kind == "COMM_RECV":
-        peer = a.get("dst_rank" if kind == "COMM_SEND" else "src_rank")
-        size, tag, chunks = a.get("comm_size"), a.get("tag"), a.get("chunks")
-        if (type(peer) is type(size) is type(tag) is int
-                and len(a) == 3 + (chunks is not None)
-                and (chunks := _json_chunks(chunks, share)) is not False):
-            build = _send_node if kind == "COMM_SEND" else _recv_node
-            return build(nid, name, deps, peer, share(size, size), share(tag, tag), chunks)
-    elif kind == "COMP":
-        op, size = a.get("op"), a.get("comp_size")
-        chunks, src_chunks = a.get("chunks"), a.get("src_chunks")
-        if (type(op) is str and type(size) is int
-                and len(a) == 2 + (chunks is not None) + (src_chunks is not None)
-                and (chunks := _json_chunks(chunks, share)) is not False
-                and (src_chunks := _json_chunks(src_chunks, share)) is not False):
-            return _comp_node(nid, name, deps, share(op, op), share(size, size),
-                              chunks, src_chunks)
-    elif kind == "COMM_COLL":
-        coll_kind, size = a.get("coll_kind"), a.get("comm_size")
-        if (len(a) == 2 and type(size) is int and type(coll_kind) is str
-                and coll_kind in _COLL_KINDS):
-            return _node(nid, name, NodeKind.COMM_COLL, deps,
-                         CollAttrs(_COLL_KINDS[coll_kind], share(size, size)))
-    return None
-
-
-def _node_of(obj: dict, share) -> Optional[TraceNode]:
-    """The node a parsed JSON object describes, built with exact-type checks,
-    or None if the schema refuses it. Each value goes through `share` (a
-    dict's `setdefault`) only after its type is checked, since `1 == 1.0 ==
-    True`: equal values of one load become one object."""
-    if obj.keys() != _NODE_KEYS:
-        return None
-    nid, name, deps, a = obj["id"], obj["name"], obj["deps"], obj["attrs"]
-    if not (type(nid) is int and type(name) is str and type(deps) is list
-            and type(a) is dict and _INT.issuperset(map(type, deps))):
-        return None
-    deps = tuple(sorted(deps))
-    return _json_node(obj["kind"], a, share(nid, nid), share(name, name),
-                      share(deps, deps), share)
-
-
 def _nodes_in_ranks(doc) -> int:
     """How many TraceNodes a parsed document holds in its rank lists."""
     ranks = doc.get("ranks") if type(doc) is dict else None
@@ -879,7 +841,9 @@ def _node_fault(obj, where: str) -> NoReturn:
                           f"for {kind.value} in {where}")
     for key, typ in schema.items():
         if typ is list:  # a null, or not a list of non-negative ints
-            if key in a and _json_chunks(a[key], {}.setdefault) in (None, False):
+            value = a.get(key, [])
+            if not (type(value) is list and _INT.issuperset(map(type, value))
+                    and min(value, default=0) >= 0):
                 raise SchemaError(f"'{key}' in {where} must be a list of non-negative ints")
         elif typ is CollKind:
             if _expect(a, key, str, where) not in _COLL_KINDS:
@@ -895,21 +859,73 @@ def loads_trace(text: str) -> Trace:
     A JSON object hook builds each node as soon as its object is parsed. If
     it built a node outside the rank lists (inside attrs, say), the text is
     parsed again without it, so the checks below see the plain JSON and
-    raise the same SchemaError either way."""
-    shared = {}
-    share, built = shared.setdefault, 0
+    raise the same SchemaError either way. Unlike `load_trace` it runs with
+    the collector as the caller set it: a pausing wrapper's frame would
+    count toward the recursion limit that nested JSON meets."""
+    share, built = {}.setdefault, 0
 
-    def node_or_obj(obj):
+    def node_of(obj: dict):
+        """The node a parsed JSON object describes, built with exact-type
+        checks, or the object itself if the schema refuses it. Each value
+        goes through `share` only after its type is checked, since `1 ==
+        1.0 == True`: equal values of one load become one object. A key
+        whose value is null is absent to `get`, so the length checks refuse
+        it."""
         nonlocal built
-        node = _node_of(obj, share) if len(obj) == 5 else None  # attrs have fewer keys
-        if node is None:
+        if len(obj) != 5:  # attrs have fewer keys
+            return obj
+        try:
+            nid, name, kind, deps, a = (obj["id"], obj["name"], obj["kind"], obj["deps"],
+                                        obj["attrs"])
+        except KeyError:
+            return obj
+        if not (type(nid) is int and type(name) is str and type(deps) is list
+                and type(a) is dict and _INT.issuperset(map(type, deps))):
+            return obj
+        deps = tuple(sorted(deps))
+        nid, name, deps = share(nid, nid), share(name, name), share(deps, deps)
+        chunks, src = a.get("chunks"), a.get("src_chunks")
+        if chunks is not None:
+            if not (type(chunks) is list and _INT.issuperset(map(type, chunks))
+                    and min(chunks, default=0) >= 0):
+                return obj
+            chunks = tuple(chunks)
+            chunks = share(chunks, chunks)
+        if src is not None:
+            if not (type(src) is list and _INT.issuperset(map(type, src))
+                    and min(src, default=0) >= 0):
+                return obj
+            src = tuple(src)
+            src = share(src, src)
+        if kind == "COMM_SEND" or kind == "COMM_RECV":
+            peer = a.get("dst_rank" if kind == "COMM_SEND" else "src_rank")
+            size, tag = a.get("comm_size"), a.get("tag")
+            if not (type(peer) is type(size) is type(tag) is int
+                    and len(a) == 3 + (chunks is not None)):
+                return obj
+            build = _send_node if kind == "COMM_SEND" else _recv_node
+            node = build(nid, name, deps, peer, share(size, size), share(tag, tag), chunks)
+        elif kind == "COMP":
+            op, size = a.get("op"), a.get("comp_size")
+            if not (type(op) is str and type(size) is int
+                    and len(a) == 2 + (chunks is not None) + (src is not None)):
+                return obj
+            node = _comp_node(nid, name, deps, share(op, op), share(size, size), chunks, src)
+        elif kind == "COMM_COLL":
+            coll_kind, size = a.get("coll_kind"), a.get("comm_size")
+            if not (len(a) == 2 and type(size) is int and type(coll_kind) is str
+                    and coll_kind in _COLL_KINDS):
+                return obj
+            node = _node(nid, name, NodeKind.COMM_COLL, deps,
+                         CollAttrs(_COLL_KINDS[coll_kind], share(size, size)))
+        else:
             return obj
         built += 1
         return node
 
     try:
         try:
-            doc = json.loads(text, object_hook=node_or_obj)
+            doc = json.loads(text, object_hook=node_of)
         except RecursionError:  # the hook's frames count toward the nesting limit
             doc, built = None, -1
         if built != _nodes_in_ranks(doc):
@@ -950,8 +966,8 @@ def loads_trace(text: str) -> Trace:
             raise SchemaError(f"rank {rank} entry must be a list of nodes")
         for i, obj in enumerate(nodes):
             if type(obj) is not TraceNode:  # refused by the hook, or parsed again
-                node = _node_of(obj, share) if type(obj) is dict else None
-                if node is None:  # the fault finder raises what no valid node raises
+                node = node_of(obj) if type(obj) is dict else obj
+                if type(node) is not TraceNode:  # the fault finder raises what no node raises
                     _node_fault(obj, f"rank {rank}, node index {i}")
                 nodes[i] = node
     if trace_class == "workload":
@@ -961,6 +977,7 @@ def loads_trace(text: str) -> Trace:
     return CollectiveTrace(num_ranks, claimed, ranks_obj)
 
 
+@collector_paused
 def load_trace(path) -> Trace:
     """Load and schema-check a trace file; building the trace checks its
     invariants (see the module docstring)."""
