@@ -4,8 +4,8 @@ oracles for the trace and report writers, a per-node checking loader as the
 oracle for `loads_trace`, a dict-keyed simulator as the oracle for
 `simulate`, a per-node lookup into its reports, the message table the
 trace should store, a multi-pass checker as the oracle for `check_trace`, a
-node-by-node splicer as the oracle for `expand`, and structural mutation
-helpers."""
+node-by-node splicer as the oracle for `expand`, structural mutation
+helpers, and MSCCL-IR XML writers."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import heapq
 import json
 import math
 from dataclasses import replace
+from xml.sax.saxutils import quoteattr
 
 from collgraph import trace as trace_module
 from collgraph.errors import (
@@ -677,3 +678,71 @@ def rewrite_peer(trace: CollectiveTrace, rank: int, node_id: int,
             rebuilt.append(node)
         ranks.append(tuple(rebuilt))
     return CollectiveTrace(trace.num_ranks, trace.claimed_collective, ranks)
+
+
+# ---------------------------------------------------------------------------
+# MSCCL-IR XML writers
+# ---------------------------------------------------------------------------
+
+def msccl_xml(program, rng=None) -> str:
+    """The MSCCL-IR XML text of an `MscclProgram`, one element per line.
+    Given a `random.Random`, it lists the gpus and each element's attributes
+    in a shuffled order, and writes a missing peer, a missing dependency or
+    a zero `cnt` either as the parser's default (-1, or 0) or not at all."""
+    def maybe() -> bool:
+        return rng is not None and rng.random() < 0.5
+
+    def element(tag, attrs, close=""):
+        items = list(attrs.items())
+        if rng is not None:
+            rng.shuffle(items)
+        return f"<{tag}{''.join(f' {k}={quoteattr(str(v))}' for k, v in items)}{close}>"
+
+    lines = [element("algo", {"name": program.name, "ngpus": program.num_gpus,
+                              "nchunks": program.num_chunks, "coll": program.collective})]
+    gpus = list(program.gpus)
+    if rng is not None:
+        rng.shuffle(gpus)
+    for gpu in gpus:
+        lines.append(element("gpu", {"id": gpu.id}))
+        for tb in gpu.threadblocks:
+            attrs = {"id": tb.id, "chan": tb.channel}
+            for key, peer in (("send", tb.send_peer), ("recv", tb.recv_peer)):
+                if peer is not None or maybe():
+                    attrs[key] = -1 if peer is None else peer
+            lines.append(element("tb", attrs))
+            for step in tb.steps:
+                attrs = {"s": step.index, "type": step.type}
+                for key, value in (("srcbuf", step.src_buf), ("srcoff", step.src_off),
+                                   ("dstbuf", step.dst_buf), ("dstoff", step.dst_off)):
+                    if value is not None:
+                        attrs[key] = value
+                if step.cnt or maybe():
+                    attrs["cnt"] = step.cnt
+                if step.depend is not None or maybe():
+                    attrs["depid"], attrs["deps"] = step.depend or (-1, -1)
+                if maybe():
+                    attrs["hasdep"] = int(step.depend is not None)
+                lines.append(element("step", attrs, "/"))
+            lines.append("</tb>")
+        lines.append("</gpu>")
+    lines.append("</algo>")
+    return "\n".join(lines) + "\n"
+
+
+def ring_allreduce_xml(n: int) -> str:
+    """MSCCL-IR of the n-rank ring all-reduce, laid out as the n = 4 fixture:
+    threadblock 0 sends, threadblock 1 receives, reducing in the first n-1
+    of its 2(n-1) steps."""
+    steps = range(2 * (n - 1))
+    gpus = []
+    for r in range(n):
+        sends = "".join(f'<step s="{k}" type="s" srcbuf="input" srcoff="{(r - k) % n}" '
+                        f'cnt="1"' + (f' depid="1" deps="{k - 1}"' if k else "") + "/>"
+                        for k in steps)
+        recvs = "".join(f'<step s="{k}" type="{"rrc" if k < n - 1 else "r"}" '
+                        f'dstbuf="input" dstoff="{(r - k - 1) % n}" cnt="1"/>'
+                        for k in steps)
+        gpus.append(f'<gpu id="{r}"><tb id="0" send="{(r + 1) % n}" chan="0">{sends}</tb>'
+                    f'<tb id="1" recv="{(r - 1) % n}" chan="0">{recvs}</tb></gpu>')
+    return f'<algo name="ring" ngpus="{n}" nchunks="{n}" coll="allreduce">{"".join(gpus)}</algo>'

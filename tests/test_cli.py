@@ -10,7 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from helpers import trace_json_oracle
+from helpers import ring_allreduce_xml, trace_json_oracle
 
 from collgraph import cli
 from collgraph.cli import (
@@ -20,9 +20,11 @@ from collgraph.cli import (
     parse_size_list,
     parse_topology_token,
 )
-from collgraph.errors import CollGraphError
+from collgraph.errors import CollGraphError, SchemaError, SpecError
+from collgraph.expander import expand
 from collgraph.generators import AlgoSpec, Algorithm, generate
-from collgraph.simulator import CostModel, Topology
+from collgraph.msccl import convert_to_trace, parse_msccl_xml
+from collgraph.simulator import CostModel, Topology, simulate, sweep
 from collgraph.trace import (
     CollDescriptor,
     CollKind,
@@ -33,8 +35,10 @@ from collgraph.trace import (
     TraceBuilder,
     TraceNode,
     load_trace,
+    loads_trace,
     save_trace,
 )
+from collgraph.validator import canonical_form, check_semantics, isomorphic
 
 MIB = 1024 * 1024
 
@@ -674,38 +678,27 @@ def test_main_restores_the_collector_state(tmp_path, fixtures_dir, monkeypatch, 
         (gc.enable if before else gc.disable)()
 
 
-def ring_allreduce_xml(n: int) -> str:
-    """MSCCL-IR of the n-rank ring all-reduce, laid out as the n = 4 fixture:
-    threadblock 0 sends, threadblock 1 receives, reducing in the first n-1
-    of its 2(n-1) steps."""
-    steps = range(2 * (n - 1))
-    gpus = []
-    for r in range(n):
-        sends = "".join(f'<step s="{k}" type="s" srcbuf="input" srcoff="{(r - k) % n}" '
-                        f'cnt="1"' + (f' depid="1" deps="{k - 1}"' if k else "") + "/>"
-                        for k in steps)
-        recvs = "".join(f'<step s="{k}" type="{"rrc" if k < n - 1 else "r"}" '
-                        f'dstbuf="input" dstoff="{(r - k - 1) % n}" cnt="1"/>'
-                        for k in steps)
-        gpus.append(f'<gpu id="{r}"><tb id="0" send="{(r + 1) % n}" chan="0">{sends}</tb>'
-                    f'<tb id="1" recv="{(r - 1) % n}" chan="0">{recvs}</tb></gpu>')
-    return f'<algo name="ring" ngpus="{n}" nchunks="{n}" coll="allreduce">{"".join(gpus)}</algo>'
-
-
-def cyclic_garbage(argv) -> list[type]:
-    """The types of what the cycle collector finds once `main(argv)` has
-    exited 0, starting from a freshly collected heap."""
+def cyclic_garbage(call) -> list[type]:
+    """The types of what the cycle collector finds once `call()` has
+    returned, starting from a freshly collected heap."""
     gc.collect()
     gc.garbage.clear()
     flags = gc.get_debug()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        assert run(*argv) == 0
+        call()
         gc.collect()
         return [type(obj) for obj in gc.garbage]
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
+
+
+def command(*argv):
+    """A call that runs `main(argv)` and checks that it exited 0."""
+    def call():
+        assert run(*argv) == 0
+    return call
 
 
 def test_commands_leave_no_cyclic_garbage(tmp_path, capsys):
@@ -733,8 +726,110 @@ def test_commands_leave_no_cyclic_garbage(tmp_path, capsys):
                       "-o", d / "sweep.csv"),
         }
         for name, argv in commands.items():
-            found[name, n] = cyclic_garbage(argv)
+            found[name, n] = cyclic_garbage(command(*argv))
     for (name, n), types in found.items():
         ours = [t for t in types if t.__module__.startswith("collgraph")]
         assert not ours, f"{name} at n={n} left {len(ours)} collgraph object(s) in cycles"
         assert len(types) == len(found[name, 4]), f"{name}'s cyclic garbage grows with n"
+
+
+def test_library_calls_leave_no_cyclic_garbage(tmp_path):
+    found = {}
+    for n in (4, 16):
+        xml, gen, conv = tmp_path / f"ring{n}.xml", tmp_path / f"gen{n}.json", tmp_path / f"c{n}.json"
+        xml.write_text(ring_allreduce_xml(n))
+        save_trace(generate(AlgoSpec(Algorithm.RING_ALL_REDUCE, n, MIB)), gen)
+        save_trace(convert_to_trace(parse_msccl_xml(xml), MIB), conv)
+        found["convert", n] = cyclic_garbage(lambda: convert_to_trace(parse_msccl_xml(xml), MIB))
+        found["isomorphic", n] = cyclic_garbage(lambda: isomorphic(load_trace(gen),
+                                                                   load_trace(conv)))
+    for (name, n), types in found.items():
+        ours = [t for t in types if t.__module__.startswith("collgraph")]
+        assert not ours, f"{name} at n={n} left {len(ours)} collgraph object(s) in cycles"
+        assert len(types) == len(found[name, 4]), f"{name}'s cyclic garbage grows with n"
+
+
+def library_calls(tmp_path) -> dict:
+    """One call of each whole-trace entry point of the library, on inputs
+    big enough that the collector, if running, would collect during it."""
+    spec = AlgoSpec(Algorithm.RING_ALL_REDUCE, 16, MIB)
+    trace, path, xml = generate(spec), tmp_path / "lib.json", tmp_path / "ring16.xml"
+    xml.write_text(ring_allreduce_xml(16))
+    save_trace(trace, path)
+    program = parse_msccl_xml(xml)
+    workload = tmp_path / "lib_wl.json"
+    write_chain_workload(workload, 16)
+    bound = {CollKind.ALL_REDUCE: Algorithm.RING_ALL_REDUCE,
+             CollKind.ALL_GATHER: Algorithm.RING_ALL_GATHER}
+    ring, cost = Topology.ring(16), CostModel(alpha=1e-6, bandwidth=1e9)
+    return {
+        "load_trace": lambda: load_trace(path),
+        "save_trace": lambda: save_trace(trace, path),
+        "generate": lambda: generate(spec),
+        "parse_msccl_xml": lambda: parse_msccl_xml(xml),
+        "convert_to_trace": lambda: convert_to_trace(program, MIB),
+        "expand": lambda: expand(load_trace(workload), bound),
+        "check_semantics": lambda: check_semantics(trace),
+        "canonical_form": lambda: canonical_form(trace),
+        "isomorphic": lambda: isomorphic(trace, trace),
+        "simulate": lambda: simulate(trace, ring, cost),
+        "sweep": lambda: sweep(Algorithm.RING_ALL_REDUCE, 16, [MIB], [ring], cost),
+    }
+
+
+def collections_during(call) -> int:
+    """How many collections the cycle collector started while `call()` ran."""
+    started = []
+
+    def note(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+    gc.callbacks.append(note)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(note)
+    return len(started)
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_library_calls_pause_the_collector_and_restore_it(tmp_path, collecting):
+    calls = library_calls(tmp_path)
+    text = (tmp_path / "lib.json").read_text()
+    bad = tmp_path / "bad.xml"
+    bad.write_text(ring_allreduce_xml(4).replace('type="s"', 'type="xyz"', 1))
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if collecting:  # the probe sees an unpaused call collect
+            assert collections_during(lambda: loads_trace(text)) > 0
+        for name, call in calls.items():
+            assert collections_during(call) == 0, f"{name} ran with the collector on"
+            assert gc.isenabled() is collecting, f"{name} left the collector changed"
+        with pytest.raises(SchemaError, match="unknown step type 'xyz'"):
+            parse_msccl_xml(bad)
+        assert gc.isenabled() is collecting
+        with pytest.raises(SpecError):
+            generate(AlgoSpec(Algorithm.RECURSIVE_DOUBLING_ALL_GATHER, 6, MIB))
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+def test_a_library_call_inside_main_leaves_the_collector_paused(tmp_path, monkeypatch):
+    seen = []
+
+    def saving(trace, path):  # runs once `generate` returned inside `gen`
+        seen.append(gc.isenabled())
+        save_trace(trace, path)
+
+    monkeypatch.setattr(cli, "save_trace", saving)
+    before = gc.isenabled()
+    gc.enable()
+    try:
+        assert run("gen", "--algo", "ring-allgather", "--ranks", 4, "--size", 1024,
+                   "-o", tmp_path / "t.json") == 0
+        assert gc.isenabled()
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert seen == [False]

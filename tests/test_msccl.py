@@ -1,6 +1,7 @@
 """MSCCL-IR XML parsing and conversion to collective traces."""
 
 import pytest
+from helpers import ring_allreduce_xml
 
 from collgraph.cli import main
 from collgraph.errors import MatchError, RefError, SchemaError, SizeError, XmlError
@@ -139,6 +140,16 @@ def test_node_count_matches_step_inventory(fixtures_dir):
             2 if step.type in ("rrc", "rcs") else 1
             for tb in gpu.threadblocks for step in tb.steps)
         assert len(converted.per_rank_nodes[gpu.id]) == expected
+
+
+def test_conversion_shares_what_does_not_depend_on_the_gpu(tmp_path):
+    converted = convert_to_trace(parse_msccl_xml(write(tmp_path, ring_allreduce_xml(16))),
+                                 16 * MIB)
+    nodes = [node for rank in converted.per_rank_nodes for node in rank]
+    chunks = [node.attrs.chunks for node in nodes]
+    assert len({id(c) for c in chunks}) == len(set(chunks)) == 16  # one per (offset, count)
+    for values in ([node.name for node in nodes], [node.deps for node in nodes]):
+        assert len({id(v) for v in values}) == len(set(values))  # one object per value
 
 
 def test_no_cross_rank_deps_after_conversion(fixtures_dir):

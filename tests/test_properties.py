@@ -21,6 +21,7 @@ at exit, not into the working tree.
 """
 
 import json
+import random
 import sys
 import tempfile
 from dataclasses import replace
@@ -37,6 +38,7 @@ from helpers import (
     rendezvous_completes,
     report_json_oracle,
     simulate_oracle,
+    msccl_xml,
     trace_json_oracle,
 )
 from hypothesis import example, given, settings
@@ -47,7 +49,13 @@ from collgraph.cli import load_net_config
 from collgraph.errors import CollGraphError, DeadlockError, InvariantError, StuckError
 from collgraph.expander import TAG_STRIDE, expand
 from collgraph.generators import AlgoSpec, Algorithm, generate
-from collgraph.msccl import parse_msccl_xml
+from collgraph.msccl import (
+    MscclGpu,
+    MscclProgram,
+    MscclStep,
+    MscclThreadblock,
+    parse_msccl_xml,
+)
 from collgraph.simulator import CostModel, Topology, TopologyKind, simulate
 from collgraph.trace import (
     CollAttrs,
@@ -559,6 +567,54 @@ def test_load_net_config_raises_only_collgraph_errors(input_path, data):
 @given(spliced(XML, st.binary(max_size=20)) | st.binary(max_size=200))
 def test_parse_msccl_xml_raises_only_collgraph_errors(input_path, data):
     _raises_only_collgraph_errors(parse_msccl_xml, input_path, data)
+
+
+# What each MSCCL step type needs: a send peer, a recv peer, srcoff, dstoff.
+STEP_NEEDS = {"s": (1, 0, 1, 0), "r": (0, 1, 0, 1), "rrc": (0, 1, 0, 1), "rcs": (1, 1, 0, 1),
+              "re": (0, 0, 1, 1), "cpy": (0, 0, 1, 1), "nop": (0, 0, 0, 0)}
+
+
+@st.composite
+def msccl_programs(draw):
+    """Valid MSCCL programs: 1-4 gpus of 1-3 threadblocks of 0-6 steps of
+    every type their peers allow, with optional buffers, offsets and
+    dependencies on any step of the same gpu, gpus in id order. The steps'
+    fields come from a seeded `random.Random`, so an example is few draws."""
+    ngpus, nchunks = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    gpus = []
+    for g in range(ngpus):
+        peers = st.none() | st.sampled_from([p for p in range(ngpus) if p != g] or [None])
+        heads = [(tb, draw(peers), draw(peers), draw(st.integers(0, 2)), draw(st.integers(0, 6)))
+                 for tb in draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True))]
+        targets = [None] + [(tb, s) for tb, *_, count in heads for s in range(count)]
+        tbs = []
+        for tb, send, recv, chan, count in heads:
+            types = [t for t, (s, r, _, _) in STEP_NEEDS.items()
+                     if not (s and send is None or r and recv is None)]
+            steps = []
+            for index in range(count):
+                step_type = rng.choice(types)
+                _, _, src, dst = STEP_NEEDS[step_type]
+                cnt = rng.randint(0 if step_type == "nop" else 1, nchunks)
+
+                def offset(needed):
+                    return rng.randint(0, nchunks - cnt) if needed or rng.random() < 0.5 else None
+                steps.append(MscclStep(index, step_type, rng.choice([None, "input", "output"]),
+                                       offset(src), rng.choice([None, "output", "scratch"]),
+                                       offset(dst), cnt, rng.choice(targets)))
+            tbs.append(MscclThreadblock(tb, send, recv, chan, tuple(steps)))
+        gpus.append(MscclGpu(g, tuple(tbs)))
+    return MscclProgram(draw(st.text("abc_<&\"'", max_size=5)), ngpus, nchunks,
+                        draw(st.sampled_from(["allreduce", "allgather", "broadcast"])),
+                        tuple(gpus))
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(msccl_programs(), st.integers(0, 2**32).map(random.Random))
+def test_valid_msccl_programs_parse_back_equal(input_path, program, rng):
+    input_path.write_text(msccl_xml(program, rng), encoding="utf-8")
+    assert parse_msccl_xml(input_path) == program
 
 
 # ---------------------------------------------------------------------------
