@@ -4,6 +4,17 @@ The accepted dialect is deliberately closed: `<algo>` / `<gpu>` / `<tb>` /
 `<step>` elements with the attributes listed below, and the step types
 {s, r, rrc, rcs, re, cpy, nop}. Anything else is rejected with the offending
 line number rather than approximated.
+
+The parse is streamed: expat's handlers check each element as it is
+reported and build the program's parts, so no element tree exists. Of
+several faults, the first in this order is raised: an expat fault or
+non-blank text, whichever comes first in the document; then the first
+faulty element in document order (`<algo>`, `<gpu>` and `<tb>` are checked
+when they open; a `<step>` when it closes, its attribute names, then any
+element inside it, then its values; a tb's dense step indices after its
+last step); then a `<gpu>` count that is not `ngpus`; then a `depend` on a
+missing step (RefError). A schema fault found mid-parse therefore waits for
+a second, check-free pass over the text to find an earlier-ranked fault.
 """
 
 from __future__ import annotations
@@ -113,10 +124,8 @@ _REQUIRED_ATTRS = {"algo": _ALLOWED_ATTRS["algo"], "gpu": {"id"}, "tb": {"id", "
                    "step": {"s", "type"}}
 _STEP_ATTRS = frozenset(_ALLOWED_ATTRS["step"])
 # Per step type: needs a send peer, a recv peer, srcoff, dstoff.
-_STEP_RULES = {"s": (True, False, True, False), "r": (False, True, False, True),
-               "rrc": (False, True, False, True), "rcs": (True, True, False, True),
-               "re": (False, False, True, True), "cpy": (False, False, True, True),
-               "nop": (False, False, False, False)}
+_STEP_RULES = {t: (t in _SENDING, t in _RECEIVING, t in ("s", "re", "cpy"),
+                   t in ("r", "rrc", "rcs", "re", "cpy")) for t in STEP_TYPES}
 
 
 def _check_attrs(tag: str, attrs: dict, line: int) -> None:
@@ -140,12 +149,11 @@ class _Reader:
         if checking:  # buffered text is fewer calls, but its line may be a later one
             parser.StartElementHandler, parser.EndElementHandler = self.start, self.end
             parser.buffer_text = True
-        self.depth = 0
+        self.depth, self.gpus, self.seen_gpus = 0, [], set()
         self.ints = {}  # attribute text -> int, so each distinct text is read once
-        self.algo = self.gpu = self.tb = None  # the open elements' values
-        self.step = self.line = None  # the open step's attrs and line
-        self.child = None  # the first element inside a step: the parse ends at that step
-        self.gpus, self.seen_gpus = [], set()
+        # The open elements' values, the open step's attrs and line, and the
+        # first element inside a step (which ends the parse at that step).
+        self.algo = self.gpu = self.tb = self.step = self.line = self.child = None
         try:
             parser.Parse(text, True)
         except xml.parsers.expat.ExpatError as exc:
@@ -283,10 +291,9 @@ class _Reader:
                     raise SchemaError(f"{name}={value} at line {line} must be non-negative")
                 raise SchemaError(f"{name}={value} with cnt={cnt} at line {line} "
                                   f"runs past nchunks={self.algo[2]}")
-        # -1 means none, as upstream emitters write it
         depid = int_attr(attrs, "depid", "step", line) if "depid" in attrs else -1
         deps = int_attr(attrs, "deps", "step", line) if "deps" in attrs else -1
-        if (depid == -1) != (deps == -1):
+        if (depid == -1) != (deps == -1):  # -1 (upstream emitters write it) is none
             raise SchemaError(f"depid/deps at line {line} must be given together")
         if "hasdep" in attrs:
             int_attr(attrs, "hasdep", "step", line)  # rejects malformed input; nothing reads it
@@ -304,7 +311,7 @@ def parse_msccl_xml(path) -> MscclProgram:
         raise XmlError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     try:
         reader = _Reader(text)
-    except SchemaError:  # an expat fault or stray text anywhere comes first
+    except (SchemaError, XmlError):  # an expat fault or stray text comes first
         _Reader(text, checking=False)
         raise
     name, ngpus, nchunks, coll = reader.algo
@@ -381,12 +388,8 @@ def _assign_tags(program: MscclProgram):
 def _span(spans: dict, offset: Optional[int], count: int) -> Optional[tuple[int, ...]]:
     """The chunk tuple of `count` chunks from `offset` (None for None), one
     per (offset, count) in `spans`."""
-    if offset is None:
-        return None
-    span = spans.get((offset, count))
-    if span is None:
-        span = spans[(offset, count)] = tuple(range(offset, offset + count))
-    return span
+    return None if offset is None else spans.get((offset, count)) or spans.setdefault(
+        (offset, count), tuple(range(offset, offset + count)))
 
 
 @collector_paused

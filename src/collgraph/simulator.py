@@ -230,12 +230,10 @@ class SimReport:
             return (f'{{\n        "id": {nid},\n        "issue_s": {issue!r},\n'
                     f'        "start_s": {start!r},\n        "finish_s": {finish!r}\n      }}')
         for rows in self.node_times:  # only the previous rank's texts are kept
-            if rows[:1] != last_rows[:1]:  # a rank that starts apart is written whole
-                texts = [row_text(*row) for row in rows]
-            else:
-                texts = [text if row == last and 0.0 not in row else row_text(*row)
-                         for row, last, text in zip(rows, last_rows, last_texts)]
-                texts += [row_text(*row) for row in rows[len(texts):]]
+            same = rows[:1] == last_rows[:1]  # else no row is compared
+            texts = [text if same and row == last and 0.0 not in row else row_text(*row)
+                     for row, last, text in zip(rows, last_rows, last_texts)]
+            texts += [row_text(*row) for row in rows[len(texts):]]
             yield json_array(texts, 4)
             last_rows, last_texts = rows, texts
 
