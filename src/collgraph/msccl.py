@@ -5,16 +5,14 @@ The accepted dialect is deliberately closed: `<algo>` / `<gpu>` / `<tb>` /
 {s, r, rrc, rcs, re, cpy, nop}. Anything else is rejected with the offending
 line number rather than approximated.
 
-The parse is streamed: expat's handlers check each element as it is
-reported and build the program's parts, so no element tree exists. Of
-several faults, the first in this order is raised: an expat fault or
-non-blank text, whichever comes first in the document; then the first
-faulty element in document order (`<algo>`, `<gpu>` and `<tb>` are checked
-when they open; a `<step>` when it closes, its attribute names, then any
-element inside it, then its values; a tb's dense step indices after its
-last step); then a `<gpu>` count that is not `ngpus`; then a `depend` on a
-missing step (RefError). A schema fault found mid-parse therefore waits for
-a second, check-free pass over the text to find an earlier-ranked fault.
+The parse is streamed: expat's handlers check each element as it comes,
+so no element tree is built. Of several faults the first raised is an
+expat fault or non-blank text (a second, check-free pass looks for one
+after a schema fault), then the first faulty element in document order:
+`<algo>`, `<gpu>` and `<tb>` as they open, a `<step>` as it closes (its
+attribute names, then an element inside it, then its values), a tb's dense
+step indices after its last step; then the `<gpu>` count, then a `depend`
+on a missing step (RefError).
 """
 
 from __future__ import annotations
@@ -344,23 +342,20 @@ def _check_depends(program: MscclProgram) -> None:
 def _assign_tags(program: MscclProgram):
     """Pair sends and recvs per (src, dst, channel) stream in step order and
     hand out per-(src, dst) consecutive tags, channels in ascending order."""
-    sends: dict[tuple[int, int], dict[int, list[tuple[int, int, int]]]] = {}
-    recvs: dict[tuple[int, int], dict[int, list[tuple[int, int, int]]]] = {}
+    # (src, dst) -> its sends and its recvs, each by channel, as (step, tb, cnt)
+    streams: dict[tuple[int, int], tuple[dict, dict]] = {}
     for gpu in program.gpus:
         for tb in gpu.threadblocks:
             for step in tb.steps:
                 if step.type in _SENDING:
-                    sends.setdefault((gpu.id, tb.send_peer), {}) \
-                         .setdefault(tb.channel, []).append((step.index, tb.id, step.cnt))
+                    streams.setdefault((gpu.id, tb.send_peer), ({}, {}))[0] \
+                           .setdefault(tb.channel, []).append((step.index, tb.id, step.cnt))
                 if step.type in _RECEIVING:
-                    recvs.setdefault((tb.recv_peer, gpu.id), {}) \
-                         .setdefault(tb.channel, []).append((step.index, tb.id, step.cnt))
-    send_tags: dict[tuple[int, int, int, int], int] = {}  # (gpu, tb, step) -> tag
-    recv_tags: dict[tuple[int, int, int, int], int] = {}
-    for pair in sorted(set(sends) | set(recvs)):
-        src, dst = pair
-        by_chan_s = sends.get(pair, {})
-        by_chan_r = recvs.get(pair, {})
+                    streams.setdefault((tb.recv_peer, gpu.id), ({}, {}))[1] \
+                           .setdefault(tb.channel, []).append((step.index, tb.id, step.cnt))
+    send_tags: dict[tuple[int, int, int], int] = {}  # (gpu, tb, step) -> tag
+    recv_tags: dict[tuple[int, int, int], int] = {}
+    for (src, dst), (by_chan_s, by_chan_r) in sorted(streams.items()):
         if set(by_chan_s) != set(by_chan_r):
             raise MatchError(
                 f"sends and recvs for {src}->{dst} use different channels "

@@ -288,9 +288,8 @@ Trace = Union[CollectiveTrace, WorkloadTrace]
 
 def collector_paused(fn):
     """`fn` run with the cyclic garbage collector paused, then left as the
-    caller set it. collgraph builds no reference cycles (tests pin that), so
-    reference counting frees all it drops; collections during a whole-trace
-    call would only walk its young nodes and find nothing."""
+    caller set it: collgraph builds no reference cycles (tests pin that), so
+    collections during a whole-trace call would walk its nodes for nothing."""
     @functools.wraps(fn)
     def paused(*args, **kwargs):
         collecting = gc.isenabled()
@@ -865,12 +864,10 @@ def loads_trace(text: str) -> Trace:
     share, built = {}.setdefault, 0
 
     def node_of(obj: dict):
-        """The node a parsed JSON object describes, built with exact-type
-        checks, or the object itself if the schema refuses it. Each value
-        goes through `share` only after its type is checked, since `1 ==
-        1.0 == True`: equal values of one load become one object. A key
-        whose value is null is absent to `get`, so the length checks refuse
-        it."""
+        """The node a parsed JSON object describes, or the object itself if
+        the schema refuses it. A value goes through `share` only after its
+        exact type is checked (`1 == 1.0 == True`). A key whose value is null
+        is absent to `get`, so the length checks refuse it."""
         nonlocal built
         if len(obj) != 5:  # attrs have fewer keys
             return obj
