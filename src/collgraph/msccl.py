@@ -120,13 +120,14 @@ _ALLOWED_ATTRS = {
 }
 _REQUIRED_ATTRS = {"algo": _ALLOWED_ATTRS["algo"], "gpu": {"id"}, "tb": {"id", "chan"},
                    "step": {"s", "type"}}
-_STEP_ATTRS = frozenset(_ALLOWED_ATTRS["step"])
 # Per step type: needs a send peer, a recv peer, srcoff, dstoff.
 _STEP_RULES = {t: (t in _SENDING, t in _RECEIVING, t in ("s", "re", "cpy"),
                    t in ("r", "rrc", "rcs", "re", "cpy")) for t in STEP_TYPES}
 
 
 def _check_attrs(tag: str, attrs: dict, line: int) -> None:
+    if _REQUIRED_ATTRS[tag] <= attrs.keys() <= _ALLOWED_ATTRS[tag]:
+        return
     unknown = attrs.keys() - _ALLOWED_ATTRS[tag]
     if unknown:
         raise SchemaError(f"unknown attribute(s) {sorted(unknown)} on <{tag}> at line {line}")
@@ -144,7 +145,7 @@ class _Reader:
     def __init__(self, text: str, checking: bool = True):
         self.parser = parser = xml.parsers.expat.ParserCreate()
         parser.CharacterDataHandler = self.chars
-        if checking:  # buffered text is fewer calls, but its line may be a later one
+        if checking:  # fewer text calls; the unbuffered pass finds a stray text's line
             parser.StartElementHandler, parser.EndElementHandler = self.start, self.end
             parser.buffer_text = True
         self.depth, self.gpus, self.seen_gpus = 0, [], set()
@@ -252,8 +253,7 @@ class _Reader:
 
     def closed_step(self) -> MscclStep:
         attrs, line, int_attr = self.step, self.line, self.int_attr
-        if not ("s" in attrs and "type" in attrs and attrs.keys() <= _STEP_ATTRS):
-            _check_attrs("step", attrs, line)
+        _check_attrs("step", attrs, line)
         if self.child is not None:  # a step holds no elements
             raise SchemaError(f"unknown element <{self.child[0]}> at line {self.child[1]}")
         index = int_attr(attrs, "s", "step", line)
