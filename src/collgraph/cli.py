@@ -7,12 +7,10 @@ simulator stall). All outputs are byte-deterministic for identical inputs.
 Traces and reports are strict RFC 8259 JSON: a cost that is NaN or infinite,
 or a simulated time that overflows, is rejected (exit 2), never written.
 
-Each command runs with the cyclic garbage collector paused, and so does
-each of the library's whole-trace calls (`load_trace`, `generate`,
-`check_semantics`, `simulate`, ...; see `trace.collector_paused`): collgraph
-builds no reference cycles (tests/test_cli.py pins that), so reference
-counting frees all it drops. Either way the collector is left as the caller
-set it.
+Each command, and the library's `loads_trace` and `isomorphic`, runs with
+the cyclic garbage collector paused (`trace.collector_paused`; it is then
+left as the calling thread set it): collgraph builds no reference cycles
+(tests/test_cli.py pins that), so reference counting frees all it drops.
 """
 
 from __future__ import annotations
@@ -328,20 +326,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@collector_paused
 def main(argv=None) -> int:
     level = getattr(logging, os.environ.get("COLLGRAPH_LOG", "WARNING").upper(), None)
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     log.setLevel(level if type(level) is int else logging.WARNING)  # BASIC_FORMAT is no level
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (StuckError, DeadlockError) as exc:
-        print(f"collgraph: {exc}", file=sys.stderr)
-        return 4
-    except (CollGraphError, OSError) as exc:
-        print(f"collgraph: {exc}", file=sys.stderr)
-        return 2
+    with collector_paused():
+        try:
+            return args.func(args)
+        except (StuckError, DeadlockError) as exc:
+            print(f"collgraph: {exc}", file=sys.stderr)
+            return 4
+        except (CollGraphError, OSError) as exc:
+            print(f"collgraph: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ from .trace import (
     _send_node,
     check_trace,  # noqa: F401 -- kept importable: perfbench/tracer.py rebinds it
     coll_sequence,
-    collector_paused,
     require_matched,
 )
 
@@ -149,7 +148,6 @@ def _splice(workload: WorkloadTrace, resolved: dict) -> list[list[TraceNode]]:
     return out_ranks
 
 
-@collector_paused
 def expand(workload: WorkloadTrace, bindings: dict[CollKind, Binding]) -> CollectiveTrace:
     """Replace every COMM_COLL node with its bound algorithm subgraph and
     return the unified trace (claimed_collective is None). Raises

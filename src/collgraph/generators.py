@@ -22,7 +22,6 @@ from .trace import (
     _recv_node,
     _send_node,
     check_trace,  # noqa: F401 -- kept importable: perfbench/tracer.py rebinds it
-    collector_paused,
 )
 
 
@@ -51,7 +50,6 @@ class AlgoSpec:
                             f"({s} % {n} != 0)")
 
 
-@collector_paused
 def generate(spec: AlgoSpec) -> CollectiveTrace:
     """Build the CollectiveTrace of the requested algorithm (checked, like
     every trace, when it is built)."""

@@ -5,14 +5,11 @@ The accepted dialect is deliberately closed: `<algo>` / `<gpu>` / `<tb>` /
 {s, r, rrc, rcs, re, cpy, nop}. Anything else is rejected with the offending
 line number rather than approximated.
 
-The parse is streamed: expat's handlers check each element as it comes,
-so no element tree is built. Of several faults the first raised is an
-expat fault or non-blank text (a second, check-free pass looks for one
-after a schema fault), then the first faulty element in document order:
-`<algo>`, `<gpu>` and `<tb>` as they open, a `<step>` as it closes (its
-attribute names, then an element inside it, then its values), a tb's dense
-step indices after its last step; then the `<gpu>` count, then a `depend`
-on a missing step (RefError).
+The parse is streamed: expat's handlers check each element, no tree is
+built. Of several faults the first reported is an expat fault or stray text,
+then the first faulty element in document order (a `<step>` as it closes,
+a tb's dense step indices after its last step), then the `<gpu>` count,
+then a `depend` on a missing step (RefError).
 """
 
 from __future__ import annotations
@@ -34,11 +31,8 @@ from .trace import (
     TraceNode,
     _comp_node,
     _recv_node,
-    _new,
     _send_node,
-    _slot_setters,
     check_trace,  # noqa: F401 -- kept importable: perfbench/tracer.py rebinds it
-    collector_paused,
 )
 
 STEP_TYPES = ("s", "r", "rrc", "rcs", "re", "cpy", "nop")
@@ -64,22 +58,6 @@ class MscclStep:
     dst_off: Optional[int]
     cnt: int
     depend: Optional[tuple[int, int]]  # (tb id, step index) in the same gpu
-
-
-def _new_step(index, step_type, src_buf, src_off, dst_buf, dst_off, cnt, depend,
-              _set=_slot_setters(MscclStep)) -> MscclStep:
-    """An MscclStep of checked fields, set through its slots instead of the
-    frozen `__init__`."""
-    step = _new(MscclStep)
-    _set[0](step, index)
-    _set[1](step, step_type)
-    _set[2](step, src_buf)
-    _set[3](step, src_off)
-    _set[4](step, dst_buf)
-    _set[5](step, dst_off)
-    _set[6](step, cnt)
-    _set[7](step, depend)
-    return step
 
 
 @dataclass(frozen=True)
@@ -149,7 +127,6 @@ class _Reader:
             parser.StartElementHandler, parser.EndElementHandler = self.start, self.end
             parser.buffer_text = True
         self.depth, self.gpus, self.seen_gpus = 0, [], set()
-        self.ints = {}  # attribute text -> int, so each distinct text is read once
         # The open elements' values, the open step's attrs and line, and the
         # first element inside a step (which ends the parse at that step).
         self.algo = self.gpu = self.tb = self.step = self.line = self.child = None
@@ -167,15 +144,11 @@ class _Reader:
                               f"{self.parser.CurrentLineNumber}")
 
     def int_attr(self, attrs: dict, name: str, tag: str, line: int) -> int:
-        text = attrs[name]
-        value = self.ints.get(text)
-        if value is None:
-            try:
-                value = self.ints[text] = int(text)
-            except ValueError:
-                raise SchemaError(f"attribute {name}={text!r} on <{tag}> at line {line} "
-                                  "is not an integer") from None
-        return value
+        try:
+            return int(attrs[name])
+        except ValueError:
+            raise SchemaError(f"attribute {name}={attrs[name]!r} on <{tag}> at line {line} "
+                              "is not an integer") from None
 
     def peer_attr(self, attrs: dict, name: str, line: int, own: int) -> Optional[int]:
         # Absent or -1 both mean "no peer" (upstream emitters use -1).
@@ -295,11 +268,10 @@ class _Reader:
             raise SchemaError(f"depid/deps at line {line} must be given together")
         if "hasdep" in attrs:
             int_attr(attrs, "hasdep", "step", line)  # rejects malformed input; nothing reads it
-        return _new_step(index, step_type, src_buf, src_off, dst_buf, dst_off, cnt,
+        return MscclStep(index, step_type, src_buf, src_off, dst_buf, dst_off, cnt,
                          None if depid == -1 else (depid, deps))
 
 
-@collector_paused
 def parse_msccl_xml(path) -> MscclProgram:
     """Parse and fully validate an MSCCL-IR style XML file (see the module
     docstring for which fault is reported first)."""
@@ -387,7 +359,6 @@ def _span(spans: dict, offset: Optional[int], count: int) -> Optional[tuple[int,
         (offset, count), tuple(range(offset, offset + count)))
 
 
-@collector_paused
 def convert_to_trace(program: MscclProgram, comm_size: int) -> CollectiveTrace:
     """Create one trace vertex per MSCCL operation and wire the edges.
 

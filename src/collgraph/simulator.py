@@ -39,7 +39,6 @@ from .trace import (
     NodeKind,
     Readiness,
     Trace,
-    collector_paused,
     json_array,
     json_array_pieces,
     require_matched,
@@ -209,10 +208,9 @@ class SimReport:
 
     def pieces(self):
         """The text of `dumps`, one piece per rank, to write it unjoined.
-        Lockstep SPMD ranks repeat most rows: when a rank's first row equals
-        the previous rank's, a row equal to the previous rank's row at the
-        same position reuses its text, unless it holds a zero (0.0 == -0.0,
-        but their texts differ); other ranks are formatted whole."""
+        Lockstep SPMD ranks repeat most rows: if a rank starts as the previous
+        one did, a row equal to the previous rank's at its position reuses its
+        text, unless it holds a zero (0.0 == -0.0, but their texts differ)."""
         num = float.__repr__  # json's own float format
         total = self.total_duration
         yield (f'{{\n  "total_duration_s": {num(total)},\n  "event_count": {self.event_count},\n'
@@ -241,7 +239,6 @@ class SimReport:
 _FINISH, _ENQUEUE = 0, 1
 
 
-@collector_paused
 def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
     """Event-driven replay. Raises UnexpandedCollectiveError on COMM_COLL
     nodes, InvariantError (recorded by `check_trace`) on an unmatched send
@@ -374,7 +371,6 @@ def _sweep_cell(args) -> float:
     return simulate(generate(spec), topology, cost).total_duration
 
 
-@collector_paused
 def sweep(
     algorithm: Algorithm,
     num_ranks: int,

@@ -51,7 +51,6 @@ traces hold only exact ints and UTF-8 text, so every saved trace loads back.
 
 from __future__ import annotations
 
-import functools
 import gc
 import heapq
 import json
@@ -286,20 +285,19 @@ class WorkloadTrace:
 Trace = Union[CollectiveTrace, WorkloadTrace]
 
 
-def collector_paused(fn):
-    """`fn` run with the cyclic garbage collector paused, then left as the
-    caller set it: collgraph builds no reference cycles (tests pin that), so
-    collections during a whole-trace call would walk its nodes for nothing."""
-    @functools.wraps(fn)
-    def paused(*args, **kwargs):
-        collecting = gc.isenabled()
+class collector_paused:
+    """A `with` block run with the cyclic garbage collector paused, which it
+    then leaves as the caller's thread set it. collgraph builds no reference
+    cycles (tests pin that): a collection during a load would walk its nodes
+    for nothing."""
+
+    def __enter__(self):
+        self.collecting = gc.isenabled()
         gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            if collecting:
-                gc.enable()
-    return paused
+
+    def __exit__(self, *exc_info):
+        if self.collecting:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +766,6 @@ def dumps_trace(trace: Trace) -> str:
     return "".join(_trace_pieces(trace))
 
 
-@collector_paused
 def save_trace(trace: Trace, path) -> None:
     """Write the canonical form, rank by rank; identical traces produce
     identical bytes. Refuses (before opening the file) if unmatched.
@@ -858,9 +855,7 @@ def loads_trace(text: str) -> Trace:
     A JSON object hook builds each node as soon as its object is parsed. If
     it built a node outside the rank lists (inside attrs, say), the text is
     parsed again without it, so the checks below see the plain JSON and
-    raise the same SchemaError either way. Unlike `load_trace` it runs with
-    the collector as the caller set it: a pausing wrapper's frame would
-    count toward the recursion limit that nested JSON meets."""
+    raise the same SchemaError either way. It runs with the collector paused."""
     share, built = {}.setdefault, 0
 
     def node_of(obj: dict):
@@ -920,61 +915,62 @@ def loads_trace(text: str) -> Trace:
         built += 1
         return node
 
-    try:
+    with collector_paused():  # a frame here would count toward JSON's nesting limit
         try:
-            doc = json.loads(text, object_hook=node_of)
-        except RecursionError:  # the hook's frames count toward the nesting limit
-            doc, built = None, -1
-        if built != _nodes_in_ranks(doc):
-            doc = json.loads(text)
-        text = None  # frees the text if the caller kept none
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg} at line {exc.lineno}, column {exc.colno}") from exc
-    except (RecursionError, ValueError) as exc:  # nesting or integer-length limits
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("top level must be an object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise SchemaError(f"unknown top-level key(s) {sorted(unknown)}")
-    version = _expect(doc, "format_version", str, "top level")
-    if version != FORMAT_VERSION:
-        raise SchemaError(f"unsupported format_version '{version}'")
-    trace_class = _expect(doc, "trace_class", str, "top level")
-    if trace_class not in ("collective", "workload"):
-        raise SchemaError(f"unknown trace_class '{trace_class}'")
-    num_ranks = _expect(doc, "num_ranks", int, "top level")
-    ranks_obj = _expect(doc, "ranks", list, "top level")
-    if "claimed_collective" not in doc:
-        raise SchemaError("missing key 'claimed_collective' in top level")
-    claimed_obj = doc["claimed_collective"]
-    claimed = None
-    if claimed_obj is not None:
-        if not isinstance(claimed_obj, dict) or set(claimed_obj) != {"kind", "comm_size"}:
-            raise SchemaError("claimed_collective must be null or {kind, comm_size}")
-        try:
-            claimed_kind = CollKind(claimed_obj["kind"])
-        except (ValueError, TypeError):
-            raise SchemaError(f"unknown collective kind '{claimed_obj['kind']}'") from None
-        claimed = CollDescriptor(claimed_kind, _expect(claimed_obj, "comm_size", int,
-                                                       "claimed_collective"))
-    for rank, nodes in enumerate(ranks_obj):
-        if not isinstance(nodes, list):
-            raise SchemaError(f"rank {rank} entry must be a list of nodes")
-        for i, obj in enumerate(nodes):
-            if type(obj) is not TraceNode:  # refused by the hook, or parsed again
-                node = node_of(obj) if type(obj) is dict else obj
-                if type(node) is not TraceNode:  # the fault finder raises what no node raises
-                    _node_fault(obj, f"rank {rank}, node index {i}")
-                nodes[i] = node
-    if trace_class == "workload":
-        if claimed is not None:
-            raise SchemaError("workload traces must have claimed_collective: null")
-        return WorkloadTrace(num_ranks, ranks_obj)
-    return CollectiveTrace(num_ranks, claimed, ranks_obj)
+            try:
+                doc = json.loads(text, object_hook=node_of)
+            except RecursionError:  # the hook's frames count toward the nesting limit
+                doc, built = None, -1
+            if built != _nodes_in_ranks(doc):
+                doc = json.loads(text)
+            text = None  # frees the text if the caller kept none
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg} at line {exc.lineno}, "
+                             f"column {exc.colno}") from exc
+        except (RecursionError, ValueError) as exc:  # nesting or integer-length limits
+            raise ParseError(f"invalid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise SchemaError("top level must be an object")
+        unknown = set(doc) - _TOP_KEYS
+        if unknown:
+            raise SchemaError(f"unknown top-level key(s) {sorted(unknown)}")
+        version = _expect(doc, "format_version", str, "top level")
+        if version != FORMAT_VERSION:
+            raise SchemaError(f"unsupported format_version '{version}'")
+        trace_class = _expect(doc, "trace_class", str, "top level")
+        if trace_class not in ("collective", "workload"):
+            raise SchemaError(f"unknown trace_class '{trace_class}'")
+        num_ranks = _expect(doc, "num_ranks", int, "top level")
+        ranks_obj = _expect(doc, "ranks", list, "top level")
+        if "claimed_collective" not in doc:
+            raise SchemaError("missing key 'claimed_collective' in top level")
+        claimed_obj = doc["claimed_collective"]
+        claimed = None
+        if claimed_obj is not None:
+            if not isinstance(claimed_obj, dict) or set(claimed_obj) != {"kind", "comm_size"}:
+                raise SchemaError("claimed_collective must be null or {kind, comm_size}")
+            try:
+                claimed_kind = CollKind(claimed_obj["kind"])
+            except (ValueError, TypeError):
+                raise SchemaError(f"unknown collective kind '{claimed_obj['kind']}'") from None
+            claimed = CollDescriptor(claimed_kind, _expect(claimed_obj, "comm_size", int,
+                                                           "claimed_collective"))
+        for rank, nodes in enumerate(ranks_obj):
+            if not isinstance(nodes, list):
+                raise SchemaError(f"rank {rank} entry must be a list of nodes")
+            for i, obj in enumerate(nodes):
+                if type(obj) is not TraceNode:  # refused by the hook, or parsed again
+                    node = node_of(obj) if type(obj) is dict else obj
+                    if type(node) is not TraceNode:  # the fault finder raises what no node raises
+                        _node_fault(obj, f"rank {rank}, node index {i}")
+                    nodes[i] = node
+        if trace_class == "workload":
+            if claimed is not None:
+                raise SchemaError("workload traces must have claimed_collective: null")
+            return WorkloadTrace(num_ranks, ranks_obj)
+        return CollectiveTrace(num_ranks, claimed, ranks_obj)
 
 
-@collector_paused
 def load_trace(path) -> Trace:
     """Load and schema-check a trace file; building the trace checks its
     invariants (see the module docstring)."""

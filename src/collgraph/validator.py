@@ -276,7 +276,6 @@ def _origins(kind: CollKind, num_ranks: int, num_chunks: int) -> list:
     return [range(num_ranks)] * num_chunks
 
 
-@collector_paused
 def check_semantics(trace: CollectiveTrace, *, order_seed: int | None = None) -> Verdict:
     """Symbolically execute `trace` and compare the final chunk state with
     what its claimed collective requires.
@@ -343,7 +342,6 @@ def check_semantics(trace: CollectiveTrace, *, order_seed: int | None = None) ->
 _KIND_ORDER = {NodeKind.COMM_SEND: 0, NodeKind.COMM_RECV: 1, NodeKind.COMP: 2}
 
 
-@collector_paused
 def canonical_form(trace: CollectiveTrace):
     """Relabel each rank's nodes by dependency order with a structural
     tie-break, erasing ids, names, raw tag values and chunk metadata.
@@ -382,10 +380,10 @@ def canonical_form(trace: CollectiveTrace):
     return tuple(form)
 
 
-@collector_paused
 def isomorphic(a: CollectiveTrace, b: CollectiveTrace) -> bool:
     """True iff the traces are structurally identical up to node ids, names,
     raw tag values and auxiliary chunk metadata."""
     if a.num_ranks != b.num_ranks:
         return False
-    return canonical_form(a) == canonical_form(b)
+    with collector_paused():
+        return canonical_form(a) == canonical_form(b)

@@ -20,11 +20,10 @@ from collgraph.cli import (
     parse_size_list,
     parse_topology_token,
 )
-from collgraph.errors import CollGraphError, SchemaError, SpecError
-from collgraph.expander import expand
+from collgraph.errors import CollGraphError, SchemaError
 from collgraph.generators import AlgoSpec, Algorithm, generate
 from collgraph.msccl import convert_to_trace, parse_msccl_xml
-from collgraph.simulator import CostModel, Topology, simulate, sweep
+from collgraph.simulator import CostModel, Topology
 from collgraph.trace import (
     CollDescriptor,
     CollKind,
@@ -38,7 +37,7 @@ from collgraph.trace import (
     loads_trace,
     save_trace,
 )
-from collgraph.validator import canonical_form, check_semantics, isomorphic
+from collgraph.validator import isomorphic
 
 MIB = 1024 * 1024
 
@@ -750,30 +749,15 @@ def test_library_calls_leave_no_cyclic_garbage(tmp_path):
 
 
 def library_calls(tmp_path) -> dict:
-    """One call of each whole-trace entry point of the library, on inputs
-    big enough that the collector, if running, would collect during it."""
-    spec = AlgoSpec(Algorithm.RING_ALL_REDUCE, 16, MIB)
-    trace, path, xml = generate(spec), tmp_path / "lib.json", tmp_path / "ring16.xml"
-    xml.write_text(ring_allreduce_xml(16))
+    """One call of each library entry point that pauses the collector, on
+    inputs big enough that the collector, if running, would collect."""
+    trace, path = generate(AlgoSpec(Algorithm.RING_ALL_REDUCE, 16, MIB)), tmp_path / "lib.json"
     save_trace(trace, path)
-    program = parse_msccl_xml(xml)
-    workload = tmp_path / "lib_wl.json"
-    write_chain_workload(workload, 16)
-    bound = {CollKind.ALL_REDUCE: Algorithm.RING_ALL_REDUCE,
-             CollKind.ALL_GATHER: Algorithm.RING_ALL_GATHER}
-    ring, cost = Topology.ring(16), CostModel(alpha=1e-6, bandwidth=1e9)
+    text = path.read_text()
     return {
         "load_trace": lambda: load_trace(path),
-        "save_trace": lambda: save_trace(trace, path),
-        "generate": lambda: generate(spec),
-        "parse_msccl_xml": lambda: parse_msccl_xml(xml),
-        "convert_to_trace": lambda: convert_to_trace(program, MIB),
-        "expand": lambda: expand(load_trace(workload), bound),
-        "check_semantics": lambda: check_semantics(trace),
-        "canonical_form": lambda: canonical_form(trace),
+        "loads_trace": lambda: loads_trace(text),
         "isomorphic": lambda: isomorphic(trace, trace),
-        "simulate": lambda: simulate(trace, ring, cost),
-        "sweep": lambda: sweep(Algorithm.RING_ALL_REDUCE, 16, [MIB], [ring], cost),
     }
 
 
@@ -795,40 +779,36 @@ def collections_during(call) -> int:
 @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
 def test_library_calls_pause_the_collector_and_restore_it(tmp_path, collecting):
     calls = library_calls(tmp_path)
-    text = (tmp_path / "lib.json").read_text()
-    bad = tmp_path / "bad.xml"
-    bad.write_text(ring_allreduce_xml(4).replace('type="s"', 'type="xyz"', 1))
+    faulty = (tmp_path / "lib.json").read_text().replace('"tag": 0', '"tag": "0"', 1)
     before = gc.isenabled()
     (gc.enable if collecting else gc.disable)()
     try:
-        if collecting:  # the probe sees an unpaused call collect
-            assert collections_during(lambda: loads_trace(text)) > 0
+        if collecting:  # the probe sees an unpaused allocation collect
+            assert collections_during(lambda: [[] for _ in range(100_000)]) > 0
         for name, call in calls.items():
             assert collections_during(call) == 0, f"{name} ran with the collector on"
             assert gc.isenabled() is collecting, f"{name} left the collector changed"
-        with pytest.raises(SchemaError, match="unknown step type 'xyz'"):
-            parse_msccl_xml(bad)
-        assert gc.isenabled() is collecting
-        with pytest.raises(SpecError):
-            generate(AlgoSpec(Algorithm.RECURSIVE_DOUBLING_ALL_GATHER, 6, MIB))
+        with pytest.raises(SchemaError, match="'tag' in rank 0, node index 0"):
+            loads_trace(faulty)
         assert gc.isenabled() is collecting
     finally:
         (gc.enable if before else gc.disable)()
 
 
 def test_a_library_call_inside_main_leaves_the_collector_paused(tmp_path, monkeypatch):
+    save_trace(generate(AlgoSpec(Algorithm.RING_ALL_GATHER, 4, 1024)), tmp_path / "t.json")
     seen = []
 
-    def saving(trace, path):  # runs once `generate` returned inside `gen`
+    def loading(path):  # `validate` loads through this, inside main's pause
+        trace = load_trace(path)
         seen.append(gc.isenabled())
-        save_trace(trace, path)
+        return trace
 
-    monkeypatch.setattr(cli, "save_trace", saving)
+    monkeypatch.setattr(cli, "load_trace", loading)
     before = gc.isenabled()
     gc.enable()
     try:
-        assert run("gen", "--algo", "ring-allgather", "--ranks", 4, "--size", 1024,
-                   "-o", tmp_path / "t.json") == 0
+        assert run("validate", tmp_path / "t.json") == 0
         assert gc.isenabled()
     finally:
         (gc.enable if before else gc.disable)()
