@@ -13,23 +13,25 @@ Charging alpha once per message (rather than per hop) keeps a single-hop
 route at the classic alpha + size/B cost while making multi-hop slowdowns
 approach, without reaching, the hop-count ratio as messages grow.
 
-Event order, which fixes every reported time: events run by time; at equal
-times node finishes run before link enqueues; finishes run by (rank, node
-id) and enqueues by the message's (src, dst, tag), then hop. The replay
-works on integers that keep this order: a node is its rank and its list
-position, which a built trace keeps in ascending id, and a message is its
-number in the trace's `messages` table, which `check_trace` sorted by
-(src, dst, tag), so events are (t, 0, rank, position) and (t, 1, message, hop).
+Event order, which fixes every reported time: events are grouped by time,
+and the times run in order. At one time, every due node finish runs before
+the next link grant, also a finish that a grant made due at its own time (a
+hold below half an ulp of it). Grants run by message, then hop; a message is
+its number in the `messages` table, which `check_trace` sorted by (src, dst,
+tag). Finishes run in any order: a finish only issues nodes, and issuing
+reads only what grants write.
 """
 
 from __future__ import annotations
 
 import heapq
+import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from time import perf_counter
 from typing import Optional
 
 from .errors import DeadlockError, SpecError, UnexpandedCollectiveError, UnreachableError
@@ -43,6 +45,8 @@ from .trace import (
     json_array_pieces,
     require_matched,
 )
+
+log = logging.getLogger("collgraph")
 
 
 class TopologyKind(Enum):
@@ -236,14 +240,13 @@ class SimReport:
             last_rows, last_texts = rows, texts
 
 
-_FINISH, _ENQUEUE = 0, 1
-
-
 def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
-    """Event-driven replay. Raises UnexpandedCollectiveError on COMM_COLL
-    nodes, InvariantError (recorded by `check_trace`) on an unmatched send
-    or recv, DeadlockError (naming the pending receives) if the event pool
-    drains with nodes unfinished, and SpecError if a time overflows to inf."""
+    """Event-driven replay in the module's event order, counting node finishes
+    and link grants as events, and logging its counts at DEBUG. Raises
+    UnexpandedCollectiveError on COMM_COLL nodes, InvariantError (recorded by
+    `check_trace`) on an unmatched send or recv, DeadlockError (naming the
+    pending receives) if events run out early, and SpecError on inf times."""
+    began = perf_counter()
     for rank, nodes in enumerate(trace.per_rank_nodes):
         for node in nodes:
             if node.kind is NodeKind.COMM_COLL:
@@ -257,7 +260,8 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
 
     readiness = [Readiness(rank_nodes) for rank_nodes in trace.per_rank_nodes]
     nodes = [r.nodes for r in readiness]
-    finish = [r.finish for r in readiness]
+    pending = [r.pending for r in readiness]
+    dependents = [r.dependents for r in readiness]
     # Per rank, by position: the message a send or recv belongs to (-1 for
     # compute), and issue/start/finish times (None until set).
     msg_at = [[-1] * len(r.nodes) for r in readiness]
@@ -265,24 +269,29 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
     start_t = [[None] * len(r.nodes) for r in readiness]
     finish_t = [[None] * len(r.nodes) for r in readiness]
     # Per message of the trace's table: (src, send position, dst, recv
-    # position, link hold time), plus its route as link ids (set when its
-    # send is issued) and its delivery time.
+    # position, link hold time), plus its route as the states of its links
+    # (set when its send is issued) and its delivery time.
     msgs = []
     for m, (src, dst, send_id, recv_id, size) in enumerate(trace.messages):
         send_pos, recv_pos = readiness[src].pos[send_id], readiness[dst].pos[recv_id]
         msg_at[src][send_pos] = msg_at[dst][recv_pos] = m
         msgs.append((src, send_pos, dst, recv_pos, cost.link_occupancy(size)))
-    msg_path = [None] * len(msgs)
-    arrival = [None] * len(msgs)
+    msg_path, arrival = [None] * len(msgs), [None] * len(msgs)
 
-    link_ids: dict[tuple[int, int], int] = {}
-    link_free: list[float] = []
-    link_busy: list[float] = []
-    link_msgs: list[int] = []
-    events: list[tuple] = []
+    links: dict[tuple[int, int], list] = {}  # link -> [free at, busy time, messages]
+    # due[t]: the finishes due at time t, as (rank, position), and a heap of its link
+    # grants, as message * stride + hop (a route has at most n hops); `times` heaps the t.
+    times, due, stride = [], {}, topology.n + 1
     push, pop = heapq.heappush, heapq.heappop
     place, alpha = topology.place, cost.alpha
-    event_count = finished = 0
+    finished = distinct = 0
+
+    def at(t: float) -> tuple[list, list]:
+        slot = due.get(t)
+        if slot is None:
+            slot = due[t] = ([], [])
+            push(times, t)
+        return slot
 
     def issue(rank: int, p: int, t: float) -> None:
         issue_t[rank][p] = t
@@ -290,59 +299,58 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
         if m < 0:  # compute
             node = nodes[rank][p]
             start_t[rank][p] = t
-            push(events, (t + cost.comp_duration(node.attrs.op, node.attrs.comp_size),
-                          _FINISH, rank, p))
+            at(t + cost.comp_duration(node.attrs.op, node.attrs.comp_size))[0].append((rank, p))
         elif msgs[m][0] == rank:  # send
-            path = []
+            path = msg_path[m] = []
             for link in route(topology, place(rank), place(msgs[m][2])):
-                lid = link_ids.get(link)
-                if lid is None:
-                    lid = link_ids[link] = len(link_free)
-                    link_free.append(0.0)
-                    link_busy.append(0.0)
-                    link_msgs.append(0)
-                path.append(lid)
-            msg_path[m] = path
-            push(events, (t, _ENQUEUE, m, 0))
+                path.append(links.get(link) or links.setdefault(link, [0.0, 0.0, 0]))
+            push(at(t)[1], m * stride)
         else:  # recv; it waits for its message unless that was delivered
             start_t[rank][p] = t
             if arrival[m] is not None:
-                push(events, (max(t, arrival[m]), _FINISH, rank, p))
+                at(max(t, arrival[m]))[0].append((rank, p))
 
     for rank, r in enumerate(readiness):
         for p in r.roots():
             issue(rank, p, 0.0)
 
-    # Events are (t, _FINISH, rank, position) and (t, _ENQUEUE, message, hop).
-    while events:
-        t, what, a, b = pop(events)
-        event_count += 1
-        if what == _FINISH:
-            finish_t[a][b] = t
-            finished += 1
-            for succ in finish[a](b):
-                # events pop in time order, so the dep finishing last finishes now
-                issue(a, succ, t)
-            continue
-        src, send_pos, dst, recv_pos, hold = msgs[a]
-        path = msg_path[a]
-        link = path[b]
-        begin = link_free[link]
-        if begin < t:
-            begin = t
-        departed = link_free[link] = begin + hold
-        link_busy[link] += hold
-        link_msgs[link] += 1
-        if b == 0:
-            start_t[src][send_pos] = begin
-            push(events, (departed, _FINISH, src, send_pos))
-        if b + 1 < len(path):
-            push(events, (departed, _ENQUEUE, a, b + 1))
-        else:
-            delivered = arrival[a] = departed + alpha
-            issued = issue_t[dst][recv_pos]
-            if issued is not None:  # the recv was waiting
-                push(events, (max(issued, delivered), _FINISH, dst, recv_pos))
+    while times:
+        t = pop(times)
+        finishes, grants = due[t]
+        distinct += 1
+        while finishes or grants:
+            while finishes:  # in any order: a finish only issues, reading what grants write
+                rank, p = finishes.pop()
+                finish_t[rank][p] = t
+                finished += 1
+                left = pending[rank]
+                for succ in dependents[rank][p]:
+                    left[succ] -= 1
+                    if not left[succ]:  # times run in order, so its last dep finishes now
+                        issue(rank, succ, t)
+            if grants:
+                key = pop(grants)
+                m, hop = divmod(key, stride)
+                src, send_pos, dst, recv_pos, hold = msgs[m]
+                path = msg_path[m]
+                link = path[hop]
+                begin = link[0]
+                if begin < t:
+                    begin = t
+                departed = link[0] = begin + hold
+                link[1] += hold
+                link[2] += 1
+                if hop == 0:
+                    start_t[src][send_pos] = begin
+                    at(departed)[0].append((src, send_pos))
+                if hop + 1 < len(path):
+                    push(at(departed)[1], key + 1)
+                else:
+                    delivered = arrival[m] = departed + alpha
+                    issued = issue_t[dst][recv_pos]
+                    if issued is not None:  # the recv was waiting
+                        at(max(issued, delivered))[0].append((dst, recv_pos))
+        del due[t]
 
     total_nodes = sum(map(len, nodes))
     if finished < total_nodes:
@@ -357,9 +365,11 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
     total = max((max(f) for f in finish_t if f), default=0.0)
     if not math.isfinite(total):  # every other time is at most the total
         raise SpecError("simulated time overflows a float; scale the costs down")
-    stats = tuple((src, dst, link_msgs[lid], link_busy[lid])
-                  for (src, dst), lid in sorted(link_ids.items()))
-    return SimReport(trace.num_ranks, node_times, total, event_count, stats)
+    stats = tuple((*link, count, busy) for link, (_, busy, count) in sorted(links.items()))
+    events = finished + sum(stat[2] for stat in stats)
+    log.debug("simulate: %d ranks, %d nodes, %d messages, %d events, %d distinct times, %.6f s",
+              trace.num_ranks, total_nodes, len(msgs), events, distinct, perf_counter() - began)
+    return SimReport(trace.num_ranks, node_times, total, events, stats)
 
 
 # ---------------------------------------------------------------------------

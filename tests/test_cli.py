@@ -10,7 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from helpers import ring_allreduce_xml, trace_json_oracle
+from helpers import ring_allreduce_xml, simulate_oracle, trace_json_oracle
 
 from collgraph import cli
 from collgraph.cli import (
@@ -227,6 +227,26 @@ def test_simulate_reports_closed_form_duration(tmp_path, net_config, capsys):
     report = json.loads(out.read_text())
     assert report["total_duration_s"] == pytest.approx(6.297456e-3, rel=1e-12)
     assert report["event_count"] > 0
+
+
+def test_negative_zero_costs_write_the_report_of_zero_costs(tmp_path):
+    """-0.0 + 0.0 is 0.0, so no time is ever -0.0: a replay that keys its
+    events by time, where -0.0 and 0.0 are one key, loses nothing."""
+    b = TraceBuilder(2)
+    b.add_send(0, 1, 4096, deps=[b.add_comp(0, "REDUCE", 1000)])
+    b.add_comp(1, "REDUCE", 1000, deps=[b.add_recv(1, 0, 4096)])
+    path = tmp_path / "t.json"
+    save_trace(b.build_collective(None), path)
+    written = []
+    for zero in ("0.0", "-0.0"):
+        net, out = tmp_path / f"net{zero}.json", tmp_path / f"report{zero}.json"
+        net.write_text(f'{{"topology": {{"kind": "ring", "n": 2}}, "alpha_s": {zero}, '
+                       f'"bandwidth_Bps": 1e9, "fixed_comp_overhead_s": {zero}}}')
+        assert run("simulate", path, "--net", net, "-o", out) == 0
+        written.append(out.read_text(encoding="utf-8"))
+    assert written[0] == written[1] and "-0.0" not in written[1]
+    oracle = simulate_oracle(load_trace(path), Topology.ring(2), CostModel(-0.0, 1e9, None, -0.0))
+    assert written[1] == oracle.dumps()
 
 
 def test_simulate_workload_exits_2(tmp_path, net_config, capsys):

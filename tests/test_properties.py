@@ -1,9 +1,11 @@
 """Property tests: every hand-built trace is rejected when it is built, or
 by `simulate` as unmatched, or deadlocks, or replays with well-ordered
-timestamps, each exactly as the dict-keyed oracle simulator does; on every
-topology, each recv finishes no earlier than its send's start plus alpha
-plus the message's time on one link; every valid trace is written as
-`json.dumps` would write it and loads back to the same bytes; the trace
+timestamps, each exactly as the dict-keyed oracle simulator does; random
+traces replay as the oracle's on every topology kind, also with costs that
+make most events tie; on every topology, each recv finishes no earlier than
+its send's start plus alpha plus the message's time on one link; every
+valid trace is written as `json.dumps` would write it and loads back to the
+same bytes; the trace
 loader raises only collgraph errors on corrupted input, and builds the
 trace, or raises the error, the per-node checking oracle loader does; the
 net config and MSCCL XML readers raise only collgraph errors on mutated or
@@ -201,19 +203,19 @@ def node_lists(draw):
     return ranks
 
 
-def simulate_as_the_oracle_does(trace, topology):
+def simulate_as_the_oracle_does(trace, topology, cost=COST):
     """`simulate`'s report, after checking that the oracle gives the same
     report, or raises the same error with the same message and frontier;
     None if both raised."""
     try:
-        expected = simulate_oracle(trace, topology, COST)
+        expected = simulate_oracle(trace, topology, cost)
     except (InvariantError, DeadlockError) as exc:
         with pytest.raises(type(exc)) as raised:
-            simulate(trace, topology, COST)
+            simulate(trace, topology, cost)
         assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
         assert getattr(raised.value, "frontier", None) == getattr(exc, "frontier", None)
         return None
-    report = simulate(trace, topology, COST)
+    report = simulate(trace, topology, cost)
     assert report == expected and report.dumps() == expected.dumps()
     assert report.dumps() == report_json_oracle(report)
     return report
@@ -372,6 +374,19 @@ def test_every_recv_finishes_no_earlier_than_its_send_allows(data):
                 # summed in the order the link model charges them, so exact in floats
                 bound = send_start[a.src_rank, rank, a.tag] + a.comm_size / COST.bandwidth
                 assert times[rank][node.id][1] >= bound + COST.alpha
+
+
+# free compute and alpha 0: most events of a replay tie, on every topology
+TIE_COSTS = [COST, CostModel(0.0, 1e9)]
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(st.data())
+def test_replay_on_every_topology_with_tied_times_is_the_oracles(data):
+    ranks = data.draw(valid_ranks())
+    trace = CollectiveTrace(len(ranks), None, ranks)
+    topology = data.draw(topologies(trace.num_ranks))
+    simulate_as_the_oracle_does(trace, topology, data.draw(st.sampled_from(TIE_COSTS)))
 
 
 VALID = dumps_trace(generate(AlgoSpec(Algorithm.RING_ALL_GATHER, 3, 96)))

@@ -1,6 +1,7 @@
 """Simulator: routing, closed-form latencies, contention, determinism,
 monotonicity and sweeps."""
 
+import logging
 import random
 
 import pytest
@@ -460,6 +461,63 @@ def test_simulate_equals_the_oracle_when_ids_are_not_in_list_order():
                                  for nodes in trace.per_rank_nodes])
     for topology in all_topologies(4):
         assert_matches_oracle(scrambled, topology, COST)
+
+
+def test_a_send_finishing_at_its_own_grant_time_runs_before_the_next_grant():
+    """At t = 2**60 half an ulp is 128 s, so the 1-byte send's 1 s hold ends
+    at t: it finishes at its own grant time. That finish issues the tag-1
+    send, whose grant must come before the tag-9 send's, which waits at the
+    same time for the same link; the other order swaps their start times."""
+    b = TraceBuilder(2)
+    start = b.add_comp(0, "GEMM", 1, name="start")
+    tiny = b.add_send(0, 1, 1, deps=[start], tag=5, name="tiny")
+    later = b.add_send(0, 1, 1000, deps=[start], tag=9, name="later")
+    released = b.add_send(0, 1, 1000, deps=[tiny], tag=1, name="released")
+    for tag, size in ((5, 1), (9, 1000), (1, 1000)):
+        b.add_recv(1, 0, size, tag=tag)
+    trace = b.build_collective(None)
+    t = 2.0 ** 60
+    cost = CostModel(0.0, 1.0, fixed_comp_overhead=t)
+    assert_matches_oracle(trace, Topology.fully_connected(2), cost)
+    report = simulate(trace, Topology.fully_connected(2), cost)
+    assert timing(report, 0, tiny) == (t, t, t)
+    assert timing(report, 0, released)[1] == t
+    assert timing(report, 0, later)[1] == t + 1000
+
+
+def test_grants_tied_on_a_later_hop_run_by_message():
+    """Ranks 0 and 1 send to rank 2 through the switch hub at once; both reach
+    the hub -> 2 link at the same time, and the message from rank 0, first in
+    (src, dst, tag) order, takes it first."""
+    b = TraceBuilder(3)
+    for src in (1, 0):
+        b.add_send(src, 2, 4096, tag=0)
+        b.add_recv(2, src, 4096, tag=0)
+    trace = b.build_collective(None)
+    assert_matches_oracle(trace, Topology.switch(3), COST)
+    report = simulate(trace, Topology.switch(3), COST)
+    hold = 4096 / COST.bandwidth
+    assert timing(report, 2, 1)[2] == hold + hold + COST.alpha  # from rank 0
+    assert timing(report, 2, 0)[2] == hold + hold + hold + COST.alpha  # from rank 1
+
+
+def test_simulate_logs_its_counts_at_debug(caplog):
+    """One DEBUG line per replay. On one-hop routes a grant runs when its send
+    is issued, so the distinct event times are the finish times and the send
+    issue times."""
+    caplog.set_level(logging.DEBUG, logger="collgraph")
+    trace = ring_ar(4, 4 * MIB)
+    report = simulate(trace, Topology.ring(4), COST)
+    simulate(CollectiveTrace(1, None, [[]]), Topology.ring(1), COST)
+    replay, empty = [r for r in caplog.records if r.name == "collgraph"]
+    assert replay.levelno == logging.DEBUG and "distinct times" in replay.getMessage()
+    times = {finish for rows in report.node_times for *_, finish in rows}
+    times |= {timing(report, rank, node.id)[0] for rank, nodes in enumerate(trace.per_rank_nodes)
+              for node in nodes if node.kind is NodeKind.COMM_SEND}
+    assert replay.args[:5] == (4, sum(map(len, report.node_times)), len(trace.messages),
+                               report.event_count, len(times))
+    assert empty.args[:5] == (1, 0, 0, 0, 0)
+    assert replay.args[5] >= 0.0
 
 
 # ---------------------------------------------------------------------------
