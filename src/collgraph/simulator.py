@@ -14,12 +14,11 @@ route at the classic alpha + size/B cost while making multi-hop slowdowns
 approach, without reaching, the hop-count ratio as messages grow.
 
 Event order, which fixes every reported time: events are grouped by time,
-and the times run in order. At one time, every due node finish runs before
-the next link grant, also a finish that a grant made due at its own time (a
-hold below half an ulp of it). Grants run by message, then hop; a message is
-its number in the `messages` table, which `check_trace` sorted by (src, dst,
-tag). Finishes run in any order: a finish only issues nodes, and issuing
-reads only what grants write.
+and the times run in order. At one time every due node finish (also one a
+grant made due at its own time, by a hold below half an ulp) runs before
+the next link grant. Grants run by message, its number in the `messages`
+table that `check_trace` sorted by (src, dst, tag), then hop. Finishes run
+in any order: a finish only issues nodes, reading only what grants write.
 """
 
 from __future__ import annotations
@@ -318,7 +317,7 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
         t = pop(times)
         finishes, grants = due[t]
         distinct += 1
-        while finishes or grants:
+        while True:
             while finishes:  # in any order: a finish only issues, reading what grants write
                 rank, p = finishes.pop()
                 finish_t[rank][p] = t
@@ -328,28 +327,29 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
                     left[succ] -= 1
                     if not left[succ]:  # times run in order, so its last dep finishes now
                         issue(rank, succ, t)
-            if grants:
-                key = pop(grants)
-                m, hop = divmod(key, stride)
-                src, send_pos, dst, recv_pos, hold = msgs[m]
-                path = msg_path[m]
-                link = path[hop]
-                begin = link[0]
-                if begin < t:
-                    begin = t
-                departed = link[0] = begin + hold
-                link[1] += hold
-                link[2] += 1
-                if hop == 0:
-                    start_t[src][send_pos] = begin
-                    at(departed)[0].append((src, send_pos))
-                if hop + 1 < len(path):
-                    push(at(departed)[1], key + 1)
-                else:
-                    delivered = arrival[m] = departed + alpha
-                    issued = issue_t[dst][recv_pos]
-                    if issued is not None:  # the recv was waiting
-                        at(max(issued, delivered))[0].append((dst, recv_pos))
+            if not grants:
+                break
+            key = pop(grants)
+            m, hop = divmod(key, stride)
+            src, send_pos, dst, recv_pos, hold = msgs[m]
+            path = msg_path[m]
+            link = path[hop]
+            begin = link[0]
+            if begin < t:
+                begin = t
+            departed = link[0] = begin + hold
+            link[1] += hold
+            link[2] += 1
+            if hop == 0:
+                start_t[src][send_pos] = begin
+                at(departed)[0].append((src, send_pos))
+            if hop + 1 < len(path):
+                push(at(departed)[1], key + 1)
+            else:
+                delivered = arrival[m] = departed + alpha
+                issued = issue_t[dst][recv_pos]
+                if issued is not None:  # the recv was waiting
+                    at(max(issued, delivered))[0].append((dst, recv_pos))
         del due[t]
 
     total_nodes = sum(map(len, nodes))
