@@ -1,21 +1,21 @@
 """Property tests: every hand-built trace is rejected when it is built, or
 by `simulate` as unmatched, or deadlocks, or replays with well-ordered
 timestamps, each exactly as the dict-keyed oracle simulator does; random
-traces replay as the oracle's on every topology kind, also with costs that
-make most events tie; on every topology, each recv finishes no earlier than
-its send's start plus alpha plus the message's time on one link; every
-valid trace is written as `json.dumps` would write it and loads back to the
-same bytes; the trace
-loader raises only collgraph errors on corrupted input, and builds the
-trace, or raises the error, the per-node checking oracle loader does; the
-net config and MSCCL XML readers raise only collgraph errors on mutated or
-arbitrary bytes; the message table a trace stores pairs its sends and
-recvs as the oracle in `tests/helpers.py` does; `check_trace` raises or
-records on faulty traces what the multi-pass oracle there does; and on random
-chunk-annotated traces the validator's verdict, final chunk state and
-rendezvous warning agree with the oracles there; and random SPMD workloads
-expand, under Algorithm and trace bindings, to the trace the oracle
-splicer builds.
+traces replay as the oracle's on every topology kind, also with costs
+that make most events tie; on every topology, each recv finishes no
+earlier than its send's start plus alpha plus the message's time on one
+link; every valid trace is written as `json.dumps` would write it and
+loads back to the same bytes; the trace loader raises only collgraph
+errors on corrupted input, and builds the trace, or raises the error,
+the per-node checking oracle loader does; the net config and MSCCL XML
+readers raise only collgraph errors on mutated or arbitrary bytes; the
+message table a trace stores pairs its sends and recvs as the oracle in
+`tests/helpers.py` does; `check_trace` raises or records on faulty
+traces what the multi-pass oracle there does; and on random chunk-
+annotated traces the validator's verdict, final chunk state and
+rendezvous warning agree with the oracles there; and random SPMD
+workloads expand, under Algorithm and trace bindings, to the trace the
+oracle splicer builds.
 
 Runs are derandomized and keep no example database, so the suite stays
 deterministic; Hypothesis' own cache goes to a temporary directory removed
