@@ -319,6 +319,35 @@ def test_send_and_recv_chunk_lists_of_different_lengths_are_an_input_error():
         check_semantics(trace)
 
 
+def _rank1_fault_then_stall(fault):
+    """Rank 1 runs `fault(builder)` as its node 0, then a recv that has no
+    send: built through `CollectiveTrace`, which records the mismatch that
+    `build_collective` refuses."""
+    b = TraceBuilder(2)
+    fault(b)
+    b.add_recv(1, 0, 64, chunks=[1], tag=7)
+    return CollectiveTrace(2, CollDescriptor(CollKind.ALL_REDUCE, 128), b._nodes)
+
+
+def _chunk_count_disagreement(b):
+    b.add_send(0, 1, 64, chunks=[0])
+    b.add_recv(1, 0, 64, chunks=[0, 1])
+
+
+@pytest.mark.parametrize("fault, error", [
+    (_chunk_count_disagreement,
+     "send/recv chunk metadata disagree for tag 0 from 0 (rank 1, node 0)"),
+    (lambda b: b.add_comp(1, "REDUCE", 64, chunks=[0], src_chunks=[0, 1]),
+     "REDUCE names 1 chunk(s) but 2 src_chunks (rank 1, node 0)"),
+])
+def test_an_invariant_error_before_a_stall_wins_over_stuck(fault, error):
+    trace = _rank1_fault_then_stall(fault)
+    assert trace.mismatch is not None
+    with pytest.raises(InvariantError) as exc:
+        check_semantics(trace)
+    assert str(exc.value) == error
+
+
 def test_indivisible_all_gather_chunk_space_is_reported():
     verdict = check_semantics(two_rank_message(CollKind.ALL_GATHER, [0, 1, 2]))
     assert verdict.status == FAIL
