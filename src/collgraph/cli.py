@@ -27,13 +27,14 @@ from .errors import (
     DeadlockError,
     SpecError,
     StuckError,
+    UnexpandedCollectiveError,
 )
 from .expander import Binding, expand
 from .generators import AlgoSpec, Algorithm, generate
 from .msccl import convert_to_trace, parse_msccl_xml
 from .simulator import CostModel, Topology, TopologyKind, simulate, sweep
 from .trace import (MAX_SIZE, CollKind, CollectiveTrace, WorkloadTrace, collector_paused,
-                    load_trace, save_trace)
+                    load_trace, require_expanded, save_trace)
 from .validator import FAIL, Verdict, check_semantics
 
 log = logging.getLogger("collgraph")
@@ -256,15 +257,13 @@ def cmd_expand(args) -> int:
             bindings[kind] = bound
         else:
             bindings[kind] = target
-    has_colls = any(node.kind.value == "COMM_COLL"
-                    for nodes in workload.per_rank_nodes for node in nodes)
-    if not has_colls:
-        # nothing to splice: expansion is the identity, byte for byte
-        save_trace(workload, args.output)
-        log.info("wrote %s (no collectives to expand)", args.output)
-        return 0
-    save_trace(expand(workload, bindings), args.output)
-    log.info("wrote %s", args.output)
+    try:  # nothing to splice: expansion is the identity, byte for byte
+        require_expanded(workload, "expansion")
+        note = " (no collectives to expand)"
+    except UnexpandedCollectiveError:
+        workload, note = expand(workload, bindings), ""
+    save_trace(workload, args.output)
+    log.info("wrote %s%s", args.output, note)
     return 0
 
 

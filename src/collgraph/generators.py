@@ -38,7 +38,12 @@ class AlgoSpec:
     comm_size: int
 
     def validate(self) -> None:
+        if not isinstance(self.algorithm, Algorithm):
+            raise SpecError(f"algorithm must be an Algorithm, got {self.algorithm!r}")
         n, s = self.num_ranks, self.comm_size
+        for name, value in (("num_ranks", n), ("comm_size", s)):
+            if type(value) is not int:  # exact: a bool is an int too
+                raise SpecError(f"{name} must be an int, got {value!r}")
         if n < 1:
             raise SpecError(f"num_ranks must be positive, got {n}")
         if s < 1:

@@ -33,15 +33,15 @@ from enum import Enum
 from time import perf_counter
 from typing import Optional
 
-from .errors import DeadlockError, SpecError, UnexpandedCollectiveError, UnreachableError
+from .errors import DeadlockError, SpecError, UnreachableError
 from .generators import AlgoSpec, Algorithm, generate
 from .trace import (
     OP_NOP,
-    NodeKind,
     Readiness,
     Trace,
     json_array,
     json_array_pieces,
+    require_expanded,
     require_matched,
 )
 
@@ -246,12 +246,7 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
     `check_trace`) on an unmatched send or recv, DeadlockError (naming the
     pending receives) if events run out early, and SpecError on inf times."""
     began = perf_counter()
-    for rank, nodes in enumerate(trace.per_rank_nodes):
-        for node in nodes:
-            if node.kind is NodeKind.COMM_COLL:
-                raise UnexpandedCollectiveError(
-                    f"COMM_COLL node {node.id} on rank {rank} must be expanded "
-                    f"before simulation")
+    require_expanded(trace, "simulation")
     if trace.num_ranks > topology.n:
         raise SpecError(
             f"trace has {trace.num_ranks} ranks but topology only {topology.n} endpoints")

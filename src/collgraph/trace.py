@@ -62,7 +62,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import NoReturn, Optional, Union
 
-from .errors import CycleError, InvariantError, ParseError, SchemaError
+from .errors import CycleError, InvariantError, ParseError, SchemaError, UnexpandedCollectiveError
 
 FORMAT_VERSION = "1"
 
@@ -513,6 +513,16 @@ def require_matched(trace: Trace) -> None:
     send/recv pair that `check_trace` recorded, if there is one."""
     if trace.mismatch is not None:
         raise InvariantError(*trace.mismatch)
+
+
+def require_expanded(trace: Trace, before: str) -> None:
+    """Raise UnexpandedCollectiveError for the first COMM_COLL node, by rank
+    then list order, if there is one: it must be expanded `before` a step."""
+    for rank, nodes in enumerate(trace.per_rank_nodes):
+        for node in nodes:
+            if node.kind is NodeKind.COMM_COLL:
+                raise UnexpandedCollectiveError(
+                    f"COMM_COLL node {node.id} on rank {rank} must be expanded before {before}")
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")

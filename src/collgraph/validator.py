@@ -14,10 +14,12 @@ The chunk identities come from the optional "chunks" / "src_chunks" node
 metadata. Traces without that metadata still get the executability
 (deadlock) check; the semantic comparison is then reported as SKIPPED.
 
-Execution is driven by the readiness engine of `trace` (`Readiness`): a
-node runs once its deps finished and, for a recv, once its message (its
-number in the trace's `messages` table) was sent. A second, untracked run
-under rendezvous semantics, where a send also waits until its recv is
+Execution is one schedule and a state pass along it. `_schedule` drives
+the readiness engine of `trace` (`Readiness`) across ranks: a node runs
+once its deps finished and, for a recv, once its message was sent; it
+returns the run order and the nodes left waiting. `_track` then applies
+each node's effect on the chunk state in that order. A second schedule,
+under rendezvous semantics where a send also waits until its recv is
 posted, decides the rendezvous-deadlock warning. The canonical form for
 isomorphism is an `ordered` walk with a structural key.
 """
@@ -40,6 +42,7 @@ from .trace import (
     check_trace,  # noqa: F401 -- kept importable: perfbench/tracer.py rebinds it
     collector_paused,
     ordered,
+    require_expanded,
 )
 
 PASS = "PASS"
@@ -64,178 +67,145 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic execution
+# Symbolic execution: a schedule, then the chunk state along it
 # ---------------------------------------------------------------------------
 
-class _Exec:
-    """One symbolic run over all ranks to quiescence. Sends are eager unless
-    `rendezvous` is set; then a send also waits until its recv is posted
-    (every dep of the recv finished)."""
+def _peers(trace: CollectiveTrace, pos: list[dict]) -> list[list]:
+    """Per rank, by position (`pos` maps ids to positions): each send's and
+    recv's message and its peer's rank and position (None if missing)."""
+    peer: list[list] = [[None] * len(nodes) for nodes in trace.per_rank_nodes]
+    for m, (src, dst, send_id, recv_id, _) in enumerate(trace.messages):
+        send_pos, recv_pos = pos[src].get(send_id), pos[dst].get(recv_id)
+        if send_pos is not None:
+            peer[src][send_pos] = (m, dst, recv_pos)
+        if recv_pos is not None:
+            peer[dst][recv_pos] = (m, src, send_pos)
+    return peer
 
-    def __init__(self, trace: CollectiveTrace, track_state: bool, order: random.Random | None,
-                 rendezvous: bool = False):
-        self.track = track_state
-        self.order = order
-        self.rendezvous = rendezvous
-        self.readiness = [Readiness(nodes) for nodes in trace.per_rank_nodes]
-        self.nodes = [r.nodes for r in self.readiness]  # by position
-        pos = [r.pos for r in self.readiness]
-        # Per rank, by position: each send's and recv's message and its
-        # peer's rank and position (None if missing); per message, the
-        # payload once its send ran.
-        self.peer: list[list] = [[None] * len(nodes) for nodes in self.nodes]
-        for m, (src, dst, send_id, recv_id, _) in enumerate(trace.messages):
-            send_pos, recv_pos = pos[src].get(send_id), pos[dst].get(recv_id)
-            if send_pos is not None:
-                self.peer[src][send_pos] = (m, dst, recv_pos)
-            if recv_pos is not None:
-                self.peer[dst][recv_pos] = (m, src, send_pos)
-        self.delivered: list[list[frozenset] | None] = [None] * len(trace.messages)
-        # chunk state per rank; staged payloads per (rank, recv_id)
-        self.state: list[dict[int, frozenset]] = [dict() for _ in range(trace.num_ranks)]
-        self.staged: dict[tuple[int, int], dict[int, frozenset]] = {}
-        self.read_violations: list[dict] = []
 
-    # -- state helpers ------------------------------------------------------
+def _schedule(readiness: list[Readiness], peer: list[list], order: random.Random | None,
+              rendezvous: bool = False) -> tuple[list, list]:
+    """Run all ranks to quiescence, consuming their `readiness`. Sends are
+    eager unless `rendezvous` is set; then a send also waits until its recv
+    is posted. Ready nodes run by (rank, position), or in the random
+    `order`. Returns the (rank, position) of each node in run order and,
+    sorted, of the nodes left waiting for their peer: none iff all ran."""
+    nodes = [r.nodes for r in readiness]
+    ready: list[tuple[int, int]] = []
+    # dep-ready nodes waiting for their peer: recvs missing their message
+    # and, under rendezvous, sends whose recv is not posted yet
+    parked: set[tuple[int, int]] = set()
+    sent: set[int] = set()
+    run = []
 
-    def seed_initial_state(self, claimed, num_chunks: int) -> list:
-        """Seed each chunk's origins (`_origins`, returned) with their own part."""
-        origins = _origins(claimed.kind, len(self.state), num_chunks)
-        for j, ranks in enumerate(origins):
-            for rank in ranks:
-                self.state[rank][j] = frozenset({(rank, j)})
-        return origins
+    def unpark(rank: int, p: int | None) -> None:
+        if (rank, p) in parked:
+            parked.discard((rank, p))
+            heapq.heappush(ready, (rank, p))
 
-    def _read(self, rank: int, chunk: int, node_id: int) -> frozenset:
-        value = self.state[rank].get(chunk)
+    def on_dep_ready(rank: int, p: int) -> None:
+        kind = nodes[rank][p].kind
+        if kind is NodeKind.COMM_RECV:
+            m, src, send_pos = peer[rank][p]
+            unpark(src, send_pos)  # the recv is posted now
+            if m not in sent:
+                parked.add((rank, p))
+                return
+        elif kind is NodeKind.COMM_SEND and rendezvous:
+            _, dst, recv_pos = peer[rank][p]
+            if recv_pos is None or readiness[dst].pending[recv_pos]:
+                parked.add((rank, p))
+                return
+        heapq.heappush(ready, (rank, p))
+
+    for rank, r in enumerate(readiness):
+        for p in r.roots():
+            on_dep_ready(rank, p)
+
+    while ready:
+        if order is None:
+            rank, p = heapq.heappop(ready)
+        else:
+            idx = order.randrange(len(ready))
+            ready[idx], ready[-1] = ready[-1], ready[idx]
+            rank, p = ready.pop()
+            heapq.heapify(ready)
+        run.append((rank, p))
+        if nodes[rank][p].kind is NodeKind.COMM_SEND:
+            m, dst, recv_pos = peer[rank][p]
+            sent.add(m)
+            unpark(dst, recv_pos)
+        for succ in readiness[rank].finish(p):
+            on_dep_ready(rank, succ)
+    return run, sorted(parked)
+
+
+def _track(readiness: list[Readiness], peer: list[list], run: list,
+           state: list[dict[int, frozenset]]) -> list[dict]:
+    """Apply each node's effect on the per-rank chunk `state` in `run`'s
+    order; return the reads of unwritten chunks in that order. Raises
+    InvariantError where a recv's chunk count differs from its send's, or
+    a REDUCE's or COPY's from its src_chunks'."""
+    delivered: dict[int, list[frozenset]] = {}  # per message, once its send ran
+    staged: dict[tuple[int, int], dict[int, frozenset]] = {}  # per (rank, recv id)
+    reads: list[dict] = []
+
+    def read(rank: int, chunk: int, node_id: int) -> frozenset:
+        value = state[rank].get(chunk)
         if value is None:
-            self.read_violations.append(
-                {"rank": rank, "node": node_id, "chunk": chunk,
-                 "error": "read of unwritten chunk"})
+            reads.append({"rank": rank, "node": node_id, "chunk": chunk,
+                          "error": "read of unwritten chunk"})
             return frozenset()
         return value
 
-    # -- node effects -------------------------------------------------------
-
-    def _run_send(self, rank: int, node, m: int) -> None:
-        if self.track and node.attrs.chunks is not None:
-            payload = [self._read(rank, c, node.id) for c in node.attrs.chunks]
-        else:
-            payload = []
-        self.delivered[m] = payload
-
-    def _run_recv(self, rank: int, p: int, node, m: int) -> None:
-        """Commit the payload, except the chunks that a REDUCE depending on
-        this recv writes: those stay staged for it to union in."""
-        payload = self.delivered[m]
-        if not self.track or node.attrs.chunks is None:
-            return
-        if len(payload) != len(node.attrs.chunks):
-            raise InvariantError(
-                f"send/recv chunk metadata disagree for tag {node.attrs.tag} "
-                f"from {node.attrs.src_rank}", rank, node.id)
-        consumed = set()
-        for q in self.readiness[rank].dependents[p]:
-            succ = self.nodes[rank][q]
-            if succ.kind is NodeKind.COMP and succ.attrs.op == OP_REDUCE \
-                    and succ.attrs.chunks is not None:
-                consumed.update(succ.attrs.chunks)
-        stage: dict[int, frozenset] = {}
-        for chunk, value in zip(node.attrs.chunks, payload):
-            if chunk in consumed:
-                stage[chunk] = value
-            else:
-                self.state[rank][chunk] = value
-        if stage:
-            self.staged[(rank, node.id)] = stage
-
-    def _run_comp(self, rank: int, node) -> None:
-        if not self.track or node.attrs.chunks is None:
-            return
+    for rank, p in run:
+        nodes = readiness[rank].nodes
+        node = nodes[p]
         a = node.attrs
-        if a.op in (OP_REDUCE, OP_COPY) and a.src_chunks is not None \
-                and len(a.src_chunks) != len(a.chunks):
-            raise InvariantError(
-                f"{a.op} names {len(a.chunks)} chunk(s) but {len(a.src_chunks)} "
-                f"src_chunks", rank, node.id)
-        if a.op == OP_REDUCE:
-            for i, chunk in enumerate(a.chunks):
-                acc = self.state[rank].get(chunk, frozenset())
-                for dep in node.deps:
-                    staged = self.staged.get((rank, dep))
-                    if staged and chunk in staged:
-                        acc |= staged[chunk]
-                if a.src_chunks is not None:
-                    acc |= self._read(rank, a.src_chunks[i], node.id)
-                self.state[rank][chunk] = acc
-        elif a.op == OP_COPY:
-            if a.src_chunks is not None:
-                values = [self._read(rank, c, node.id) for c in a.src_chunks]
+        if a.chunks is None:  # no effect, as for a NOP or an opaque op
+            continue
+        if node.kind is NodeKind.COMM_SEND:
+            delivered[peer[rank][p][0]] = [read(rank, c, node.id) for c in a.chunks]
+        elif node.kind is NodeKind.COMM_RECV:
+            payload = delivered.pop(peer[rank][p][0])
+            if len(payload) != len(a.chunks):
+                raise InvariantError(
+                    f"send/recv chunk metadata disagree for tag {a.tag} "
+                    f"from {a.src_rank}", rank, node.id)
+            consumed = set()
+            for q in readiness[rank].dependents[p]:
+                succ = nodes[q]
+                if succ.kind is NodeKind.COMP and succ.attrs.op == OP_REDUCE \
+                        and succ.attrs.chunks is not None:
+                    consumed.update(succ.attrs.chunks)
+            stage: dict[int, frozenset] = {}
+            for chunk, value in zip(a.chunks, payload):
+                if chunk in consumed:
+                    stage[chunk] = value
+                else:
+                    state[rank][chunk] = value
+            if stage:
+                staged[(rank, node.id)] = stage
+        elif a.op in (OP_REDUCE, OP_COPY):
+            if a.src_chunks is not None and len(a.src_chunks) != len(a.chunks):
+                raise InvariantError(
+                    f"{a.op} names {len(a.chunks)} chunk(s) but {len(a.src_chunks)} "
+                    f"src_chunks", rank, node.id)
+            if a.op == OP_REDUCE:
+                for i, chunk in enumerate(a.chunks):
+                    acc = state[rank].get(chunk, frozenset())
+                    for dep in node.deps:
+                        held = staged.get((rank, dep))
+                        if held and chunk in held:
+                            acc |= held[chunk]
+                    if a.src_chunks is not None:
+                        acc |= read(rank, a.src_chunks[i], node.id)
+                    state[rank][chunk] = acc
+            elif a.src_chunks is not None:
+                values = [read(rank, c, node.id) for c in a.src_chunks]
                 for chunk, value in zip(a.chunks, values):
-                    self.state[rank][chunk] = value
-        # NOP and opaque ops leave chunk state untouched
-
-    # -- scheduling ---------------------------------------------------------
-
-    def run(self) -> None:
-        """Execute to quiescence; StuckError if any node can never run.
-        Nodes are scheduled as (rank, position) pairs."""
-        ready: list[tuple[int, int]] = []
-        # dep-ready nodes waiting for their peer: recvs missing their message
-        # and, under rendezvous, sends whose recv is not posted yet
-        parked: set[tuple[int, int]] = set()
-        executed = 0
-        total = sum(len(r) for r in self.nodes)
-
-        def unpark(rank: int, p: int | None) -> None:
-            if (rank, p) in parked:
-                parked.discard((rank, p))
-                heapq.heappush(ready, (rank, p))
-
-        def on_dep_ready(rank: int, p: int) -> None:
-            kind = self.nodes[rank][p].kind
-            if kind is NodeKind.COMM_RECV:
-                m, src, send_pos = self.peer[rank][p]
-                unpark(src, send_pos)  # the recv is posted now
-                if self.delivered[m] is None:
-                    parked.add((rank, p))
-                    return
-            elif kind is NodeKind.COMM_SEND and self.rendezvous:
-                _, dst, recv_pos = self.peer[rank][p]
-                if recv_pos is None or self.readiness[dst].pending[recv_pos]:
-                    parked.add((rank, p))
-                    return
-            heapq.heappush(ready, (rank, p))
-
-        for rank, readiness in enumerate(self.readiness):
-            for p in readiness.roots():
-                on_dep_ready(rank, p)
-
-        while ready:
-            if self.order is None:
-                rank, p = heapq.heappop(ready)
-            else:
-                idx = self.order.randrange(len(ready))
-                ready[idx], ready[-1] = ready[-1], ready[idx]
-                rank, p = ready.pop()
-                heapq.heapify(ready)
-            node = self.nodes[rank][p]
-            if node.kind is NodeKind.COMM_SEND:
-                m, dst, recv_pos = self.peer[rank][p]
-                self._run_send(rank, node, m)
-                unpark(dst, recv_pos)
-            elif node.kind is NodeKind.COMM_RECV:
-                self._run_recv(rank, p, node, self.peer[rank][p][0])
-            else:
-                self._run_comp(rank, node)
-            executed += 1
-            for succ in self.readiness[rank].finish(p):
-                on_dep_ready(rank, succ)
-
-        if executed < total:
-            frontier = [(rank, self.nodes[rank][p]) for rank, p in sorted(parked)]
-            raise StuckError(f"execution stuck with {total - executed} node(s) unrun",
-                             [(rank, node.id, node.name) for rank, node in frontier])
+                    state[rank][chunk] = value
+    return reads
 
 
 # ---------------------------------------------------------------------------
@@ -288,21 +258,34 @@ def check_semantics(trace: CollectiveTrace, *, order_seed: int | None = None) ->
     collective or no chunk metadata, and FAIL with one violation when the
     named chunk ids are not 0..k-1; matching/deadlock checks still ran.
     """
+    require_expanded(trace, "validation")
+    claimed = getattr(trace, "claimed_collective", None)  # a workload claims none
     order = None if order_seed is None else random.Random(order_seed)
-    space = None if trace.claimed_collective is None else _chunk_space(trace)
-    track = space is not None
-    ex = _Exec(trace, track, order)
-    warnings: list[str] = []
-    if track:
+    space = None if claimed is None else _chunk_space(trace)
+    readiness = [Readiness(nodes) for nodes in trace.per_rank_nodes]
+    pos = [r.pos for r in readiness]
+    peer = _peers(trace, pos)
+    run, frontier = _schedule(readiness, peer, order)
+    if space is not None:  # an InvariantError before a stall wins over StuckError
         num_chunks, missing, gaps = space
-        if not missing:
-            origins = ex.seed_initial_state(trace.claimed_collective, num_chunks)
-    ex.run()
-    try:
-        _Exec(trace, False, None, rendezvous=True).run()
-    except StuckError:
+        state: list[dict[int, frozenset]] = [{} for _ in range(trace.num_ranks)]
+        if not missing:  # each chunk's origins hold their own part
+            origins = _origins(claimed.kind, trace.num_ranks, num_chunks)
+            for j, ranks in enumerate(origins):
+                for rank in ranks:
+                    state[rank][j] = frozenset({(rank, j)})
+        violations = _track(readiness, peer, run, state)
+    if frontier:
+        unrun = sum(map(len, trace.per_rank_nodes)) - len(run)
+        raise StuckError(f"execution stuck with {unrun} node(s) unrun", [
+            (rank, trace.per_rank_nodes[rank][p].id, trace.per_rank_nodes[rank][p].name)
+            for rank, p in frontier])
+    del readiness, run  # free the eager run before the rendezvous one
+    warnings: list[str] = []
+    if _schedule([Readiness(nodes, p) for nodes, p in zip(trace.per_rank_nodes, pos)],
+                 peer, None, rendezvous=True)[1]:
         warnings.append("trace deadlocks under rendezvous send semantics")
-    if not track:
+    if space is None:
         return Verdict(SKIPPED, warnings=warnings)
     if missing:  # the state is neither seeded nor compared, so one violation
         shown = ", ".join(map(str, gaps)) + (", ..." if missing > len(gaps) else "")
@@ -310,8 +293,7 @@ def check_semantics(trace: CollectiveTrace, *, order_seed: int | None = None) ->
             "rank": None, "chunk": None,
             "error": f"chunk ids are not 0..{num_chunks - 1}: {missing} missing ({shown})"}])
 
-    violations = list(ex.read_violations)
-    kind, n = trace.claimed_collective.kind, trace.num_ranks
+    kind, n = claimed.kind, trace.num_ranks
     if kind in (CollKind.ALL_GATHER, CollKind.REDUCE_SCATTER) and num_chunks % n:
         violations.append({
             "rank": None, "chunk": None,
@@ -324,7 +306,7 @@ def check_semantics(trace: CollectiveTrace, *, order_seed: int | None = None) ->
             owned = range(rank * share, (rank + 1) * share) \
                 if kind is CollKind.REDUCE_SCATTER else range(num_chunks)
             for chunk in owned:
-                got = ex.state[rank].get(chunk)
+                got = state[rank].get(chunk)
                 if got != want[chunk]:
                     violations.append({
                         "rank": rank, "chunk": chunk,
@@ -349,6 +331,7 @@ def canonical_form(trace: CollectiveTrace):
     Raw tag values are producer-specific; only their relative order within
     a direction is structurally meaningful, so each send and recv keys on
     its ordinal in its direction of the trace's `messages` table."""
+    require_expanded(trace, "canonical labelling")
     # per rank: send/recv id -> ordinal of its tag within its direction (a
     # missing side files its ordinal under None, which no node id looks up)
     ordinals: list[dict] = [{} for _ in range(trace.num_ranks)]

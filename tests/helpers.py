@@ -4,8 +4,8 @@ oracles for the trace and report writers, a per-node checking loader as the
 oracle for `loads_trace`, a dict-keyed simulator as the oracle for
 `simulate`, a per-node lookup into its reports, the message table the
 trace should store, a multi-pass checker as the oracle for `check_trace`, a
-node-by-node splicer as the oracle for `expand`, structural mutation
-helpers, and MSCCL-IR XML writers."""
+node-by-node splicer as the oracle for `expand`, the validator's own final
+chunk state, structural mutation helpers, and MSCCL-IR XML writers."""
 
 from __future__ import annotations
 
@@ -41,9 +41,11 @@ from collgraph.trace import (
     SendAttrs,
     TraceNode,
     WorkloadTrace,
+    Readiness,
     check_trace,
     require_matched,
 )
+from collgraph.validator import _origins, _peers, _schedule, _track
 
 
 def _indented_json(doc) -> str:
@@ -473,6 +475,23 @@ def rendezvous_completes(trace: CollectiveTrace) -> bool:
                 done[rank].add(node.id)
                 progress = True
     return all(len(d) == len(r) for d, r in zip(done, nodes))
+
+
+def validator_state(trace: CollectiveTrace, num_chunks: int, order=None) -> list[dict]:
+    """The validator's final chunk state: its eager schedule of `trace`, in
+    the random `order` or by (rank, position) if None, then its state pass
+    along that run, seeded as `check_semantics` seeds it. Fails on a stall."""
+    readiness = [Readiness(nodes) for nodes in trace.per_rank_nodes]
+    peer = _peers(trace, [r.pos for r in readiness])
+    run, frontier = _schedule(readiness, peer, order)
+    assert not frontier, f"validator run stuck at {frontier}"
+    state: list[dict] = [{} for _ in range(trace.num_ranks)]
+    origins = _origins(trace.claimed_collective.kind, trace.num_ranks, num_chunks)
+    for j, ranks in enumerate(origins):
+        for rank in ranks:
+            state[rank][j] = frozenset({(rank, j)})
+    _track(readiness, peer, run, state)
+    return state
 
 
 def message_table(trace: CollectiveTrace) -> tuple:

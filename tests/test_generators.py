@@ -117,6 +117,12 @@ def test_generation_is_deterministic():
         (AlgoSpec(Algorithm.RING_ALL_REDUCE, 4, 1023), "divisible"),
         (AlgoSpec(Algorithm.RING_ALL_GATHER, 0, 1024), "num_ranks"),
         (AlgoSpec(Algorithm.RING_ALL_GATHER, 4, 0), "comm_size"),
+        (AlgoSpec("ring-allreduce", 4, 64),
+         "^algorithm must be an Algorithm, got 'ring-allreduce'$"),
+        (AlgoSpec(Algorithm.RING_ALL_REDUCE, 4.0, 64), r"^num_ranks must be an int, got 4\.0$"),
+        (AlgoSpec(Algorithm.RING_ALL_GATHER, 2, "64"), "^comm_size must be an int, got '64'$"),
+        (AlgoSpec(Algorithm.RING_ALL_GATHER, True, 64), "^num_ranks must be an int, got True$"),
+        (AlgoSpec(Algorithm.RING_ALL_GATHER, 2, False), "^comm_size must be an int, got False$"),
     ],
 )
 def test_spec_errors(spec, message):

@@ -294,6 +294,17 @@ NOP_STEP = '<step s="0" type="nop"/>'
                  r"\[1\]\)", id="channels-differ"),
     pytest.param(NOP_ONLY, 0, SizeError, "comm_size must be positive, got 0",
                  id="no-bytes"),
+    pytest.param(NOP_ONLY.replace(' chan="0"', ""), 1, SchemaError,
+                 r"^missing attribute\(s\) \['chan'\] on <tb> at line 3$", id="tb-without-chan"),
+    pytest.param(NOP_ONLY.replace(NOP_STEP, '<step s="0"/>'), 1, SchemaError,
+                 r"^missing attribute\(s\) \['type'\] on <step> at line 4$",
+                 id="step-without-type"),
+    pytest.param(ONE_COPY.format(src=0, dst=1, cnt=1).replace('srcbuf="input"', 'srcbuf="bogus"'),
+                 2, SchemaError, r"^srcbuf='bogus' at line 4 is not one of "
+                 r"\('input', 'output', 'scratch'\)$", id="unknown-source-buffer"),
+    pytest.param(ONE_COPY.format(src=0, dst=1, cnt=1).replace('dstbuf="output"', 'dstbuf="bogus"'),
+                 2, SchemaError, r"^dstbuf='bogus' at line 4 is not one of "
+                 r"\('input', 'output', 'scratch'\)$", id="unknown-target-buffer"),
 ])
 def test_malformed_program_raises_its_error(tmp_path, text, size, error, match):
     with pytest.raises(error, match=match):

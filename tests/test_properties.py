@@ -42,6 +42,7 @@ from helpers import (
     simulate_oracle,
     msccl_xml,
     trace_json_oracle,
+    validator_state,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -75,7 +76,7 @@ from collgraph.trace import (
     dumps_trace,
     loads_trace,
 )
-from collgraph.validator import _Exec, check_semantics
+from collgraph.validator import check_semantics
 
 # set on import: the Hypothesis plugin writes its cache while collecting
 _HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
@@ -701,11 +702,8 @@ def test_validator_agrees_with_the_oracles_on_random_traces(trace, seed):
     if isinstance(verdict, tuple):  # stuck even with eager sends
         return
     assert (RENDEZVOUS_WARNING in verdict["warnings"]) != rendezvous_completes(trace)
-    ex = _Exec(trace, True, None)
-    ex.seed_initial_state(trace.claimed_collective, CHUNKS)
-    ex.run()
     masks = [{j: sum(1 << (r * CHUNKS + c) for r, c in held) for j, held in state.items()}
-             for state in ex.state]
+             for state in validator_state(trace, CHUNKS)]
     assert masks == concrete_execute(trace, CHUNKS)
 
 

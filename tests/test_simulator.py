@@ -311,14 +311,19 @@ def test_workload_trace_is_rejected():
     b = TraceBuilder(2)
     for r in range(2):
         b.add_coll(r, CollKind.ALL_REDUCE, 1024)
-    with pytest.raises(UnexpandedCollectiveError):
+    with pytest.raises(UnexpandedCollectiveError) as exc:
         simulate(b.build_workload(), Topology.ring(2), COST)
+    assert str(exc.value) == "COMM_COLL node 0 on rank 0 must be expanded before simulation"
 
 
-@pytest.mark.parametrize("kind", [TopologyKind.MESH2D, TopologyKind.TORUS2D])
-def test_grid_dimensions_must_cover_every_node(kind):
-    with pytest.raises(SpecError, match="rows\\*cols == n"):
-        Topology(kind, 5, 2, 2)
+@pytest.mark.parametrize("args, match", [
+    ((TopologyKind.MESH2D, 5, 2, 2), r"rows\*cols == n"),
+    ((TopologyKind.TORUS2D, 5, 2, 2), r"rows\*cols == n"),
+    ((TopologyKind.RING, 0), "^topology needs at least one node, got 0$"),
+], ids=["TopologyKind.MESH2D", "TopologyKind.TORUS2D", "ring-without-nodes"])
+def test_grid_dimensions_must_cover_every_node(args, match):
+    with pytest.raises(SpecError, match=match):
+        Topology(*args)
 
 
 def test_too_small_topology_rejected():
@@ -355,17 +360,19 @@ def test_invalid_cost_model_rejected():
         CostModel(0.0, 0.0)
 
 
-@pytest.mark.parametrize("fields", [
-    {"alpha": float("nan")},
-    {"alpha": float("inf")},
-    {"bandwidth": float("inf")},
-    {"bandwidth": float("nan")},
-    {"reduce_bandwidth": float("inf")},
-    {"fixed_comp_overhead": float("nan")},
+@pytest.mark.parametrize("fields, match", [
+    ({"alpha": float("nan")}, "finite"),
+    ({"alpha": float("inf")}, "finite"),
+    ({"bandwidth": float("inf")}, "finite"),
+    ({"bandwidth": float("nan")}, "finite"),
+    ({"reduce_bandwidth": float("inf")}, "finite"),
+    ({"fixed_comp_overhead": float("nan")}, "finite"),
+    ({"reduce_bandwidth": 0.0}, "^reduce_bandwidth must be positive or None$"),
+    ({"fixed_comp_overhead": -1.0}, "^fixed_comp_overhead must be non-negative$"),
 ], ids=["nan-alpha", "inf-alpha", "inf-bandwidth", "nan-bandwidth", "inf-reduce",
-        "nan-overhead"])
-def test_non_finite_cost_model_rejected(fields):
-    with pytest.raises(SpecError, match="finite"):
+        "nan-overhead", "zero-reduce", "negative-overhead"])
+def test_non_finite_cost_model_rejected(fields, match):
+    with pytest.raises(SpecError, match=match):
         CostModel(**{"alpha": 1e-6, "bandwidth": 1e9, **fields})
 
 

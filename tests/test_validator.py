@@ -8,9 +8,16 @@ from helpers import (
     full_mask,
     rendezvous_completes,
     rewrite_peer,
+    validator_state,
 )
 
-from collgraph.errors import CollGraphError, CycleError, InvariantError, StuckError
+from collgraph.errors import (
+    CollGraphError,
+    CycleError,
+    InvariantError,
+    StuckError,
+    UnexpandedCollectiveError,
+)
 from collgraph.generators import AlgoSpec, Algorithm, generate
 from collgraph.msccl import convert_to_trace, parse_msccl_xml
 from collgraph.trace import (
@@ -20,6 +27,7 @@ from collgraph.trace import (
     NodeKind,
     RecvAttrs,
     SendAttrs,
+    Readiness,
     TraceBuilder,
     TraceNode,
     load_trace,
@@ -30,7 +38,8 @@ from collgraph.validator import (
     PASS,
     SKIPPED,
     Verdict,
-    _Exec,
+    _peers,
+    _schedule,
     canonical_form,
     check_semantics,
     isomorphic,
@@ -99,10 +108,7 @@ def test_copy_reads_every_source_before_it_writes():
     builder = TraceBuilder(1)
     builder.add_comp(0, "COPY", 64, chunks=[0, 1], src_chunks=[1, 0])
     trace = builder.build_collective(CollDescriptor(CollKind.ALL_REDUCE, 128))
-    ex = _Exec(trace, True, None)
-    ex.seed_initial_state(trace.claimed_collective, 2)
-    ex.run()
-    assert ex.state == [{0: frozenset({(0, 1)}), 1: frozenset({(0, 0)})}]
+    assert validator_state(trace, 2) == [{0: frozenset({(0, 1)}), 1: frozenset({(0, 0)})}]
     assert concrete_execute(trace, 2) == [{0: 1 << 1, 1: 1 << 0}]
 
 
@@ -196,10 +202,7 @@ def test_wrong_chunk_annotation_fails_with_slot_details():
 def final_state(trace, seed):
     import random
 
-    ex = _Exec(trace, True, random.Random(seed))
-    ex.seed_initial_state(trace.claimed_collective, trace.num_ranks)
-    ex.run()
-    return ex.state
+    return validator_state(trace, trace.num_ranks, random.Random(seed))
 
 
 def test_confluence_over_100_random_orders():
@@ -247,11 +250,9 @@ def rendezvous_runs(trace) -> bool:
     try:
         warnings = check_semantics(trace).warnings
     except StuckError:
-        try:
-            _Exec(trace, False, None, rendezvous=True).run()
-        except StuckError:
-            return False
-        return True
+        readiness = [Readiness(nodes) for nodes in trace.per_rank_nodes]
+        peer = _peers(trace, [r.pos for r in readiness])
+        return not _schedule(readiness, peer, None, rendezvous=True)[1]
     return not any("rendezvous" in w for w in warnings)
 
 
@@ -370,6 +371,33 @@ def test_unclaimed_trace_is_skipped():
     trace = gen(Algorithm.RING_ALL_REDUCE, 2, 2048)
     unclaimed = CollectiveTrace(2, None, trace.per_rank_nodes)
     assert check_semantics(unclaimed).status == SKIPPED
+
+
+def _workload(with_coll):
+    b = TraceBuilder(2)
+    for rank in range(2):
+        c = b.add_comp(rank, "NOP", 0, chunks=[0])
+        if with_coll:
+            b.add_coll(rank, CollKind.ALL_REDUCE, 64, deps=[c])
+    return b.build_workload()
+
+
+@pytest.mark.parametrize("check, step", [
+    (check_semantics, "validation"),
+    (canonical_form, "canonical labelling"),
+    (lambda w: isomorphic(w, w), "canonical labelling"),
+])
+def test_a_workload_collective_must_be_expanded_first(check, step):
+    with pytest.raises(UnexpandedCollectiveError) as exc:
+        check(_workload(True))
+    assert str(exc.value) == f"COMM_COLL node 1 on rank 0 must be expanded before {step}"
+
+
+def test_a_workload_without_collectives_is_skipped_like_an_unclaimed_trace():
+    workload = _workload(False)
+    assert check_semantics(workload).to_json() == {
+        "verdict": SKIPPED, "violations": [], "stuck_nodes": [], "warnings": []}
+    assert isomorphic(workload, workload)
 
 
 def test_verdict_json_shape():
