@@ -37,11 +37,11 @@ from collgraph.trace import (
     CollectiveTrace,
     CompAttrs,
     NodeKind,
+    Readiness,
     RecvAttrs,
     SendAttrs,
     TraceNode,
     WorkloadTrace,
-    Readiness,
     check_trace,
     require_matched,
 )

@@ -25,9 +25,9 @@ from collgraph.trace import (
     CollKind,
     CollectiveTrace,
     NodeKind,
+    Readiness,
     RecvAttrs,
     SendAttrs,
-    Readiness,
     TraceBuilder,
     TraceNode,
     load_trace,
@@ -326,7 +326,7 @@ def _rank1_fault_then_stall(fault):
     `build_collective` refuses."""
     b = TraceBuilder(2)
     fault(b)
-    b.add_recv(1, 0, 64, chunks=[1], tag=7)
+    b.add_recv(1, 0, 64, chunks=[1])
     return CollectiveTrace(2, CollDescriptor(CollKind.ALL_REDUCE, 128), b._nodes)
 
 
