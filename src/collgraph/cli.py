@@ -333,7 +333,7 @@ def main(argv=None) -> int:
     with collector_paused():
         try:
             return args.func(args)
-        except (StuckError, DeadlockError) as exc:
+        except DeadlockError as exc:
             print(f"collgraph: {exc}", file=sys.stderr)
             return 4
         except (CollGraphError, OSError) as exc:

@@ -1,10 +1,10 @@
 """Builders for the named collective algorithms.
 
-Each generator emits one dependency graph per rank, laid out as two streams
-that mirror how such algorithms are executed: a send stream (all outgoing
-messages, chained) and a receive stream (recv and reduce nodes, chained).
-Cross-stream edges tie every send to the local node that produced the chunk
-it transmits. Tags are assigned per (src, dst) direction in FIFO order.
+Every generator is a step table that `_streams` lays out as two streams per
+rank. The send stream holds ids 0..T-1: send t waits for send t-1 and for
+the last write of step t-1. The recv stream follows: recv t waits for that
+write, and each of the first `reducing` recvs is followed by a REDUCE of
+its chunks. A message or REDUCE of k chunks is k x unit bytes.
 """
 
 from __future__ import annotations
@@ -67,72 +67,59 @@ def generate(spec: AlgoSpec) -> CollectiveTrace:
     return _recursive_doubling_all_gather(n, s)
 
 
-# Nodes go through the private constructors: every `deps` tuple below is in
-# ascending order. What does not depend on the rank (deps, tags, names and
-# chunk tuples) is built once per trace and shared by every rank.
-def _chunk_names(prefix: str, n: int) -> list[str]:
-    return [f"{prefix}_c{chunk}" for chunk in range(n)]
+def _streams(claimed: CollDescriptor, n: int, unit: int, reducing: int, steps) -> CollectiveTrace:
+    """The trace of `steps` in the module's two-stream layout. Step t is
+    `(tag, send_peers, send_chunks, send_names, recv_peers, recv_chunks,
+    recv_names, reduce_names)`, each field but the tag indexed by rank. Deps
+    are ascending, as the private constructors need, and every deps tuple,
+    name and chunk tuple is made once and shared by every rank."""
+    recv_ids = [len(steps) + t + min(t, reducing) for t in range(len(steps))]
+    done = [nid + (t < reducing) for t, nid in enumerate(recv_ids)]  # each step's last write
+    sends = [(t, (t - 1, done[t - 1]) if t else ()) + step[:4] for t, step in enumerate(steps)]
+    recvs = [(nid, (done[t - 1],) if t else (), (nid,) if t < reducing else None, step[0])
+             + step[4:] for t, (nid, step) in enumerate(zip(recv_ids, steps))]
+    longest = max((max(map(len, step[2] + step[5])) for step in steps), default=0)
+    size_of = [k * unit for k in range(longest + 1)]  # one int per chunk count
+    ranks = [[] for _ in range(n)]
+    for r, nodes in enumerate(ranks):
+        for t, deps, tag, peers, chunks, names in sends:
+            ch = chunks[r]
+            nodes.append(_send_node(t, names[r], deps, peers[r], size_of[len(ch)], tag, ch))
+        for nid, deps, write, tag, peers, chunks, names, reduces in recvs:
+            ch = chunks[r]
+            size = size_of[len(ch)]
+            nodes.append(_recv_node(nid, names[r], deps, peers[r], size, tag, ch))
+            if write:  # the REDUCE's deps, None past the first `reducing` steps
+                nodes.append(_comp_node(nid + 1, reduces[r], write, OP_REDUCE, size, ch, None))
+    return CollectiveTrace(n, claimed, ranks)
 
 
 def _ring(claimed: CollDescriptor, n: int, c: int, phases: tuple) -> CollectiveTrace:
     """Unidirectional ring: N-1 steps per phase, "rs" (reduce-scatter, each
-    recv followed by a reduce) then "ag" (all-gather); every message is one
-    chunk of c bytes sent to rank+1. Ring all-reduce runs both phases on
-    chunks of s/n bytes. Ring all-gather is its "ag" phase alone on whole
-    inputs of s bytes, so a chunk index is the originating rank."""
-    steps = n - 1
-    total = len(phases) * steps
-    reducing = steps if phases[0] == "rs" else 0  # the recvs followed by a reduce
-    # Send stream: ids and tags t = 0 .. total-1, send t carrying chunk
-    # (r - t) % n. Recv stream: the reduce-scatter recv/reduce pairs, then
-    # the all-gather recvs, recv t taking chunk (r - t - 1) % n.
-    recv_ids = [total + 2 * t if t < reducing else total + reducing + t for t in range(total)]
-    done = [nid + 1 for nid in recv_ids[:reducing]] + recv_ids[reducing:]  # last writer
-    send_deps = [()] + [(t - 1, done[t - 1]) for t in range(1, total)]
-    recv_deps = [()] + [(done[t - 1],) for t in range(1, total)]
-    reduce_deps = [(nid,) for nid in recv_ids[:reducing]]
-    send_names = sum(([_chunk_names(f"{phase}_send", n)] * steps for phase in phases), [])
-    recv_names = sum(([_chunk_names(f"{phase}_recv", n)] * steps for phase in phases), [])
-    reduce_names = _chunk_names("reduce", n)
-    chunks = [(chunk,) for chunk in range(n)]
-    ranks = []
-    for r in range(n):
-        nxt, prv = (r + 1) % n, (r - 1) % n
-        nodes = []
-        for t in range(total):
-            j = (r - t) % n
-            nodes.append(_send_node(t, send_names[t][j], send_deps[t], nxt, c, t, chunks[j]))
-        for t in range(total):
-            j = (r - t - 1) % n
-            nodes.append(_recv_node(recv_ids[t], recv_names[t][j], recv_deps[t], prv, c, t,
-                                    chunks[j]))
-            if t < reducing:
-                nodes.append(_comp_node(done[t], reduce_names[j], reduce_deps[t], OP_REDUCE,
-                                        c, chunks[j], None))
-        ranks.append(nodes)
-    return CollectiveTrace(n, claimed, ranks)
+    recv followed by a reduce) then "ag" (all-gather), send t carrying chunk
+    (r - t) % n of c bytes to rank+1. All-reduce runs both on s/n-byte chunks;
+    all-gather runs "ag" on whole s-byte inputs, a chunk being its origin rank."""
+    def rotated(items: list, t: int) -> list:  # items[(r - t) % n] at index r
+        return items[-t % n:] + items[:-t % n]
+    nxt, prv = [(r + 1) % n for r in range(n)], [(r - 1) % n for r in range(n)]
+    chunks, reduces = [(j,) for j in range(n)], [f"reduce_c{j}" for j in range(n)]
+    steps = []
+    for phase in phases:
+        sends, recvs = ([f"{phase}_{op}_c{j}" for j in range(n)] for op in ("send", "recv"))
+        steps += [(t, nxt, rotated(chunks, t), rotated(sends, t), prv, rotated(chunks, t + 1),
+                   rotated(recvs, t + 1), rotated(reduces, t + 1))
+                  for t in range(len(steps), len(steps) + n - 1)]
+    return _streams(claimed, n, c, n - 1 if phases[0] == "rs" else 0, steps)
 
 
 def _recursive_doubling_all_gather(n: int, s: int) -> CollectiveTrace:
-    """log2(N) rounds; in round j each rank swaps its accumulated 2^j-chunk
-    block with the partner at XOR distance 2^j."""
-    claimed = CollDescriptor(CollKind.ALL_GATHER, s)
-    rounds = n.bit_length() - 1  # n is a power of two
-    send_deps = [()] + [(j - 1, rounds + j - 1) for j in range(1, rounds)]
-    recv_deps = [()] + [(rounds + j - 1,) for j in range(1, rounds)]
-    send_names = [f"rd_send_r{j}" for j in range(rounds)]
-    recv_names = [f"rd_recv_r{j}" for j in range(rounds)]
-    # blocks[j][b]: the 2^j chunks of block b in round j, the block of rank r being r >> j
-    blocks = [[tuple(range(b << j, (b + 1) << j)) for b in range(n >> j)] for j in range(rounds)]
-    ranks = []
-    for r in range(n):
-        nodes = []
-        for j in range(rounds):  # send stream: ids 0..rounds-1
-            nodes.append(_send_node(j, send_names[j], send_deps[j], r ^ (1 << j), s << j, 0,
-                                    blocks[j][r >> j]))
-        for j in range(rounds):  # recv stream: ids rounds..2*rounds-1
-            peer = r ^ (1 << j)
-            nodes.append(_recv_node(rounds + j, recv_names[j], recv_deps[j], peer, s << j, 0,
-                                    blocks[j][peer >> j]))
-        ranks.append(nodes)
-    return CollectiveTrace(n, claimed, ranks)
+    """log2(N) rounds; in round j each rank swaps its 2^j-chunk block r >> j
+    (chunks of s bytes) with the partner at XOR distance 2^j."""
+    steps = []
+    for j in range(n.bit_length() - 1):  # n is a power of two
+        peers = [r ^ (1 << j) for r in range(n)]
+        blocks = [tuple(range(b << j, (b + 1) << j)) for b in range(n >> j)]
+        own = [blocks[r >> j] for r in range(n)]
+        steps.append((0, peers, own, [f"rd_send_r{j}"] * n, peers, [own[p] for p in peers],
+                      [f"rd_recv_r{j}"] * n, None))
+    return _streams(CollDescriptor(CollKind.ALL_GATHER, s), n, s, 0, steps)

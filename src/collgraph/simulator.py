@@ -27,6 +27,7 @@ import heapq
 import logging
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -69,6 +70,11 @@ class Topology:
     placement: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
+        if type(self.kind) is not TopologyKind:
+            raise SpecError(f"topology kind must be a TopologyKind, got {self.kind!r}")
+        for name, value in (("n", self.n), ("rows", self.rows), ("cols", self.cols)):
+            if type(value) is not int:  # exact: a bool is an int too
+                raise SpecError(f"topology {name} must be an int, got {value!r}")
         if self.n < 1:
             raise SpecError(f"topology needs at least one node, got {self.n}")
         if self.kind in (TopologyKind.MESH2D, TopologyKind.TORUS2D):
@@ -78,7 +84,8 @@ class Topology:
                     f"{self.rows}x{self.cols} != {self.n}")
         if self.placement is not None:
             object.__setattr__(self, "placement", tuple(self.placement))
-            if sorted(self.placement) != list(range(self.n)):
+            if (any(type(node) is not int for node in self.placement)
+                    or sorted(self.placement) != list(range(self.n))):
                 raise SpecError("placement must be a permutation of the endpoint nodes")
 
     @staticmethod
@@ -127,8 +134,13 @@ class CostModel:
     def __post_init__(self):
         for field in ("alpha", "bandwidth", "reduce_bandwidth", "fixed_comp_overhead"):
             value = getattr(self, field)
-            if value is not None and not math.isfinite(value):
-                raise SpecError(f"{field} must be finite, got {value}")
+            if value is None and field == "reduce_bandwidth":
+                continue
+            if type(value) not in (int, float):  # exact: a bool is an int too
+                raise SpecError(f"{field} must be an int or a float, got {value!r}")
+            if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int no float holds
+                shown = value if type(value) is float else "an int too large for a float"
+                raise SpecError(f"{field} must be finite, got {shown}")
         if self.alpha < 0:
             raise SpecError(f"alpha must be non-negative, got {self.alpha}")
         if self.bandwidth <= 0:

@@ -438,7 +438,7 @@ def check_trace(trace: Trace) -> None:
             elif ta is RecvAttrs:
                 peer, size, tag, table, kind = a.src_rank, a.comm_size, a.tag, recvs, recv
                 key = (peer, rank, tag)
-            # an inline gate passes the common valid node, ids ascending; _check_node the rest
+            # an inline gate passes the common valid node, in any id order; _check_node the rest
             if table is not None:
                 valid = (node.kind is kind and type(peer) is type(size) is type(tag) is int
                          and 0 <= peer < num_ranks and peer != rank
@@ -448,12 +448,12 @@ def check_trace(trace: Trace) -> None:
                          and a.op.isascii() and type(a.comp_size) is int
                          and 0 <= a.comp_size <= MAX_SIZE)
             nid = node.id if valid else None
-            if not (type(nid) is int and nid > last and type(node.name) is str
+            if not (type(nid) is int and nid >= 0 and type(node.name) is str
                     and node.name.isascii()):
                 _check_node(trace, rank, node, is_workload)
                 nid = node.id
-                if nid < last:  # a descent
-                    unsorted.add(rank)
+            if nid < last:  # a descent
+                unsorted.add(rank)
             if index.setdefault(nid, i) != i:
                 raise InvariantError("duplicate node id", rank, nid)
             last = nid

@@ -4,8 +4,9 @@ oracles for the trace and report writers, a per-node checking loader as the
 oracle for `loads_trace`, a dict-keyed simulator as the oracle for
 `simulate`, a per-node lookup into its reports, the message table the
 trace should store, a multi-pass checker as the oracle for `check_trace`, a
-node-by-node splicer as the oracle for `expand`, the validator's own final
-chunk state, structural mutation helpers, and MSCCL-IR XML writers."""
+node-by-node splicer as the oracle for `expand`, a closed-form builder as
+the oracle for `generate`, the validator's own final chunk state,
+structural mutation helpers, and MSCCL-IR XML writers."""
 
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from collgraph.errors import (
     SpecError,
     UnexpandedCollectiveError,
 )
+from collgraph.generators import AlgoSpec, Algorithm
 from collgraph.simulator import SimReport, route
 from collgraph.trace import (
     FORMAT_VERSION,
@@ -650,6 +652,61 @@ def expand_oracle(workload: WorkloadTrace, subtrace, tag_stride: int) -> Collect
                                        m_deps, attrs))
         out.append(nodes)
     return CollectiveTrace(workload.num_ranks, None, out)
+
+
+def generator_oracle(spec: AlgoSpec) -> CollectiveTrace:
+    """The trace `generate(spec)` must equal, node by node from closed forms
+    through the public constructors. Ring (all-reduce: a reduce-scatter phase
+    "rs" then an all-gather phase "ag" on chunks of s/n bytes; all-gather:
+    "ag" alone on chunks of s bytes): step t sends chunk (r - t) % n to
+    r + 1 with tag t as node t, and receives chunk (r - t - 1) % n from
+    r - 1; in "rs" each recv is followed by a REDUCE of that chunk.
+    Recursive doubling: round j swaps block r >> j (2^j chunks, s * 2^j
+    bytes, tag 0) with rank r ^ 2^j. In both, the recvs and reduces follow
+    the sends in id order, send t waits for send t - 1 and for the last
+    node written in step t - 1, and recv t waits for that node alone."""
+    n, s = spec.num_ranks, spec.comm_size
+    ranks = []
+    if spec.algorithm is Algorithm.RECURSIVE_DOUBLING_ALL_GATHER:
+        claimed, rounds = CollDescriptor(CollKind.ALL_GATHER, s), int(math.log2(n))
+
+        def block(rank, width):  # the chunks of the width-aligned block holding rank
+            return list(range(rank // width * width, rank // width * width + width))
+
+        for r in range(n):
+            sends, recvs = [], []
+            for j in range(rounds):
+                peer, width = r ^ 2 ** j, 2 ** j
+                sends.append(TraceNode(j, f"rd_send_r{j}", NodeKind.COMM_SEND,
+                                       [j - 1, rounds + j - 1] if j else [],
+                                       SendAttrs(peer, s * width, 0, block(r, width))))
+                recvs.append(TraceNode(rounds + j, f"rd_recv_r{j}", NodeKind.COMM_RECV,
+                                       [rounds + j - 1] if j else [],
+                                       RecvAttrs(peer, s * width, 0, block(peer, width))))
+            ranks.append(sends + recvs)
+        return CollectiveTrace(n, claimed, ranks)
+    reduce_scatter = spec.algorithm is Algorithm.RING_ALL_REDUCE
+    phases = ["rs", "ag"] if reduce_scatter else ["ag"]
+    claimed = CollDescriptor(CollKind.ALL_REDUCE if reduce_scatter else CollKind.ALL_GATHER, s)
+    c, steps = (s // n if reduce_scatter else s), len(phases) * (n - 1)
+    reducing = n - 1 if reduce_scatter else 0
+    recv_id = [steps + 2 * t if t < reducing else steps + reducing + t for t in range(steps)]
+    last = [recv_id[t] + 1 if t < reducing else recv_id[t] for t in range(steps)]
+    for r in range(n):
+        sends, recvs = [], []
+        for t in range(steps):
+            phase, out, into = phases[t // (n - 1)], (r - t) % n, (r - t - 1) % n
+            sends.append(TraceNode(t, f"{phase}_send_c{out}", NodeKind.COMM_SEND,
+                                   [t - 1, last[t - 1]] if t else [],
+                                   SendAttrs((r + 1) % n, c, t, [out])))
+            recvs.append(TraceNode(recv_id[t], f"{phase}_recv_c{into}", NodeKind.COMM_RECV,
+                                   [last[t - 1]] if t else [],
+                                   RecvAttrs((r - 1) % n, c, t, [into])))
+            if t < reducing:
+                recvs.append(TraceNode(recv_id[t] + 1, f"reduce_c{into}", NodeKind.COMP,
+                                       [recv_id[t]], CompAttrs(OP_REDUCE, c, [into])))
+        ranks.append(sends + recvs)
+    return CollectiveTrace(n, claimed, ranks)
 
 
 def full_mask(n: int, num_chunks: int, chunk: int) -> int:

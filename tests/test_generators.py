@@ -1,10 +1,11 @@
 """Generators: node counts, byte volumes, structure and validity."""
 
 import pytest
+from helpers import generator_oracle
 
 from collgraph.errors import SpecError
 from collgraph.generators import AlgoSpec, Algorithm, generate
-from collgraph.trace import CollKind, NodeKind, check_trace, require_matched
+from collgraph.trace import CollKind, NodeKind, check_trace, dumps_trace, require_matched
 from collgraph.validator import PASS, check_semantics
 
 MIB = 1024 * 1024
@@ -103,6 +104,18 @@ def test_all_rank_counts_up_to_16_are_valid_and_semantically_correct():
             check_trace(trace)
             require_matched(trace)
             assert check_semantics(trace).status == PASS, (algo, n)
+
+
+@pytest.mark.parametrize("algo", list(Algorithm))
+def test_generators_match_the_closed_form_oracle(algo):
+    for n in range(1, 17):
+        if algo is Algorithm.RECURSIVE_DOUBLING_ALL_GATHER and n & (n - 1):
+            continue
+        for size in (n * 64, n * 5 * MIB):
+            spec = AlgoSpec(algo, n, size)
+            trace, expected = generate(spec), generator_oracle(spec)
+            assert trace == expected, spec
+            assert dumps_trace(trace) == dumps_trace(expected), spec
 
 
 def test_generation_is_deterministic():

@@ -320,7 +320,16 @@ def test_workload_trace_is_rejected():
     ((TopologyKind.MESH2D, 5, 2, 2), r"rows\*cols == n"),
     ((TopologyKind.TORUS2D, 5, 2, 2), r"rows\*cols == n"),
     ((TopologyKind.RING, 0), "^topology needs at least one node, got 0$"),
-], ids=["TopologyKind.MESH2D", "TopologyKind.TORUS2D", "ring-without-nodes"])
+    (("ring", 2), "^topology kind must be a TopologyKind, got 'ring'$"),
+    ((TopologyKind.RING, 2.0), r"^topology n must be an int, got 2\.0$"),
+    ((TopologyKind.RING, True), "^topology n must be an int, got True$"),
+    ((TopologyKind.MESH2D, 4, 2, 2.0), r"^topology cols must be an int, got 2\.0$"),
+    ((TopologyKind.RING, 2, 0, 0, (0.0, 1.0)),
+     "^placement must be a permutation of the endpoint nodes$"),
+    ((TopologyKind.RING, 2, 0, 0, (False, True)),
+     "^placement must be a permutation of the endpoint nodes$"),
+], ids=["TopologyKind.MESH2D", "TopologyKind.TORUS2D", "ring-without-nodes", "str-kind",
+        "float-n", "bool-n", "float-cols", "float-placement", "bool-placement"])
 def test_grid_dimensions_must_cover_every_node(args, match):
     with pytest.raises(SpecError, match=match):
         Topology(*args)
@@ -369,8 +378,15 @@ def test_invalid_cost_model_rejected():
     ({"fixed_comp_overhead": float("nan")}, "finite"),
     ({"reduce_bandwidth": 0.0}, "^reduce_bandwidth must be positive or None$"),
     ({"fixed_comp_overhead": -1.0}, "^fixed_comp_overhead must be non-negative$"),
+    ({"alpha": "1"}, "^alpha must be an int or a float, got '1'$"),
+    ({"bandwidth": True}, "^bandwidth must be an int or a float, got True$"),
+    ({"reduce_bandwidth": "x"}, "^reduce_bandwidth must be an int or a float, got 'x'$"),
+    ({"fixed_comp_overhead": None},
+     "^fixed_comp_overhead must be an int or a float, got None$"),
+    ({"alpha": 10 ** 400}, "^alpha must be finite, got an int too large for a float$"),
 ], ids=["nan-alpha", "inf-alpha", "inf-bandwidth", "nan-bandwidth", "inf-reduce",
-        "nan-overhead", "zero-reduce", "negative-overhead"])
+        "nan-overhead", "zero-reduce", "negative-overhead", "str-alpha", "bool-bandwidth",
+        "str-reduce", "none-overhead", "huge-int-alpha"])
 def test_non_finite_cost_model_rejected(fields, match):
     with pytest.raises(SpecError, match=match):
         CostModel(**{"alpha": 1e-6, "bandwidth": 1e9, **fields})

@@ -298,8 +298,8 @@ def test_messages_are_paired_only_at_construction(monkeypatch):
 
 def test_valid_collective_nodes_pass_the_inline_gate(monkeypatch):
     """`check_trace` leaves `_check_node` to the nodes its inline gate
-    refuses: a valid SEND, RECV or COMP node listed by ascending id never
-    reaches it, whatever produced the trace."""
+    refuses: a valid SEND, RECV or COMP node never reaches it, whatever
+    produced the trace and in whatever id order its ranks are listed."""
     calls = []
     check_node = trace_module._check_node
 
@@ -317,6 +317,12 @@ def test_valid_collective_nodes_pass_the_inline_gate(monkeypatch):
                                    4 * MIB))
     traces.append(expand(workload, bindings))
     traces.append(loads_trace(dumps_trace(traces[-1])))
+    rng = random.Random(21)
+    for trace in traces[:3]:
+        ranks = trace.per_rank_nodes
+        shuffled = [rng.sample(nodes, len(nodes)) for nodes in ranks]
+        for order in ([nodes[::-1] for nodes in ranks], shuffled):
+            assert CollectiveTrace(trace.num_ranks, trace.claimed_collective, order) == trace
     assert calls == []
 
 
@@ -497,6 +503,18 @@ NOP = CompAttrs("NOP", 0)
         "none-dep", "str-kind", "tuple-node", "int-rank", "int-ranks", "int-workload-rank"])
 def test_public_constructors_take_exact_ints_and_raise_invariant_errors(build, message):
     with pytest.raises(InvariantError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CollectiveTrace(2, None, [[]]),
+    lambda: WorkloadTrace(2, [[]]),
+    lambda: loads_trace(json.dumps({"format_version": "1", "trace_class": "collective",
+                                    "num_ranks": 2, "claimed_collective": None,
+                                    "ranks": [[]]})),
+], ids=["collective", "workload", "loaded"])
+def test_one_node_list_per_rank(build):
+    with pytest.raises(InvariantError, match="^expected 2 rank node lists, got 1$"):
         build()
 
 
