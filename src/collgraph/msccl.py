@@ -366,6 +366,8 @@ def convert_to_trace(program: MscclProgram, comm_size: int) -> CollectiveTrace:
     semantics); a step's `depend` adds an edge from the referenced step's
     last emitted node. Chunk offsets become the validator's chunk metadata.
     """
+    if type(comm_size) is not int:  # exact: a bool is an int too
+        raise SizeError(f"comm_size must be an int, got {comm_size!r}")
     if comm_size < 1:
         raise SizeError(f"comm_size must be positive, got {comm_size}")
     if comm_size % program.num_chunks:

@@ -83,10 +83,11 @@ class Topology:
                     f"{self.kind.value} needs rows*cols == n, got "
                     f"{self.rows}x{self.cols} != {self.n}")
         if self.placement is not None:
-            object.__setattr__(self, "placement", tuple(self.placement))
-            if (any(type(node) is not int for node in self.placement)
+            if (type(self.placement) not in (tuple, list)
+                    or any(type(node) is not int for node in self.placement)
                     or sorted(self.placement) != list(range(self.n))):
                 raise SpecError("placement must be a permutation of the endpoint nodes")
+            object.__setattr__(self, "placement", tuple(self.placement))
 
     @staticmethod
     def ring(n: int) -> "Topology":
@@ -266,7 +267,7 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
 
     readiness = [Readiness(rank_nodes) for rank_nodes in trace.per_rank_nodes]
     nodes = [r.nodes for r in readiness]
-    pending = [r.pending for r in readiness]
+    pending = [list(r.pending) for r in readiness]
     dependents = [r.dependents for r in readiness]
     # Per rank, by position: the message a send or recv belongs to (-1 for
     # compute), and issue/start/finish times (None until set).
@@ -401,7 +402,9 @@ def sweep(
     against the baseline, which is always the ring of `num_ranks`. Rows
     keep the given topology order with sizes ascending; each distinct cell
     is simulated once, and the result is independent of `jobs`, which is
-    capped at the number of cells and of CPUs; below 1 it is a SpecError."""
+    capped at the number of cells and of CPUs; not an int or below 1, it is a SpecError."""
+    if type(jobs) is not int:  # exact: a bool is an int too
+        raise SpecError(f"jobs must be an int, got {jobs!r}")
     if jobs < 1:
         raise SpecError(f"jobs must be at least 1, got {jobs}")
     baseline = Topology.ring(num_ranks)

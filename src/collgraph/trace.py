@@ -30,11 +30,12 @@ each rank by ascending id, as producers emit it (`check_trace` sorts other
 orders once they pass every check): a list index is a position everywhere.
 
 `check_trace` counts deps on list indices, since it meets the ids before
-they are known to be valid. Every walk drives `Readiness`, the one
-dependency-readiness engine: it counts each node's unfinished deps and
-releases dependents as nodes finish. `ordered` walks a rank with it in heap
-order; the validator and the simulator drive it from their own cross-rank
-event loops.
+they are known to be valid. Every walk reads `Readiness`, the one
+read-only index of a rank's dependencies: each node's dep count and its
+dependents. A walk counts down its own copy of the counts and releases
+dependents inline, so one index serves any number of walks. `ordered`
+walks a rank in heap order; the validator and the simulator walk all ranks
+from their own cross-rank event loops.
 
 A saved trace is UTF-8 text, byte for byte what `json.dumps(doc, indent=2,
 ensure_ascii=False)` plus a newline gives for its canonical dict: fixed key
@@ -305,15 +306,15 @@ class collector_paused:
 # ---------------------------------------------------------------------------
 
 class Readiness:
-    """Dependency readiness of one rank's graph, indexed by list position.
+    """The dependency index of one rank's graph, by list position, read-only.
 
     `nodes[p]` is the node at position `p`, `pos[nid]` the position of an id
     (`check_trace` passes the map its node pass built; a dep missing from it
-    raises KeyError). `pending` holds each node's count of unfinished deps
-    and `dependents` the positions that depend on it, both by position. A
-    built trace lists ids ascending, so a heap of positions pops as a heap
-    of ids would. Every walk over a rank in dependency order (toposort,
-    canonical form, symbolic execution, simulation) drives one of these."""
+    raises KeyError). `pending` holds each node's dep count and `dependents`
+    the positions that depend on it, both by position. Every walk over a
+    rank in dependency order (toposort, canonical form, symbolic execution,
+    simulation) counts down its own `list(pending)`. A built trace lists ids
+    ascending, so a heap of positions pops as a heap of ids would."""
 
     def __init__(self, nodes, pos=None):
         self.nodes = nodes
@@ -328,17 +329,6 @@ class Readiness:
         """Positions with no deps, ascending."""
         return [p for p, count in enumerate(self.pending) if not count]
 
-    def finish(self, p: int) -> list[int]:
-        """Mark position `p` finished; return the positions it made ready."""
-        pending = self.pending
-        released = []
-        for succ in self.dependents[p]:
-            left = pending[succ] - 1
-            pending[succ] = left
-            if not left:
-                released.append(succ)
-        return released
-
 
 def ordered(trace: Trace, rank: int, key=attrgetter("id")):
     """Walk one rank in dependency order, always taking the ready node with
@@ -347,17 +337,20 @@ def ordered(trace: Trace, rank: int, key=attrgetter("id")):
     becomes ready, i.e. after every dep was yielded. After the last yield,
     raises CycleError carrying the ids of one cycle if nodes were left over."""
     ready = Readiness(trace.per_rank_nodes[rank])
-    nodes, finish = ready.nodes, ready.finish
+    nodes, dependents, pending = ready.nodes, ready.dependents, list(ready.pending)
     push, pop = heapq.heappush, heapq.heappop
     heap = [(key(nodes[p]), p) for p in ready.roots()]
     heapq.heapify(heap)
     while heap:
         value, p = pop(heap)
         yield value, nodes[p]
-        for succ in finish(p):
-            push(heap, (key(nodes[succ]), succ))
-    if any(ready.pending):
-        raise CycleError(f"dependency cycle on rank {rank}", _find_cycle(ready))
+        for succ in dependents[p]:
+            pending[succ] -= 1
+            if not pending[succ]:
+                push(heap, (key(nodes[succ]), succ))
+    if any(pending):
+        raise CycleError(f"dependency cycle on rank {rank}",
+                         _find_cycle(nodes, ready.pos, pending))
 
 
 def toposort_rank(trace: Trace, rank: int) -> list[int]:
@@ -368,11 +361,10 @@ def toposort_rank(trace: Trace, rank: int) -> list[int]:
     return [node.id for _, node in ordered(trace, rank)]
 
 
-def _find_cycle(ready: Readiness) -> list[int]:
-    """One cycle among the nodes `ready` left unfinished, as ids: from the
-    smallest unfinished id, follow the smallest unfinished dep until a node
-    repeats, so the cycle named does not depend on the list order."""
-    nodes, pending, pos = ready.nodes, ready.pending, ready.pos
+def _find_cycle(nodes, pos: dict, pending: list[int]) -> list[int]:
+    """One cycle among the nodes a walk left unfinished (`pending` > 0), as
+    ids: from the smallest unfinished id, follow the smallest unfinished dep
+    until a node repeats, so the cycle named does not depend on the list order."""
     p = pos[min(node.id for node, count in zip(nodes, pending) if count)]
     path, seen = [], {}
     while p not in seen:
@@ -399,7 +391,7 @@ def check_trace(trace: Trace) -> None:
     given order, then all tags, raises first. Per rank, one pass over the
     nodes checks each node and maps its id to its list index (an id seen
     before is a duplicate) while it fills the send/recv tables; the rank's
-    `Readiness` is built on that map and released inline, and `_dep_fault`
+    `Readiness` is built on that map and counted down inline, and `_dep_fault`
     raises for a missing dep or nodes left over. Then it sorts unsorted ranks.
 
     It does not require every send and recv to match (tags must still be
@@ -465,9 +457,9 @@ def check_trace(trace: Trace) -> None:
         try:
             ready = Readiness(nodes, index)
         except KeyError:  # a missing dep
-            ready = None
+            pending = None
         else:
-            pending, dependents = ready.pending, ready.dependents
+            pending, dependents = list(ready.pending), ready.dependents
             released = ready.roots()
             for i in released:  # the list grows as nodes are released
                 for succ in dependents[i]:
@@ -476,7 +468,7 @@ def check_trace(trace: Trace) -> None:
                         released.append(succ)
             if len(released) == len(nodes):
                 continue
-        _dep_fault(rank, nodes, index, ready)
+        _dep_fault(rank, nodes, index, pending)
     if duplicate is not None:
         raise InvariantError(*duplicate)
     if unsorted:  # store ranks, and the tables' node order, by ascending id
@@ -494,16 +486,16 @@ def check_trace(trace: Trace) -> None:
     object.__setattr__(trace, "mismatch", mismatch)
 
 
-def _dep_fault(rank: int, nodes, index: dict, ready: Optional[Readiness]) -> NoReturn:
+def _dep_fault(rank: int, nodes, index: dict, pending: Optional[list]) -> NoReturn:
     """Raise the first missing or self dep of a rank in node order, else the
-    cycle among the nodes that `ready` (its released Readiness) left."""
+    cycle among the nodes that the walk's counts `pending` left."""
     for node in nodes:
         for dep in node.deps:
             if dep not in index:
                 raise InvariantError(f"dep {dep} does not exist on this rank", rank, node.id)
             if dep == node.id:
                 raise InvariantError("node depends on itself", rank, node.id)
-    cycle = _find_cycle(ready)
+    cycle = _find_cycle(nodes, index, pending)
     raise InvariantError(f"dependency cycle {cycle}", rank, cycle[0]) from CycleError(
         f"dependency cycle on rank {rank}", cycle)
 

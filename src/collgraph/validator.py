@@ -14,13 +14,14 @@ The chunk identities come from the optional "chunks" / "src_chunks" node
 metadata. Traces without that metadata still get the executability
 (deadlock) check; the semantic comparison is then reported as SKIPPED.
 
-Execution is one schedule and a state pass along it. `_schedule` drives
-the readiness engine of `trace` (`Readiness`) across ranks: a node runs
-once its deps finished and, for a recv, once its message was sent; it
-returns the run order and the nodes left waiting. `_track` then applies
-each node's effect on the chunk state in that order. A second schedule,
-under rendezvous semantics where a send also waits until its recv is
-posted, decides the rendezvous-deadlock warning. The canonical form for
+Execution is one schedule and a state pass along it, both reading one
+index of the trace: a `Readiness` per rank and a peer table. `_schedule`
+runs a node once its deps finished (on its own copy of the dep counts)
+and, for a recv, once its message was sent; it returns the run order and
+the nodes left waiting. `_track` then applies each node's effect on the
+chunk state in that order. A second schedule over the same index, under
+rendezvous semantics where a send also waits until its recv is posted,
+decides the rendezvous-deadlock warning. The canonical form for
 isomorphism is an `ordered` walk with a structural key.
 """
 
@@ -70,12 +71,12 @@ class Verdict:
 # Symbolic execution: a schedule, then the chunk state along it
 # ---------------------------------------------------------------------------
 
-def _peers(trace: CollectiveTrace, pos: list[dict]) -> list[list]:
-    """Per rank, by position (`pos` maps ids to positions): each send's and
-    recv's message and its peer's rank and position (None if missing)."""
-    peer: list[list] = [[None] * len(nodes) for nodes in trace.per_rank_nodes]
+def _peers(trace: CollectiveTrace, readiness: list[Readiness]) -> list[list]:
+    """Per rank, by position (`readiness` maps ids to positions): each send's
+    and recv's message and its peer's rank and position (None if missing)."""
+    peer: list[list] = [[None] * len(r.nodes) for r in readiness]
     for m, (src, dst, send_id, recv_id, _) in enumerate(trace.messages):
-        send_pos, recv_pos = pos[src].get(send_id), pos[dst].get(recv_id)
+        send_pos, recv_pos = readiness[src].pos.get(send_id), readiness[dst].pos.get(recv_id)
         if send_pos is not None:
             peer[src][send_pos] = (m, dst, recv_pos)
         if recv_pos is not None:
@@ -85,12 +86,12 @@ def _peers(trace: CollectiveTrace, pos: list[dict]) -> list[list]:
 
 def _schedule(readiness: list[Readiness], peer: list[list], order: random.Random | None,
               rendezvous: bool = False) -> tuple[list, list]:
-    """Run all ranks to quiescence, consuming their `readiness`. Sends are
-    eager unless `rendezvous` is set; then a send also waits until its recv
-    is posted. Ready nodes run by (rank, position), or in the random
-    `order`. Returns the (rank, position) of each node in run order and,
-    sorted, of the nodes left waiting for their peer: none iff all ran."""
-    nodes = [r.nodes for r in readiness]
+    """Run all ranks to quiescence on a copy of their `readiness` counts.
+    Sends are eager unless `rendezvous` is set; then a send also waits until
+    its recv is posted. Ready nodes run by (rank, position), or in the
+    random `order`. Returns the (rank, position) of each node in run order
+    and, sorted, of the nodes left waiting for their peer: none iff all ran."""
+    nodes, pending = [r.nodes for r in readiness], [list(r.pending) for r in readiness]
     ready: list[tuple[int, int]] = []
     # dep-ready nodes waiting for their peer: recvs missing their message
     # and, under rendezvous, sends whose recv is not posted yet
@@ -113,7 +114,7 @@ def _schedule(readiness: list[Readiness], peer: list[list], order: random.Random
                 return
         elif kind is NodeKind.COMM_SEND and rendezvous:
             _, dst, recv_pos = peer[rank][p]
-            if recv_pos is None or readiness[dst].pending[recv_pos]:
+            if recv_pos is None or pending[dst][recv_pos]:
                 parked.add((rank, p))
                 return
         heapq.heappush(ready, (rank, p))
@@ -135,8 +136,11 @@ def _schedule(readiness: list[Readiness], peer: list[list], order: random.Random
             m, dst, recv_pos = peer[rank][p]
             sent.add(m)
             unpark(dst, recv_pos)
-        for succ in readiness[rank].finish(p):
-            on_dep_ready(rank, succ)
+        left = pending[rank]
+        for succ in readiness[rank].dependents[p]:
+            left[succ] -= 1
+            if not left[succ]:
+                on_dep_ready(rank, succ)
     return run, sorted(parked)
 
 
@@ -263,8 +267,7 @@ def check_semantics(trace: CollectiveTrace, *, order_seed: int | None = None) ->
     order = None if order_seed is None else random.Random(order_seed)
     space = None if claimed is None else _chunk_space(trace)
     readiness = [Readiness(nodes) for nodes in trace.per_rank_nodes]
-    pos = [r.pos for r in readiness]
-    peer = _peers(trace, pos)
+    peer = _peers(trace, readiness)
     run, frontier = _schedule(readiness, peer, order)
     if space is not None:  # an InvariantError before a stall wins over StuckError
         num_chunks, missing, gaps = space
@@ -280,10 +283,9 @@ def check_semantics(trace: CollectiveTrace, *, order_seed: int | None = None) ->
         raise StuckError(f"execution stuck with {unrun} node(s) unrun", [
             (rank, trace.per_rank_nodes[rank][p].id, trace.per_rank_nodes[rank][p].name)
             for rank, p in frontier])
-    del readiness, run  # free the eager run before the rendezvous one
+    del run  # free the eager run before the rendezvous one
     warnings: list[str] = []
-    if _schedule([Readiness(nodes, p) for nodes, p in zip(trace.per_rank_nodes, pos)],
-                 peer, None, rendezvous=True)[1]:
+    if _schedule(readiness, peer, None, rendezvous=True)[1]:
         warnings.append("trace deadlocks under rendezvous send semantics")
     if space is None:
         return Verdict(SKIPPED, warnings=warnings)

@@ -484,7 +484,7 @@ def validator_state(trace: CollectiveTrace, num_chunks: int, order=None) -> list
     the random `order` or by (rank, position) if None, then its state pass
     along that run, seeded as `check_semantics` seeds it. Fails on a stall."""
     readiness = [Readiness(nodes) for nodes in trace.per_rank_nodes]
-    peer = _peers(trace, [r.pos for r in readiness])
+    peer = _peers(trace, readiness)
     run, frontier = _schedule(readiness, peer, order)
     assert not frontier, f"validator run stuck at {frontier}"
     state: list[dict] = [{} for _ in range(trace.num_ranks)]
@@ -522,7 +522,9 @@ def check_trace_oracle(trace) -> tuple:
     the send/recv tags over all ranks. Returns the (messages, mismatch) the
     trace should record, or raises the InvariantError it should raise.
     Reference for `check_trace`; node fields are judged by its
-    `_check_node` and cycles named by `_find_cycle`."""
+    `_check_node`. Cycles are found by counting down deps over ids and named
+    by the rule `_find_cycle` documents: from the smallest unfinished id,
+    follow the smallest unfinished dep until an id repeats."""
     if type(trace.num_ranks) is not int or trace.num_ranks < 1:
         raise InvariantError(f"num_ranks must be a positive int, got {trace.num_ranks!r}")
     if len(trace.per_rank_nodes) != trace.num_ranks:
@@ -550,12 +552,25 @@ def check_trace_oracle(trace) -> tuple:
                     raise InvariantError(f"dep {dep} does not exist on this rank", rank, node.id)
                 if dep == node.id:
                     raise InvariantError("node depends on itself", rank, node.id)
-        ready = trace_module.Readiness(nodes)
-        stack = ready.roots()
+        deps = {node.id: node.deps for node in nodes}
+        waiting = {nid: len(ds) for nid, ds in deps.items()}  # unfinished deps per id
+        users = {nid: [] for nid in deps}
+        for nid, ds in deps.items():
+            for dep in ds:
+                users[dep].append(nid)
+        stack = [nid for nid, count in waiting.items() if not count]
         while stack:
-            stack += ready.finish(stack.pop())
-        if any(ready.pending):
-            exc = CycleError(f"dependency cycle on rank {rank}", trace_module._find_cycle(ready))
+            for user in users[stack.pop()]:
+                waiting[user] -= 1
+                if not waiting[user]:
+                    stack.append(user)
+        unfinished = {nid for nid, count in waiting.items() if count}
+        if unfinished:
+            path, nid = [], min(unfinished)
+            while nid not in path:
+                path.append(nid)
+                nid = min(d for d in deps[nid] if d in unfinished)
+            exc = CycleError(f"dependency cycle on rank {rank}", path[path.index(nid):])
             raise InvariantError(f"dependency cycle {exc.cycle}", rank, exc.cycle[0]) from exc
     if is_workload:
         trace_module._check_spmd(trace)

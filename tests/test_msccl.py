@@ -294,6 +294,12 @@ NOP_STEP = '<step s="0" type="nop"/>'
                  r"\[1\]\)", id="channels-differ"),
     pytest.param(NOP_ONLY, 0, SizeError, "comm_size must be positive, got 0",
                  id="no-bytes"),
+    pytest.param(NOP_ONLY, 64.0, SizeError, r"^comm_size must be an int, got 64\.0$",
+                 id="float-bytes"),
+    pytest.param(NOP_ONLY, True, SizeError, "^comm_size must be an int, got True$",
+                 id="bool-bytes"),
+    pytest.param(NOP_ONLY, "64", SizeError, "^comm_size must be an int, got '64'$",
+                 id="str-bytes"),
     pytest.param(NOP_ONLY.replace(' chan="0"', ""), 1, SchemaError,
                  r"^missing attribute\(s\) \['chan'\] on <tb> at line 3$", id="tb-without-chan"),
     pytest.param(NOP_ONLY.replace(NOP_STEP, '<step s="0"/>'), 1, SchemaError,

@@ -343,6 +343,30 @@ def test_check_trace_raises_or_records_as_the_multi_pass_oracle_does(trace):
 
 
 @st.composite
+def tangled_ranks(draw):
+    """One rank of 1-8 NOP nodes, each depending on up to three other ids in
+    any order, so that several cycles, and nodes waiting on them, are common."""
+    k = draw(st.integers(1, 8))
+    return [[TraceNode(nid, f"n{nid}", NodeKind.COMP, tuple(draw(st.lists(
+        st.integers(0, k - 1).filter(lambda d, nid=nid: d != nid), max_size=3))),
+        CompAttrs("NOP", 0)) for nid in range(k)]]
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(tangled_ranks())
+def test_check_trace_names_the_cycle_the_oracle_names(ranks):
+    """`check_trace` and the oracle's own count-down name the same cycle."""
+    def outcome(check):
+        try:
+            return check(_unchecked(CollectiveTrace, ranks))
+        except InvariantError as exc:
+            return str(exc), exc.rank, exc.node_id, exc.__cause__.cycle
+
+    expected = outcome(check_trace_oracle)
+    assert outcome(lambda trace: check_trace(trace) or ((), None)) == expected
+
+
+@st.composite
 def topologies(draw, n):
     """A topology of every kind for `n` ranks, any grid shape, any placement."""
     kind = draw(st.sampled_from(list(TopologyKind)))

@@ -328,8 +328,12 @@ def test_workload_trace_is_rejected():
      "^placement must be a permutation of the endpoint nodes$"),
     ((TopologyKind.RING, 2, 0, 0, (False, True)),
      "^placement must be a permutation of the endpoint nodes$"),
+    ((TopologyKind.RING, 2, 0, 0, 5), "^placement must be a permutation of the endpoint nodes$"),
+    ((TopologyKind.RING, 2, 0, 0, {0: 1, 1: 0}),
+     "^placement must be a permutation of the endpoint nodes$"),
 ], ids=["TopologyKind.MESH2D", "TopologyKind.TORUS2D", "ring-without-nodes", "str-kind",
-        "float-n", "bool-n", "float-cols", "float-placement", "bool-placement"])
+        "float-n", "bool-n", "float-cols", "float-placement", "bool-placement",
+        "int-placement", "dict-placement"])
 def test_grid_dimensions_must_cover_every_node(args, match):
     with pytest.raises(SpecError, match=match):
         Topology(*args)
@@ -596,9 +600,15 @@ def test_sweep_parallel_jobs_match_sequential():
     assert sequential == parallel
 
 
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_sweep_rejects_jobs_below_1(jobs):
-    with pytest.raises(SpecError, match="jobs must be at least 1"):
+@pytest.mark.parametrize("jobs, match", [
+    (0, "^jobs must be at least 1, got 0$"),
+    (-3, "^jobs must be at least 1, got -3$"),
+    ("2", "^jobs must be an int, got '2'$"),
+    (2.5, r"^jobs must be an int, got 2\.5$"),
+    (True, "^jobs must be an int, got True$"),
+], ids=["0", "-3", "str", "float", "bool"])
+def test_sweep_rejects_jobs_below_1(jobs, match):
+    with pytest.raises(SpecError, match=match):
         sweep(Algorithm.RING_ALL_GATHER, 4, [1024], [Topology.ring(4)], COST, jobs=jobs)
 
 

@@ -1,6 +1,8 @@
 """Semantic validator: oracle cross-checks, mutation sweeps, confluence,
 deadlock detection and canonical-form isomorphism."""
 
+import random
+
 import pytest
 from helpers import (
     concrete_execute,
@@ -200,8 +202,6 @@ def test_wrong_chunk_annotation_fails_with_slot_details():
 # ---------------------------------------------------------------------------
 
 def final_state(trace, seed):
-    import random
-
     return validator_state(trace, trace.num_ranks, random.Random(seed))
 
 
@@ -251,7 +251,7 @@ def rendezvous_runs(trace) -> bool:
         warnings = check_semantics(trace).warnings
     except StuckError:
         readiness = [Readiness(nodes) for nodes in trace.per_rank_nodes]
-        peer = _peers(trace, [r.pos for r in readiness])
+        peer = _peers(trace, readiness)
         return not _schedule(readiness, peer, None, rendezvous=True)[1]
     return not any("rendezvous" in w for w in warnings)
 
@@ -286,6 +286,43 @@ def test_rendezvous_warning_matches_oracle_on_deadlocks(fixtures_dir):
     assert not rendezvous_runs(circular) and not rendezvous_completes(circular)
     pair = send_before_recv_pair()
     assert not rendezvous_runs(pair) and not rendezvous_completes(pair)
+
+
+def test_check_semantics_indexes_each_rank_once(monkeypatch):
+    built = []
+
+    class CountedReadiness(Readiness):
+        def __init__(self, nodes, pos=None):
+            built.append(nodes)
+            super().__init__(nodes, pos)
+
+    monkeypatch.setattr("collgraph.validator.Readiness", CountedReadiness)
+    verdict = check_semantics(gen(Algorithm.RING_ALL_REDUCE, 4))
+    assert verdict.status == PASS
+    assert len(built) == 4  # both schedules and the state pass read one index
+
+
+@pytest.mark.parametrize("make, seed, rendezvous, stalls", [
+    (lambda: gen(Algorithm.RING_ALL_REDUCE, 4), None, False, False),
+    (lambda: gen(Algorithm.RING_ALL_REDUCE, 4), 3, False, False),
+    (lambda: gen(Algorithm.RING_ALL_REDUCE, 4), None, True, False),
+    (send_before_recv_pair, None, False, False),
+    (send_before_recv_pair, None, True, True),
+], ids=["eager", "eager-seeded", "rendezvous", "pair-eager", "pair-rendezvous"])
+def test_schedule_reads_its_index_without_writing_it(make, seed, rendezvous, stalls):
+    trace = make()
+    readiness = [Readiness(nodes) for nodes in trace.per_rank_nodes]
+    counts = [list(r.pending) for r in readiness]
+    peer = _peers(trace, readiness)
+
+    def run():
+        order = None if seed is None else random.Random(seed)
+        return _schedule(readiness, peer, order, rendezvous)
+
+    first = run()
+    assert [r.pending for r in readiness] == counts
+    assert run() == first
+    assert bool(first[1]) == stalls
 
 
 # ---------------------------------------------------------------------------
