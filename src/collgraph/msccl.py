@@ -60,6 +60,24 @@ class MscclStep:
     depend: Optional[tuple[int, int]]  # (tb id, step index) in the same gpu
 
 
+# The parser's constructor: stores on an open twin, as trace.py builds nodes.
+_OpenStep = type("_OpenMscclStep", (), {"__slots__": MscclStep.__slots__})
+
+
+def _step(index, step_type, src_buf, src_off, dst_buf, dst_off, cnt, depend) -> MscclStep:
+    step = _OpenStep()
+    step.index = index
+    step.type = step_type
+    step.src_buf = src_buf
+    step.src_off = src_off
+    step.dst_buf = dst_buf
+    step.dst_off = dst_off
+    step.cnt = cnt
+    step.depend = depend
+    step.__class__ = MscclStep
+    return step
+
+
 @dataclass(frozen=True)
 class MscclThreadblock:
     id: int
@@ -268,8 +286,8 @@ class _Reader:
             raise SchemaError(f"depid/deps at line {line} must be given together")
         if "hasdep" in attrs:
             int_attr(attrs, "hasdep", "step", line)  # rejects malformed input; nothing reads it
-        return MscclStep(index, step_type, src_buf, src_off, dst_buf, dst_off, cnt,
-                         None if depid == -1 else (depid, deps))
+        return _step(index, step_type, src_buf, src_off, dst_buf, dst_off, cnt,
+                     None if depid == -1 else (depid, deps))
 
 
 def parse_msccl_xml(path) -> MscclProgram:

@@ -18,8 +18,9 @@ Construction contract. The public constructors take `deps` and chunk lists
 as iterables of exact ints (a bool, float or str is an InvariantError),
 store them as tuples, `deps` sorted, and reject a negative chunk. The
 private constructors store what they are given and check nothing: `_node`
-takes its attrs whole, and `_send_node`, `_recv_node` and `_comp_node`,
-each made by `_node_builder`, build the attrs in the same call. Callers
+takes its attrs whole, and `_send_node`, `_recv_node` and `_comp_node`
+build the attrs in the same call. None runs `__init__`: each fills an open
+twin that has the frozen class's slots, then assigns its `__class__`. Callers
 pass `deps` as a sorted tuple of ints and chunk lists as tuples of
 non-negative ints or None, checked where each tuple is made (the
 generators build them from `range`, the loader checks each parsed list,
@@ -55,17 +56,22 @@ from __future__ import annotations
 import gc
 import heapq
 import json
+import logging
+import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
+from time import perf_counter
 from typing import NoReturn, Optional, Union
 
 from .errors import CycleError, InvariantError, ParseError, SchemaError, UnexpandedCollectiveError
 
 FORMAT_VERSION = "1"
+
+log = logging.getLogger("collgraph")
 
 # Defined COMP operations. The op vocabulary is open (any string is stored);
 # only these three carry defined validator/cost semantics.
@@ -191,50 +197,54 @@ class TraceNode:
         object.__setattr__(self, "deps", tuple(sorted(_int_tuple(self.deps, "deps"))))
 
 
-# Private constructors (see the module docstring). Each writes its values
-# through the slot descriptors, which a frozen class leaves open, instead of
-# running the normalizing `__init__`.
-_new = object.__new__
+# Private constructors (see the module docstring). An attribute store on an
+# open twin costs less than a call of the frozen class's slot descriptor;
+# the twin never leaves its builder.
+_OpenNode, _OpenSend, _OpenRecv, _OpenComp = (
+    type(f"_Open{cls.__name__}", (), {"__slots__": cls.__slots__})
+    for cls in (TraceNode, SendAttrs, RecvAttrs, CompAttrs))
+_SEND, _RECV, _COMP = NodeKind.COMM_SEND, NodeKind.COMM_RECV, NodeKind.COMP
 
 
-def _slot_setters(cls):
-    return [cls.__dict__[name].__set__ for name in cls.__slots__]
-
-
-def _node(nid, name, kind, deps, attrs, _set=_slot_setters(TraceNode)) -> TraceNode:
-    node = _new(TraceNode)
-    _set[0](node, nid)
-    _set[1](node, name)
-    _set[2](node, kind)
-    _set[3](node, deps)
-    _set[4](node, attrs)
+def _node(nid, name, kind, deps, attrs) -> TraceNode:
+    node = _OpenNode()
+    node.id = nid
+    node.name = name
+    node.kind = kind
+    node.deps = deps
+    node.attrs = attrs
+    node.__class__ = TraceNode
     return node
 
 
-def _node_builder(cls):
-    """The one-call constructor of a node with attrs `cls` (SendAttrs,
-    RecvAttrs or CompAttrs): `(nid, name, deps, *fields)`, the four attrs
-    fields in `cls`'s order."""
-    kind = _KIND_FOR_ATTRS[cls]
-    set_a, set_b, set_c, set_d = _slot_setters(cls)
-    set_id, set_name, set_kind, set_deps, set_attrs = _slot_setters(TraceNode)
-
-    def build(nid, name, deps, a, b, c, d) -> TraceNode:
-        attrs, node = _new(cls), _new(TraceNode)
-        set_a(attrs, a)
-        set_b(attrs, b)
-        set_c(attrs, c)
-        set_d(attrs, d)
-        set_id(node, nid)
-        set_name(node, name)
-        set_kind(node, kind)
-        set_deps(node, deps)
-        set_attrs(node, attrs)
-        return node
-    return build
+def _send_node(nid, name, deps, dst_rank, comm_size, tag, chunks) -> TraceNode:
+    a = _OpenSend()
+    a.dst_rank = dst_rank
+    a.comm_size = comm_size
+    a.tag = tag
+    a.chunks = chunks
+    a.__class__ = SendAttrs
+    return _node(nid, name, _SEND, deps, a)
 
 
-_send_node, _recv_node, _comp_node = map(_node_builder, (SendAttrs, RecvAttrs, CompAttrs))
+def _recv_node(nid, name, deps, src_rank, comm_size, tag, chunks) -> TraceNode:
+    a = _OpenRecv()
+    a.src_rank = src_rank
+    a.comm_size = comm_size
+    a.tag = tag
+    a.chunks = chunks
+    a.__class__ = RecvAttrs
+    return _node(nid, name, _RECV, deps, a)
+
+
+def _comp_node(nid, name, deps, op, comp_size, chunks, src_chunks) -> TraceNode:
+    a = _OpenComp()
+    a.op = op
+    a.comp_size = comp_size
+    a.chunks = chunks
+    a.src_chunks = src_chunks
+    a.__class__ = CompAttrs
+    return _node(nid, name, _COMP, deps, a)
 
 
 @dataclass(frozen=True)
@@ -418,17 +428,16 @@ def check_trace(trace: Trace) -> None:
     sends, recvs = {}, {}  # (src, dst, tag) -> (node id, comm_size), in node order
     duplicate = None  # the first duplicate tag, raised once every rank passed
     unsorted = set()  # the ranks not listed by ascending id
-    send, recv, comp = NodeKind.COMM_SEND, NodeKind.COMM_RECV, NodeKind.COMP
     for rank, nodes in enumerate(trace.per_rank_nodes):
         index, last = {}, -1  # node id -> list index; the previous node's id
         for i, node in enumerate(nodes):
             a = node.attrs if type(node) is TraceNode else None
             ta, table = type(a), None
             if ta is SendAttrs:
-                peer, size, tag, table, kind = a.dst_rank, a.comm_size, a.tag, sends, send
+                peer, size, tag, table, kind = a.dst_rank, a.comm_size, a.tag, sends, _SEND
                 key = (rank, peer, tag)
             elif ta is RecvAttrs:
-                peer, size, tag, table, kind = a.src_rank, a.comm_size, a.tag, recvs, recv
+                peer, size, tag, table, kind = a.src_rank, a.comm_size, a.tag, recvs, _RECV
                 key = (peer, rank, tag)
             # an inline gate passes the common valid node, in any id order; _check_node the rest
             if table is not None:
@@ -436,7 +445,7 @@ def check_trace(trace: Trace) -> None:
                          and 0 <= peer < num_ranks and peer != rank
                          and 0 < size <= MAX_SIZE and tag >= 0 and not is_workload)
             else:
-                valid = (ta is CompAttrs and node.kind is comp and type(a.op) is str
+                valid = (ta is CompAttrs and node.kind is _COMP and type(a.op) is str
                          and a.op.isascii() and type(a.comp_size) is int
                          and 0 <= a.comp_size <= MAX_SIZE)
             nid = node.id if valid else None
@@ -777,9 +786,17 @@ def save_trace(trace: Trace, path) -> None:
     claimed_collective {kind, comm_size}, ranks; each node id, name, kind,
     deps, attrs; attrs as `dumps_trace` orders them, `chunks`/`src_chunks`
     only when set. `tests/helpers.py::trace_json_oracle` pins this."""
+    began = perf_counter()
     require_matched(trace)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.writelines(_trace_pieces(trace))
+    _log_io("save_trace", trace, path, began)
+
+
+def _log_io(what: str, trace: Trace, path, began: float) -> None:
+    """Log a file's ranks, nodes, bytes and seconds at DEBUG, as `simulate` logs its counts."""
+    log.debug("%s: %d ranks, %d nodes, %d bytes, %.6f s", what, trace.num_ranks,
+              sum(map(len, trace.per_rank_nodes)), os.path.getsize(path), perf_counter() - began)
 
 
 _TOP_KEYS = {"format_version", "trace_class", "num_ranks", "claimed_collective", "ranks"}
@@ -976,7 +993,12 @@ def loads_trace(text: str) -> Trace:
 def load_trace(path) -> Trace:
     """Load and schema-check a trace file; building the trace checks its
     invariants (see the module docstring)."""
-    try:  # no local holds the text, so loads_trace can free it
-        return loads_trace(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:  # only reading decodes bytes
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    began = perf_counter()
+    with collector_paused():  # as loads_trace, up to the log line
+        try:  # no local holds the text, so loads_trace can free it
+            trace = loads_trace(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:  # only reading decodes bytes
+            raise ParseError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        _log_io("load_trace", trace, path, began)
+        return trace

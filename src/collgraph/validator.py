@@ -13,6 +13,9 @@ before readers.
 The chunk identities come from the optional "chunks" / "src_chunks" node
 metadata. Traces without that metadata still get the executability
 (deadlock) check; the semantic comparison is then reported as SKIPPED.
+A PASS also certifies the bytes. The chunk unit is the claimed size (times
+n for ALL_GATHER, whose claim is per rank) over the number of chunks, and
+every send, recv, REDUCE and COPY that names k chunks must be k units.
 
 Execution is one schedule and a state pass along it, both reading one
 index of the trace: a `Readiness` per rank and a peer table. `_schedule`
@@ -216,24 +219,65 @@ def _track(readiness: list[Readiness], peer: list[list], run: list,
 # check_semantics
 # ---------------------------------------------------------------------------
 
-def _chunk_space(trace: CollectiveTrace) -> tuple[int, int, list[int]] | None:
+def _shape(node) -> tuple[int, int] | None:
+    """The bytes and chunk count of a send, recv, REDUCE or COPY that names
+    chunks, which the chunk unit must account for; None for other nodes.
+    `_chunk_space`'s scan inlines it."""
+    a = node.attrs
+    if a.chunks is None:
+        return None
+    if node.kind is NodeKind.COMP:
+        return (a.comp_size, len(a.chunks)) if a.op in (OP_REDUCE, OP_COPY) else None
+    return a.comm_size, len(a.chunks)
+
+
+def _chunk_space(trace: CollectiveTrace) -> tuple[int, int, list[int], list[dict]] | None:
     """The number of chunks the metadata names (largest id + 1, or the rank
-    count if it names none), how many ids below that it leaves out, and the
-    first 8 of those; None if a send or recv carries no metadata."""
-    named = set()
+    count if it names none), how many ids below that it leaves out, the
+    first 8 of those, and, when it leaves none out, the violations of the
+    chunk unit; None if a send or recv carries no metadata.
+
+    The claimed size (times n for ALL_GATHER, whose claim is per rank)
+    divided by the chunk count is the unit. It must divide exactly, and a
+    node of `_shape` (bytes, k) must have bytes == k x unit."""
+    named, shapes = set(), set()  # shapes: each `_shape` but None
+    comp = NodeKind.COMP
     for nodes in trace.per_rank_nodes:
         for node in nodes:
-            chunks = getattr(node.attrs, "chunks", None)
-            if chunks is None and node.kind in (NodeKind.COMM_SEND, NodeKind.COMM_RECV):
+            a = node.attrs
+            if node.kind is comp:
+                if a.src_chunks is not None:
+                    named.update(a.src_chunks)
+                if a.chunks is None:
+                    continue
+                if a.op == OP_REDUCE or a.op == OP_COPY:
+                    shapes.add((a.comp_size, len(a.chunks)))
+            elif a.chunks is None:
                 return None
-            named.update(chunks or ())
-            named.update(getattr(node.attrs, "src_chunks", None) or ())
+            else:
+                shapes.add((a.comm_size, len(a.chunks)))
+            named.update(a.chunks)
     if not named:
-        return max(trace.num_ranks, 1), 0, []
+        return max(trace.num_ranks, 1), 0, [], []
     space = max(named) + 1
     # the first 8 gaps lie within len(named) + 8 ids of 0, so this is bounded
     gaps = list(islice((c for c in range(space) if c not in named), 8))
-    return space, space - len(named), gaps
+    if gaps or not shapes:
+        return space, space - len(named), gaps, []
+    claimed = trace.claimed_collective
+    total = claimed.comm_size * (trace.num_ranks if claimed.kind is CollKind.ALL_GATHER else 1)
+    if total % space:
+        return space, 0, [], [{"rank": None, "chunk": None,
+                               "error": f"claimed {total} B do not divide into {space} chunks"}]
+    unit = total // space
+    if all(size == k * unit for size, k in shapes):
+        return space, 0, [], []
+    return space, 0, [], [
+        {"rank": rank, "node": node.id, "name": node.name,
+         "error": f"size {shape[0]} B is not {shape[1]} chunk(s) x {unit} B = "
+                  f"{shape[1] * unit} B"}
+        for rank, nodes in enumerate(trace.per_rank_nodes) for node in nodes
+        if (shape := _shape(node)) is not None and shape[0] != shape[1] * unit]
 
 
 def _origins(kind: CollKind, num_ranks: int, num_chunks: int) -> list:
@@ -261,6 +305,9 @@ def check_semantics(trace: CollectiveTrace, *, order_seed: int | None = None) ->
     missing messages). Returns SKIPPED when the trace carries no claimed
     collective or no chunk metadata, and FAIL with one violation when the
     named chunk ids are not 0..k-1; matching/deadlock checks still ran.
+    Violations list the nodes whose bytes are not their chunks' units
+    first (see `_chunk_space`), then reads of unwritten chunks, then the
+    final chunk state.
     """
     require_expanded(trace, "validation")
     claimed = getattr(trace, "claimed_collective", None)  # a workload claims none
@@ -270,14 +317,14 @@ def check_semantics(trace: CollectiveTrace, *, order_seed: int | None = None) ->
     peer = _peers(trace, readiness)
     run, frontier = _schedule(readiness, peer, order)
     if space is not None:  # an InvariantError before a stall wins over StuckError
-        num_chunks, missing, gaps = space
+        num_chunks, missing, gaps, violations = space
         state: list[dict[int, frozenset]] = [{} for _ in range(trace.num_ranks)]
         if not missing:  # each chunk's origins hold their own part
             origins = _origins(claimed.kind, trace.num_ranks, num_chunks)
             for j, ranks in enumerate(origins):
                 for rank in ranks:
                     state[rank][j] = frozenset({(rank, j)})
-        violations = _track(readiness, peer, run, state)
+        violations += _track(readiness, peer, run, state)
     if frontier:
         unrun = sum(map(len, trace.per_rank_nodes)) - len(run)
         raise StuckError(f"execution stuck with {unrun} node(s) unrun", [

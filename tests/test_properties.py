@@ -23,6 +23,7 @@ at exit, not into the working tree.
 """
 
 import json
+import pickle
 import random
 import sys
 import tempfile
@@ -48,6 +49,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from collgraph import trace as trace_module
 from collgraph.cli import load_net_config
 from collgraph.errors import CollGraphError, DeadlockError, InvariantError, StuckError
 from collgraph.expander import TAG_STRIDE, expand
@@ -794,3 +796,35 @@ def test_expand_splices_as_the_oracle_does(case):
     unified = expand(workload, bindings)
     assert unified == expand_oracle(workload, subtrace, TAG_STRIDE)
     assert unified.mismatch is None
+
+
+# ---------------------------------------------------------------------------
+# The private node builders against the public constructors
+# ---------------------------------------------------------------------------
+
+_chunk_lists = st.none() | st.lists(st.integers(0, 2**40), max_size=4).map(tuple)
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(st.sampled_from(["send", "recv", "comp"]), st.integers(0, 2**63),
+       st.text(max_size=8), st.lists(st.integers(0, 2**63), max_size=4),
+       st.integers(-2**64, 2**64) | st.text(max_size=4), st.integers(0, 2**64),
+       st.integers(0, 2**64), _chunk_lists, _chunk_lists)
+def test_node_builders_build_what_the_public_constructors_build(
+        which, nid, name, deps, first, size, tag, chunks, src_chunks):
+    """A builder stores its values as given; given the normal form (deps a
+    sorted tuple, chunks a tuple or None) the node equals the public one."""
+    deps = tuple(sorted(deps))
+    if which == "comp":
+        built = trace_module._comp_node(nid, name, deps, first, size, chunks, src_chunks)
+        public = TraceNode(nid, name, NodeKind.COMP, list(reversed(deps)),
+                           CompAttrs(first, size, chunks, src_chunks))
+    else:
+        build, attrs, kind = (
+            (trace_module._send_node, SendAttrs, NodeKind.COMM_SEND) if which == "send"
+            else (trace_module._recv_node, RecvAttrs, NodeKind.COMM_RECV))
+        built = build(nid, name, deps, first, size, tag, chunks)
+        public = TraceNode(nid, name, kind, list(reversed(deps)), attrs(first, size, tag, chunks))
+    assert type(built) is TraceNode and type(built.attrs) is type(public.attrs)
+    assert built == public and hash(built) == hash(public) and repr(built) == repr(public)
+    assert pickle.loads(pickle.dumps(built)) == public

@@ -2,20 +2,23 @@
 topological ordering."""
 
 import json
+import logging
+import pickle
 import random
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
 from helpers import loads_trace_oracle, trace_json_oracle
 
+from collgraph import msccl as msccl_module
 from collgraph import trace as trace_module
 from collgraph.errors import CycleError, InvariantError, ParseError, SchemaError
 from collgraph.expander import expand
 from collgraph.generators import AlgoSpec, Algorithm, generate
-from collgraph.msccl import convert_to_trace, parse_msccl_xml
+from collgraph.msccl import MscclStep, convert_to_trace, parse_msccl_xml
 from collgraph.simulator import CostModel, Topology, simulate
 from collgraph.trace import (
     CollAttrs,
@@ -358,6 +361,18 @@ def test_schema_errors(tmp_path, mangle, message):
         loads_trace(json.dumps(doc))
 
 
+def test_save_and_load_log_ranks_nodes_bytes_and_seconds_at_debug(caplog, tmp_path):
+    caplog.set_level(logging.DEBUG, logger="collgraph")
+    trace, path = ring_ar(4), tmp_path / "t.json"
+    save_trace(trace, path)
+    assert load_trace(path) == trace
+    nodes, size = sum(map(len, trace.per_rank_nodes)), path.stat().st_size
+    saved, loaded = [r for r in caplog.records if r.name == "collgraph"]
+    for record, what in ((saved, "save_trace"), (loaded, "load_trace")):
+        assert record.levelno == logging.DEBUG and record.getMessage().startswith(what)
+        assert record.args[1:4] == (4, nodes, size) and record.args[4] >= 0.0
+
+
 # ---------------------------------------------------------------------------
 # Invariants
 # ---------------------------------------------------------------------------
@@ -623,6 +638,83 @@ def test_cycle_rejected_at_save(tmp_path):
     with pytest.raises(InvariantError, match="cycle"):
         save_trace(CollectiveTrace(1, None, [[comp(0, (1,)), comp(1, (0,))]]), path)
     assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# Private builders
+# ---------------------------------------------------------------------------
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("a normalizing constructor ran")
+
+
+def test_producers_and_the_loader_run_no_normalizing_constructor(monkeypatch, fixtures_dir):
+    """Every generator, the loader, the MSCCL parser and converter, and
+    `expand` build nodes and steps through the private builders: with the
+    public constructors' `__post_init__` (and `MscclStep.__init__`)
+    refusing, each still builds what it built before."""
+    b = TraceBuilder(2)
+    for rank in range(2):
+        ar = b.add_coll(rank, CollKind.ALL_REDUCE, 4096)
+        b.add_coll(rank, CollKind.ALL_GATHER, 1024, deps=[ar])
+    workload = b.build_workload()
+    sparse = generate(AlgoSpec(Algorithm.RING_ALL_GATHER, 2, 1024))  # ids 10, 9, ...
+    sparse = CollectiveTrace(2, sparse.claimed_collective, [
+        [replace(node, id=10 - node.id, deps=tuple(10 - d for d in node.deps))
+         for node in nodes] for nodes in sparse.per_rank_nodes])
+    texts = [dumps_trace(ring_ar()), dumps_trace(workload)]
+
+    def build():
+        return ([generate(AlgoSpec(algo, 4, 4096)) for algo in Algorithm],
+                [loads_trace(text) for text in texts],
+                parse_msccl_xml(fixtures_dir / "ring_allreduce_n4.xml"),
+                expand(workload, {CollKind.ALL_REDUCE: Algorithm.RING_ALL_REDUCE,
+                                  CollKind.ALL_GATHER: sparse}))
+
+    before = build()
+    for cls in (TraceNode, SendAttrs, RecvAttrs, CompAttrs):
+        monkeypatch.setattr(cls, "__post_init__", _refuse)
+    monkeypatch.setattr(MscclStep, "__init__", _refuse)
+    with pytest.raises(AssertionError, match="normalizing"):
+        TraceNode(0, "c", NodeKind.COMP, (), None)
+    after = build()
+    assert after == before
+    assert convert_to_trace(after[2], 4 * MIB) == convert_to_trace(before[2], 4 * MIB)
+
+
+_RECORDS = {  # name: (built by a private builder, built by the public constructor, a change)
+    "send": (trace_module._send_node(3, "s", (0, 1), 1, 64, 7, (0, 2)),
+             TraceNode(3, "s", NodeKind.COMM_SEND, [1, 0], SendAttrs(1, 64, 7, [0, 2])),
+             {"id": 4}),
+    "recv": (trace_module._recv_node(0, "r", (), 2, 8, 0, None),
+             TraceNode(0, "r", NodeKind.COMM_RECV, (), RecvAttrs(2, 8, 0)), {"name": "q"}),
+    "comp": (trace_module._comp_node(5, "c", (4,), "REDUCE", 8, (1,), (2,)),
+             TraceNode(5, "c", NodeKind.COMP, (4,), CompAttrs("REDUCE", 8, [1], [2])),
+             {"deps": (3,)}),
+    "send attrs": (trace_module._send_node(0, "", (), 1, 64, 7, (0,)).attrs,
+                   SendAttrs(1, 64, 7, (0,)), {"tag": 8}),
+    "recv attrs": (trace_module._recv_node(0, "", (), 1, 64, 7, ()).attrs,
+                   RecvAttrs(1, 64, 7, ()), {"chunks": (1,)}),
+    "comp attrs": (trace_module._comp_node(0, "", (), "NOP", 0, None, None).attrs,
+                   CompAttrs("NOP", 0), {"op": "COPY"}),
+    "msccl step": (msccl_module._step(2, "rrc", "input", 1, "output", 3, 1, (0, 1)),
+                   MscclStep(2, "rrc", "input", 1, "output", 3, 1, (0, 1)), {"cnt": 2}),
+}
+
+
+@pytest.mark.parametrize("built, public, change", _RECORDS.values(), ids=_RECORDS)
+def test_a_built_record_is_the_public_one(built, public, change):
+    cls = type(public)
+    assert type(built) is cls
+    assert built == public and hash(built) == hash(public)
+    assert repr(built) == repr(public)
+    assert replace(built) == public and type(replace(built)) is cls
+    assert replace(built, **change) == replace(public, **change)
+    assert pickle.loads(pickle.dumps(built)) == public
+    (name, value), = change.items()
+    with pytest.raises(FrozenInstanceError):
+        setattr(built, name, value)
+    assert built == public
 
 
 # ---------------------------------------------------------------------------

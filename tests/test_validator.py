@@ -2,6 +2,7 @@
 deadlock detection and canonical-form isomorphism."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from helpers import (
@@ -195,6 +196,80 @@ def test_wrong_chunk_annotation_fails_with_slot_details():
     assert verdict.status == FAIL
     assert verdict.violations[0]["rank"] == 1
     assert any("expected" in v for v in verdict.violations)
+
+
+def resized(trace, size_of):
+    """`trace` with each node's bytes set to `size_of(rank, node)`, or kept
+    where that is None."""
+    def node_of(rank, node):
+        size = size_of(rank, node)
+        if size is None:
+            return node
+        field = "comp_size" if node.kind is NodeKind.COMP else "comm_size"
+        return replace(node, attrs=replace(node.attrs, **{field: size}))
+    return CollectiveTrace(trace.num_ranks, trace.claimed_collective, [
+        [node_of(rank, node) for node in nodes]
+        for rank, nodes in enumerate(trace.per_rank_nodes)])
+
+
+def size_error(size, count, unit):
+    return f"size {size} B is not {count} chunk(s) x {unit} B = {count * unit} B"
+
+
+def test_a_pass_certifies_the_bytes_of_every_message():
+    """Shrinking every message of a 4-rank 4,096 B ring all-reduce to 8 B,
+    each recv with its send, keeps every chunk right but moves other bytes
+    than the claim: each send and recv is a violation."""
+    trace = gen(Algorithm.RING_ALL_REDUCE, 4, 4096)
+    shrunk = resized(trace, lambda rank, node: None if node.kind is NodeKind.COMP else 8)
+    verdict = check_semantics(shrunk)
+    assert verdict.status == FAIL
+    assert verdict.violations == [
+        {"rank": rank, "node": node.id, "name": node.name, "error": size_error(8, 1, 1024)}
+        for rank, nodes in enumerate(trace.per_rank_nodes) for node in nodes
+        if node.kind is not NodeKind.COMP]
+
+
+def test_one_message_resized_with_its_recv_names_both_nodes():
+    trace = gen(Algorithm.RING_ALL_REDUCE, 4, 4096)
+    src, dst, send_id, recv_id, _ = trace.messages[5]
+    chosen = {(src, send_id), (dst, recv_id)}
+    verdict = check_semantics(resized(
+        trace, lambda rank, node: 2048 if (rank, node.id) in chosen else None))
+    assert verdict.status == FAIL
+    name = {(rank, node.id): node.name for rank, nodes in enumerate(trace.per_rank_nodes)
+            for node in nodes}
+    assert verdict.violations == [
+        {"rank": rank, "node": nid, "name": name[rank, nid], "error": size_error(2048, 1, 1024)}
+        for rank, nid in sorted(chosen)]
+
+
+def test_a_reduce_off_by_one_unit_fails():
+    trace = gen(Algorithm.RING_ALL_REDUCE, 4, 4096)
+    reduce = next(node for node in trace.per_rank_nodes[2] if node.kind is NodeKind.COMP)
+    verdict = check_semantics(resized(
+        trace, lambda rank, node: 2048 if (rank, node) == (2, reduce) else None))
+    assert verdict.to_json() == {"verdict": FAIL, "stuck_nodes": [], "warnings": [],
+                                 "violations": [{"rank": 2, "node": reduce.id,
+                                                 "name": reduce.name,
+                                                 "error": size_error(2048, 1, 1024)}]}
+
+
+def test_a_claim_that_does_not_divide_into_the_chunks_is_one_violation():
+    verdict = check_semantics(two_rank_message(CollKind.ALL_REDUCE, [0, 1, 2]))
+    assert verdict.violations[0] == {
+        "rank": None, "chunk": None, "error": "claimed 64 B do not divide into 3 chunks"}
+    assert [v for v in verdict.violations if "node" in v] == []
+
+
+def test_an_all_gather_unit_is_the_per_rank_claim():
+    """An ALL_GATHER claims its per-rank input, so n x 4,096 B over n chunks
+    is 4,096 B a chunk; messages of 4,096 / n B are a quarter of that."""
+    trace = gen(Algorithm.RING_ALL_GATHER, 4, 4096)
+    assert check_semantics(trace).status == PASS
+    verdict = check_semantics(resized(trace, lambda rank, node: 1024))
+    assert verdict.status == FAIL
+    assert {v["error"] for v in verdict.violations} == {size_error(1024, 1, 4096)}
 
 
 # ---------------------------------------------------------------------------
