@@ -994,7 +994,7 @@ def load_trace(path) -> Trace:
     """Load and schema-check a trace file; building the trace checks its
     invariants (see the module docstring)."""
     began = perf_counter()
-    with collector_paused():  # as loads_trace, up to the log line
+    with collector_paused():  # through the log line: no collection starts before the return
         try:  # no local holds the text, so loads_trace can free it
             trace = loads_trace(Path(path).read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:  # only reading decodes bytes
