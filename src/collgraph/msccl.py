@@ -61,11 +61,11 @@ class MscclStep:
 
 
 # The parser's constructor: stores on an open twin, as trace.py builds nodes.
-_OpenStep = type("_OpenMscclStep", (), {"__slots__": MscclStep.__slots__})
+_OpenMscclStep = type("_OpenMscclStep", (), {"__slots__": MscclStep.__slots__})
 
 
 def _step(index, step_type, src_buf, src_off, dst_buf, dst_off, cnt, depend) -> MscclStep:
-    step = _OpenStep()
+    step = _OpenMscclStep()
     step.index = index
     step.type = step_type
     step.src_buf = src_buf

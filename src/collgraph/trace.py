@@ -200,14 +200,14 @@ class TraceNode:
 # Private constructors (see the module docstring). An attribute store on an
 # open twin costs less than a call of the frozen class's slot descriptor;
 # the twin never leaves its builder.
-_OpenNode, _OpenSend, _OpenRecv, _OpenComp = (
+_OpenTraceNode, _OpenSendAttrs, _OpenRecvAttrs, _OpenCompAttrs = (
     type(f"_Open{cls.__name__}", (), {"__slots__": cls.__slots__})
     for cls in (TraceNode, SendAttrs, RecvAttrs, CompAttrs))
 _SEND, _RECV, _COMP = NodeKind.COMM_SEND, NodeKind.COMM_RECV, NodeKind.COMP
 
 
 def _node(nid, name, kind, deps, attrs) -> TraceNode:
-    node = _OpenNode()
+    node = _OpenTraceNode()
     node.id = nid
     node.name = name
     node.kind = kind
@@ -218,7 +218,7 @@ def _node(nid, name, kind, deps, attrs) -> TraceNode:
 
 
 def _send_node(nid, name, deps, dst_rank, comm_size, tag, chunks) -> TraceNode:
-    a = _OpenSend()
+    a = _OpenSendAttrs()
     a.dst_rank = dst_rank
     a.comm_size = comm_size
     a.tag = tag
@@ -228,7 +228,7 @@ def _send_node(nid, name, deps, dst_rank, comm_size, tag, chunks) -> TraceNode:
 
 
 def _recv_node(nid, name, deps, src_rank, comm_size, tag, chunks) -> TraceNode:
-    a = _OpenRecv()
+    a = _OpenRecvAttrs()
     a.src_rank = src_rank
     a.comm_size = comm_size
     a.tag = tag
@@ -238,7 +238,7 @@ def _recv_node(nid, name, deps, src_rank, comm_size, tag, chunks) -> TraceNode:
 
 
 def _comp_node(nid, name, deps, op, comp_size, chunks, src_chunks) -> TraceNode:
-    a = _OpenComp()
+    a = _OpenCompAttrs()
     a.op = op
     a.comp_size = comp_size
     a.chunks = chunks
