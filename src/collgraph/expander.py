@@ -20,11 +20,12 @@ from .trace import (
     OP_NOP,
     CollKind,
     CollectiveTrace,
-    NodeKind,
     RecvAttrs,
     SendAttrs,
     TraceNode,
     WorkloadTrace,
+    _COLL,
+    _COMP,
     _comp_node,
     _node,
     _recv_node,
@@ -72,7 +73,7 @@ def _resolve(kind: CollKind, size: int, binding, num_ranks: int) -> tuple:
                            f"Algorithm, got {type(binding).__name__}")
     require_matched(trace)
     tag = next((n.attrs.tag for nodes in trace.per_rank_nodes for n in nodes
-                if n.kind is not NodeKind.COMP and n.attrs.tag >= TAG_STRIDE), None)
+                if n.kind is not _COMP and n.attrs.tag >= TAG_STRIDE), None)
     if tag is not None:
         raise BindingError(
             f"binding tag {tag} exceeds the per-instance namespace of {TAG_STRIDE}")
@@ -104,7 +105,7 @@ def _splice(workload: WorkloadTrace, resolved: dict) -> list[list[TraceNode]]:
         exits: dict[int, list[int]] = {}
         cursor = 0
         for node in nodes:
-            if node.kind is not NodeKind.COMM_COLL:
+            if node.kind is not _COLL:
                 exits[node.id] = [cursor]
                 cursor += 1
                 continue
@@ -120,7 +121,7 @@ def _splice(workload: WorkloadTrace, resolved: dict) -> list[list[TraceNode]]:
             nid = node.id
             deps = tuple(sorted({d for dep in node.deps for d in exits[dep]}))
             deps = joined.setdefault(deps, deps)
-            if node.kind is not NodeKind.COMM_COLL:
+            if node.kind is not _COLL:
                 out.append(_node(exits[nid][0], node.name, node.kind, deps, node.attrs))
                 continue
             ordinal = ordinal_of[nid]

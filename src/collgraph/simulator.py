@@ -161,6 +161,11 @@ class CostModel:
         return size / self.bandwidth
 
 
+# `route` runs once per issued send, so it compares kinds with these
+_RING, _FC, _MESH2D, _SWITCH = (
+    TopologyKind.RING, TopologyKind.FULLY_CONNECTED, TopologyKind.MESH2D, TopologyKind.SWITCH)
+
+
 def route(topology: Topology, src: int, dst: int) -> list[tuple[int, int]]:
     """Deterministic path of directed links between two physical nodes.
 
@@ -173,15 +178,15 @@ def route(topology: Topology, src: int, dst: int) -> list[tuple[int, int]]:
     if not (0 <= src < topology.n and 0 <= dst < topology.n):
         raise UnreachableError(f"nodes {src}->{dst} outside topology of {topology.n}")
     kind = topology.kind
-    if kind is TopologyKind.FULLY_CONNECTED:
+    if kind is _FC:
         return [(src, dst)]
-    if kind is TopologyKind.SWITCH:
+    if kind is _SWITCH:
         hub = topology.n
         return [(src, hub), (hub, dst)]
     # each axis: its number of positions and the node distance between them
-    axes = ((topology.n, 1),) if kind is TopologyKind.RING else \
+    axes = ((topology.n, 1),) if kind is _RING else \
         ((topology.cols, 1), (topology.rows, topology.cols))
-    wrap = kind is not TopologyKind.MESH2D
+    wrap = kind is not _MESH2D
     path, node = [], src
     for size, stride in axes:
         here, there = node // stride % size, dst // stride % size

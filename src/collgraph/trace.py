@@ -4,7 +4,8 @@ A trace holds one dependency graph per rank. Vertices are send / recv /
 compute operations (collective placeholders in workload traces); edges are
 intra-rank dependencies only. Cross-rank ordering is expressed exclusively
 through send/recv tag matching, so each rank's graph stays independently
-analyzable.
+analyzable. A built `CollectiveTrace` holds no COMM_COLL node (`check_trace`
+refuses one), so `require_expanded` scans only a `WorkloadTrace`.
 
 A trace is checked once, when it is built: `CollectiveTrace` and
 `WorkloadTrace` run `check_trace` on construction and are frozen. That
@@ -203,7 +204,10 @@ class TraceNode:
 _OpenTraceNode, _OpenSendAttrs, _OpenRecvAttrs, _OpenCompAttrs = (
     type(f"_Open{cls.__name__}", (), {"__slots__": cls.__slots__})
     for cls in (TraceNode, SendAttrs, RecvAttrs, CompAttrs))
-_SEND, _RECV, _COMP = NodeKind.COMM_SEND, NodeKind.COMM_RECV, NodeKind.COMP
+# The kinds as module constants: per-node loops compare with these, since a
+# read through the Enum class costs several times a global read.
+_SEND, _RECV, _COMP, _COLL = (
+    NodeKind.COMM_SEND, NodeKind.COMM_RECV, NodeKind.COMP, NodeKind.COMM_COLL)
 
 
 def _node(nid, name, kind, deps, attrs) -> TraceNode:
@@ -386,7 +390,7 @@ def _find_cycle(nodes, pos: dict, pending: list[int]) -> list[int]:
 
 def coll_sequence(workload: WorkloadTrace, rank: int) -> list[TraceNode]:
     """COMM_COLL nodes of one rank in topological (tie: id) order."""
-    return [node for _, node in ordered(workload, rank) if node.kind is NodeKind.COMM_COLL]
+    return [node for _, node in ordered(workload, rank) if node.kind is _COLL]
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +522,14 @@ def require_matched(trace: Trace) -> None:
 
 def require_expanded(trace: Trace, before: str) -> None:
     """Raise UnexpandedCollectiveError for the first COMM_COLL node, by rank
-    then list order, if there is one: it must be expanded `before` a step."""
+    then list order, if there is one: it must be expanded `before` a step.
+    A built `CollectiveTrace` holds none (`check_trace` refuses one), so
+    only a `WorkloadTrace` is scanned."""
+    if isinstance(trace, CollectiveTrace):
+        return
     for rank, nodes in enumerate(trace.per_rank_nodes):
         for node in nodes:
-            if node.kind is NodeKind.COMM_COLL:
+            if node.kind is _COLL:
                 raise UnexpandedCollectiveError(
                     f"COMM_COLL node {node.id} on rank {rank} must be expanded before {before}")
 
@@ -711,7 +719,9 @@ def json_array_pieces(elements, indent: int):
 
 
 _ATTR_SEP = ",\n" + " " * 10
-_KIND_TEXT = {kind: f'        "kind": "{kind.value}",\n        "deps": ' for kind in NodeKind}
+# keyed by attrs type, which `check_trace` ties one-to-one to the node's kind
+_KIND_TEXT = {attrs: f'        "kind": "{kind.value}",\n        "deps": '
+              for attrs, kind in _KIND_FOR_ATTRS.items()}
 _CHUNKS, _SRC_CHUNKS = (f'{_ATTR_SEP}"{key}": ' for key in ("chunks", "src_chunks"))
 
 
@@ -744,7 +754,7 @@ def _node_text(node: TraceNode, texts: tuple, last: tuple) -> str:
         body += src_texts.get(src) or src_texts.setdefault(
             src, prev_src.get(src) or _SRC_CHUNKS + json_array(map(str, src), 10))
     return (f'{{\n        "id": {node.id},\n        "name": {encode_basestring(node.name)},\n'
-            f'{_KIND_TEXT[node.kind]}{deps},\n        "attrs": {{\n          {body}'
+            f'{_KIND_TEXT[ta]}{deps},\n        "attrs": {{\n          {body}'
             '\n        }\n      }')
 
 
@@ -927,7 +937,7 @@ def loads_trace(text: str) -> Trace:
             if not (len(a) == 2 and type(size) is int and type(coll_kind) is str
                     and coll_kind in _COLL_KINDS):
                 return obj
-            node = _node(nid, name, NodeKind.COMM_COLL, deps,
+            node = _node(nid, name, _COLL, deps,
                          CollAttrs(_COLL_KINDS[coll_kind], share(size, size)))
         else:
             return obj

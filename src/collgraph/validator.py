@@ -24,30 +24,45 @@ and, for a recv, once its message was sent; it returns the run order and
 the nodes left waiting. `_track` then applies each node's effect on the
 chunk state in that order. A second schedule over the same index, under
 rendezvous semantics where a send also waits until its recv is posted,
-decides the rendezvous-deadlock warning. The canonical form for
+decides the rendezvous-deadlock warning. That pass may run its ready nodes
+in any order, and runs them LIFO: every condition that lets a node run only
+ever turns true, so the set it leaves parked does not depend on the order.
+The eager pass runs by (rank, position) or a seeded order, since the
+violations `_track` reports follow its run. The canonical form for
 isomorphism is an `ordered` walk with a structural key.
 """
 
 from __future__ import annotations
 
 import heapq
+import logging
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
+from time import perf_counter
 
-from .errors import InvariantError, StuckError
+from .errors import InvariantError, SpecError, StuckError
 from .trace import (
     OP_COPY,
     OP_REDUCE,
     CollKind,
     CollectiveTrace,
-    NodeKind,
+    CompAttrs,
     Readiness,
+    RecvAttrs,
+    SendAttrs,
+    WorkloadTrace,
+    _COMP,
+    _RECV,
+    _SEND,
     check_trace,  # noqa: F401 -- kept importable: perfbench/tracer.py rebinds it
     collector_paused,
     ordered,
     require_expanded,
 )
+
+log = logging.getLogger("collgraph")
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -93,9 +108,15 @@ def _schedule(readiness: list[Readiness], peer: list[list], order: random.Random
     Sends are eager unless `rendezvous` is set; then a send also waits until
     its recv is posted. Ready nodes run by (rank, position), or in the
     random `order`. Returns the (rank, position) of each node in run order
-    and, sorted, of the nodes left waiting for their peer: none iff all ran."""
+    and, sorted, of the nodes left waiting for their peer: none iff all ran.
+
+    Under `rendezvous` ready nodes run LIFO and `order` is not read. Every
+    condition that lets a node run only ever turns true, so the nodes that
+    run, and so the parked ones returned, do not depend on the order; the
+    run order itself does, and `_track` walks only the eager one."""
     nodes, pending = [r.nodes for r in readiness], [list(r.pending) for r in readiness]
     ready: list[tuple[int, int]] = []
+    push = ready.append if rendezvous else partial(heapq.heappush, ready)
     # dep-ready nodes waiting for their peer: recvs missing their message
     # and, under rendezvous, sends whose recv is not posted yet
     parked: set[tuple[int, int]] = set()
@@ -105,29 +126,31 @@ def _schedule(readiness: list[Readiness], peer: list[list], order: random.Random
     def unpark(rank: int, p: int | None) -> None:
         if (rank, p) in parked:
             parked.discard((rank, p))
-            heapq.heappush(ready, (rank, p))
+            push((rank, p))
 
     def on_dep_ready(rank: int, p: int) -> None:
         kind = nodes[rank][p].kind
-        if kind is NodeKind.COMM_RECV:
+        if kind is _RECV:
             m, src, send_pos = peer[rank][p]
             unpark(src, send_pos)  # the recv is posted now
             if m not in sent:
                 parked.add((rank, p))
                 return
-        elif kind is NodeKind.COMM_SEND and rendezvous:
+        elif kind is _SEND and rendezvous:
             _, dst, recv_pos = peer[rank][p]
             if recv_pos is None or pending[dst][recv_pos]:
                 parked.add((rank, p))
                 return
-        heapq.heappush(ready, (rank, p))
+        push((rank, p))
 
     for rank, r in enumerate(readiness):
         for p in r.roots():
             on_dep_ready(rank, p)
 
     while ready:
-        if order is None:
+        if rendezvous:
+            rank, p = ready.pop()
+        elif order is None:
             rank, p = heapq.heappop(ready)
         else:
             idx = order.randrange(len(ready))
@@ -135,7 +158,7 @@ def _schedule(readiness: list[Readiness], peer: list[list], order: random.Random
             rank, p = ready.pop()
             heapq.heapify(ready)
         run.append((rank, p))
-        if nodes[rank][p].kind is NodeKind.COMM_SEND:
+        if nodes[rank][p].kind is _SEND:
             m, dst, recv_pos = peer[rank][p]
             sent.add(m)
             unpark(dst, recv_pos)
@@ -171,9 +194,10 @@ def _track(readiness: list[Readiness], peer: list[list], run: list,
         a = node.attrs
         if a.chunks is None:  # no effect, as for a NOP or an opaque op
             continue
-        if node.kind is NodeKind.COMM_SEND:
+        kind = node.kind
+        if kind is _SEND:
             delivered[peer[rank][p][0]] = [read(rank, c, node.id) for c in a.chunks]
-        elif node.kind is NodeKind.COMM_RECV:
+        elif kind is _RECV:
             payload = delivered.pop(peer[rank][p][0])
             if len(payload) != len(a.chunks):
                 raise InvariantError(
@@ -182,7 +206,7 @@ def _track(readiness: list[Readiness], peer: list[list], run: list,
             consumed = set()
             for q in readiness[rank].dependents[p]:
                 succ = nodes[q]
-                if succ.kind is NodeKind.COMP and succ.attrs.op == OP_REDUCE \
+                if succ.kind is _COMP and succ.attrs.op == OP_REDUCE \
                         and succ.attrs.chunks is not None:
                     consumed.update(succ.attrs.chunks)
             stage: dict[int, frozenset] = {}
@@ -226,7 +250,7 @@ def _shape(node) -> tuple[int, int] | None:
     a = node.attrs
     if a.chunks is None:
         return None
-    if node.kind is NodeKind.COMP:
+    if node.kind is _COMP:
         return (a.comp_size, len(a.chunks)) if a.op in (OP_REDUCE, OP_COPY) else None
     return a.comm_size, len(a.chunks)
 
@@ -241,11 +265,10 @@ def _chunk_space(trace: CollectiveTrace) -> tuple[int, int, list[int], list[dict
     divided by the chunk count is the unit. It must divide exactly, and a
     node of `_shape` (bytes, k) must have bytes == k x unit."""
     named, shapes = set(), set()  # shapes: each `_shape` but None
-    comp = NodeKind.COMP
     for nodes in trace.per_rank_nodes:
         for node in nodes:
             a = node.attrs
-            if node.kind is comp:
+            if node.kind is _COMP:
                 if a.src_chunks is not None:
                     named.update(a.src_chunks)
                 if a.chunks is None:
@@ -294,6 +317,36 @@ def _origins(kind: CollKind, num_ranks: int, num_chunks: int) -> list:
     return [range(num_ranks)] * num_chunks
 
 
+def _require_trace(trace) -> None:
+    """SpecError unless `trace` is a `CollectiveTrace` or a `WorkloadTrace`."""
+    if not isinstance(trace, (CollectiveTrace, WorkloadTrace)):
+        raise SpecError(f"expected a CollectiveTrace or a WorkloadTrace, got "
+                        f"{type(trace).__name__}")
+
+
+def _compare(kind: CollKind, n: int, num_chunks: int, origins: list,
+             state: list[dict[int, frozenset]]) -> list[dict]:
+    """The violations of the final chunk `state` against what `kind`
+    requires: each chunk ends as the union of its origins, on every rank
+    (REDUCE_SCATTER: on the rank that owns its share)."""
+    if kind in (CollKind.ALL_GATHER, CollKind.REDUCE_SCATTER) and num_chunks % n:
+        return [{"rank": None, "chunk": None,
+                 "error": f"chunk space of {num_chunks} not divisible by {n} ranks"}]
+    want = [frozenset((r, j) for r in ranks) for j, ranks in enumerate(origins)]
+    share, scatter = num_chunks // n, kind is CollKind.REDUCE_SCATTER
+    violations = []
+    for rank in range(n):
+        owned = range(rank * share, (rank + 1) * share) if scatter else range(num_chunks)
+        for chunk in owned:
+            got = state[rank].get(chunk)
+            if got != want[chunk]:
+                violations.append({
+                    "rank": rank, "chunk": chunk,
+                    "expected": sorted(want[chunk]),
+                    "actual": sorted(got) if got is not None else None})
+    return violations
+
+
 def check_semantics(trace: CollectiveTrace, *, order_seed: int | None = None) -> Verdict:
     """Symbolically execute `trace` and compare the final chunk state with
     what its claimed collective requires.
@@ -301,14 +354,19 @@ def check_semantics(trace: CollectiveTrace, *, order_seed: int | None = None) ->
     `order_seed` randomizes the execution order of independent nodes; any
     seed must produce the same verdict (schedule independence).
 
-    Raises StuckError when execution cannot reach quiescence (deadlock or
-    missing messages). Returns SKIPPED when the trace carries no claimed
+    Raises SpecError unless `trace` is a trace and `order_seed` None or an
+    int. Raises StuckError when execution cannot reach quiescence (deadlock
+    or missing messages). Returns SKIPPED when the trace carries no claimed
     collective or no chunk metadata, and FAIL with one violation when the
     named chunk ids are not 0..k-1; matching/deadlock checks still ran.
     Violations list the nodes whose bytes are not their chunks' units
     first (see `_chunk_space`), then reads of unwritten chunks, then the
-    final chunk state.
+    final chunk state. Logs its counts and seconds at DEBUG.
     """
+    began = perf_counter()
+    _require_trace(trace)
+    if order_seed is not None and type(order_seed) is not int:  # exact: a bool is an int too
+        raise SpecError(f"order_seed must be None or an int, got {order_seed!r}")
     require_expanded(trace, "validation")
     claimed = getattr(trace, "claimed_collective", None)  # a workload claims none
     order = None if order_seed is None else random.Random(order_seed)
@@ -325,52 +383,36 @@ def check_semantics(trace: CollectiveTrace, *, order_seed: int | None = None) ->
                 for rank in ranks:
                     state[rank][j] = frozenset({(rank, j)})
         violations += _track(readiness, peer, run, state)
+    total, ran = sum(map(len, trace.per_rank_nodes)), len(run)
     if frontier:
-        unrun = sum(map(len, trace.per_rank_nodes)) - len(run)
-        raise StuckError(f"execution stuck with {unrun} node(s) unrun", [
+        raise StuckError(f"execution stuck with {total - ran} node(s) unrun", [
             (rank, trace.per_rank_nodes[rank][p].id, trace.per_rank_nodes[rank][p].name)
             for rank, p in frontier])
     del run  # free the eager run before the rendezvous one
-    warnings: list[str] = []
-    if _schedule(readiness, peer, None, rendezvous=True)[1]:
-        warnings.append("trace deadlocks under rendezvous send semantics")
+    parked = _schedule(readiness, peer, None, rendezvous=True)[1]
+    warnings = ["trace deadlocks under rendezvous send semantics"] if parked else []
     if space is None:
-        return Verdict(SKIPPED, warnings=warnings)
-    if missing:  # the state is neither seeded nor compared, so one violation
+        verdict = Verdict(SKIPPED, warnings=warnings)
+    elif missing:  # the state is neither seeded nor compared, so one violation
         shown = ", ".join(map(str, gaps)) + (", ..." if missing > len(gaps) else "")
-        return Verdict(FAIL, warnings=warnings, violations=[{
+        verdict = Verdict(FAIL, warnings=warnings, violations=[{
             "rank": None, "chunk": None,
             "error": f"chunk ids are not 0..{num_chunks - 1}: {missing} missing ({shown})"}])
-
-    kind, n = claimed.kind, trace.num_ranks
-    if kind in (CollKind.ALL_GATHER, CollKind.REDUCE_SCATTER) and num_chunks % n:
-        violations.append({
-            "rank": None, "chunk": None,
-            "error": f"chunk space of {num_chunks} not divisible by {n} ranks"})
     else:
-        # each chunk ends as the union of its origins (REDUCE_SCATTER: on one rank)
-        want = [frozenset((r, j) for r in ranks) for j, ranks in enumerate(origins)]
-        share = num_chunks // n
-        for rank in range(n):
-            owned = range(rank * share, (rank + 1) * share) \
-                if kind is CollKind.REDUCE_SCATTER else range(num_chunks)
-            for chunk in owned:
-                got = state[rank].get(chunk)
-                if got != want[chunk]:
-                    violations.append({
-                        "rank": rank, "chunk": chunk,
-                        "expected": sorted(want[chunk]),
-                        "actual": sorted(got) if got is not None else None})
-    if violations:
-        return Verdict(FAIL, violations=violations, warnings=warnings)
-    return Verdict(PASS, warnings=warnings)
+        violations += _compare(claimed.kind, trace.num_ranks, num_chunks, origins, state)
+        verdict = Verdict(FAIL if violations else PASS, violations=violations, warnings=warnings)
+    log.debug("check_semantics: %d ranks, %d nodes, %d messages, %d run, "
+              "%d parked under rendezvous, %.6f s", trace.num_ranks, total,
+              len(trace.messages), ran, len(parked), perf_counter() - began)
+    return verdict
 
 
 # ---------------------------------------------------------------------------
 # Canonical-form isomorphism
 # ---------------------------------------------------------------------------
 
-_KIND_ORDER = {NodeKind.COMM_SEND: 0, NodeKind.COMM_RECV: 1, NodeKind.COMP: 2}
+# keyed by attrs type, which `check_trace` ties one-to-one to the node's kind
+_KIND_ORDER = {SendAttrs: 0, RecvAttrs: 1, CompAttrs: 2}
 
 
 def canonical_form(trace: CollectiveTrace):
@@ -379,7 +421,10 @@ def canonical_form(trace: CollectiveTrace):
 
     Raw tag values are producer-specific; only their relative order within
     a direction is structurally meaningful, so each send and recv keys on
-    its ordinal in its direction of the trace's `messages` table."""
+    its ordinal in its direction of the trace's `messages` table. Raises
+    SpecError unless `trace` is a trace; logs its counts and seconds at DEBUG."""
+    began = perf_counter()
+    _require_trace(trace)
     require_expanded(trace, "canonical labelling")
     # per rank: send/recv id -> ordinal of its tag within its direction (a
     # missing side files its ordinal under None, which no node id looks up)
@@ -392,29 +437,35 @@ def canonical_form(trace: CollectiveTrace):
     form = []
     for rank in range(trace.num_ranks):
         label: dict[int, int] = {}
+        labelled, tag_of = label.__getitem__, ordinals[rank]
 
         def key_of(node):
-            a = node.attrs
-            if node.kind is NodeKind.COMM_SEND:
-                peer, size, tag, op = a.dst_rank, a.comm_size, ordinals[rank][node.id], ""
-            elif node.kind is NodeKind.COMM_RECV:
-                peer, size, tag, op = a.src_rank, a.comm_size, ordinals[rank][node.id], ""
+            a, kind = node.attrs, node.kind
+            if kind is _SEND:
+                peer, size, tag, op = a.dst_rank, a.comm_size, tag_of[node.id], ""
+            elif kind is _RECV:
+                peer, size, tag, op = a.src_rank, a.comm_size, tag_of[node.id], ""
             else:
                 peer, size, tag, op = -1, a.comp_size, -1, a.op
-            deps = tuple(sorted(label[d] for d in node.deps))
-            return (_KIND_ORDER[node.kind], peer, size, tag, op, deps)
+            return (_KIND_ORDER[type(a)], peer, size, tag, op,
+                    tuple(sorted(map(labelled, node.deps))))
 
         records = []
         for key, node in ordered(trace, rank, key_of):
             label[node.id] = len(records)
             records.append(key)
         form.append(tuple(records))
+    log.debug("canonical_form: %d ranks, %d nodes, %.6f s", trace.num_ranks,
+              sum(map(len, trace.per_rank_nodes)), perf_counter() - began)
     return tuple(form)
 
 
 def isomorphic(a: CollectiveTrace, b: CollectiveTrace) -> bool:
     """True iff the traces are structurally identical up to node ids, names,
-    raw tag values and auxiliary chunk metadata."""
+    raw tag values and auxiliary chunk metadata. Raises SpecError unless
+    both are traces."""
+    _require_trace(a)
+    _require_trace(b)
     if a.num_ranks != b.num_ranks:
         return False
     with collector_paused():
