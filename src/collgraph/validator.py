@@ -24,12 +24,11 @@ and, for a recv, once its message was sent; it returns the run order and
 the nodes left waiting. `_track` then applies each node's effect on the
 chunk state in that order. A second schedule over the same index, under
 rendezvous semantics where a send also waits until its recv is posted,
-decides the rendezvous-deadlock warning. That pass may run its ready nodes
-in any order, and runs them LIFO: every condition that lets a node run only
-ever turns true, so the set it leaves parked does not depend on the order.
-The eager pass runs by (rank, position) or a seeded order, since the
-violations `_track` reports follow its run. The canonical form for
-isomorphism is an `ordered` walk with a structural key.
+decides the rendezvous-deadlock warning. That pass may run in any order
+(it runs LIFO): what lets a node run never turns false, so the nodes it
+leaves parked do not depend on the order. The eager pass keeps its order,
+which `_track`'s violations follow. The canonical form for isomorphism is
+an `ordered` walk with a structural key.
 """
 
 from __future__ import annotations
@@ -109,11 +108,8 @@ def _schedule(readiness: list[Readiness], peer: list[list], order: random.Random
     its recv is posted. Ready nodes run by (rank, position), or in the
     random `order`. Returns the (rank, position) of each node in run order
     and, sorted, of the nodes left waiting for their peer: none iff all ran.
-
-    Under `rendezvous` ready nodes run LIFO and `order` is not read. Every
-    condition that lets a node run only ever turns true, so the nodes that
-    run, and so the parked ones returned, do not depend on the order; the
-    run order itself does, and `_track` walks only the eager one."""
+    Under `rendezvous` they run LIFO and `order` is unread: the parked set
+    does not depend on the order, since what lets a node run never turns false."""
     nodes, pending = [r.nodes for r in readiness], [list(r.pending) for r in readiness]
     ready: list[tuple[int, int]] = []
     push = ready.append if rendezvous else partial(heapq.heappush, ready)

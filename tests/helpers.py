@@ -5,8 +5,9 @@ oracle for `loads_trace`, a dict-keyed simulator as the oracle for
 `simulate`, a per-node lookup into its reports, the message table the
 trace should store, a multi-pass checker as the oracle for `check_trace`, a
 node-by-node splicer as the oracle for `expand`, a closed-form builder as
-the oracle for `generate`, the validator's own final chunk state,
-structural mutation helpers, and MSCCL-IR XML writers."""
+the oracle for `generate`, the validator's own final chunk state, a
+rescanning walk as the oracle for `canonical_form`, structural mutation
+helpers, and MSCCL-IR XML writers."""
 
 from __future__ import annotations
 
@@ -514,6 +515,43 @@ def message_table(trace: CollectiveTrace) -> tuple:
                       None if recv is None else recv.id,
                       None if send is None else send.attrs.comm_size))
     return tuple(table)
+
+
+def canonical_form_oracle(trace) -> tuple:
+    """`canonical_form(trace)` as a rescanning walk: per rank, label next the
+    ready node (every dep labelled) of smallest (structural key, id). The key
+    is (kind: send 0, recv 1, compute 2; peer; size; tag ordinal; op; the
+    sorted labels of its deps), where a send's or recv's ordinal counts the
+    earlier messages of its direction in `message_table`, and compute keys
+    peer and ordinal -1 and messages op "". Reference for `canonical_form`;
+    it shares no code with `ordered`, `Readiness` or the validator's key."""
+    ordinal, count = {}, {}  # (rank, send or recv id) -> ordinal; direction -> count
+    for src, dst, send_id, recv_id, _ in message_table(trace):
+        k = count[src, dst] = count.get((src, dst), -1) + 1
+        ordinal[src, send_id] = ordinal[dst, recv_id] = k
+    form = []
+    for rank, nodes in enumerate(trace.per_rank_nodes):
+        label, records = {}, []
+        while len(records) < len(nodes):
+            best = None
+            for node in nodes:
+                if node.id in label or any(d not in label for d in node.deps):
+                    continue
+                a = node.attrs
+                if node.kind is NodeKind.COMM_SEND:
+                    head = (0, a.dst_rank, a.comm_size, ordinal[rank, node.id], "")
+                elif node.kind is NodeKind.COMM_RECV:
+                    head = (1, a.src_rank, a.comm_size, ordinal[rank, node.id], "")
+                else:
+                    head = (2, -1, a.comp_size, -1, a.op)
+                key = (*head, tuple(sorted(label[d] for d in node.deps)))
+                if best is None or (key, node.id) < best:
+                    best = (key, node.id)
+            assert best is not None, f"no ready node on rank {rank}: a cycle"
+            label[best[1]] = len(records)
+            records.append(best[0])
+        form.append(tuple(records))
+    return tuple(form)
 
 
 def check_trace_oracle(trace) -> tuple:

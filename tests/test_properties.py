@@ -5,7 +5,9 @@ traces replay as the oracle's on every topology kind, also with costs
 that make most events tie; on every topology, each recv finishes no
 earlier than its send's start plus alpha plus the message's time on one
 link; every valid trace is written as `json.dumps` would write it and
-loads back to the same bytes; the trace loader raises only collgraph
+loads back to the same bytes, and is labelled by `canonical_form` as the
+rescanning oracle labels it (so are the generator traces and the
+converted MSCCL fixture); the trace loader raises only collgraph
 errors on corrupted input, and builds the trace, or raises the error,
 the per-node checking oracle loader does; the net config and MSCCL XML
 readers raise only collgraph errors on mutated or arbitrary bytes; the
@@ -32,6 +34,7 @@ from pathlib import Path
 
 import pytest
 from helpers import (
+    canonical_form_oracle,
     check_trace_oracle,
     concrete_execute,
     delete_node,
@@ -59,6 +62,7 @@ from collgraph.msccl import (
     MscclProgram,
     MscclStep,
     MscclThreadblock,
+    convert_to_trace,
     parse_msccl_xml,
 )
 from collgraph.simulator import CostModel, Topology, TopologyKind, simulate
@@ -78,7 +82,7 @@ from collgraph.trace import (
     dumps_trace,
     loads_trace,
 )
-from collgraph.validator import check_semantics
+from collgraph.validator import canonical_form, check_semantics
 
 # set on import: the Hypothesis plugin writes its cache while collecting
 _HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
@@ -274,6 +278,32 @@ def test_dumps_trace_equals_the_oracle_and_round_trips(trace):
     written = dumps_trace(trace)
     assert written == trace_json_oracle(trace)
     assert dumps_trace(loads_trace(written)) == written
+
+
+def _retagged(trace):
+    """`trace` with each tag t made 3t + 1, so that no raw tag is its ordinal."""
+    return CollectiveTrace(trace.num_ranks, trace.claimed_collective, [
+        [node if node.kind is NodeKind.COMP else
+         replace(node, attrs=replace(node.attrs, tag=3 * node.attrs.tag + 1)) for node in nodes]
+        for nodes in trace.per_rank_nodes])
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(valid_traces())
+def test_canonical_form_labels_as_the_rescanning_oracle_does(trace):
+    form = canonical_form_oracle(trace)
+    assert canonical_form(trace) == form
+    assert canonical_form(_retagged(trace)) == canonical_form_oracle(_retagged(trace)) == form
+
+
+def test_canonical_form_labels_producer_traces_as_the_oracle_does(fixtures_dir):
+    """Every generator trace with n <= 8 and the converted MSCCL fixture."""
+    traces = [generate(AlgoSpec(algo, n, n * 1024)) for algo in Algorithm for n in range(1, 9)
+              if algo is not Algorithm.RECURSIVE_DOUBLING_ALL_GATHER or not n & (n - 1)]
+    traces.append(convert_to_trace(parse_msccl_xml(fixtures_dir / "ring_allreduce_n4.xml"),
+                                   4 * 2**20))
+    for trace in traces:
+        assert canonical_form(trace) == canonical_form_oracle(trace)
 
 
 @settings(DETERMINISTIC, max_examples=200)

@@ -1,6 +1,7 @@
 """Semantic validator: oracle cross-checks, mutation sweeps, confluence,
 deadlock detection and canonical-form isomorphism."""
 
+import logging
 import random
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from collgraph.errors import (
     CollGraphError,
     CycleError,
     InvariantError,
+    SpecError,
     StuckError,
     UnexpandedCollectiveError,
 )
@@ -510,6 +512,46 @@ def test_a_workload_without_collectives_is_skipped_like_an_unclaimed_trace():
     assert check_semantics(workload).to_json() == {
         "verdict": SKIPPED, "violations": [], "stuck_nodes": [], "warnings": []}
     assert isomorphic(workload, workload)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda t: check_semantics(None), "got NoneType"),
+    (lambda t: check_semantics(t.per_rank_nodes), "got tuple"),
+    (lambda t: canonical_form(5), "got int"),
+    (lambda t: isomorphic(t, None), "got NoneType"),
+    (lambda t: isomorphic("trace", t), "got str"),
+    (lambda t: check_semantics(t, order_seed=[1]), "order_seed must be None or an int, got [1]"),
+    (lambda t: check_semantics(t, order_seed=True), "order_seed must be None or an int, got True"),
+    (lambda t: check_semantics(t, order_seed=1.0), "order_seed must be None or an int, got 1.0"),
+], ids=["semantics-none", "semantics-ranks", "canonical-int", "isomorphic-none",
+        "isomorphic-str", "seed-list", "seed-bool", "seed-float"])
+def test_the_entry_points_refuse_what_is_not_a_trace_or_a_seed(call, error):
+    with pytest.raises(SpecError) as exc:
+        call(gen(Algorithm.RING_ALL_REDUCE, 2))
+    assert str(exc.value).endswith(error)
+
+
+def test_check_semantics_and_canonical_form_log_their_counts_at_debug(caplog, fixtures_dir):
+    """One DEBUG line per verdict and per canonical form, none for a stuck
+    trace. Both sends of the send-first pair stay parked under rendezvous."""
+    caplog.set_level(logging.DEBUG, logger="collgraph")
+    trace = gen(Algorithm.RING_ALL_REDUCE, 4)
+    nodes = sum(map(len, trace.per_rank_nodes))
+    check_semantics(trace, order_seed=5)
+    check_semantics(send_before_recv_pair())
+    with pytest.raises(StuckError):
+        check_semantics(load_trace(fixtures_dir / "circular_wait.json"))
+    canonical_form(trace)
+    records = [r for r in caplog.records
+               if r.name == "collgraph" and not r.getMessage().startswith("load_trace")]
+    assert [r.levelno for r in records] == [logging.DEBUG] * 3
+    verdict, pair, form = records
+    assert verdict.getMessage().startswith("check_semantics: 4 ranks")
+    assert verdict.args[:5] == (4, nodes, len(trace.messages), nodes, 0)
+    assert pair.args[:5] == (2, 4, 2, 4, 2)
+    assert form.getMessage().startswith("canonical_form: 4 ranks")
+    assert form.args[:2] == (4, nodes)
+    assert verdict.args[5] >= 0.0 and form.args[2] >= 0.0
 
 
 def test_verdict_json_shape():
