@@ -47,10 +47,7 @@ from .trace import (
     OP_REDUCE,
     CollKind,
     CollectiveTrace,
-    CompAttrs,
     Readiness,
-    RecvAttrs,
-    SendAttrs,
     WorkloadTrace,
     _COMP,
     _RECV,
@@ -407,10 +404,6 @@ def check_semantics(trace: CollectiveTrace, *, order_seed: int | None = None) ->
 # Canonical-form isomorphism
 # ---------------------------------------------------------------------------
 
-# keyed by attrs type, which `check_trace` ties one-to-one to the node's kind
-_KIND_ORDER = {SendAttrs: 0, RecvAttrs: 1, CompAttrs: 2}
-
-
 def canonical_form(trace: CollectiveTrace):
     """Relabel each rank's nodes by dependency order with a structural
     tie-break, erasing ids, names, raw tag values and chunk metadata.
@@ -435,16 +428,14 @@ def canonical_form(trace: CollectiveTrace):
         label: dict[int, int] = {}
         labelled, tag_of = label.__getitem__, ordinals[rank]
 
-        def key_of(node):
+        def key_of(node):  # (kind: send 0, recv 1, compute 2; peer; size; tag; op; deps)
             a, kind = node.attrs, node.kind
+            deps = tuple(sorted(map(labelled, node.deps)))
             if kind is _SEND:
-                peer, size, tag, op = a.dst_rank, a.comm_size, tag_of[node.id], ""
-            elif kind is _RECV:
-                peer, size, tag, op = a.src_rank, a.comm_size, tag_of[node.id], ""
-            else:
-                peer, size, tag, op = -1, a.comp_size, -1, a.op
-            return (_KIND_ORDER[type(a)], peer, size, tag, op,
-                    tuple(sorted(map(labelled, node.deps))))
+                return 0, a.dst_rank, a.comm_size, tag_of[node.id], "", deps
+            if kind is _RECV:
+                return 1, a.src_rank, a.comm_size, tag_of[node.id], "", deps
+            return 2, -1, a.comp_size, -1, a.op, deps
 
         records = []
         for key, node in ordered(trace, rank, key_of):
