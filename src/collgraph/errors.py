@@ -40,7 +40,7 @@ class CycleError(CollGraphError):
 class SpecError(CollGraphError):
     """Invalid specification or argument: an algorithm, topology or cost
     model out of range or of the wrong type, or a library call's argument
-    of the wrong type (a validator entry point given no trace, say)."""
+    of the wrong type (an entry point given no trace, say)."""
 
 
 class XmlError(CollGraphError):

@@ -14,7 +14,7 @@ sequence lifts every tag by ordinal * TAG_STRIDE and names each node
 
 from __future__ import annotations
 
-from .errors import BindingError
+from .errors import BindingError, SpecError
 from .generators import AlgoSpec, Algorithm, generate
 from .trace import (
     OP_NOP,
@@ -153,7 +153,10 @@ def expand(workload: WorkloadTrace, bindings: dict[CollKind, Binding]) -> Collec
     """Replace every COMM_COLL node with its bound algorithm subgraph and
     return the unified trace (claimed_collective is None). Raises
     BindingError for a missing, mistyped or mismatched binding or one with
-    tags at or above TAG_STRIDE, and InvariantError for an unmatched one."""
+    tags at or above TAG_STRIDE, InvariantError for an unmatched one, and
+    SpecError unless `workload` is a `WorkloadTrace`."""
+    if not isinstance(workload, WorkloadTrace):
+        raise SpecError(f"expected a WorkloadTrace, got {type(workload).__name__}")
     n = workload.num_ranks
     keys = dict.fromkeys((node.attrs.coll_kind, node.attrs.comm_size)
                          for node in coll_sequence(workload, 0))

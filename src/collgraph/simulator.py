@@ -44,6 +44,7 @@ from .trace import (
     json_array_pieces,
     require_expanded,
     require_matched,
+    require_trace,
 )
 
 log = logging.getLogger("collgraph")
@@ -262,8 +263,13 @@ def simulate(trace: Trace, topology: Topology, cost: CostModel) -> SimReport:
     and link grants as events, and logging its counts at DEBUG. Raises
     UnexpandedCollectiveError on COMM_COLL nodes, InvariantError (recorded by
     `check_trace`) on an unmatched send or recv, DeadlockError (naming the
-    pending receives) if events run out early, and SpecError on inf times."""
+    pending receives) if events run out early, and SpecError on inf times or
+    an argument of the wrong type."""
     began = perf_counter()
+    require_trace(trace)
+    for value, cls in ((topology, Topology), (cost, CostModel)):
+        if not isinstance(value, cls):
+            raise SpecError(f"expected a {cls.__name__}, got {type(value).__name__}")
     require_expanded(trace, "simulation")
     if trace.num_ranks > topology.n:
         raise SpecError(

@@ -68,7 +68,8 @@ from pathlib import Path
 from time import perf_counter
 from typing import NoReturn, Optional, Union
 
-from .errors import CycleError, InvariantError, ParseError, SchemaError, UnexpandedCollectiveError
+from .errors import (CycleError, InvariantError, ParseError, SchemaError, SpecError,
+                     UnexpandedCollectiveError)
 
 FORMAT_VERSION = "1"
 
@@ -208,6 +209,9 @@ _OpenTraceNode, _OpenSendAttrs, _OpenRecvAttrs, _OpenCompAttrs = (
 # read through the Enum class costs several times a global read.
 _SEND, _RECV, _COMP, _COLL = (
     NodeKind.COMM_SEND, NodeKind.COMM_RECV, NodeKind.COMP, NodeKind.COMM_COLL)
+_NO_KIND = object()  # `check_trace`'s kind for attrs of no node type: no node has it
+_PEER_FIELD = {SendAttrs: "dst_rank", RecvAttrs: "src_rank"}
+_SURROGATE = re.compile("[\ud800-\udfff]")  # what UTF-8 cannot encode
 
 
 def _node(nid, name, kind, deps, attrs) -> TraceNode:
@@ -403,8 +407,10 @@ def check_trace(trace: Trace) -> None:
 
     It raises what checking all nodes, deps and cycles rank by rank, in the
     given order, then all tags, raises first. Per rank, one pass over the
-    nodes checks each node and maps its id to its list index (an id seen
-    before is a duplicate) while it fills the send/recv tables; the rank's
+    nodes checks each node, where each node rule is stated once, in the
+    order a fault is reported: the entry, its id, name and kind, then its
+    attrs' fields. It maps each id to its list index (an id seen before is
+    a duplicate) while it fills the send/recv tables; the rank's
     `Readiness` is built on that map and counted down inline, and `_dep_fault`
     raises for a missing dep or nodes left over. Then it sorts unsorted ranks.
 
@@ -435,28 +441,64 @@ def check_trace(trace: Trace) -> None:
     for rank, nodes in enumerate(trace.per_rank_nodes):
         index, last = {}, -1  # node id -> list index; the previous node's id
         for i, node in enumerate(nodes):
-            a = node.attrs if type(node) is TraceNode else None
-            ta, table = type(a), None
-            if ta is SendAttrs:
-                peer, size, tag, table, kind = a.dst_rank, a.comm_size, a.tag, sends, _SEND
-                key = (rank, peer, tag)
+            if type(node) is not TraceNode:
+                raise InvariantError(
+                    f"rank lists must hold TraceNodes, got {type(node).__name__}", rank)
+            nid, name, a = node.id, node.name, node.attrs
+            if type(nid) is not int or nid < 0:
+                raise InvariantError(f"node id must be a non-negative int, got {nid!r}", rank)
+            if type(name) is not str or not name.isascii() and _SURROGATE.search(name):
+                raise InvariantError(f"name must be UTF-8 text, got {name!r}", rank, nid)
+            ta = type(a)
+            if ta is SendAttrs:  # (assignments of at most three names build no tuple)
+                peer, tag, table = a.dst_rank, a.tag, sends
+                kind, key = _SEND, (rank, peer, tag)
             elif ta is RecvAttrs:
-                peer, size, tag, table, kind = a.src_rank, a.comm_size, a.tag, recvs, _RECV
-                key = (peer, rank, tag)
-            # an inline gate passes the common valid node, in any id order; _check_node the rest
-            if table is not None:
-                valid = (node.kind is kind and type(peer) is type(size) is type(tag) is int
-                         and 0 <= peer < num_ranks and peer != rank
-                         and 0 < size <= MAX_SIZE and tag >= 0 and not is_workload)
+                peer, tag, table = a.src_rank, a.tag, recvs
+                kind, key = _RECV, (peer, rank, tag)
             else:
-                valid = (ta is CompAttrs and node.kind is _COMP and type(a.op) is str
-                         and a.op.isascii() and type(a.comp_size) is int
-                         and 0 <= a.comp_size <= MAX_SIZE)
-            nid = node.id if valid else None
-            if not (type(nid) is int and nid >= 0 and type(node.name) is str
-                    and node.name.isascii()):
-                _check_node(trace, rank, node, is_workload)
-                nid = node.id
+                kind = _COMP if ta is CompAttrs else _COLL if ta is CollAttrs else _NO_KIND
+                table = None
+            if node.kind is not kind:
+                shown = node.kind.value if type(node.kind) is NodeKind else repr(node.kind)
+                raise InvariantError(f"kind {shown} inconsistent with attrs {ta.__name__}",
+                                     rank, nid)
+            if table is not None:
+                size = a.comm_size
+                if is_workload:
+                    raise InvariantError(
+                        "workload traces may contain only COMP and COMM_COLL nodes", rank, nid)
+                if not type(peer) is type(size) is type(tag) is int:
+                    raise InvariantError(f"{_PEER_FIELD[ta]}, comm_size and tag must be ints, "
+                                         f"got {peer!r}, {size!r}, {tag!r}", rank, nid)
+                if not 0 <= peer < num_ranks:
+                    raise InvariantError(f"{_PEER_FIELD[ta]} {peer} out of range", rank, nid)
+                if peer == rank:
+                    raise InvariantError(f"{_PEER_FIELD[ta]} must differ from the owning rank",
+                                         rank, nid)
+                if not 0 < size <= MAX_SIZE:
+                    raise InvariantError(f"comm_size must be in 1..{MAX_SIZE}, got {size}",
+                                         rank, nid)
+                if tag < 0:
+                    raise InvariantError(f"tag must be non-negative, got {tag}", rank, nid)
+            elif kind is _COMP:
+                op, size = a.op, a.comp_size
+                if type(op) is not str or not op.isascii() and _SURROGATE.search(op):
+                    raise InvariantError(f"op must be UTF-8 text, got {op!r}", rank, nid)
+                if type(size) is not int or not 0 <= size <= MAX_SIZE:
+                    raise InvariantError(f"comp_size must be an int in 0..{MAX_SIZE}, "
+                                         f"got {size!r}", rank, nid)
+            else:
+                size = a.comm_size
+                if not is_workload:
+                    raise InvariantError("COMM_COLL may appear only in workload traces",
+                                         rank, nid)
+                if type(a.coll_kind) is not CollKind:
+                    raise InvariantError(f"coll_kind must be a CollKind, got {a.coll_kind!r}",
+                                         rank, nid)
+                if type(size) is not int or not 0 < size <= MAX_SIZE:
+                    raise InvariantError(f"comm_size must be an int in 1..{MAX_SIZE}, "
+                                         f"got {size!r}", rank, nid)
             if nid < last:  # a descent
                 unsorted.add(rank)
             if index.setdefault(nid, i) != i:
@@ -513,6 +555,13 @@ def _dep_fault(rank: int, nodes, index: dict, pending: Optional[list]) -> NoRetu
         f"dependency cycle on rank {rank}", cycle)
 
 
+def require_trace(trace) -> None:
+    """SpecError unless `trace` is a `CollectiveTrace` or a `WorkloadTrace`."""
+    if not isinstance(trace, (CollectiveTrace, WorkloadTrace)):
+        raise SpecError(f"expected a CollectiveTrace or a WorkloadTrace, got "
+                        f"{type(trace).__name__}")
+
+
 def require_matched(trace: Trace) -> None:
     """Raise the InvariantError for the first unmatched or size-mismatched
     send/recv pair that `check_trace` recorded, if there is one."""
@@ -532,66 +581,6 @@ def require_expanded(trace: Trace, before: str) -> None:
             if node.kind is _COLL:
                 raise UnexpandedCollectiveError(
                     f"COMM_COLL node {node.id} on rank {rank} must be expanded before {before}")
-
-
-_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
-def _is_text(value) -> bool:
-    """A str that UTF-8 can encode, i.e. one without lone surrogates."""
-    return type(value) is str and (value.isascii() or not _SURROGATE.search(value))
-
-
-def _check_node(trace: Trace, rank: int, node: TraceNode, is_workload: bool) -> None:
-    # Exact ints and UTF-8 text: what the writer writes, the loader reads back.
-    if type(node) is not TraceNode:
-        raise InvariantError(f"rank lists must hold TraceNodes, got {type(node).__name__}",
-                             rank)
-    if type(node.id) is not int or node.id < 0:
-        raise InvariantError(f"node id must be a non-negative int, got {node.id!r}", rank)
-    if not _is_text(node.name):
-        raise InvariantError(f"name must be UTF-8 text, got {node.name!r}", rank, node.id)
-    expected_kind = _KIND_FOR_ATTRS.get(type(node.attrs))
-    if expected_kind is None or node.kind is not expected_kind:
-        kind = node.kind.value if type(node.kind) is NodeKind else repr(node.kind)
-        raise InvariantError(
-            f"kind {kind} inconsistent with attrs {type(node.attrs).__name__}",
-            rank, node.id,
-        )
-    a = node.attrs
-    if isinstance(a, (SendAttrs, RecvAttrs)):
-        if is_workload:
-            raise InvariantError("workload traces may contain only COMP and COMM_COLL nodes",
-                                 rank, node.id)
-        peer = a.dst_rank if isinstance(a, SendAttrs) else a.src_rank
-        role = "dst_rank" if isinstance(a, SendAttrs) else "src_rank"
-        if not (type(peer) is type(a.comm_size) is type(a.tag) is int):
-            raise InvariantError(f"{role}, comm_size and tag must be ints, got "
-                                 f"{peer!r}, {a.comm_size!r}, {a.tag!r}", rank, node.id)
-        if not 0 <= peer < trace.num_ranks:
-            raise InvariantError(f"{role} {peer} out of range", rank, node.id)
-        if peer == rank:
-            raise InvariantError(f"{role} must differ from the owning rank", rank, node.id)
-        if not 0 < a.comm_size <= MAX_SIZE:
-            raise InvariantError(f"comm_size must be in 1..{MAX_SIZE}, got {a.comm_size}",
-                                 rank, node.id)
-        if a.tag < 0:
-            raise InvariantError(f"tag must be non-negative, got {a.tag}", rank, node.id)
-    elif isinstance(a, CompAttrs):
-        if not _is_text(a.op):
-            raise InvariantError(f"op must be UTF-8 text, got {a.op!r}", rank, node.id)
-        if type(a.comp_size) is not int or not 0 <= a.comp_size <= MAX_SIZE:
-            raise InvariantError(f"comp_size must be an int in 0..{MAX_SIZE}, "
-                                 f"got {a.comp_size!r}", rank, node.id)
-    elif isinstance(a, CollAttrs):
-        if not is_workload:
-            raise InvariantError("COMM_COLL may appear only in workload traces", rank, node.id)
-        if type(a.coll_kind) is not CollKind:
-            raise InvariantError(f"coll_kind must be a CollKind, got {a.coll_kind!r}",
-                                 rank, node.id)
-        if type(a.comm_size) is not int or not 0 < a.comm_size <= MAX_SIZE:
-            raise InvariantError(f"comm_size must be an int in 1..{MAX_SIZE}, "
-                                 f"got {a.comm_size!r}", rank, node.id)
 
 
 def _pair_messages(sends: dict, recvs: dict):
@@ -782,14 +771,17 @@ def _trace_pieces(trace: Trace):
 
 
 def dumps_trace(trace: Trace) -> str:
-    """The canonical text of a trace (see `save_trace`)."""
+    """The canonical text of a trace (see `save_trace`). Refuses what is not
+    a trace, and an unmatched one."""
+    require_trace(trace)
     require_matched(trace)
     return "".join(_trace_pieces(trace))
 
 
 def save_trace(trace: Trace, path) -> None:
     """Write the canonical form, rank by rank; identical traces produce
-    identical bytes. Refuses (before opening the file) if unmatched.
+    identical bytes. Refuses (before opening the file) what is not a trace,
+    and an unmatched one.
 
     The bytes are `json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"` in
     UTF-8, where `doc` has the keys format_version, trace_class, num_ranks,
@@ -797,6 +789,7 @@ def save_trace(trace: Trace, path) -> None:
     deps, attrs; attrs as `dumps_trace` orders them, `chunks`/`src_chunks`
     only when set. `tests/helpers.py::trace_json_oracle` pins this."""
     began = perf_counter()
+    require_trace(trace)
     require_matched(trace)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.writelines(_trace_pieces(trace))

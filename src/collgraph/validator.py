@@ -48,7 +48,6 @@ from .trace import (
     CollKind,
     CollectiveTrace,
     Readiness,
-    WorkloadTrace,
     _COMP,
     _RECV,
     _SEND,
@@ -56,6 +55,7 @@ from .trace import (
     collector_paused,
     ordered,
     require_expanded,
+    require_trace,
 )
 
 log = logging.getLogger("collgraph")
@@ -310,13 +310,6 @@ def _origins(kind: CollKind, num_ranks: int, num_chunks: int) -> list:
     return [range(num_ranks)] * num_chunks
 
 
-def _require_trace(trace) -> None:
-    """SpecError unless `trace` is a `CollectiveTrace` or a `WorkloadTrace`."""
-    if not isinstance(trace, (CollectiveTrace, WorkloadTrace)):
-        raise SpecError(f"expected a CollectiveTrace or a WorkloadTrace, got "
-                        f"{type(trace).__name__}")
-
-
 def _compare(kind: CollKind, n: int, num_chunks: int, origins: list,
              state: list[dict[int, frozenset]]) -> list[dict]:
     """The violations of the final chunk `state` against what `kind`
@@ -357,7 +350,7 @@ def check_semantics(trace: CollectiveTrace, *, order_seed: int | None = None) ->
     final chunk state. Logs its counts and seconds at DEBUG.
     """
     began = perf_counter()
-    _require_trace(trace)
+    require_trace(trace)
     if order_seed is not None and type(order_seed) is not int:  # exact: a bool is an int too
         raise SpecError(f"order_seed must be None or an int, got {order_seed!r}")
     require_expanded(trace, "validation")
@@ -413,7 +406,7 @@ def canonical_form(trace: CollectiveTrace):
     its ordinal in its direction of the trace's `messages` table. Raises
     SpecError unless `trace` is a trace; logs its counts and seconds at DEBUG."""
     began = perf_counter()
-    _require_trace(trace)
+    require_trace(trace)
     require_expanded(trace, "canonical labelling")
     # per rank: send/recv id -> ordinal of its tag within its direction (a
     # missing side files its ordinal under None, which no node id looks up)
@@ -451,8 +444,8 @@ def isomorphic(a: CollectiveTrace, b: CollectiveTrace) -> bool:
     """True iff the traces are structurally identical up to node ids, names,
     raw tag values and auxiliary chunk metadata. Raises SpecError unless
     both are traces."""
-    _require_trace(a)
-    _require_trace(b)
+    require_trace(a)
+    require_trace(b)
     if a.num_ranks != b.num_ranks:
         return False
     with collector_paused():

@@ -15,6 +15,7 @@ import heapq
 import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 from xml.sax.saxutils import quoteattr
 
 from collgraph import trace as trace_module
@@ -31,6 +32,7 @@ from collgraph.generators import AlgoSpec, Algorithm
 from collgraph.simulator import SimReport, route
 from collgraph.trace import (
     FORMAT_VERSION,
+    MAX_SIZE,
     OP_COPY,
     OP_NOP,
     OP_REDUCE,
@@ -554,13 +556,87 @@ def canonical_form_oracle(trace) -> tuple:
     return tuple(form)
 
 
+def _utf8(value) -> bool:
+    """A str that encodes to UTF-8, i.e. one without lone surrogates."""
+    if type(value) is not str:
+        return False
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _ints(*values) -> bool:
+    return all(type(value) is int for value in values)
+
+
+_MESSAGE_RULES = [  # a send's or a recv's, where `role` names its peer field
+    (lambda f: not f.workload, "workload traces may contain only COMP and COMM_COLL nodes"),
+    (lambda f: _ints(f.peer, f.size, f.tag),
+     "{role}, comm_size and tag must be ints, got {peer!r}, {size!r}, {tag!r}"),
+    (lambda f: f.peer in range(f.num_ranks), "{role} {peer} out of range"),
+    (lambda f: f.peer != f.rank, "{role} must differ from the owning rank"),
+    (lambda f: f.size in range(1, MAX_SIZE + 1), "comm_size must be in 1..{max}, got {size}"),
+    (lambda f: f.tag >= 0, "tag must be non-negative, got {tag}"),
+]
+# Per attrs type: the node kind it goes with, and the rules of its fields in
+# the order a fault is reported, each a (test, message template) pair over
+# the fields that `_check_node_fields` names.
+NODE_FIELD_RULES = {
+    SendAttrs: (NodeKind.COMM_SEND, _MESSAGE_RULES),
+    RecvAttrs: (NodeKind.COMM_RECV, _MESSAGE_RULES),
+    CompAttrs: (NodeKind.COMP, [
+        (lambda f: _utf8(f.op), "op must be UTF-8 text, got {op!r}"),
+        (lambda f: _ints(f.size) and f.size in range(MAX_SIZE + 1),
+         "comp_size must be an int in 0..{max}, got {size!r}"),
+    ]),
+    CollAttrs: (NodeKind.COMM_COLL, [
+        (lambda f: f.workload, "COMM_COLL may appear only in workload traces"),
+        (lambda f: any(f.coll_kind is kind for kind in CollKind),
+         "coll_kind must be a CollKind, got {coll_kind!r}"),
+        (lambda f: _ints(f.size) and f.size in range(1, MAX_SIZE + 1),
+         "comm_size must be an int in 1..{max}, got {size!r}"),
+    ]),
+}
+
+
+def _check_node_fields(trace, rank: int, node, is_workload: bool) -> None:
+    """Raise the InvariantError for the first fault of a rank list entry:
+    not a TraceNode, then its id, its name, its kind against its attrs'
+    type, then `NODE_FIELD_RULES` in turn."""
+    if type(node) is not TraceNode:
+        raise InvariantError(f"rank lists must hold TraceNodes, got {type(node).__name__}",
+                             rank)
+    if type(node.id) is not int or node.id < 0:
+        raise InvariantError(f"node id must be a non-negative int, got {node.id!r}", rank)
+    if not _utf8(node.name):
+        raise InvariantError(f"name must be UTF-8 text, got {node.name!r}", rank, node.id)
+    a = node.attrs
+    kind, rules = NODE_FIELD_RULES.get(type(a), (None, []))
+    if kind is None or node.kind is not kind:
+        shown = node.kind.value if isinstance(node.kind, NodeKind) else repr(node.kind)
+        raise InvariantError(f"kind {shown} inconsistent with attrs {type(a).__name__}",
+                             rank, node.id)
+    role = "dst_rank" if kind is NodeKind.COMM_SEND else "src_rank"
+    fields = SimpleNamespace(
+        rank=rank, num_ranks=trace.num_ranks, workload=is_workload, max=MAX_SIZE, role=role,
+        peer=getattr(a, role, None), tag=getattr(a, "tag", None), op=getattr(a, "op", None),
+        size=a.comp_size if kind is NodeKind.COMP else a.comm_size,
+        coll_kind=getattr(a, "coll_kind", None))
+    for test, message in rules:
+        if not test(fields):
+            raise InvariantError(message.format_map(vars(fields)), rank, node.id)
+
+
 def check_trace_oracle(trace) -> tuple:
     """`check_trace(trace)` as a multi-pass check: every
     node's fields and id, then every dep, then cycles, rank by rank, then
     the send/recv tags over all ranks. Returns the (messages, mismatch) the
     trace should record, or raises the InvariantError it should raise.
-    Reference for `check_trace`; node fields are judged by its
-    `_check_node`. Cycles are found by counting down deps over ids and named
+    Reference for `check_trace`; node fields are judged by its own rules,
+    `_check_node_fields` and `NODE_FIELD_RULES`, which share no code with
+    `check_trace`. Cycles are found by counting down deps over ids and named
     by the rule `_find_cycle` documents: from the smallest unfinished id,
     follow the smallest unfinished dep until an id repeats."""
     if type(trace.num_ranks) is not int or trace.num_ranks < 1:
@@ -573,14 +649,14 @@ def check_trace_oracle(trace) -> tuple:
     if claimed is not None and not (
             isinstance(claimed, CollDescriptor) and type(claimed.kind) is CollKind
             and type(claimed.comm_size) is int
-            and 0 < claimed.comm_size <= trace_module.MAX_SIZE):
+            and 0 < claimed.comm_size <= MAX_SIZE):
         raise InvariantError(
-            f"claimed_collective must be a CollKind and a size in 1..{trace_module.MAX_SIZE}, "
+            f"claimed_collective must be a CollKind and a size in 1..{MAX_SIZE}, "
             f"got {claimed!r}")
     for rank, nodes in enumerate(trace.per_rank_nodes):
         ids = set()
         for node in nodes:
-            trace_module._check_node(trace, rank, node, is_workload)
+            _check_node_fields(trace, rank, node, is_workload)
             if node.id in ids:
                 raise InvariantError("duplicate node id", rank, node.id)
             ids.add(node.id)

@@ -6,7 +6,7 @@ import pytest
 
 from collgraph import expander
 from collgraph import trace as trace_module
-from collgraph.errors import BindingError, InvariantError
+from collgraph.errors import BindingError, InvariantError, SpecError
 from collgraph.expander import TAG_STRIDE, expand
 from collgraph.generators import AlgoSpec, Algorithm, generate
 from collgraph.simulator import CostModel, Topology, simulate
@@ -194,6 +194,18 @@ def test_binding_may_be_a_fixed_trace_of_matching_size():
 def test_binding_errors(binding, message):
     with pytest.raises(BindingError, match=message):
         expand(all_gathers([MIB]), binding)
+
+
+@pytest.mark.parametrize("workload, error", [
+    (None, "expected a WorkloadTrace, got NoneType"),
+    (generate(AlgoSpec(Algorithm.RING_ALL_GATHER, 2, MIB)),
+     "expected a WorkloadTrace, got CollectiveTrace"),
+    ([[], []], "expected a WorkloadTrace, got list"),
+], ids=["none", "collective", "rank-lists"])
+def test_expand_refuses_what_is_not_a_workload(workload, error):
+    with pytest.raises(SpecError) as exc:
+        expand(workload, BINDINGS)
+    assert str(exc.value) == error
 
 
 def all_gathers(sizes, n=2):

@@ -171,6 +171,9 @@ def _fault(draw, ranks, what):
     elif what == "coll":
         node = replace(node, kind=NodeKind.COMM_COLL,
                        attrs=CollAttrs(draw(st.sampled_from(list(CollKind))), 64))
+    elif what == "coll-kind":  # a collective whose kind is not a CollKind
+        node = replace(node, kind=NodeKind.COMM_COLL,
+                       attrs=CollAttrs(draw(st.sampled_from(["ALL_REDUCE", None])), 64))
     elif what == "name":
         node = replace(node, name=draw(st.sampled_from([5, None, "\ud800", "n\u00e9"])))
     elif what == "op" and isinstance(a, CompAttrs):
@@ -196,7 +199,7 @@ def _fault(draw, ranks, what):
 
 FAULTS = ["drop", "dep", "peer", "size", "tag", "kind", "id", "coll"]
 # faults of single fields, and of ids, deps, order and entries, for check_trace
-FIELD_FAULTS = ["peer", "size", "tag", "kind", "coll", "name", "op", "type"]
+FIELD_FAULTS = ["peer", "size", "tag", "kind", "coll", "name", "op", "type", "coll-kind"]
 CHECK_FAULTS = FAULTS + FIELD_FAULTS[5:] + [
     "dup-id", "self", "missing", "cycle", "shuffle", "offset", "dup-tag"]
 
@@ -334,25 +337,26 @@ def _unchecked(cls, ranks):
 @st.composite
 def faulty_traces(draw):
     """Collective traces, or workloads (most with their messages made
-    collectives), with up to three faults of `CHECK_FAULTS` and maybe an
-    entry that is not a node; half of them first get a duplicate tag on one
-    rank and a field fault, often on another."""
+    collectives, half with a fault of a collective's fields), with up to
+    three faults of `CHECK_FAULTS` and maybe an entry that is not a node;
+    half of them first get a duplicate tag on one rank and a field fault,
+    often on another."""
     ranks = draw(valid_ranks())
     if draw(st.booleans()):
         _fault(draw, ranks, "dup-tag")
         _fault(draw, ranks, draw(st.sampled_from(FIELD_FAULTS)))
     for what in draw(st.lists(st.sampled_from(CHECK_FAULTS), max_size=3)):
         _fault(draw, ranks, what)
+    workload = draw(st.sampled_from([False] * 4 + [True]))
+    if workload and draw(st.booleans()):  # else keep the messages, which a workload refuses
+        ranks = [[replace(m, kind=NodeKind.COMM_COLL, attrs=CollAttrs(CollKind.ALL_REDUCE, 64))
+                  if m.kind in (NodeKind.COMM_SEND, NodeKind.COMM_RECV) else m for m in nodes]
+                 for nodes in ranks]
+    if workload and draw(st.booleans()):
+        _fault(draw, ranks, draw(st.sampled_from(["coll-kind", "size", "type"])))
     if draw(st.sampled_from([False] * 5 + [True])):  # last: faults above need nodes
         _fault(draw, ranks, "entry")
-    if draw(st.sampled_from([False] * 4 + [True])):
-        keep = draw(st.booleans())  # keep the messages, which a workload refuses
-        ranks = [[replace(m, kind=NodeKind.COMM_COLL, attrs=CollAttrs(CollKind.ALL_REDUCE, 64))
-                  if not keep and isinstance(m, TraceNode) and m.kind in (
-                      NodeKind.COMM_SEND, NodeKind.COMM_RECV) else m for m in nodes]
-                 for nodes in ranks]
-        return _unchecked(WorkloadTrace, ranks)
-    return _unchecked(CollectiveTrace, ranks)
+    return _unchecked(WorkloadTrace if workload else CollectiveTrace, ranks)
 
 
 @settings(DETERMINISTIC, max_examples=600)

@@ -339,6 +339,23 @@ def test_grid_dimensions_must_cover_every_node(args, match):
         Topology(*args)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda t: simulate(None, Topology.ring(2), COST),
+     "expected a CollectiveTrace or a WorkloadTrace, got NoneType"),
+    (lambda t: simulate(t.per_rank_nodes, Topology.ring(2), COST),
+     "expected a CollectiveTrace or a WorkloadTrace, got tuple"),
+    (lambda t: simulate(t, None, COST), "expected a Topology, got NoneType"),
+    (lambda t: simulate(t, "ring", COST), "expected a Topology, got str"),
+    (lambda t: simulate(t, Topology.ring(2), None), "expected a CostModel, got NoneType"),
+    (lambda t: simulate(t, Topology.ring(2), (1e-6, 1e9)), "expected a CostModel, got tuple"),
+], ids=["trace-none", "trace-ranks", "topology-none", "topology-str", "cost-none",
+        "cost-tuple"])
+def test_simulate_refuses_arguments_of_the_wrong_type(call, error):
+    with pytest.raises(SpecError) as exc:
+        call(ring_ar(2, 4096))
+    assert str(exc.value) == error
+
+
 def test_too_small_topology_rejected():
     with pytest.raises(SpecError, match="ranks"):
         simulate(ring_ar(4, 4096), Topology.ring(2), COST)

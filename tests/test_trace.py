@@ -15,7 +15,7 @@ from helpers import loads_trace_oracle, trace_json_oracle
 
 from collgraph import msccl as msccl_module
 from collgraph import trace as trace_module
-from collgraph.errors import CycleError, InvariantError, ParseError, SchemaError
+from collgraph.errors import CycleError, InvariantError, ParseError, SchemaError, SpecError
 from collgraph.expander import expand
 from collgraph.generators import AlgoSpec, Algorithm, generate
 from collgraph.msccl import MscclStep, convert_to_trace, parse_msccl_xml
@@ -299,34 +299,16 @@ def test_messages_are_paired_only_at_construction(monkeypatch):
     assert counted(lambda: canonical_form(trace)) == (0, 0)
 
 
-def test_valid_collective_nodes_pass_the_inline_gate(monkeypatch):
-    """`check_trace` leaves `_check_node` to the nodes its inline gate
-    refuses: a valid SEND, RECV or COMP node never reaches it, whatever
-    produced the trace and in whatever id order its ranks are listed."""
-    calls = []
-    check_node = trace_module._check_node
-
-    def counting(*args):
-        calls.append(args)
-        return check_node(*args)
-
-    monkeypatch.setattr(trace_module, "_check_node", counting)
-    bindings = {CollKind.ALL_REDUCE: Algorithm.RING_ALL_REDUCE,
-                CollKind.ALL_GATHER: Algorithm.RING_ALL_GATHER}
-    workload = _chain_workload()
-    calls.clear()
-    traces = [generate(AlgoSpec(algo, 8, 8 * 1024)) for algo in Algorithm]
-    traces.append(convert_to_trace(parse_msccl_xml(FIXTURES / "ring_allreduce_n4.xml"),
-                                   4 * MIB))
-    traces.append(expand(workload, bindings))
-    traces.append(loads_trace(dumps_trace(traces[-1])))
+def test_reversed_and_shuffled_rank_lists_build_the_same_trace():
+    """`check_trace` stores a rank given out of id order by ascending id, so
+    reversed and shuffled rank lists build a trace equal to the original."""
     rng = random.Random(21)
-    for trace in traces[:3]:
+    for algo in Algorithm:
+        trace = generate(AlgoSpec(algo, 8, 8 * 1024))
         ranks = trace.per_rank_nodes
         shuffled = [rng.sample(nodes, len(nodes)) for nodes in ranks]
         for order in ([nodes[::-1] for nodes in ranks], shuffled):
             assert CollectiveTrace(trace.num_ranks, trace.claimed_collective, order) == trace
-    assert calls == []
 
 
 def test_parse_error_carries_position(tmp_path):
@@ -359,6 +341,17 @@ def test_schema_errors(tmp_path, mangle, message):
     mangle(doc)
     with pytest.raises(SchemaError, match=message):
         loads_trace(json.dumps(doc))
+
+
+@pytest.mark.parametrize("write", [dumps_trace, save_trace], ids=["dumps", "save"])
+@pytest.mark.parametrize("value", [None, 5, ((),)], ids=["none", "int", "rank-lists"])
+def test_the_writers_refuse_what_is_not_a_trace(write, value, tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(SpecError) as exc:
+        write(value, path) if write is save_trace else write(value)
+    expected = f"expected a CollectiveTrace or a WorkloadTrace, got {type(value).__name__}"
+    assert str(exc.value) == expected
+    assert not path.exists()
 
 
 def test_save_and_load_log_ranks_nodes_bytes_and_seconds_at_debug(caplog, tmp_path):
